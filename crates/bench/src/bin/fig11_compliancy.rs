@@ -17,12 +17,13 @@
 //! ```
 
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
-use andi_core::recipe::{compliancy_curve_decoy, compliancy_curve_probs};
+use andi_core::recipe::{compliancy_curve, compliancy_curve_decoy};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
 use andi_core::{assess_risk, OutdegreeProfile, RecipeConfig};
 use andi_data::synth::Analog;
 use andi_graph::convex::crack_probabilities_convex;
+use andi_graph::par::available_threads;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -49,13 +50,14 @@ fn main() {
                 "O-estimate",
             ),
         };
-        let curve = compliancy_curve_probs(&probs, &alphas, n_runs(quick), 0xF1611);
+        let threads = available_threads();
+        let curve = compliancy_curve(&probs, &alphas, n_runs(quick), 0xF1611, threads);
         // Decoy-corrected variant: wrong intervals of the same mean
         // width still absorb anonymized items and compete with the
         // compliant claimants, bending the curve super-linear (as the
         // paper's Figure 11 shows and the simulation confirms).
-        let decoy =
-            compliancy_curve_decoy(&graph, 2.0 * w.delta_med(), &alphas, n_runs(quick), 0xF1611);
+        let width = 2.0 * w.delta_med();
+        let decoy = compliancy_curve_decoy(&graph, width, &alphas, n_runs(quick), 0xF1611, threads);
 
         let mut table = TextTable::new(if with_sim {
             vec!["alpha", "OE", "OE/n", "decoy/n", "sim/n", "<= tau?"]

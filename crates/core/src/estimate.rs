@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use andi_graph::convex::{expected_cracks_convex, ConvexError};
-use andi_graph::exact::{try_expected_cracks, ExactError};
+use andi_graph::exact::{crack_probabilities_budgeted, ExactError};
+use andi_graph::par::{self, Budget};
 use andi_graph::GroupedBigraph;
 
 use crate::error::{Error, Result};
@@ -100,13 +101,18 @@ pub fn best_expected_cracks(graph: &GroupedBigraph, state_budget: usize) -> Resu
         Err(ConvexError::UnmatchableItem { .. }) | Err(ConvexError::BudgetExceeded { .. }) => {}
     }
 
-    // 2. Ryser exact on tiny domains. Overflow and an empty mapping
-    // space are distinct outcomes here: `try_expected_cracks` keeps
-    // them apart where the raw `Option` permanents conflated them.
+    // 2. Ryser exact on tiny domains: the item-order sum of the exact
+    // crack probabilities. Overflow and an empty mapping space are
+    // distinct outcomes of the budgeted core.
     if graph.n() <= RYSER_LIMIT {
-        return match try_expected_cracks(&graph.to_dense()) {
-            Ok(value) => Ok(CrackEstimate {
-                value,
+        let probs = crack_probabilities_budgeted(
+            &graph.to_dense(),
+            par::available_threads(),
+            &Budget::unlimited(),
+        );
+        return match probs {
+            Ok(probs) => Ok(CrackEstimate {
+                value: probs.iter().fold(0.0, |e, &p| e + p),
                 method: EstimateMethod::RyserExact,
             }),
             Err(ExactError::EmptyMappingSpace) => Err(Error::EmptyMappingSpace),
@@ -256,24 +262,6 @@ pub fn cached_profile(graph: &GroupedBigraph, propagated: bool) -> Result<Arc<Ou
     Ok(profile)
 }
 
-/// Explicitly drops every memoized profile for a graph fingerprint
-/// (both the plain and the propagated variant) and returns how many
-/// entries were removed. This is the delta-update invalidation path:
-/// after a database edit, callers that re-key on the *old* graph —
-/// or hold a stale fingerprint — must be unable to observe the
-/// pre-edit profile, and the regression test below pins that a stale
-/// entry can never be served after invalidation.
-pub fn invalidate_profile(fingerprint: u64) -> usize {
-    let mut cache = lock_cache();
-    let mut removed = 0usize;
-    for flag in [false, true] {
-        if cache.entries.remove(&(fingerprint, flag)).is_some() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,41 +402,6 @@ mod tests {
         assert_eq!(
             hot.probabilities(),
             OutdegreeProfile::propagated(&g).unwrap().probabilities()
-        );
-    }
-
-    #[test]
-    fn invalidate_profile_prevents_serving_stale_entries() {
-        // A distinctive graph unlikely to collide with other tests'
-        // cache entries.
-        let b = BeliefFunction::from_intervals(vec![(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)]).unwrap();
-        let g = b.build_graph(&[9u64, 5, 13], 26);
-        let fp = graph_fingerprint(&g);
-
-        let plain = cached_profile(&g, false).unwrap();
-        let prop = cached_profile(&g, true).unwrap();
-        // Both flavors are cached: a second lookup shares the Arc.
-        assert!(Arc::ptr_eq(&plain, &cached_profile(&g, false).unwrap()));
-        assert!(Arc::ptr_eq(&prop, &cached_profile(&g, true).unwrap()));
-
-        // Invalidation removes both variants...
-        assert_eq!(invalidate_profile(fp), 2);
-        assert!(lock_cache().get(&(fp, false)).is_none());
-        assert!(lock_cache().get(&(fp, true)).is_none());
-        // ...and is idempotent.
-        assert_eq!(invalidate_profile(fp), 0);
-
-        // The stale Arcs can never be served again: the next lookup
-        // rebuilds fresh allocations that still agree with direct
-        // construction bit-for-bit.
-        let fresh = cached_profile(&g, false).unwrap();
-        assert!(
-            !Arc::ptr_eq(&plain, &fresh),
-            "stale entry served after invalidation"
-        );
-        assert_eq!(
-            fresh.probabilities(),
-            OutdegreeProfile::plain(&g).probabilities()
         );
     }
 

@@ -232,7 +232,13 @@ pub fn assess_interest_risk(
         // crack probabilities do not count toward the budget).
         let restricted = profile.restrict(&mask)?;
         let alphas: Vec<f64> = (0..=100).map(|k| k as f64 / 100.0).collect();
-        let curve = compliancy_curve(&restricted, &alphas, config.n_mask_runs, config.seed);
+        let curve = compliancy_curve(
+            &restricted.probabilities(),
+            &alphas,
+            config.n_mask_runs,
+            config.seed,
+            andi_graph::par::available_threads(),
+        );
         let best = curve
             .iter()
             .rev()

@@ -78,8 +78,7 @@ pub use belief::BeliefFunction;
 pub use chain::ChainSpec;
 pub use error::{AndiError, Error, Result};
 pub use estimate::{
-    best_expected_cracks, cached_profile, graph_fingerprint, invalidate_profile, CrackEstimate,
-    EstimateMethod,
+    best_expected_cracks, cached_profile, graph_fingerprint, CrackEstimate, EstimateMethod,
 };
 pub use incremental::{
     apply_edits_to_summary, summary_fingerprint, DeltaAssessment, DeltaBatch, DeltaProvenance,
@@ -97,10 +96,9 @@ pub use itemsets::{identify_sets, IdentifiedBlock, SetIdentification};
 pub use oestimate::{oestimate, oestimate_for, oestimate_propagated, ItemStatus, OutdegreeProfile};
 pub use powerset::{assess_powerset_risk, ItemsetBelief, PowersetBelief, PowersetRisk};
 pub use recipe::{
-    assess_risk, assess_risk_budgeted, assess_risk_budgeted_with_threads, compliancy_curve,
-    compliancy_curve_decoy, compliancy_curve_decoy_with_threads, compliancy_curve_probs,
-    compliancy_curve_probs_with_threads, compliant_count, ladder_crack_probabilities,
-    BudgetedAssessment, CompliancyPoint, RecipeConfig, RiskAssessment, RiskDecision,
+    assess_risk, assess_risk_budgeted, compliancy_curve, compliancy_curve_decoy, compliant_count,
+    ladder_crack_probabilities, BudgetedAssessment, CompliancyPoint, RecipeConfig, RiskAssessment,
+    RiskDecision,
 };
 pub use relational::{
     assess_relational_risk, AnonymizedRelation, AttrValue, Constraint, Knowledge, RelationalRisk,

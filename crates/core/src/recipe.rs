@@ -24,14 +24,13 @@ use andi_graph::exact::ExactError;
 use andi_graph::par;
 use andi_graph::par::{Budget, ExecError};
 use andi_graph::sampler::SamplerConfig;
-use andi_graph::{Matching, SamplerError, MAX_PERMANENT_N};
+use andi_graph::{GroupedBigraph, Matching, SamplerError, MAX_PERMANENT_N};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::belief::BeliefFunction;
 use crate::error::{Error, Result};
-use crate::oestimate::OutdegreeProfile;
 use crate::report::{Provenance, Rung};
 
 /// Number of compliant items for a degree of compliancy `alpha` over
@@ -53,7 +52,7 @@ pub fn compliant_count(alpha: f64, n: usize) -> usize {
     }
 }
 
-/// Tuning knobs for [`assess_risk`].
+/// Tuning knobs for [`assess_risk`] and [`assess_risk_budgeted`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecipeConfig {
     /// The owner's degree of tolerance `τ`: the acceptable expected
@@ -68,15 +67,17 @@ pub struct RecipeConfig {
     /// Try the convex-exact crack marginals first (see
     /// [`andi_graph::convex`]); falls back to the O-estimate when
     /// the DP exceeds its state budget. Exact at `α = 1`; below it,
-    /// the masked sum interpolates over exact marginals.
+    /// the masked sum interpolates over exact marginals. Only read by
+    /// [`assess_risk`]'s step 6.
     pub use_exact: bool,
     /// State budget for the exact DP (only read when `use_exact`).
     pub exact_state_budget: usize,
     /// RNG seed for the mask permutations.
     pub seed: u64,
     /// Swap-walk schedule for the matching-sampler rung of the
-    /// budgeted degradation ladder (only read by
-    /// [`assess_risk_budgeted`]).
+    /// budgeted degradation ladder (read by
+    /// [`ladder_crack_probabilities`] — the ladder `andi-serve` runs —
+    /// and so by [`assess_risk_budgeted`]).
     pub sampler_schedule: SamplerConfig,
 }
 
@@ -192,6 +193,12 @@ impl std::fmt::Display for RiskAssessment {
 
 /// Runs Assess-Risk (Figure 8) on an observed support profile.
 ///
+/// Step 6 reads the convex-exact crack marginals when
+/// `config.use_exact` asks for them and the DP fits
+/// `config.exact_state_budget`, and the O-estimate otherwise. The
+/// α-mask runs fan out over [`par::available_threads`] workers; the
+/// result is bit-identical at any worker count.
+///
 /// # Examples
 ///
 /// ```
@@ -216,112 +223,22 @@ impl std::fmt::Display for RiskAssessment {
 /// # Errors
 ///
 /// Rejects `τ` outside `(0, 1]`, an empty profile, or an empty
-/// mapping space after propagation.
+/// mapping space after propagation. A worker panic in an α-mask run
+/// (an injected `recipe.run` fault) is [`Error::WorkerPanic`].
 pub fn assess_risk(
     supports: &[u64],
     n_transactions: u64,
     config: &RecipeConfig,
 ) -> Result<RiskAssessment> {
-    if !(config.tolerance > 0.0 && config.tolerance <= 1.0) {
-        return Err(Error::InvalidParameter(format!(
-            "tolerance must be in (0, 1], got {}",
-            config.tolerance
-        )));
-    }
-    if supports.is_empty() {
-        return Err(Error::InvalidParameter("empty support profile".into()));
-    }
-    if config.n_mask_runs == 0 {
-        return Err(Error::InvalidParameter("need at least one mask run".into()));
-    }
-    let n = supports.len();
-    let budget = config.tolerance * n as f64;
-
-    // Steps 1-2: Lemma 3.
-    let groups = FrequencyGroups::from_supports(supports, n_transactions);
-    let g = groups.n_groups() as f64;
-
-    // Steps 3-5: δ_med-widened compliant interval belief function.
-    let delta_med = groups.median_gap().unwrap_or(0.0);
-    let m = n_transactions as f64;
-    let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m).collect();
-    let belief = BeliefFunction::widened(&freqs, delta_med)?;
-
-    // Step 6: crack probabilities — exact convex marginals when
-    // requested and affordable, otherwise the O-estimate (with the
-    // Figure 7 refinement when configured).
-    let graph = belief.build_graph(supports, n_transactions);
-    let probs: Vec<f64> = if config.use_exact {
-        match andi_graph::convex::crack_probabilities_convex(&graph, config.exact_state_budget) {
-            Ok(p) => p,
-            Err(andi_graph::convex::ConvexError::NoPerfectMatching) => {
-                return Err(Error::EmptyMappingSpace)
-            }
-            Err(_) => oe_probabilities(&graph, config)?,
-        }
-    } else {
-        oe_probabilities(&graph, config)?
-    };
-    let full_oe: f64 = probs.iter().sum();
-
-    if g <= budget {
-        return Ok(RiskAssessment {
-            n_items: n,
-            tolerance: config.tolerance,
-            point_valued_cracks: g,
-            delta_med,
-            full_compliance_oe: full_oe,
-            decision: RiskDecision::DiscloseAtPointValued,
-        });
-    }
-
-    // Step 7.
-    if full_oe <= budget {
-        return Ok(RiskAssessment {
-            n_items: n,
-            tolerance: config.tolerance,
-            point_valued_cracks: g,
-            delta_med,
-            full_compliance_oe: full_oe,
-            decision: RiskDecision::DiscloseAtFullCompliance,
-        });
-    }
-
-    // Steps 8-9: binary search the largest compliant-item count whose
-    // mask-averaged OE fits the budget. Per-run nested prefixes give
-    // exact monotonicity; per-run prefix sums make each probe O(1).
-    let prefix_sums = mask_prefix_sums(
-        &probs,
-        config.n_mask_runs,
-        config.seed,
+    let (assessment, ()) = figure8(
+        supports,
+        n_transactions,
+        config,
         par::available_threads(),
-    );
-    let avg_oe_at = |c: usize| -> f64 {
-        prefix_sums.iter().map(|ps| ps[c]).sum::<f64>() / prefix_sums.len() as f64
-    };
-
-    // avg_oe_at(0) = 0 <= budget; avg_oe_at(n) = full_oe > budget.
-    let (mut lo, mut hi) = (0usize, n);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if avg_oe_at(mid) <= budget {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-
-    Ok(RiskAssessment {
-        n_items: n,
-        tolerance: config.tolerance,
-        point_valued_cracks: g,
-        delta_med,
-        full_compliance_oe: full_oe,
-        decision: RiskDecision::AlphaMax {
-            alpha_max: lo as f64 / n as f64,
-            oestimate_at_alpha: avg_oe_at(lo),
-        },
-    })
+        &Budget::unlimited(),
+        |graph| exact_or_oe_probabilities(graph, config).map(|probs| ((), probs)),
+    )?;
+    Ok(assessment)
 }
 
 /// A budgeted assessment: the ordinary transcript plus the
@@ -343,29 +260,11 @@ impl BudgetedAssessment {
     }
 }
 
-/// [`assess_risk`] under a wall-clock [`Budget`] and cancel token,
-/// with [`par::available_threads`] workers.
-///
-/// See [`assess_risk_budgeted_with_threads`].
-pub fn assess_risk_budgeted(
-    supports: &[u64],
-    n_transactions: u64,
-    config: &RecipeConfig,
-    budget: &Budget,
-) -> Result<BudgetedAssessment> {
-    assess_risk_budgeted_with_threads(
-        supports,
-        n_transactions,
-        config,
-        budget,
-        par::available_threads(),
-    )
-}
-
-/// The budgeted Assess-Risk recipe: the same Figure 8 pipeline as
-/// [`assess_risk`], but the crack probabilities come from a
-/// graceful-degradation ladder that descends one rung each time the
-/// budget trips:
+/// The budgeted Assess-Risk recipe on `threads` workers: the same
+/// Figure 8 body as [`assess_risk`], but step 6 takes its crack
+/// probabilities from the graceful-degradation ladder of
+/// [`ladder_crack_probabilities`], which descends one rung each time
+/// the budget trips:
 ///
 /// 1. **exact-permanent** — Ryser crack probabilities (skipped
 ///    outright above [`MAX_PERMANENT_N`] items);
@@ -388,13 +287,43 @@ pub fn assess_risk_budgeted(
 /// no consistent matching; [`Error::Cancelled`] as soon as the
 /// [`andi_graph::CancelToken`] fires — cancellation aborts the whole
 /// run rather than degrading it.
-pub fn assess_risk_budgeted_with_threads(
+pub fn assess_risk_budgeted(
     supports: &[u64],
     n_transactions: u64,
     config: &RecipeConfig,
     budget: &Budget,
     threads: usize,
 ) -> Result<BudgetedAssessment> {
+    let (assessment, mut provenance) =
+        figure8(supports, n_transactions, config, threads, budget, |graph| {
+            ladder_crack_probabilities(graph, config, threads, budget)
+        })?;
+    // The α-mask tail ran after the ladder; charge it too.
+    provenance.spent_ms = budget.spent().as_millis();
+    Ok(BudgetedAssessment {
+        assessment,
+        provenance,
+    })
+}
+
+/// The one Figure 8 body behind [`assess_risk`] and
+/// [`assess_risk_budgeted`]: validation, steps 1–5, step 6 through
+/// `step6` (which returns its own record next to the per-item crack
+/// probabilities), the verdict, and the α search.
+///
+/// The α-mask runs fan out over `threads` workers under the cancel
+/// token only — a degraded answer is still an answer, so the deadline
+/// no longer cuts the tail short, but cancellation must. Each run is
+/// a [`par::try_map_indexed`] task carrying the `recipe.run` fault
+/// probe.
+fn figure8<T>(
+    supports: &[u64],
+    n_transactions: u64,
+    config: &RecipeConfig,
+    threads: usize,
+    budget: &Budget,
+    step6: impl FnOnce(&GroupedBigraph) -> Result<(T, Vec<f64>)>,
+) -> Result<(RiskAssessment, T)> {
     if !(config.tolerance > 0.0 && config.tolerance <= 1.0) {
         return Err(Error::InvalidParameter(format!(
             "tolerance must be in (0, 1], got {}",
@@ -410,43 +339,41 @@ pub fn assess_risk_budgeted_with_threads(
     let n = supports.len();
     let tol_budget = config.tolerance * n as f64;
 
-    // Steps 1-5, exactly as in `assess_risk`.
+    // Steps 1-2: Lemma 3.
     let groups = FrequencyGroups::from_supports(supports, n_transactions);
     let g = groups.n_groups() as f64;
+
+    // Steps 3-5: δ_med-widened compliant interval belief function.
     let delta_med = groups.median_gap().unwrap_or(0.0);
     let m = n_transactions as f64;
     let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m).collect();
     let belief = BeliefFunction::widened(&freqs, delta_med)?;
     let graph = belief.build_graph(supports, n_transactions);
 
-    // Step 6: descend the ladder for the crack probabilities.
-    let mut trips: Vec<(Rung, Error)> = Vec::new();
-    let (rung, probs) = ladder_probabilities(&graph, config, threads, budget, &mut trips)?;
+    // Step 6: per-item crack probabilities.
+    let (record, probs) = step6(&graph)?;
     let full_oe: f64 = probs.iter().sum();
 
     let decision = if g <= tol_budget {
         RiskDecision::DiscloseAtPointValued
     } else if full_oe <= tol_budget {
+        // Step 7.
         RiskDecision::DiscloseAtFullCompliance
     } else {
-        // Steps 8-9 under the cancel token only: a degraded answer is
-        // still an answer, so the deadline no longer cuts the tail
-        // short — but cancellation must.
-        let prefix_sums = try_mask_prefix_sums(
-            &probs,
-            config.n_mask_runs,
-            config.seed,
-            threads,
-            &budget.cancel_only(),
-        )
-        .map_err(Error::from)?;
-        let avg_oe_at = |c: usize| -> f64 {
-            prefix_sums.iter().map(|ps| ps[c]).sum::<f64>() / prefix_sums.len() as f64
-        };
+        // Steps 8-9: binary search the largest compliant-item count
+        // whose mask-averaged OE fits the budget. Per-run nested
+        // prefixes give exact monotonicity; per-run prefix sums make
+        // each probe O(1).
+        let prefix_sums =
+            par::try_map_indexed(threads, config.n_mask_runs, &budget.cancel_only(), |r| {
+                andi_graph::faults::probe("recipe.run", r);
+                run_prefix_sums(&probs, config.seed, r)
+            })?;
+        // mean_at(0) = 0 <= budget; mean_at(n) = full_oe > budget.
         let (mut lo, mut hi) = (0usize, n);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if avg_oe_at(mid) <= tol_budget {
+            if mean_at(&prefix_sums, mid) <= tol_budget {
                 lo = mid;
             } else {
                 hi = mid;
@@ -454,27 +381,35 @@ pub fn assess_risk_budgeted_with_threads(
         }
         RiskDecision::AlphaMax {
             alpha_max: lo as f64 / n as f64,
-            oestimate_at_alpha: avg_oe_at(lo),
+            oestimate_at_alpha: mean_at(&prefix_sums, lo),
         }
     };
 
-    Ok(BudgetedAssessment {
-        assessment: RiskAssessment {
-            n_items: n,
-            tolerance: config.tolerance,
-            point_valued_cracks: g,
-            delta_med,
-            full_compliance_oe: full_oe,
-            decision,
-        },
-        provenance: Provenance {
-            rung,
-            degraded: rung != Rung::Exact,
-            trips,
-            budget_ms: budget.limit_ms(),
-            spent_ms: budget.spent().as_millis(),
-        },
-    })
+    let assessment = RiskAssessment {
+        n_items: n,
+        tolerance: config.tolerance,
+        point_valued_cracks: g,
+        delta_med,
+        full_compliance_oe: full_oe,
+        decision,
+    };
+    Ok((assessment, record))
+}
+
+/// [`assess_risk`]'s step 6: exact convex marginals when requested
+/// and affordable, otherwise the O-estimate (with the Figure 7
+/// refinement when configured).
+fn exact_or_oe_probabilities(graph: &GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
+    if config.use_exact {
+        match andi_graph::convex::crack_probabilities_convex(graph, config.exact_state_budget) {
+            Ok(p) => return Ok(p),
+            Err(andi_graph::convex::ConvexError::NoPerfectMatching) => {
+                return Err(Error::EmptyMappingSpace)
+            }
+            Err(_) => {}
+        }
+    }
+    oe_probabilities(graph, config)
 }
 
 /// Runs the degradation ladder directly on a caller-supplied belief
@@ -485,8 +420,8 @@ pub fn assess_risk_budgeted_with_threads(
 /// Figure 8 pipeline: the caller keeps control of the belief (it
 /// need not be the `δ_med`-widened compliant one), which makes every
 /// rung — including the [`Error::EmptyMappingSpace`] abort — directly
-/// reachable. The conformance oracle and the `andi assess --belief`
-/// CLI path drive it this way.
+/// reachable. The conformance oracle, the `andi assess --belief` CLI
+/// path and `andi-serve` drive it this way.
 ///
 /// # Errors
 ///
@@ -494,7 +429,7 @@ pub fn assess_risk_budgeted_with_threads(
 /// no consistent matching; [`Error::Cancelled`] when the budget's
 /// cancel token fires.
 pub fn ladder_crack_probabilities(
-    graph: &andi_graph::GroupedBigraph,
+    graph: &GroupedBigraph,
     config: &RecipeConfig,
     threads: usize,
     budget: &Budget,
@@ -519,7 +454,7 @@ pub fn ladder_crack_probabilities(
 /// Cancellation and a provably empty mapping space abort instead of
 /// degrading (the lower rungs could not answer either meaningfully).
 fn ladder_probabilities(
-    graph: &andi_graph::GroupedBigraph,
+    graph: &GroupedBigraph,
     config: &RecipeConfig,
     threads: usize,
     budget: &Budget,
@@ -585,35 +520,18 @@ pub struct CompliancyPoint {
     pub fraction: f64,
 }
 
-/// Sweeps the α grid of Figure 11 for a precomputed outdegree
-/// profile, averaging the masked O-estimate over `n_mask_runs`
-/// nested random compliant subsets.
+/// Sweeps the α grid of Figure 11 over per-item crack probabilities
+/// from any estimator (an [`OutdegreeProfile::probabilities`], the
+/// convex-exact marginals, …), averaging the masked sum over
+/// `n_mask_runs` nested random compliant subsets.
+///
+/// The mask runs fan out over `threads` workers. The output is
+/// bit-identical for every `threads` value: each mask run is seeded
+/// `seed + run_index` and computed whole on one worker, and the
+/// per-α averages always reduce the runs in run order.
+///
+/// [`OutdegreeProfile::probabilities`]: crate::oestimate::OutdegreeProfile::probabilities
 pub fn compliancy_curve(
-    profile: &OutdegreeProfile,
-    alphas: &[f64],
-    n_mask_runs: usize,
-    seed: u64,
-) -> Vec<CompliancyPoint> {
-    compliancy_curve_probs(&profile.probabilities(), alphas, n_mask_runs, seed)
-}
-
-/// [`compliancy_curve`] over raw per-item crack probabilities (from
-/// any estimator, e.g. the convex-exact marginals). The mask runs fan
-/// out over [`par::available_threads`] workers.
-pub fn compliancy_curve_probs(
-    probs: &[f64],
-    alphas: &[f64],
-    n_mask_runs: usize,
-    seed: u64,
-) -> Vec<CompliancyPoint> {
-    compliancy_curve_probs_with_threads(probs, alphas, n_mask_runs, seed, par::available_threads())
-}
-
-/// [`compliancy_curve_probs`] with an explicit worker count. The
-/// output is bit-identical for every `threads` value: each mask run
-/// is seeded `seed + run_index` and computed whole on one worker, and
-/// the per-α averages always reduce the runs in run order.
-pub fn compliancy_curve_probs_with_threads(
     probs: &[f64],
     alphas: &[f64],
     n_mask_runs: usize,
@@ -621,12 +539,13 @@ pub fn compliancy_curve_probs_with_threads(
     threads: usize,
 ) -> Vec<CompliancyPoint> {
     let n = probs.len();
-    let prefix_sums = mask_prefix_sums(probs, n_mask_runs.max(1), seed, threads);
+    let prefix_sums = par::map_indexed(threads, n_mask_runs.max(1), |r| {
+        run_prefix_sums(probs, seed, r)
+    });
     alphas
         .iter()
         .map(|&alpha| {
-            let c = compliant_count(alpha, n);
-            let oe = prefix_sums.iter().map(|ps| ps[c]).sum::<f64>() / prefix_sums.len() as f64;
+            let oe = mean_at(&prefix_sums, compliant_count(alpha, n));
             CompliancyPoint {
                 alpha,
                 oestimate: oe,
@@ -651,31 +570,13 @@ pub fn compliancy_curve_probs_with_threads(
 /// reduces to the ordinary O-estimate.
 ///
 /// `mean_width` is the average belief-interval width the hacker is
-/// assumed to use (the recipe's `2·δ_med`).
-pub fn compliancy_curve_decoy(
-    graph: &andi_graph::GroupedBigraph,
-    mean_width: f64,
-    alphas: &[f64],
-    n_mask_runs: usize,
-    seed: u64,
-) -> Vec<CompliancyPoint> {
-    compliancy_curve_decoy_with_threads(
-        graph,
-        mean_width,
-        alphas,
-        n_mask_runs,
-        seed,
-        par::available_threads(),
-    )
-}
-
-/// [`compliancy_curve_decoy`] with an explicit worker count. Each α
-/// is an independent task (the decoy term couples all items of a
-/// probe, so per-α — not per-run — is the natural grain here); every
-/// α still accumulates its runs in run order and items in order
+/// assumed to use (the recipe's `2·δ_med`). Each α is an independent
+/// task on one of `threads` workers (the decoy term couples all items
+/// of a probe, so per-α — not per-run — is the natural grain here);
+/// every α still accumulates its runs in run order and items in order
 /// position, so the curve is bit-identical at any `threads`.
-pub fn compliancy_curve_decoy_with_threads(
-    graph: &andi_graph::GroupedBigraph,
+pub fn compliancy_curve_decoy(
+    graph: &GroupedBigraph,
     mean_width: f64,
     alphas: &[f64],
     n_mask_runs: usize,
@@ -684,15 +585,8 @@ pub fn compliancy_curve_decoy_with_threads(
 ) -> Vec<CompliancyPoint> {
     let n = graph.n();
     let outdegrees = graph.outdegrees();
-    // Per-run random orders over ALL items (compliant prefix model,
-    // as in mask_prefix_sums); run r is seeded `seed + r` regardless
-    // of which worker shuffles it.
-    let orders = par::map_indexed(threads, n_mask_runs.max(1), |r| {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        order
-    });
+    // The same per-run orders over ALL items as the plain curve.
+    let orders = par::map_indexed(threads, n_mask_runs.max(1), |r| run_order(n, seed, r));
 
     par::map_indexed(threads, alphas.len(), |a| {
         let alpha = alphas[a];
@@ -720,67 +614,46 @@ pub fn compliancy_curve_decoy_with_threads(
 /// Crack probabilities via the O-estimate path (profiles memoized on
 /// the graph fingerprint, see [`crate::estimate::cached_profile`] —
 /// τ sweeps over one release hit the cache after the first call).
-fn oe_probabilities(graph: &andi_graph::GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
+fn oe_probabilities(graph: &GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
     let profile = crate::estimate::cached_profile(graph, config.use_propagation)?;
     Ok(profile.probabilities())
 }
 
-/// Per-run prefix sums of crack probabilities along a random item
-/// order: `ps[c]` is the masked OE when the first `c` items of the
-/// run's permutation are compliant.
-///
-/// Runs fan out over `threads` workers; run `r` always uses the RNG
-/// seed `seed + r` and its prefix sums accumulate serially within the
-/// run, so the returned vectors are bit-identical for every thread
-/// count.
-fn mask_prefix_sums(probs: &[f64], n_runs: usize, seed: u64, threads: usize) -> Vec<Vec<f64>> {
-    let n = probs.len();
-    par::map_indexed(threads, n_runs, |r| {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut ps = Vec::with_capacity(n + 1);
-        ps.push(0.0);
-        let mut acc = 0.0;
-        for &x in &order {
-            acc += probs[x];
-            ps.push(acc);
-        }
-        ps
-    })
+/// Mask run `r`'s random item order; the compliant subset for any α
+/// is a prefix of it. The RNG is seeded `seed + r`, so the order is
+/// the same whichever worker shuffles it.
+fn run_order(n: usize, seed: u64, r: usize) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    order
 }
 
-/// Budgeted, fault-isolated [`mask_prefix_sums`]: the same per-run
-/// seeding discipline (bit-identical output at every thread count),
-/// but each run is a [`par::try_map_indexed`] task carrying the
-/// `recipe.run` fault probe and polling `budget` between tasks.
-fn try_mask_prefix_sums(
-    probs: &[f64],
-    n_runs: usize,
-    seed: u64,
-    threads: usize,
-    budget: &Budget,
-) -> std::result::Result<Vec<Vec<f64>>, ExecError> {
-    let n = probs.len();
-    par::try_map_indexed(threads, n_runs, budget, |r| {
-        andi_graph::faults::probe("recipe.run", r);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut ps = Vec::with_capacity(n + 1);
-        ps.push(0.0);
-        let mut acc = 0.0;
-        for &x in &order {
-            acc += probs[x];
-            ps.push(acc);
-        }
-        ps
-    })
+/// Prefix sums of crack probabilities along mask run `r`'s order:
+/// `ps[c]` is the masked OE when the first `c` items of the order are
+/// compliant. The sums accumulate serially within the run, so they
+/// are bit-identical at any thread count.
+fn run_prefix_sums(probs: &[f64], seed: u64, r: usize) -> Vec<f64> {
+    let mut ps = Vec::with_capacity(probs.len() + 1);
+    ps.push(0.0);
+    let mut acc = 0.0;
+    for x in run_order(probs.len(), seed, r) {
+        acc += probs[x];
+        ps.push(acc);
+    }
+    ps
+}
+
+/// Mask-averaged OE with `c` compliant items, reducing the runs in
+/// run order.
+fn mean_at(prefix_sums: &[Vec<f64>], c: usize) -> f64 {
+    prefix_sums.iter().map(|ps| ps[c]).sum::<f64>() / prefix_sums.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oestimate::OutdegreeProfile;
 
     const BIGMART_SUPPORTS: [u64; 6] = [5, 4, 5, 5, 3, 5];
 
@@ -828,12 +701,11 @@ mod tests {
         let graph = belief.build_graph(&BIGMART_SUPPORTS, 10);
         let probs = OutdegreeProfile::plain(&graph).probabilities();
         let alphas: Vec<f64> = (0..=20).map(|k| k as f64 / 20.0).collect();
-        let base = compliancy_curve_probs_with_threads(&probs, &alphas, 7, 11, 1);
-        let base_decoy = compliancy_curve_decoy_with_threads(&graph, 0.2, &alphas, 7, 11, 1);
+        let base = compliancy_curve(&probs, &alphas, 7, 11, 1);
+        let base_decoy = compliancy_curve_decoy(&graph, 0.2, &alphas, 7, 11, 1);
         for threads in 2..=8 {
-            let par_curve = compliancy_curve_probs_with_threads(&probs, &alphas, 7, 11, threads);
-            let par_decoy =
-                compliancy_curve_decoy_with_threads(&graph, 0.2, &alphas, 7, 11, threads);
+            let par_curve = compliancy_curve(&probs, &alphas, 7, 11, threads);
+            let par_decoy = compliancy_curve_decoy(&graph, 0.2, &alphas, 7, 11, threads);
             for (a, b) in base.iter().zip(&par_curve) {
                 assert_eq!(a.oestimate.to_bits(), b.oestimate.to_bits(), "t={threads}");
             }
@@ -916,7 +788,7 @@ mod tests {
         let graph = belief.build_graph(&BIGMART_SUPPORTS, 10);
         let profile = OutdegreeProfile::plain(&graph);
         let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
-        let curve = compliancy_curve(&profile, &alphas, 5, 7);
+        let curve = compliancy_curve(&profile.probabilities(), &alphas, 5, 7, 2);
         assert_eq!(curve.len(), 11);
         assert_eq!(curve[0].oestimate, 0.0, "alpha 0 cracks nothing");
         assert!(
@@ -937,13 +809,9 @@ mod tests {
         let belief = BeliefFunction::widened(&freqs, 0.1).unwrap();
         let graph = belief.build_graph(&BIGMART_SUPPORTS, 10);
         let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
-        let plain = compliancy_curve(
-            &crate::oestimate::OutdegreeProfile::plain(&graph),
-            &alphas,
-            6,
-            3,
-        );
-        let decoy = compliancy_curve_decoy(&graph, 0.2, &alphas, 6, 3);
+        let probs = OutdegreeProfile::plain(&graph).probabilities();
+        let plain = compliancy_curve(&probs, &alphas, 6, 3, 2);
+        let decoy = compliancy_curve_decoy(&graph, 0.2, &alphas, 6, 3, 2);
         // Anchored at both ends: alpha=0 gives 0; alpha=1 equals the
         // plain O-estimate.
         assert_eq!(decoy[0].oestimate, 0.0);
@@ -971,13 +839,9 @@ mod tests {
         let belief = BeliefFunction::widened(&freqs, 0.1).unwrap();
         let graph = belief.build_graph(&BIGMART_SUPPORTS, 10);
         let alphas = [0.0, 0.5, 1.0];
-        let decoy = compliancy_curve_decoy(&graph, 0.0, &alphas, 6, 3);
-        let plain = compliancy_curve(
-            &crate::oestimate::OutdegreeProfile::plain(&graph),
-            &alphas,
-            6,
-            3,
-        );
+        let decoy = compliancy_curve_decoy(&graph, 0.0, &alphas, 6, 3, 2);
+        let probs = OutdegreeProfile::plain(&graph).probabilities();
+        let plain = compliancy_curve(&probs, &alphas, 6, 3, 2);
         for (d, p) in decoy.iter().zip(plain.iter()) {
             assert!((d.oestimate - p.oestimate).abs() < 1e-9);
         }
@@ -1029,9 +893,7 @@ mod tests {
     #[test]
     fn budgeted_unlimited_answers_on_the_exact_rung() {
         let budget = Budget::unlimited();
-        let base =
-            assess_risk_budgeted_with_threads(&BIGMART_SUPPORTS, 10, &config(0.1), &budget, 1)
-                .unwrap();
+        let base = assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &config(0.1), &budget, 1).unwrap();
         assert_eq!(base.provenance.rung, Rung::Exact);
         assert!(!base.is_degraded());
         assert!(base.provenance.trips.is_empty());
@@ -1052,7 +914,7 @@ mod tests {
 
         // Same numbers and decision at any worker count.
         for threads in 2..=4 {
-            let b = assess_risk_budgeted_with_threads(
+            let b = assess_risk_budgeted(
                 &BIGMART_SUPPORTS,
                 10,
                 &config(0.1),
@@ -1072,7 +934,7 @@ mod tests {
 
     #[test]
     fn budgeted_zero_budget_degrades_to_the_oestimate_floor() {
-        let base = assess_risk_budgeted_with_threads(
+        let base = assess_risk_budgeted(
             &BIGMART_SUPPORTS,
             10,
             &config(0.1),
@@ -1100,7 +962,7 @@ mod tests {
 
         // Identical structured outcome at any worker count.
         for threads in 2..=4 {
-            let b = assess_risk_budgeted_with_threads(
+            let b = assess_risk_budgeted(
                 &BIGMART_SUPPORTS,
                 10,
                 &config(0.1),
@@ -1124,14 +986,8 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_token(token);
         for threads in [1, 4] {
-            let err = assess_risk_budgeted_with_threads(
-                &BIGMART_SUPPORTS,
-                10,
-                &config(0.1),
-                &budget,
-                threads,
-            )
-            .unwrap_err();
+            let err = assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &config(0.1), &budget, threads)
+                .unwrap_err();
             assert_eq!(err, Error::Cancelled, "t={threads}");
         }
     }
@@ -1139,11 +995,11 @@ mod tests {
     #[test]
     fn budgeted_rejects_bad_parameters_like_the_plain_recipe() {
         let b = Budget::unlimited();
-        assert!(assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &config(0.0), &b).is_err());
-        assert!(assess_risk_budgeted(&[], 10, &config(0.1), &b).is_err());
+        assert!(assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &config(0.0), &b, 1).is_err());
+        assert!(assess_risk_budgeted(&[], 10, &config(0.1), &b, 1).is_err());
         let mut c = config(0.1);
         c.n_mask_runs = 0;
-        assert!(assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &c, &b).is_err());
+        assert!(assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &c, &b, 1).is_err());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property tests of the core analysis layer.
 
+use std::time::Duration;
+
+use andi_core::parallel::Budget;
 use andi_core::{
-    assess_risk, round_supports, suppression_plan, BeliefFunction, ChainSpec, OutdegreeProfile,
-    RecipeConfig,
+    assess_risk, assess_risk_budgeted, round_supports, suppression_plan, BeliefFunction, ChainSpec,
+    OutdegreeProfile, RecipeConfig, RiskAssessment, RiskDecision, Rung,
 };
 use andi_data::{DatabaseBuilder, FrequencyGroups};
 use proptest::prelude::*;
@@ -163,6 +166,89 @@ proptest! {
         }
         for x in n_bad..n {
             prop_assert_eq!(perturbed.interval(x), belief.interval(x));
+        }
+    }
+}
+
+/// Every bit of a transcript: `(n, τ, g, δ_med, full-compliance OE,
+/// verdict, α_max, OE at α_max)`, with the verdict as 0 = disclose at
+/// point-valued, 1 = disclose at full compliance, 2 = α search.
+fn transcript_bits(a: &RiskAssessment) -> (usize, u64, u64, u64, u64, u8, u64, u64) {
+    let (verdict, alpha, at_alpha) = match a.decision {
+        RiskDecision::DiscloseAtPointValued => (0, 0, 0),
+        RiskDecision::DiscloseAtFullCompliance => (1, 0, 0),
+        RiskDecision::AlphaMax {
+            alpha_max,
+            oestimate_at_alpha,
+        } => (2, alpha_max.to_bits(), oestimate_at_alpha.to_bits()),
+    };
+    (
+        a.n_items,
+        a.tolerance.to_bits(),
+        a.point_valued_cracks.to_bits(),
+        a.delta_med.to_bits(),
+        a.full_compliance_oe.to_bits(),
+        verdict,
+        alpha,
+        at_alpha,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Both recipe entry points share one Figure 8 body. A zero
+    /// deadline trips the ladder's exact and sampler rungs before any
+    /// work, so it lands on the O-estimate floor — the same step-6
+    /// estimate `assess_risk` uses. There `assess_risk_budgeted` must
+    /// reproduce `assess_risk` bit for bit at one and four workers,
+    /// over a τ grid that reaches all three verdicts.
+    #[test]
+    fn budgeted_recipe_on_the_oe_floor_reproduces_the_plain_recipe(
+        supports in prop::collection::vec(1u64..60, 2..=12),
+        seed in 0u64..1000,
+        n_mask_runs in 1usize..7,
+        use_propagation in any::<bool>(),
+    ) {
+        let config = |tolerance: f64| RecipeConfig {
+            tolerance,
+            n_mask_runs,
+            use_propagation,
+            seed,
+            ..RecipeConfig::default()
+        };
+        let n = supports.len() as f64;
+        // τ = 1 always discloses at point-valued (g <= n) and
+        // τ = 1/32 always searches α (g >= 1 and OE >= 1 exceed
+        // 12/32); the midpoint between OE/n and g/n discloses at full
+        // compliance whenever OE < g.
+        let probe = assess_risk(&supports, 60, &config(1.0)).unwrap();
+        let (g, oe) = (probe.point_valued_cracks, probe.full_compliance_oe);
+        let mut taus: Vec<f64> = (1..=32).map(|k| k as f64 / 32.0).collect();
+        let full_compliance_reachable = oe < g - 1e-9;
+        if full_compliance_reachable {
+            taus.push((g + oe) / (2.0 * n));
+        }
+        let mut reached = [false; 3];
+        for &tau in &taus {
+            let plain = assess_risk(&supports, 60, &config(tau)).unwrap();
+            let bits = transcript_bits(&plain);
+            reached[bits.5 as usize] = true;
+            for threads in [1usize, 4] {
+                let zero = Budget::with_deadline(Duration::ZERO);
+                let budgeted =
+                    assess_risk_budgeted(&supports, 60, &config(tau), &zero, threads).unwrap();
+                prop_assert_eq!(budgeted.provenance.rung, Rung::OEstimate);
+                prop_assert_eq!(
+                    transcript_bits(&budgeted.assessment),
+                    bits,
+                    "tau={}, threads={}", tau, threads
+                );
+            }
+        }
+        prop_assert!(reached[0] && reached[2], "verdicts reached: {:?}", reached);
+        if full_compliance_reachable {
+            prop_assert!(reached[1], "g={}, OE={}: full-compliance verdict missed", g, oe);
         }
     }
 }

@@ -15,13 +15,15 @@
 //! *distribution* `P(X = k)` is also provided for tiny domains,
 //! following the paper's formula literally (enumerate cracked subsets
 //! `S`, forbid crack edges outside `S`, count matchings).
+//!
+//! [`crack_probabilities_budgeted`] is the one budgeted core; the
+//! other entry points run it (or, for the distribution, the budgeted
+//! permanent) with [`Budget::unlimited`] on the ambient worker count.
 
 use crate::dense::DenseBigraph;
+use crate::par;
 use crate::par::{Budget, ExecError};
-use crate::permanent::{
-    permanent, permanent_of_rows, try_permanent_of_rows_budgeted,
-    try_permanent_of_rows_with_threads, MAX_PERMANENT_N,
-};
+use crate::permanent::{try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
 
 /// Structured failure of an exact computation: every condition the
 /// panicking wrappers either panic on or fold into `None` gets its
@@ -59,14 +61,15 @@ impl std::fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
-/// Exact expected number of cracks in the aligned graph `g`.
+/// Exact expected number of cracks in the aligned graph `g`: the
+/// item-order sum of [`crack_probabilities`].
 ///
 /// Returns `None` when the graph has no perfect matching at all (the
 /// mapping space is empty and the expectation is undefined).
 ///
 /// # Panics
 ///
-/// Panics if `g.n() > MAX_PERMANENT_N`.
+/// As [`crack_probabilities`].
 /// # Examples
 ///
 /// ```
@@ -81,97 +84,18 @@ impl std::error::Error for ExactError {}
 /// assert_eq!(expected_cracks(&g), None);
 /// ```
 pub fn expected_cracks(g: &DenseBigraph) -> Option<f64> {
-    let n = g.n();
-    assert!(
-        n <= MAX_PERMANENT_N,
-        "exact computation limited to n <= {MAX_PERMANENT_N}"
-    );
-    let total = permanent(g);
-    if total == 0 {
-        return None;
-    }
-    let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    let mut e = 0.0f64;
-    for x in 0..n {
-        if !g.has_edge(x, x) {
-            continue;
-        }
-        // Delete row x and column x.
-        let reduced: Vec<u64> = (0..n)
-            .filter(|&i| i != x)
-            .map(|i| delete_column(rows[i], x))
-            .collect();
-        let fixed = permanent_of_rows(&reduced, n - 1);
-        e += fixed as f64 / total as f64;
-    }
-    Some(e)
+    // Items without a crack edge contribute an exact 0.0, so this is
+    // the same sum a loop over the crack edges alone accumulates.
+    crack_probabilities(g).map(|probs| probs.iter().fold(0.0, |e, &p| e + p))
 }
 
-/// [`expected_cracks`] with every failure condition structured:
-/// overflow is [`ExactError::Overflow`] (the legacy `permanent`
-/// wrapper panicked here) and an empty mapping space is
-/// [`ExactError::EmptyMappingSpace`] (the legacy path folded it into
-/// `None`).
-///
-/// # Errors
-///
-/// See [`ExactError`].
-///
-/// # Panics
-///
-/// Panics if `g.n() > MAX_PERMANENT_N`.
-pub fn try_expected_cracks(g: &DenseBigraph) -> Result<f64, ExactError> {
-    try_expected_cracks_with_threads(g, crate::par::available_threads())
-}
-
-/// [`try_expected_cracks`] with an explicit worker count (results are
-/// identical for every `threads`; the serial walk also short-circuits
-/// overflow fastest, which the dense regression tests rely on).
-///
-/// # Errors
-///
-/// See [`ExactError`].
-///
-/// # Panics
-///
-/// Panics if `g.n() > MAX_PERMANENT_N`.
-pub fn try_expected_cracks_with_threads(
-    g: &DenseBigraph,
-    threads: usize,
-) -> Result<f64, ExactError> {
-    let n = g.n();
-    assert!(
-        n <= MAX_PERMANENT_N,
-        "exact computation limited to n <= {MAX_PERMANENT_N}"
-    );
-    let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    let total =
-        try_permanent_of_rows_with_threads(&rows, n, threads).ok_or(ExactError::Overflow)?;
-    if total == 0 {
-        return Err(ExactError::EmptyMappingSpace);
-    }
-    let mut e = 0.0f64;
-    for x in 0..n {
-        if !g.has_edge(x, x) {
-            continue;
-        }
-        let reduced: Vec<u64> = (0..n)
-            .filter(|&i| i != x)
-            .map(|i| delete_column(rows[i], x))
-            .collect();
-        let fixed = try_permanent_of_rows_with_threads(&reduced, n - 1, threads)
-            .ok_or(ExactError::Overflow)?;
-        e += fixed as f64 / total as f64;
-    }
-    Ok(e)
-}
-
-/// Budgeted, fault-isolated [`crack_probabilities`]: the full
-/// permanent and each reduced permanent run through
-/// [`try_permanent_of_rows_budgeted`], so the whole computation
-/// respects the deadline/token and reports structured errors. Item
-/// order is fixed, so the result is bit-identical at any thread
-/// count.
+/// Per-item exact crack probabilities: entry `x` is
+/// `P(x' maps to x)` — the fraction of perfect matchings that use the
+/// crack edge `(x', x)`. The full permanent and each reduced
+/// permanent run through [`try_permanent_of_rows_budgeted`], so the
+/// whole computation respects the deadline/token and reports
+/// structured errors. Item order is fixed, so the result is
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -210,7 +134,7 @@ pub fn crack_probabilities_budgeted(
 
 /// Maps the budgeted permanent's three-way outcome onto
 /// [`ExactError`].
-fn budgeted_permanent(
+pub(crate) fn budgeted_permanent(
     rows: &[u64],
     n: usize,
     threads: usize,
@@ -223,29 +147,44 @@ fn budgeted_permanent(
     }
 }
 
-/// Per-item exact crack probabilities; entry `x` is
-/// `P(x' maps to x)`. `None` if no perfect matching exists.
+/// [`crack_probabilities_budgeted`] with an unlimited budget on the
+/// ambient [`par::available_threads`] worker count. `None` if no
+/// perfect matching exists — and only then.
+///
+/// # Panics
+///
+/// Panics if `g.n() > MAX_PERMANENT_N`, on accumulator overflow
+/// (dense graphs near the cap; [`crack_probabilities_budgeted`]
+/// reports it as [`ExactError::Overflow`]) and on an injected fault.
 pub fn crack_probabilities(g: &DenseBigraph) -> Option<Vec<f64>> {
-    let n = g.n();
-    assert!(n <= MAX_PERMANENT_N);
-    let total = permanent(g);
-    if total == 0 {
-        return None;
+    or_empty(crack_probabilities_budgeted(
+        g,
+        par::available_threads(),
+        &Budget::unlimited(),
+    ))
+}
+
+/// Unwraps an unlimited-budget exact result for the convenience
+/// wrappers: an empty mapping space is `None`, every other failure
+/// panics through [`exact_failure`].
+fn or_empty<T>(result: Result<T, ExactError>) -> Option<T> {
+    match result {
+        Ok(v) => Some(v),
+        Err(ExactError::EmptyMappingSpace) => None,
+        Err(e) => exact_failure(e),
     }
-    let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    let probs = (0..n)
-        .map(|x| {
-            if !g.has_edge(x, x) {
-                return 0.0;
-            }
-            let reduced: Vec<u64> = (0..n)
-                .filter(|&i| i != x)
-                .map(|i| delete_column(rows[i], x))
-                .collect();
-            permanent_of_rows(&reduced, n - 1) as f64 / total as f64
-        })
-        .collect();
-    Some(probs)
+}
+
+/// The single panic site of the convenience wrappers ([`permanent`],
+/// [`crack_probabilities`], [`expected_cracks`],
+/// [`crack_distribution`]). They run on an unlimited budget, so only
+/// accumulator overflow or a fault injected into a chunk task lands
+/// here; budgeted callers see the same conditions as [`ExactError`].
+///
+/// [`permanent`]: crate::permanent::permanent
+pub(crate) fn exact_failure(e: ExactError) -> ! {
+    // andi::allow(panic-reachability) — documented panicking wrappers; overflow-safe callers use the budgeted cores
+    panic!("{e}")
 }
 
 /// Removes bit `col` from a row mask, shifting higher bits down by
@@ -263,11 +202,13 @@ pub const MAX_DISTRIBUTION_N: usize = 14;
 /// The exact distribution `P(X = k)` of the number of cracks,
 /// `k = 0..=n`, following the paper's Section 4.1 formula.
 ///
-/// Returns `None` if the graph has no perfect matching.
+/// Returns `None` if the graph has no perfect matching. Every
+/// permanent runs through [`try_permanent_of_rows_budgeted`] with an
+/// unlimited budget on the ambient worker count.
 ///
 /// # Panics
 ///
-/// Panics if `g.n() > MAX_DISTRIBUTION_N`.
+/// Panics if `g.n() > MAX_DISTRIBUTION_N` or on an injected fault.
 /// # Examples
 ///
 /// ```
@@ -285,11 +226,18 @@ pub fn crack_distribution(g: &DenseBigraph) -> Option<Vec<f64>> {
         n <= MAX_DISTRIBUTION_N,
         "distribution limited to n <= {MAX_DISTRIBUTION_N}"
     );
-    let total = permanent(g);
-    if total == 0 {
-        return None;
-    }
+    or_empty(distribution(g))
+}
+
+/// Body of [`crack_distribution`] over the budgeted permanent.
+fn distribution(g: &DenseBigraph) -> Result<Vec<f64>, ExactError> {
+    let (threads, budget) = (par::available_threads(), Budget::unlimited());
+    let n = g.n();
     let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
+    let total = budgeted_permanent(&rows, n, threads, &budget)?;
+    if total == 0 {
+        return Err(ExactError::EmptyMappingSpace);
+    }
     let mut dist = vec![0.0f64; n + 1];
 
     // Enumerate the subset S of cracked items. A matching cracks
@@ -328,12 +276,12 @@ pub fn crack_distribution(g: &DenseBigraph) -> Option<Vec<f64>> {
                 row
             })
             .collect();
-        let count = permanent_of_rows(&reduced, keep.len());
+        let count = budgeted_permanent(&reduced, keep.len(), threads, &budget)?;
         if count > 0 {
             dist[k] += count as f64 / total as f64;
         }
     }
-    Some(dist)
+    Ok(dist)
 }
 
 #[cfg(test)]
@@ -425,15 +373,37 @@ mod tests {
     }
 
     #[test]
-    fn try_expected_cracks_structures_every_failure() {
-        // Happy path agrees with the legacy API.
-        let g = DenseBigraph::complete(5);
-        let e = try_expected_cracks(&g).unwrap();
-        assert!((e - 1.0).abs() < 1e-9);
+    fn expected_cracks_is_the_item_order_sum_of_the_core() {
+        let mut g = DenseBigraph::new(6);
+        for &i in &[0usize, 2, 3, 5] {
+            for &j in &[0usize, 2, 3, 5] {
+                g.add_edge(i, j);
+            }
+        }
+        g.add_edge(1, 1);
+        g.add_edge(4, 4);
+        g.clear_left(1);
+        g.add_edge(1, 4);
+        g.add_edge(4, 1);
+        // Item 1 now has no crack edge: its 0.0 term must not perturb
+        // the sum a crack-edge-only loop accumulates.
+        let probs = crack_probabilities_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        assert_eq!(probs[1], 0.0);
+        let mut e = 0.0f64;
+        for (x, p) in probs.iter().enumerate() {
+            if g.has_edge(x, x) {
+                e += p;
+            }
+        }
+        assert_eq!(expected_cracks(&g).map(f64::to_bits), Some(e.to_bits()));
 
-        // Empty mapping space is its own variant, not a panic or None.
+        // Empty mapping space is its own variant in the core and the
+        // wrappers' only `None`.
         let g = DenseBigraph::from_edges(2, &[(0, 1), (1, 1)]);
-        assert_eq!(try_expected_cracks(&g), Err(ExactError::EmptyMappingSpace));
+        assert_eq!(
+            crack_probabilities_budgeted(&g, 1, &Budget::unlimited()),
+            Err(ExactError::EmptyMappingSpace)
+        );
     }
 
     #[test]
@@ -441,8 +411,7 @@ mod tests {
         // The satellite regression: the dense n=27 case that overflows
         // Ryser's i128 partial sums must surface as
         // `ExactError::Overflow` from the audited caller path (the
-        // legacy `expected_cracks` would panic inside `permanent`).
-        // Serial walk: overflow short-circuits, keeping this cheap.
+        // `expected_cracks` wrapper panics on it instead).
         let mut g = DenseBigraph::new(27);
         for i in 0..27 {
             for j in 0..27 {
@@ -450,7 +419,7 @@ mod tests {
             }
         }
         assert_eq!(
-            try_expected_cracks_with_threads(&g, 1),
+            crack_probabilities_budgeted(&g, par::available_threads(), &Budget::unlimited()),
             Err(ExactError::Overflow)
         );
     }

@@ -26,6 +26,15 @@
 //! * [`faults`] — the deterministic seeded fault-injection harness
 //!   behind the chaos suite (`ANDI_FAULTS` schedules, named probe
 //!   points inside the budgeted hot paths).
+//!
+//! Each kernel has one budgeted, threaded core — the code the
+//! service runs — and at most a thin unbudgeted wrapper over it:
+//!
+//! | kernel | budgeted core | wrappers |
+//! |--------|---------------|----------|
+//! | permanent | [`try_permanent_of_rows_budgeted`] | [`permanent()`] |
+//! | exact crack probabilities | [`crack_probabilities_budgeted`] | [`crack_probabilities`], [`expected_cracks`], [`crack_distribution`] |
+//! | sampler | [`sample_cracks_budgeted`], [`sample_crack_probabilities_budgeted`] | — ([`sample_cracks`] is the single-RNG §7.1 stream) |
 
 #![forbid(unsafe_code)]
 
@@ -46,19 +55,15 @@ pub use dense::DenseBigraph;
 pub use dot::{to_dot, DotOptions};
 pub use exact::{
     crack_distribution, crack_probabilities, crack_probabilities_budgeted, expected_cracks,
-    try_expected_cracks, try_expected_cracks_with_threads, ExactError,
+    ExactError,
 };
 pub use faults::{FaultMode, FaultSchedule, FAULTS_ENV};
 pub use grouped::{support_window, BeliefGroup, FrequencyScaffold, GroupedBigraph, Matching};
 pub use matching::{has_perfect_matching, hopcroft_karp};
 pub use par::{try_map_indexed, Budget, CancelToken, ExecError};
-pub use permanent::{
-    permanent, permanent_of_rows, try_permanent, try_permanent_of_rows,
-    try_permanent_of_rows_budgeted, MAX_PERMANENT_N,
-};
+pub use permanent::{permanent, try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
 pub use propagate::{propagate, Propagation};
 pub use sampler::{
-    sample_crack_probabilities_budgeted, sample_cracks, sample_cracks_budgeted,
-    sample_cracks_sharded, sample_cracks_with_threads, CrackSamples, EdgeOracle, SamplerConfig,
-    SamplerError,
+    sample_crack_probabilities_budgeted, sample_cracks, sample_cracks_budgeted, CrackSamples,
+    EdgeOracle, SamplerConfig, SamplerError,
 };

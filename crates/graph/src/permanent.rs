@@ -30,8 +30,8 @@
 //! * **overflow-checked lane** (`n > SAFE_UNCHECKED_N`): lane
 //!   products stay provably in-range `u64`s (lane width shrinks with
 //!   `n`), lanes combine through `u128::checked_mul`, and the signed
-//!   `i128` total uses `checked_add`; any trip reports `None` from
-//!   the `try_` variants instead of silently wrapping.
+//!   `i128` total uses `checked_add`; any trip reports `Ok(None)` from
+//!   [`try_permanent_of_rows_budgeted`] instead of silently wrapping.
 //!
 //! The fast lane additionally walks only *half* the subset lattice:
 //! Nijenhuis–Wilf fold the last column into doubled row factors
@@ -42,26 +42,24 @@
 //! the plain Ryser walk (the doubled factors would be signed, which
 //! the provably-in-range `u64` lane products rely on excluding).
 //!
-//! Two execution strategies share the kernel:
+//! One execution strategy drives the kernel: the walk range
+//! (`2^(n-1)` half-space subsets in the fast lane, `2^n - 1`
+//! non-empty subsets in the checked lane) is split into a fixed layout
+//! of contiguous `CHUNK_SUBSETS`-sized chunks — a function of `n`
+//! only — and each chunk is one [`crate::par::try_map_indexed`] task
+//! that seeds its row sums from the popcounts of its starting Gray
+//! code. The budget is polled only at chunk boundaries, never inside
+//! the branchless walk. Chunk sums are integers, reduced in chunk
+//! order, so the result is bit-identical at any thread count (one
+//! worker simply runs the chunks in order).
 //!
-//! * **Serial** — a single Gray-code walk over the subset range
-//!   (`2^(n-1)` half-space subsets in the fast lane, `2^n - 1`
-//!   non-empty subsets in the checked lane), processed in poll-free
-//!   blocks of `CHUNK_SUBSETS`; the budget is polled only at block
-//!   boundaries, never inside the branchless walk.
-//! * **Chunked parallel** — the subset range is split into
-//!   contiguous chunks ([`crate::par::chunk_ranges`]); each worker
-//!   seeds its row sums directly from the popcounts of its chunk's
-//!   starting Gray code and walks only its chunk. Chunk sums are
-//!   integers, reduced in chunk order, so the result is bit-identical
-//!   to the serial walk at any thread count.
-//!
-//! Inputs are hardened at the entry points: row masks are masked to
+//! Inputs are hardened at the entry point: row masks are masked to
 //! the low `n` bits once, so stray high bits (e.g. from a caller that
 //! built minors by column deletion on an unmasked word) cannot leak
 //! into the walk.
 
 use crate::dense::DenseBigraph;
+use crate::exact::{budgeted_permanent, exact_failure};
 use crate::faults;
 use crate::par;
 use crate::par::{Budget, ExecError};
@@ -105,20 +103,17 @@ const FIXED_TERM_BOUND: i128 = 341_427_877_364_219_557_396_646_723_584;
 /// `p · v <= 2^57 · MAX_PERMANENT_N < 2^62` inside `u64`.
 const CHECKED_LANE_PARTIAL_MAX: u64 = (1 << 57) - 1;
 
-/// Minimum domain size worth fanning out over threads; below this a
-/// Gray-code walk is microseconds and spawn overhead dominates.
-const PARALLEL_MIN_N: usize = 18;
-
 /// Computes the permanent of the 0/1 adjacency matrix of `g` with
-/// Ryser's formula, fanning out over the ambient
-/// [`par::available_threads`] worker count for large `n`.
+/// Ryser's formula: [`try_permanent_of_rows_budgeted`] on the ambient
+/// [`par::available_threads`] worker count and an unlimited budget.
 ///
 /// # Panics
 ///
 /// Panics if `g.n() > MAX_PERMANENT_N` or if the overflow-checked
 /// accumulator lane trips (dense graphs near the size cap overflow
 /// the signed `i128` total even though the permanent itself may fit
-/// `u128`); use [`try_permanent`] to observe overflow as a value.
+/// `u128`); use [`try_permanent_of_rows_budgeted`] to observe
+/// overflow as a value.
 /// # Examples
 ///
 /// ```
@@ -128,102 +123,17 @@ const PARALLEL_MIN_N: usize = 18;
 /// assert_eq!(permanent(&DenseBigraph::complete(4)), 24);
 /// ```
 pub fn permanent(g: &DenseBigraph) -> u128 {
-    // andi::allow(lib-unwrap) — documented panicking wrapper; overflow-safe callers use try_permanent
-    try_permanent(g).expect(
-        "Ryser signed i128 accumulator overflowed; domain too dense for the exact kernel \
-         (the permanent is returned as u128, but the alternating partial sums run in i128)",
-    )
-}
-
-/// [`permanent`] reporting accumulator overflow as `None` instead of
-/// panicking.
-///
-/// # Panics
-///
-/// Panics if `g.n() > MAX_PERMANENT_N`.
-pub fn try_permanent(g: &DenseBigraph) -> Option<u128> {
     let n = g.n();
     assert!(
         n <= MAX_PERMANENT_N,
         "permanent limited to n <= {MAX_PERMANENT_N}, got {n}"
     );
-    if n == 0 {
-        return Some(1);
-    }
     // Rows as plain u64 masks (n <= MAX_PERMANENT_N fits one word).
     let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    try_permanent_of_rows_with_threads(&rows, n, par::available_threads())
-}
-
-/// Ryser's formula over explicit row bitmasks. `rows[i]` has bit `j`
-/// set iff matrix entry `(i, j)` is 1. Bits at positions `>= n` are
-/// ignored (masked off once at entry). Runs on the ambient thread
-/// count.
-///
-/// # Panics
-///
-/// Panics on accumulator overflow — the signed `i128` total of the
-/// overflow-checked lane wrapped (see [`try_permanent_of_rows`],
-/// which reports the same condition as `None`).
-pub fn permanent_of_rows(rows: &[u64], n: usize) -> u128 {
-    try_permanent_of_rows(rows, n)
-        // andi::allow(lib-unwrap) — documented panicking wrapper; overflow-safe callers use try_permanent_of_rows
-        .expect(
-            "Ryser signed i128 accumulator overflowed; domain too dense for the exact kernel \
-             (the permanent is returned as u128, but the alternating partial sums run in i128)",
-        )
-}
-
-/// Overflow-checked [`permanent_of_rows`]: `None` when the checked
-/// accumulator lane trips — a `u128` lane-product combine or the
-/// signed `i128` total would wrap (possible for dense graphs from
-/// `n ≈ 23`, where per-subset terms approach `n^n`).
-pub fn try_permanent_of_rows(rows: &[u64], n: usize) -> Option<u128> {
-    try_permanent_of_rows_with_threads(rows, n, par::available_threads())
-}
-
-/// [`try_permanent_of_rows`] with an explicit worker count —
-/// bit-identical across `threads` by the [`crate::par`] determinism
-/// contract (chunk boundaries depend only on `n`).
-pub fn try_permanent_of_rows_with_threads(rows: &[u64], n: usize, threads: usize) -> Option<u128> {
-    assert!(n <= MAX_PERMANENT_N);
-    assert_eq!(rows.len(), n);
-    if n == 0 {
-        return Some(1);
+    match budgeted_permanent(&rows, n, par::available_threads(), &Budget::unlimited()) {
+        Ok(v) => v,
+        Err(e) => exact_failure(e),
     }
-    // Input hardening: drop stray bits >= n once, so the kernel only
-    // ever sees in-range columns (callers that build minors by
-    // column deletion can otherwise shift ghost bits into range).
-    let rows: Vec<u64> = rows.iter().map(|&r| r & mask(n)).collect();
-    // Quick zero: a row with no candidates kills every matching.
-    if rows.contains(&0) {
-        return Some(0);
-    }
-
-    let subsets = walk_subsets(n);
-    let unlimited = Budget::unlimited();
-    let total: Option<i128> = if threads > 1 && n >= PARALLEL_MIN_N {
-        // Fixed chunk layout (thread-count-independent values; the
-        // worker count only affects scheduling).
-        let chunks = par::chunk_ranges(subsets, threads * 8);
-        let partials = par::map_indexed(threads, chunks.len(), |c| {
-            let (lo, hi) = chunks[c];
-            ryser_range(&rows, n, lo, hi, &unlimited)
-        });
-        partials.into_iter().try_fold(0i128, |acc, p| match p {
-            // An unlimited budget never trips, so Err is unreachable
-            // here; folding it into the overflow path keeps the
-            // legacy signature without an unwrap.
-            Ok(Some(v)) => acc.checked_add(v),
-            _ => None,
-        })
-    } else {
-        // An unlimited budget never trips, so the Err arm is
-        // unreachable; defaulting it to `None` folds it into the
-        // overflow path and keeps the legacy signature.
-        ryser_range(&rows, n, 0, subsets, &unlimited).unwrap_or_default()
-    };
-    finish_walk(n, total?)
 }
 
 /// Walk-coordinate count of the exact kernel for domains of size
@@ -264,25 +174,29 @@ fn finish_walk(n: usize, total: i128) -> Option<u128> {
     }
 }
 
-/// Subset count per chunk of the budgeted walk — and the poll stride
-/// of the serial walk: `2^12` keeps the chunk layout fixed
-/// (thread-count-independent) while giving budget polls and fault
-/// probes useful granularity even at moderate `n` (`n = 16` → 16
-/// chunks). The branchless kernel burns a block of this size in tens
-/// of microseconds, so polling only at block boundaries costs one
-/// block of overshoot at worst.
+/// Subset count per chunk of the walk — and its poll stride: `2^12`
+/// keeps the chunk layout fixed (thread-count-independent) while
+/// giving budget polls and fault probes useful granularity even at
+/// moderate `n` (`n = 16` → 8 half-space chunks). The branchless
+/// kernel burns a block of this size in tens of microseconds, so
+/// polling only at block boundaries costs one block of overshoot at
+/// worst.
 const CHUNK_SUBSETS: u64 = 1 << 12;
 
-/// Budgeted, fault-isolated [`try_permanent_of_rows_with_threads`]:
-/// the Gray-code walk is split into a *fixed* chunk layout
-/// (`CHUNK_SUBSETS = 2^12` subsets per chunk, independent of
-/// `threads`),
-/// each chunk runs as one [`par::try_map_indexed`] task carrying the
-/// `permanent.chunk` fault probe, and `budget` is polled once per
-/// chunk — the walk inside a chunk is a poll-free branchless block.
+/// Ryser's formula over explicit row bitmasks — the one exact
+/// permanent entry point. `rows[i]` has bit `j` set iff matrix entry
+/// `(i, j)` is 1; bits at positions `>= n` are ignored (masked off
+/// once at entry). The Gray-code walk is split into a *fixed* chunk
+/// layout (`CHUNK_SUBSETS = 2^12` subsets per chunk, independent of
+/// `threads`), each chunk runs as one [`par::try_map_indexed`] task
+/// carrying the `permanent.chunk` fault probe, and `budget` is polled
+/// once per chunk — the walk inside a chunk is a poll-free branchless
+/// block.
 ///
-/// `Ok(None)` is accumulator overflow (same meaning as the legacy
-/// `try_` family); `Ok(Some(v))` is exact at any thread count.
+/// `Ok(None)` is accumulator overflow: a `u128` lane-product combine
+/// or the signed `i128` total would wrap (possible for dense graphs
+/// from `n ≈ 23`, where per-subset terms approach `n^n`).
+/// `Ok(Some(v))` is exact at any thread count.
 ///
 /// # Errors
 ///
@@ -303,8 +217,11 @@ pub fn try_permanent_of_rows_budgeted(
     if n == 0 {
         return Ok(Some(1));
     }
-    // Same input hardening as the unbudgeted entry point.
+    // Input hardening: drop stray bits >= n once, so the kernel only
+    // ever sees in-range columns (callers that build minors by
+    // column deletion can otherwise shift ghost bits into range).
     let rows: Vec<u64> = rows.iter().map(|&r| r & mask(n)).collect();
+    // Quick zero: a row with no candidates kills every matching.
     if rows.contains(&0) {
         return Ok(Some(0));
     }
@@ -884,50 +801,19 @@ mod tests {
         // kernel then counts as a real candidate.
         let clean: Vec<u64> = vec![0b011, 0b110, 0b101];
         let poisoned: Vec<u64> = clean.iter().map(|&r| r | (1u64 << 40)).collect();
-        assert_eq!(
-            try_permanent_of_rows(&poisoned, 3),
-            try_permanent_of_rows(&clean, 3),
-            "stray bit 40 leaked into the walk"
-        );
         let b = Budget::unlimited();
         assert_eq!(
             try_permanent_of_rows_budgeted(&poisoned, 3, 1, &b),
             try_permanent_of_rows_budgeted(&clean, 3, 1, &b),
+            "stray bit 40 leaked into the walk"
         );
         // A row whose only bits are stray must read as empty (zero
         // permanent), not as a live candidate set.
         let ghost_only: Vec<u64> = vec![0b011, 1u64 << 63, 0b101];
-        assert_eq!(try_permanent_of_rows(&ghost_only, 3), Some(0));
-    }
-
-    #[test]
-    fn chunked_walk_matches_serial_across_thread_counts() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        // n = 18 crosses PARALLEL_MIN_N, so the chunked path is
-        // genuinely exercised.
-        for n in [18usize, 19] {
-            let rows: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut r = 1u64 << i; // keep feasible
-                    for j in 0..n {
-                        if rng.gen_bool(0.4) {
-                            r |= 1 << j;
-                        }
-                    }
-                    r
-                })
-                .collect();
-            let serial = try_permanent_of_rows_with_threads(&rows, n, 1);
-            for threads in 2..=8 {
-                assert_eq!(
-                    try_permanent_of_rows_with_threads(&rows, n, threads),
-                    serial,
-                    "n={n}, threads={threads}"
-                );
-            }
-        }
+        assert_eq!(
+            try_permanent_of_rows_budgeted(&ghost_only, 3, 1, &b),
+            Ok(Some(0))
+        );
     }
 
     #[test]
@@ -956,14 +842,16 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_matches_legacy_across_thread_counts() {
+    fn chunked_walk_matches_reference_across_thread_counts() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
+        // n = 12 is a single chunk; 16 and 18 split into 8 and 32
+        // chunk tasks, so the fan-out is genuinely exercised.
         for n in [12usize, 16, 18] {
             let rows: Vec<u64> = (0..n)
                 .map(|i| {
-                    let mut r = 1u64 << i;
+                    let mut r = 1u64 << i; // keep feasible
                     for j in 0..n {
                         if rng.gen_bool(0.4) {
                             r |= 1 << j;
@@ -972,12 +860,14 @@ mod tests {
                     r
                 })
                 .collect();
-            let legacy = try_permanent_of_rows_with_threads(&rows, n, 1);
+            let reference =
+                ryser_range_reference(&rows, n, 1, 1u64 << n).and_then(|t| u128::try_from(t).ok());
+            assert!(reference.is_some(), "n={n} must not overflow");
             for threads in 1..=8 {
                 let b = Budget::unlimited();
                 assert_eq!(
                     try_permanent_of_rows_budgeted(&rows, n, threads, &b),
-                    Ok(legacy),
+                    Ok(reference),
                     "n={n}, threads={threads}"
                 );
             }
@@ -1002,7 +892,7 @@ mod tests {
         // overflow walk itself (~10^8 subsets, the expensive part)
         // now runs once in `exact::tests::
         // dense_overflow_is_a_structured_error_not_a_panic`, which
-        // asserts the same `try_permanent` None through the audited
+        // asserts the same overflow `Ok(None)` through the audited
         // structured-error caller; here we keep the cheap half.
 
         // A sparse graph at the same size stays exact: identity plus
@@ -1033,9 +923,9 @@ mod tests {
         let n = 23;
         let rows = vec![mask(n); n];
         let fact: u128 = (1..=n as u128).product();
-        match try_permanent_of_rows_with_threads(&rows, n, 2) {
-            Some(v) => assert_eq!(v, fact),
-            None => panic!("23! must not overflow i128"),
+        match try_permanent_of_rows_budgeted(&rows, n, 2, &Budget::unlimited()) {
+            Ok(Some(v)) => assert_eq!(v, fact),
+            other => panic!("23! must not overflow i128, got {other:?}"),
         }
     }
 
@@ -1054,7 +944,15 @@ mod tests {
                 rows[3 * b + i] = block;
             }
         }
-        assert_eq!(try_permanent_of_rows(&rows, n), Some(6u128.pow(8)));
+        assert_eq!(
+            try_permanent_of_rows_budgeted(
+                &rows,
+                n,
+                par::available_threads(),
+                &Budget::unlimited()
+            ),
+            Ok(Some(6u128.pow(8)))
+        );
     }
 
     #[test]
@@ -1089,12 +987,11 @@ mod tests {
                 .collect();
             let subsets = (1u64 << n) - 1;
             let reference = ryser_range_reference(&rows, n, 1, subsets + 1)
-                .map(|t| u128::try_from(t).ok())
-                .and_then(|v| v);
+                .and_then(|t| u128::try_from(t).ok());
             for threads in [1usize, 4] {
                 prop_assert_eq!(
-                    try_permanent_of_rows_with_threads(&rows, n, threads),
-                    reference,
+                    try_permanent_of_rows_budgeted(&rows, n, threads, &Budget::unlimited()),
+                    Ok(reference),
                     "n={}, threads={}", n, threads
                 );
             }

@@ -338,7 +338,8 @@ fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
     Ok(CrackSamples { counts })
 }
 
-/// Parallel, thread-count-invariant version of [`sample_cracks`].
+/// Parallel, thread-count-invariant, budgeted version of
+/// [`sample_cracks`].
 ///
 /// The schedule is sharded into *batches* of `config.samples_per_seed`
 /// samples — exactly one seed epoch each, the walk's natural unit of
@@ -346,80 +347,16 @@ fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
 /// runs its own `StdRng` seeded `rng_seed.wrapping_add(b)`, and the
 /// batches are concatenated in batch order, so the returned sample
 /// vector depends only on `(oracle, seed, config, rng_seed)` — never
-/// on the worker count. Runs on [`crate::par::available_threads`]
-/// workers; see [`sample_cracks_with_threads`] for an explicit count.
+/// on the worker count. Each batch runs as a
+/// [`crate::par::try_map_indexed`] task carrying the `sampler.batch`
+/// fault probe, and the walk polls `budget` per epoch and every 1024
+/// swap attempts.
 ///
 /// Note the sharded stream is *not* the same stream `sample_cracks`
 /// draws from one sequential RNG — it is a different (equally valid)
 /// schedule with a per-epoch seeding discipline. What is guaranteed
 /// is bit-identity of the sharded sampler with itself across thread
 /// counts.
-///
-/// # Errors
-///
-/// Same conditions as [`sample_cracks`].
-pub fn sample_cracks_sharded<O: EdgeOracle + Sync>(
-    oracle: &O,
-    seed: &Matching,
-    config: &SamplerConfig,
-    rng_seed: u64,
-) -> Result<CrackSamples, SamplerError> {
-    sample_cracks_with_threads(
-        oracle,
-        seed,
-        config,
-        rng_seed,
-        crate::par::available_threads(),
-    )
-}
-
-/// [`sample_cracks_sharded`] with an explicit worker count (for the
-/// determinism property tests; results are identical for every
-/// `threads`).
-pub fn sample_cracks_with_threads<O: EdgeOracle + Sync>(
-    oracle: &O,
-    seed: &Matching,
-    config: &SamplerConfig,
-    rng_seed: u64,
-    threads: usize,
-) -> Result<CrackSamples, SamplerError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    assert!(
-        config.samples_per_seed >= 1,
-        "samples_per_seed must be >= 1"
-    );
-    let per_batch = config.samples_per_seed;
-    let n_batches = config.n_samples.div_ceil(per_batch);
-    if n_batches == 0 {
-        return Ok(CrackSamples { counts: Vec::new() });
-    }
-
-    let batches = crate::par::map_indexed(threads, n_batches, |b| {
-        let batch_len = per_batch.min(config.n_samples - b * per_batch);
-        let batch_config = SamplerConfig {
-            n_samples: batch_len,
-            ..*config
-        };
-        let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
-        sample_cracks(oracle, seed, &batch_config, &mut rng)
-    });
-
-    let mut counts = Vec::with_capacity(config.n_samples);
-    for batch in batches {
-        counts.extend(batch?.counts);
-    }
-    Ok(CrackSamples { counts })
-}
-
-/// Budgeted, fault-isolated [`sample_cracks_with_threads`]: the same
-/// batch sharding and per-batch seeding discipline (so with an
-/// unlimited budget and no fault schedule the sample stream is
-/// bit-identical to the legacy sharded sampler at every thread
-/// count), but each batch runs as a [`crate::par::try_map_indexed`]
-/// task carrying the `sampler.batch` fault probe, and the walk polls
-/// `budget` per epoch and every 1024 swap attempts.
 ///
 /// # Errors
 ///
@@ -800,12 +737,38 @@ mod tests {
         let g = DenseBigraph::complete(6);
         let seed = Matching::identity(6);
         let config = SamplerConfig::quick();
-        let serial = sample_cracks_with_threads(&g, &seed, &config, 99, 1).unwrap();
+        let b = Budget::unlimited();
+        let serial = sample_cracks_budgeted(&g, &seed, &config, 99, 1, &b).unwrap();
         assert_eq!(serial.counts.len(), config.n_samples);
         for threads in 2..=8 {
-            let par = sample_cracks_with_threads(&g, &seed, &config, 99, threads).unwrap();
+            let par = sample_cracks_budgeted(&g, &seed, &config, 99, threads, &b).unwrap();
             assert_eq!(par.counts, serial.counts, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn sharded_batches_replay_the_sequential_walk_per_epoch() {
+        // Batch b is exactly one sequential `sample_cracks` run on its
+        // own `rng_seed + b` stream.
+        let g = DenseBigraph::complete(6);
+        let seed = Matching::identity(6);
+        let config = SamplerConfig::quick();
+        let b = Budget::unlimited();
+        let sharded = sample_cracks_budgeted(&g, &seed, &config, 99, 4, &b).unwrap();
+        let mut expected = Vec::new();
+        for (batch, chunk) in sharded.counts.chunks(config.samples_per_seed).enumerate() {
+            let batch_config = SamplerConfig {
+                n_samples: chunk.len(),
+                ..config
+            };
+            let mut rng = StdRng::seed_from_u64(99 + batch as u64);
+            expected.extend(
+                sample_cracks(&g, &seed, &batch_config, &mut rng)
+                    .unwrap()
+                    .counts,
+            );
+        }
+        assert_eq!(sharded.counts, expected);
     }
 
     #[test]
@@ -813,7 +776,15 @@ mod tests {
         // Sharded seeding is a different stream than sequential, but
         // the estimate must still match the exact expectation.
         let g = DenseBigraph::complete(8);
-        let s = sample_cracks_sharded(&g, &Matching::identity(8), &quick(), 7).unwrap();
+        let s = sample_cracks_budgeted(
+            &g,
+            &Matching::identity(8),
+            &quick(),
+            7,
+            crate::par::available_threads(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(s.counts.len(), quick().n_samples);
         assert!(
             (s.mean() - 1.0).abs() < 0.3,
@@ -832,24 +803,16 @@ mod tests {
             n_samples: 150, // 2 full batches + one of 22
             use_locality: true,
         };
-        let s = sample_cracks_with_threads(&g, &Matching::identity(4), &config, 5, 3).unwrap();
+        let s = sample_cracks_budgeted(
+            &g,
+            &Matching::identity(4),
+            &config,
+            5,
+            3,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(s.counts.len(), 150);
-    }
-
-    #[test]
-    fn budgeted_matches_legacy_sharded_stream() {
-        // Unlimited budget, no fault schedule: the budgeted sampler
-        // must reproduce the legacy sharded stream bit for bit, at
-        // every thread count.
-        let g = DenseBigraph::complete(6);
-        let seed = Matching::identity(6);
-        let config = SamplerConfig::quick();
-        let legacy = sample_cracks_with_threads(&g, &seed, &config, 99, 1).unwrap();
-        for threads in 1..=8 {
-            let b = Budget::unlimited();
-            let s = sample_cracks_budgeted(&g, &seed, &config, 99, threads, &b).unwrap();
-            assert_eq!(s.counts, legacy.counts, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -455,13 +455,6 @@ fn check_empty_space_consistency(
             andi_graph::expected_cracks(&dense).is_none(),
         ));
         verdicts.push((
-            "try_expected_cracks".into(),
-            matches!(
-                andi_graph::try_expected_cracks(&dense),
-                Err(andi_graph::ExactError::EmptyMappingSpace)
-            ),
-        ));
-        verdicts.push((
             "crack_probabilities_budgeted".into(),
             matches!(
                 andi_graph::crack_probabilities_budgeted(

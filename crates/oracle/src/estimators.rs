@@ -280,12 +280,13 @@ impl Estimator for SwapSampler {
         if seed.size() < n {
             return Err(OracleError::Core(andi_core::Error::EmptyMappingSpace));
         }
-        let samples = andi_graph::sampler::sample_cracks_with_threads(
+        let samples = andi_graph::sample_cracks_budgeted(
             &graph,
             &seed,
             &self.config,
             self.rng_seed,
             self.threads.max(1),
+            &Budget::unlimited(),
         )
         .map_err(|e| OracleError::Core(andi_core::Error::Sampler(e.to_string())))?;
         let n_samples = self.config.n_samples.max(1);

@@ -176,8 +176,9 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     if let Some(ms) = option(args, "--budget-ms") {
         let ms: u64 = parse(&ms, "--budget-ms")?;
         let budget = Budget::with_deadline(std::time::Duration::from_millis(ms));
-        let result =
-            assess_risk_budgeted(&supports, m, &config, &budget).map_err(|e| e.to_string())?;
+        let threads = andi::graph::par::available_threads();
+        let result = assess_risk_budgeted(&supports, m, &config, &budget, threads)
+            .map_err(|e| e.to_string())?;
         print_assessment(&result.assessment, tau);
         print!("{}", result.provenance.render());
         write_provenance_json(args, &result.provenance)?;

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use andi::core::{assess_risk_budgeted_with_threads, Error};
+use andi::core::{assess_risk_budgeted, Error};
 use andi::graph::faults::FaultSchedule;
 use andi::graph::par::ExecError;
 use andi::graph::permanent::try_permanent_of_rows_budgeted;
@@ -36,7 +36,7 @@ fn assess(threads: usize, tolerance: f64, budget: &Budget) -> Result<BudgetedAss
         tolerance,
         ..RecipeConfig::default()
     };
-    assess_risk_budgeted_with_threads(&supports16(), M, &config, budget, threads)
+    assess_risk_budgeted(&supports16(), M, &config, budget, threads)
 }
 
 /// Everything that must be thread-count invariant about an outcome:
@@ -198,6 +198,50 @@ fn timed_budget_with_mix_faults_never_hangs_or_aborts() {
             ),
         }
     }
+}
+
+#[test]
+fn unbudgeted_recipe_turns_an_injected_fault_into_a_structured_error() {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = FaultSchedule::parse("7:1.0").unwrap().install();
+    // `assess_risk` runs the same Figure 8 body as the budgeted
+    // recipe, so its α-mask runs carry the `recipe.run` probe: at
+    // τ = 0.1 the search starts and the first run's fault surfaces as
+    // a structured error, never an abort.
+    let strict = RecipeConfig {
+        tolerance: 0.1,
+        ..RecipeConfig::default()
+    };
+    match andi::assess_risk(&supports16(), M, &strict) {
+        Err(Error::WorkerPanic { task, payload }) => {
+            assert_eq!(task, 0);
+            assert_eq!(payload, "injected fault at recipe.run[0]");
+        }
+        other => panic!("expected an isolated injected panic, got {other:?}"),
+    }
+    // Steps 1-7 carry no probe: an early verdict is unaffected.
+    let relaxed = RecipeConfig {
+        tolerance: 0.9,
+        ..RecipeConfig::default()
+    };
+    assert!(andi::assess_risk(&supports16(), M, &relaxed)
+        .unwrap()
+        .discloses());
+}
+
+#[test]
+fn exact_wrappers_never_fold_a_fault_into_an_empty_space() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = FaultSchedule::parse("7:1.0").unwrap().install();
+    // The unbudgeted exact wrappers' `None` means "no perfect
+    // matching" and nothing else: a failure of the budgeted core they
+    // wrap (here an injected chunk fault) panics instead.
+    let g = DenseBigraph::complete(6);
+    let probs = catch_unwind(AssertUnwindSafe(|| andi::graph::crack_probabilities(&g)));
+    assert!(probs.is_err(), "got {probs:?}");
+    let e = catch_unwind(AssertUnwindSafe(|| andi::graph::expected_cracks(&g)));
+    assert!(e.is_err(), "got {e:?}");
 }
 
 #[test]

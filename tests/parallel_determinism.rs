@@ -1,17 +1,17 @@
 //! The parallel layer's determinism contract, property-tested end to
-//! end: every threaded hot path — recipe curves, Ryser permanents,
-//! the sharded sampler — must return **bit-identical** results at
-//! every thread count from 1 to 8, across random graphs, beliefs,
-//! seeds and schedules. (`andi_core::parallel` documents the
-//! contract; these tests are its teeth.)
+//! end: every threaded hot path — recipe curves, the budgeted Ryser
+//! permanent, the budgeted sharded sampler — must return
+//! **bit-identical** results at every thread count from 1 to 8 under
+//! an unlimited budget, across random graphs, beliefs, seeds and
+//! schedules. (`andi_core::parallel` documents the contract; these
+//! tests are its teeth.)
 
 use andi_core::{
-    compliancy_curve_decoy_with_threads, compliancy_curve_probs_with_threads, compliant_count,
-    BeliefFunction, OutdegreeProfile,
+    compliancy_curve, compliancy_curve_decoy, compliant_count, BeliefFunction, OutdegreeProfile,
 };
-use andi_graph::permanent::try_permanent_of_rows_with_threads;
-use andi_graph::sampler::{sample_cracks_with_threads, SamplerConfig};
-use andi_graph::{GroupedBigraph, Matching};
+use andi_graph::permanent::try_permanent_of_rows_budgeted;
+use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
+use andi_graph::{Budget, GroupedBigraph, Matching};
 use proptest::prelude::*;
 
 /// Strategy: supports plus a compliant widened belief over m = 60,
@@ -39,9 +39,9 @@ proptest! {
     ) {
         let probs = OutdegreeProfile::plain(&g).probabilities();
         let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
-        let serial = compliancy_curve_probs_with_threads(&probs, &alphas, n_runs, seed, 1);
+        let serial = compliancy_curve(&probs, &alphas, n_runs, seed, 1);
         for threads in 2..=8 {
-            let par = compliancy_curve_probs_with_threads(&probs, &alphas, n_runs, seed, threads);
+            let par = compliancy_curve(&probs, &alphas, n_runs, seed, threads);
             for (a, b) in serial.iter().zip(&par) {
                 prop_assert_eq!(
                     a.oestimate.to_bits(), b.oestimate.to_bits(),
@@ -62,9 +62,9 @@ proptest! {
     ) {
         let width = width_pct as f64 / 100.0;
         let alphas: Vec<f64> = (0..=8).map(|k| k as f64 / 8.0).collect();
-        let serial = compliancy_curve_decoy_with_threads(&g, width, &alphas, n_runs, seed, 1);
+        let serial = compliancy_curve_decoy(&g, width, &alphas, n_runs, seed, 1);
         for threads in 2..=8 {
-            let par = compliancy_curve_decoy_with_threads(&g, width, &alphas, n_runs, seed, threads);
+            let par = compliancy_curve_decoy(&g, width, &alphas, n_runs, seed, threads);
             for (a, b) in serial.iter().zip(&par) {
                 prop_assert_eq!(
                     a.oestimate.to_bits(), b.oestimate.to_bits(),
@@ -74,21 +74,24 @@ proptest! {
         }
     }
 
-    /// Chunked-parallel Ryser equals the serial walk exactly (integer
-    /// arithmetic, so no tolerance at all) on random row masks.
+    /// The chunked Ryser walk equals the one-worker walk exactly
+    /// (integer arithmetic, so no tolerance at all) on random row
+    /// masks. n = 16 splits into 8 fixed chunk tasks.
     #[test]
     fn permanent_is_identical_across_threads(
-        rows in prop::collection::vec(1u64..(1 << 12), 12),
-        extra_density in 0u64..(1 << 12),
+        rows in prop::collection::vec(1u64..(1 << 16), 16),
+        extra_density in 0u64..(1 << 16),
     ) {
         let n = rows.len();
         // Mix in a shared mask so some instances are dense.
         let rows: Vec<u64> = rows.iter().map(|&r| r | extra_density).collect();
-        let serial = try_permanent_of_rows_with_threads(&rows, n, 1);
+        let b = Budget::unlimited();
+        let serial = try_permanent_of_rows_budgeted(&rows, n, 1, &b);
+        prop_assert!(matches!(serial, Ok(Some(_))), "n=16 never overflows");
         for threads in 2..=8 {
             prop_assert_eq!(
-                try_permanent_of_rows_with_threads(&rows, n, threads),
-                serial,
+                try_permanent_of_rows_budgeted(&rows, n, threads, &b),
+                serial.clone(),
                 "threads={}", threads
             );
         }
@@ -111,9 +114,10 @@ proptest! {
             n_samples: 100,
             use_locality: true,
         };
-        let serial = sample_cracks_with_threads(&g, &seed, &config, rng_seed, 1).unwrap();
+        let b = Budget::unlimited();
+        let serial = sample_cracks_budgeted(&g, &seed, &config, rng_seed, 1, &b).unwrap();
         for threads in 2..=8 {
-            let par = sample_cracks_with_threads(&g, &seed, &config, rng_seed, threads).unwrap();
+            let par = sample_cracks_budgeted(&g, &seed, &config, rng_seed, threads, &b).unwrap();
             prop_assert_eq!(&par.counts, &serial.counts, "threads={}", threads);
         }
     }
@@ -145,17 +149,20 @@ fn sampler_shard_determinism_concrete_case() {
     use andi_graph::DenseBigraph;
     let g = DenseBigraph::complete(7);
     let config = SamplerConfig::quick();
-    let a = sample_cracks_with_threads(&g, &Matching::identity(7), &config, 3, 1).unwrap();
-    let b = sample_cracks_with_threads(&g, &Matching::identity(7), &config, 3, 6).unwrap();
-    assert_eq!(a.counts, b.counts);
+    let budget = Budget::unlimited();
+    let seed = Matching::identity(7);
+    let serial = sample_cracks_budgeted(&g, &seed, &config, 3, 1, &budget).unwrap();
+    for threads in 2..=8 {
+        let par = sample_cracks_budgeted(&g, &seed, &config, 3, threads, &budget).unwrap();
+        assert_eq!(par.counts, serial.counts, "threads={threads}");
+    }
 }
 
-/// The proptest above stays at n = 12 — below `PARALLEL_MIN_N`, so it
-/// pins the *dispatch*, not the fan-out. These sizes actually split
-/// into per-worker chunk walks, one on each side of the
-/// `SAFE_UNCHECKED_N = 22` accumulator-lane boundary, so both the
-/// half-space fast lane and the overflow-checked lane prove
-/// thread-count invariance on real chunk seams.
+/// Sizes on each side of the `SAFE_UNCHECKED_N = 22` accumulator-lane
+/// boundary (2^21 half-space and 2^23 - 1 plain-Ryser subsets, i.e.
+/// 512 and 2048 fixed chunk tasks), so both the half-space fast lane
+/// and the overflow-checked lane prove thread-count invariance on
+/// real chunk seams.
 #[test]
 fn permanent_lane_boundary_is_identical_across_threads() {
     for n in [22usize, 23] {
@@ -168,11 +175,15 @@ fn permanent_lane_boundary_is_identical_across_threads() {
                 (x | (1 << i)) & ((1 << n) - 1)
             })
             .collect();
-        let serial = try_permanent_of_rows_with_threads(&rows, n, 1);
-        assert!(serial.is_some(), "n={n} instance should not overflow");
-        for threads in [2, 4, 8] {
+        let budget = Budget::unlimited();
+        let serial = try_permanent_of_rows_budgeted(&rows, n, 1, &budget);
+        assert!(
+            matches!(serial, Ok(Some(_))),
+            "n={n} instance should not overflow"
+        );
+        for threads in 2..=8 {
             assert_eq!(
-                try_permanent_of_rows_with_threads(&rows, n, threads),
+                try_permanent_of_rows_budgeted(&rows, n, threads, &budget),
                 serial,
                 "n={n} threads={threads}"
             );
