@@ -1,48 +1,20 @@
-//! Incremental risk engine: delta updates over the frequency-group
-//! pipeline with a metamorphic `incremental ≡ from-scratch`
-//! bit-identity guarantee.
+//! Summary edits: the delta model behind `POST /update`.
 //!
-//! A production owner's database changes continuously; rebuilding the
-//! grouped graph and the Figure 5 O-estimate from scratch on every
-//! transaction append costs `O(|D| + n log n)` per edit. The
-//! O-estimate, however, is a pure function of the frequency-group
-//! partition, so edits that touch few groups should cost
-//! proportionally little. [`IncrementalEngine`] realizes that: a
-//! [`DeltaBatch`] of transaction inserts/deletes/replaces is applied
-//! as support-delta updates to the retained [`FrequencyScaffold`],
-//! touched support values are recorded in a dirty set, and
-//! [`IncrementalEngine::assess_risk_delta`] recomputes only the
-//! groups whose cached probability slices could have changed —
-//! reporting reuse counts in [`DeltaProvenance`].
-//!
-//! # Why bit-identity is the spec
-//!
-//! The risk figure is the *adversary's* figure (the
-//! compatible-probability framing): an approximate fast path would
-//! report a risk no attacker computes. The engine therefore promises
-//! the incremental result is **bit-identical** to a from-scratch
-//! recompute after every batch. The enabling observation is integer
-//! support windows: for fixed `m`, `s ↦ s as f64 / m as f64` is
-//! monotone (IEEE division is correctly rounded), so the set of
-//! supports whose frequency falls in a belief interval `[l, r]` is a
-//! contiguous integer range computable by binary search with the
-//! *same float comparisons* the grouped-graph completion uses. An
-//! item's outdegree is then an exact integer count of supports inside
-//! its window (prefix sums), and `1 / outdegree` is the identical
-//! `f64` either way. The metamorphic suites in
-//! `crates/core/tests/incremental_delta.rs` and
-//! `crates/oracle/tests/edit_scripts.rs` pin this after every prefix
-//! of seeded edit scripts, at `ANDI_THREADS` 1 and 4, under
-//! `ANDI_FAULTS` schedules.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The whole risk pipeline consumes one database *summary* — the
+//! support profile plus the transaction count `(supports, m)` — and
+//! the Figure 5 O-estimate over it is already `O(|D| + n log n)` from
+//! scratch. A changing database is therefore modelled as edits to that
+//! summary: a [`DeltaBatch`] of transaction inserts/deletes/replaces
+//! that [`apply_edits_to_summary`] validates and applies, yielding the
+//! edited summary. Every answer is then recomputed for the new summary,
+//! whose [`summary_fingerprint`] differs from the old one, so an
+//! answer cached under the old summary can never be served for the new
+//! one. `crates/core/tests/incremental_delta.rs` property-tests the
+//! batch algebra on this function.
 
 use andi_graph::faults;
-use andi_graph::grouped::{support_window, FrequencyScaffold, GroupedBigraph};
-use andi_graph::par::{try_map_indexed, Budget};
 
 use crate::error::{Error, Result};
-use crate::oestimate::OutdegreeProfile;
 
 /// One transaction-level edit, expressed against the database
 /// *summary* — the support profile plus transaction count that the
@@ -225,10 +197,10 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
     h
 }
 
-/// FNV-1a fingerprint of a database summary `(supports, m)` — the
-/// round-trip witness of the delta property suite and the engine's
-/// cheap identity for "same database". Matches two summaries iff
-/// they are equal, modulo hash collisions.
+/// FNV-1a fingerprint of a database summary `(supports, m)`: the
+/// service's database key and the round-trip witness of the delta
+/// property suite. Matches two summaries iff they are equal, modulo
+/// hash collisions.
 pub fn summary_fingerprint(supports: &[u64], m: u64) -> u64 {
     let mut h = fnv_u64(FNV_OFFSET, m);
     h = fnv_u64(h, supports.len() as u64);
@@ -238,581 +210,105 @@ pub fn summary_fingerprint(supports: &[u64], m: u64) -> u64 {
     h
 }
 
-/// A cached per-group probability slice: the crack probabilities of
-/// one frequency group's members, plus everything needed to decide
-/// whether the cache is still valid.
-#[derive(Clone, Debug)]
-struct GroupSlice {
-    /// Crack probabilities aligned with the group's member list *at
-    /// computation time*. The member indices themselves are not
-    /// stored: `input_fp` hashes them, so a fingerprint match proves
-    /// the scaffold's current member list is the one these
-    /// probabilities were computed for — keeping the slice to a
-    /// single allocation makes engine clones and recomputes cheap.
-    probs: Vec<f64>,
-    /// FNV over (support value, members, member windows): the
-    /// group-level fingerprint of every input the probabilities
-    /// depend on *except* the support counts inside the member
-    /// windows — the dirty set covers those. The reuse check pairs
-    /// this with the freshly computed window envelope; fingerprint
-    /// equality guarantees the fresh envelope equals the one the
-    /// slice was computed under.
-    input_fp: u64,
-}
-
-/// One splitmix-style mixing round. Group fingerprints are internal
-/// — only ever compared with other group fingerprints — so a
-/// single-multiply mix per word beats byte-wise FNV in the hot plan
-/// loop without changing any observable behavior.
-#[inline]
-fn mix_u64(h: u64, v: u64) -> u64 {
-    let mut x = h ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn group_signature(
-    support: u64,
-    members: &[usize],
-    windows: &[Option<(u64, u64)>],
-) -> (u64, Option<(u64, u64)>) {
-    let mut h = mix_u64(FNV_OFFSET, support);
-    let mut envelope: Option<(u64, u64)> = None;
-    for &y in members {
-        h = mix_u64(h, (y as u64).wrapping_add(1));
-        match windows[y] {
-            None => h = mix_u64(h, 0),
-            Some((lo, hi)) => {
-                h = mix_u64(h, lo.wrapping_add(1));
-                h = mix_u64(h, hi.wrapping_add(1));
-                envelope = Some(match envelope {
-                    None => (lo, hi),
-                    Some((a, b)) => (a.min(lo), b.max(hi)),
-                });
-            }
-        }
-    }
-    (h, envelope)
-}
-
-fn envelope_touches(envelope: Option<(u64, u64)>, dirty: &BTreeSet<u64>) -> bool {
-    match envelope {
-        None => false,
-        Some((lo, hi)) => dirty.range(lo..=hi).next().is_some(),
-    }
-}
-
-/// How an [`IncrementalEngine::assess_risk_delta`] call got its
-/// answer: the incremental analogue of the ladder's `Provenance`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeltaProvenance {
-    /// Frequency groups in the current partition.
-    pub groups_total: usize,
-    /// Groups whose cached probability slice was reused verbatim.
-    pub groups_reused: usize,
-    /// Groups recomputed this call (`groups_total = groups_reused +
-    /// groups_recomputed`).
-    pub groups_recomputed: usize,
-    /// True when the per-item integer support windows were rebuilt
-    /// (the transaction count changed since the last assessment).
-    pub windows_rebuilt: bool,
-    /// Edits applied since the previous successful assessment.
-    pub edits_applied: u64,
-}
-
-/// The result of an incremental assessment: the Figure 5 O-estimate
-/// (`expected_cracks = Σ 1/O_y`), the per-item crack probabilities in
-/// item order, and the reuse provenance.
-#[derive(Clone, Debug)]
-pub struct DeltaAssessment {
-    /// Expected cracks — bit-identical to
-    /// `OutdegreeProfile::plain(..).oestimate()` from scratch.
-    pub expected_cracks: f64,
-    /// Per-item crack probabilities, item order — bit-identical to
-    /// the from-scratch profile's.
-    pub probabilities: Vec<f64>,
-    /// Reuse accounting for this call.
-    pub provenance: DeltaProvenance,
-}
-
-/// The incremental risk engine: a database summary, the retained
-/// frequency scaffold, per-item integer support windows, and a cache
-/// of per-group probability slices with dirty-value tracking.
-///
-/// # Examples
-///
-/// ```
-/// use andi_core::incremental::{DeltaBatch, Edit, IncrementalEngine};
-/// use andi_core::parallel::Budget;
-///
-/// let supports = [5u64, 4, 5, 5, 3, 5];
-/// let intervals = vec![
-///     (0.0, 1.0), (0.4, 0.5), (0.5, 0.5),
-///     (0.4, 0.6), (0.1, 0.4), (0.5, 0.5),
-/// ];
-/// let mut engine = IncrementalEngine::new(&supports, 10, &intervals).unwrap();
-/// let batch = DeltaBatch::new(vec![Edit::Insert { items: vec![1, 4] }]);
-/// engine.apply(&batch).unwrap();
-/// let out = engine.assess_risk_delta(1, &Budget::unlimited()).unwrap();
-/// let (reference, probs) = engine.assess_from_scratch();
-/// assert_eq!(out.expected_cracks.to_bits(), reference.to_bits());
-/// assert_eq!(out.probabilities.len(), probs.len());
-/// ```
-#[derive(Clone, Debug)]
-pub struct IncrementalEngine {
-    intervals: Vec<(f64, f64)>,
-    supports: Vec<u64>,
-    m: u64,
-    scaffold: FrequencyScaffold,
-    /// Per-item integer support windows under the current `m`.
-    windows: Vec<Option<(u64, u64)>>,
-    /// Cached probability slices, keyed by group support value.
-    slices: BTreeMap<u64, GroupSlice>,
-    /// Support values whose item counts changed since the last
-    /// successful assessment (old and new value of every moved item).
-    dirty: BTreeSet<u64>,
-    /// True when `m` changed since the windows were computed.
-    windows_stale: bool,
-    edits_since_assess: u64,
-}
-
-impl IncrementalEngine {
-    /// Builds an engine over a database summary and a fixed interval
-    /// belief function (one `[l, r]` frequency interval per item).
-    pub fn new(supports: &[u64], m: u64, intervals: &[(f64, f64)]) -> Result<Self> {
-        if intervals.len() != supports.len() {
-            return Err(Error::DomainMismatch {
-                expected: supports.len(),
-                got: intervals.len(),
-            });
-        }
-        if supports.is_empty() {
-            return Err(Error::InvalidParameter(
-                "the domain must contain at least one item".into(),
-            ));
-        }
-        if m == 0 {
-            return Err(Error::InvalidParameter(
-                "need at least one transaction".into(),
-            ));
-        }
-        if supports.iter().any(|&s| s > m) {
-            return Err(Error::InvalidParameter(
-                "a support exceeds the transaction count".into(),
-            ));
-        }
-        for (y, &(l, r)) in intervals.iter().enumerate() {
-            if !(l.is_finite() && r.is_finite() && 0.0 <= l && l <= r && r <= 1.0) {
-                return Err(Error::InvalidInterval {
-                    item: y,
-                    low: l,
-                    high: r,
-                });
-            }
-        }
-        let scaffold = FrequencyScaffold::new(supports, m);
-        let windows = intervals
-            .iter()
-            .map(|&(l, r)| support_window(m, l, r))
-            .collect();
-        Ok(IncrementalEngine {
-            intervals: intervals.to_vec(),
-            supports: supports.to_vec(),
-            m,
-            scaffold,
-            windows,
-            slices: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            windows_stale: false,
-            edits_since_assess: 0,
-        })
-    }
-
-    /// Current support profile.
-    pub fn supports(&self) -> &[u64] {
-        &self.supports
-    }
-
-    /// Current transaction count.
-    pub fn n_transactions(&self) -> u64 {
-        self.m
-    }
-
-    /// Domain size.
-    pub fn n(&self) -> usize {
-        self.supports.len()
-    }
-
-    /// The belief intervals the engine was built over.
-    pub fn intervals(&self) -> &[(f64, f64)] {
-        &self.intervals
-    }
-
-    /// Fingerprint of the current database summary.
-    pub fn summary_fingerprint(&self) -> u64 {
-        summary_fingerprint(&self.supports, self.m)
-    }
-
-    /// The retained frequency scaffold (always consistent with
-    /// [`IncrementalEngine::supports`]).
-    pub fn scaffold(&self) -> &FrequencyScaffold {
-        &self.scaffold
-    }
-
-    /// Applies a batch of edits transactionally. All validation — and
-    /// the `incremental.delta` fault probe — runs against scratch
-    /// copies before any engine state is touched, so an error or an
-    /// injected panic leaves the engine exactly as it was.
-    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<()> {
-        // Stage: everything fallible happens here.
-        let (new_supports, new_m) = apply_edits_to_summary(&self.supports, self.m, batch)?;
-        // Commit: infallible updates only.
-        let mut changes: Vec<(usize, u64)> = Vec::new();
-        for (j, (&old_s, &new_s)) in self.supports.iter().zip(&new_supports).enumerate() {
-            if old_s != new_s {
-                self.dirty.insert(old_s);
-                self.dirty.insert(new_s);
-                changes.push((j, new_s));
-            }
-        }
-        if new_m != self.m {
-            self.windows_stale = true;
-        }
-        self.scaffold.apply_support_changes(&changes, new_m);
-        self.supports = new_supports;
-        self.m = new_m;
-        self.edits_since_assess = self
-            .edits_since_assess
-            .saturating_add(batch.edits.len() as u64);
-        Ok(())
-    }
-
-    /// Incrementally assesses the current summary: rebuilds support
-    /// windows only if `m` changed, recomputes only the groups whose
-    /// cached slice could be stale (group fingerprint mismatch or a
-    /// dirty support value inside the slice's window envelope), and
-    /// assembles probabilities in item order so the serial sum is the
-    /// exact from-scratch sum.
-    ///
-    /// On error (budget, cancellation, an injected worker panic) the
-    /// engine stays consistent: cached slices are only ever replaced
-    /// by values computed from the *current* committed summary, and
-    /// the dirty set is cleared only on success — the next call, or a
-    /// from-scratch recompute, still agrees.
-    pub fn assess_risk_delta(
-        &mut self,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<DeltaAssessment> {
-        budget.check()?;
-        let n = self.supports.len();
-        let windows_rebuilt = self.windows_stale;
-        if self.windows_stale {
-            let m = self.m;
-            let intervals = &self.intervals;
-            self.windows = try_map_indexed(threads, n, budget, |y| {
-                let (l, r) = intervals[y];
-                support_window(m, l, r)
-            })?;
-            self.windows_stale = false;
-        }
-        // Plan which groups can reuse their cached slice; the fresh
-        // fingerprint rides along so the recompute tasks don't hash
-        // the same inputs a second time.
-        let k = self.scaffold.n_groups();
-        let mut plan: Vec<(usize, u64)> = Vec::new();
-        let mut reused = 0usize;
-        for g in 0..k {
-            budget.check()?;
-            let v = self.scaffold.group_supports()[g];
-            let (fp, envelope) = group_signature(v, self.scaffold.group_members(g), &self.windows);
-            let fresh = self
-                .slices
-                .get(&v)
-                .is_some_and(|s| s.input_fp == fp && !envelope_touches(envelope, &self.dirty));
-            if fresh {
-                reused += 1;
-            } else {
-                plan.push((g, fp));
-            }
-        }
-        // Recompute stale groups in parallel. `try_map_indexed`
-        // returns results in task order regardless of thread count,
-        // and the `incremental.group` probe turns injected faults
-        // into structured WorkerPanic errors.
-        let scaffold = &self.scaffold;
-        let windows = &self.windows;
-        let plan_ref = &plan;
-        let computed: Vec<(u64, GroupSlice)> =
-            try_map_indexed(threads, plan.len(), budget, |ix| {
-                let (g, input_fp) = plan_ref[ix];
-                faults::probe("incremental.group", g);
-                let v = scaffold.group_supports()[g];
-                let probs: Vec<f64> = scaffold
-                    .group_members(g)
-                    .iter()
-                    .map(|&y| match windows[y] {
-                        None => 0.0,
-                        Some((lo, hi)) => {
-                            let d = scaffold.count_supports_in(lo, hi);
-                            if d == 0 {
-                                0.0
-                            } else {
-                                1.0 / d as f64
-                            }
-                        }
-                    })
-                    .collect();
-                (v, GroupSlice { probs, input_fp })
-            })?;
-        for (v, slice) in computed {
-            self.slices.insert(v, slice);
-        }
-        // Drop slices for support values no longer in the partition.
-        // Every live group has an entry at this point (reused or just
-        // recomputed) and map keys are unique, so a matching length
-        // proves there is nothing stale to drop.
-        if self.slices.len() != k {
-            let live: BTreeSet<u64> = self.scaffold.group_supports().iter().copied().collect();
-            self.slices.retain(|v, _| live.contains(v));
-        }
-        // Assemble per-item probabilities and sum serially in item
-        // order — the exact order `OutdegreeProfile::oestimate` uses,
-        // so the total is bit-identical too.
-        let mut probabilities = vec![0.0f64; n];
-        for g in 0..k {
-            budget.check()?;
-            let v = self.scaffold.group_supports()[g];
-            let Some(slice) = self.slices.get(&v) else {
-                // Unreachable by construction: every group was either
-                // reused (fresh slice) or just recomputed. A
-                // structured error beats a panic on the service path.
-                return Err(Error::InvalidParameter(
-                    "internal: missing probability slice for a frequency group".into(),
-                ));
-            };
-            // A reused slice's fingerprint covers the member list, so
-            // in both the reused and the just-recomputed case these
-            // probabilities align with the scaffold's current members.
-            for (&y, &p) in self.scaffold.group_members(g).iter().zip(&slice.probs) {
-                probabilities[y] = p;
-            }
-        }
-        let mut expected_cracks = 0.0f64;
-        for &p in &probabilities {
-            expected_cracks += p;
-        }
-        self.dirty.clear();
-        let provenance = DeltaProvenance {
-            groups_total: k,
-            groups_reused: reused,
-            groups_recomputed: plan.len(),
-            windows_rebuilt,
-            edits_applied: self.edits_since_assess,
-        };
-        self.edits_since_assess = 0;
-        Ok(DeltaAssessment {
-            expected_cracks,
-            probabilities,
-            provenance,
-        })
-    }
-
-    /// The reference implementation the metamorphic suites compare
-    /// against: a full from-scratch rebuild of the grouped graph and
-    /// the plain Figure 5 profile over the engine's *current*
-    /// summary. Returns `(expected_cracks, probabilities)`.
-    pub fn assess_from_scratch(&self) -> (f64, Vec<f64>) {
-        let graph = GroupedBigraph::new(&self.supports, self.m, &self.intervals);
-        let profile = OutdegreeProfile::plain(&graph);
-        (profile.oestimate(), profile.probabilities())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bigmart() -> (Vec<u64>, u64, Vec<(f64, f64)>) {
-        (
-            vec![5, 4, 5, 5, 3, 5],
-            10,
-            vec![
-                (0.0, 1.0),
-                (0.4, 0.5),
-                (0.5, 0.5),
-                (0.4, 0.6),
-                (0.1, 0.4),
-                (0.5, 0.5),
-            ],
-        )
+    fn bigmart() -> (Vec<u64>, u64) {
+        (vec![5, 4, 5, 5, 3, 5], 10)
     }
 
-    fn assert_bit_identical(engine: &mut IncrementalEngine, threads: usize) -> DeltaAssessment {
-        let out = engine
-            .assess_risk_delta(threads, &Budget::unlimited())
-            .expect("assessment succeeds");
-        let (oe, probs) = engine.assess_from_scratch();
-        assert_eq!(out.expected_cracks.to_bits(), oe.to_bits());
-        assert_eq!(out.probabilities.len(), probs.len());
-        for (y, (a, b)) in out.probabilities.iter().zip(&probs).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "item {y}");
-        }
-        out
-    }
-
-    #[test]
-    fn initial_assessment_matches_from_scratch() {
-        let (s, m, iv) = bigmart();
-        let mut engine = IncrementalEngine::new(&s, m, &iv).expect("valid");
-        for threads in [1, 4] {
-            let out = assert_bit_identical(&mut engine, threads);
-            assert_eq!(
-                out.provenance.groups_total,
-                out.provenance.groups_reused + out.provenance.groups_recomputed
-            );
-        }
-    }
-
-    #[test]
-    fn replace_reuses_groups_outside_the_dirty_envelope() {
-        // Narrow point beliefs give each group a tight window
-        // envelope, so a replace touching supports {1, 2, 7, 8}
-        // leaves the support-5 group's (5, 5) envelope clean.
-        let supports = vec![2u64, 5, 5, 7];
-        let iv = vec![(0.2, 0.2), (0.5, 0.5), (0.5, 0.5), (0.7, 0.7)];
-        let mut engine = IncrementalEngine::new(&supports, 10, &iv).expect("valid");
-        assert_bit_identical(&mut engine, 1);
-        let batch = DeltaBatch::new(vec![Edit::Replace {
-            old: vec![0],
-            new: vec![3],
-        }]);
-        engine.apply(&batch).expect("valid edit");
-        let out = assert_bit_identical(&mut engine, 1);
-        assert_eq!(out.provenance.edits_applied, 1);
-        assert!(!out.provenance.windows_rebuilt);
+    /// Applies `edits`, asserting the call fails and the caller's
+    /// summary is exactly as it was.
+    fn assert_rejected(supports: &[u64], m: u64, edits: Vec<Edit>) {
+        let before = supports.to_vec();
+        let batch = DeltaBatch::new(edits);
         assert!(
-            out.provenance.groups_reused >= 1,
-            "the support-5 group avoids the dirty values: {:?}",
-            out.provenance
+            apply_edits_to_summary(supports, m, &batch).is_err(),
+            "{batch:?} must be rejected"
         );
-        assert!(out.provenance.groups_recomputed >= 2);
+        assert_eq!(supports, &before[..]);
     }
 
     #[test]
-    fn append_rebuilds_windows_and_stays_identical() {
-        let (s, m, iv) = bigmart();
-        let mut engine = IncrementalEngine::new(&s, m, &iv).expect("valid");
-        engine
-            .apply(&DeltaBatch::new(vec![Edit::Insert {
-                items: vec![0, 2, 3],
-            }]))
-            .expect("valid edit");
-        let out = assert_bit_identical(&mut engine, 4);
-        assert!(out.provenance.windows_rebuilt);
-        assert_eq!(engine.n_transactions(), 11);
-        assert_eq!(engine.supports(), &[6, 4, 6, 6, 3, 5]);
+    fn insert_appends_one_transaction() {
+        let (s, m) = bigmart();
+        let batch = DeltaBatch::new(vec![Edit::Insert {
+            items: vec![0, 2, 3],
+        }]);
+        let (s2, m2) = apply_edits_to_summary(&s, m, &batch).expect("valid edit");
+        assert_eq!((s2, m2), (vec![6, 4, 6, 6, 3, 5], 11));
     }
 
     #[test]
-    fn delete_validation_protects_full_support_items() {
+    fn delete_must_name_every_full_support_item() {
+        // Item 0 sits in every transaction; deleting one without it
+        // would leave support 3 over m = 2.
         let supports = vec![3u64, 1];
-        let iv = vec![(0.0, 1.0), (0.0, 1.0)];
-        let mut engine = IncrementalEngine::new(&supports, 3, &iv).expect("valid");
-        // Item 0 has full support; deleting a transaction without it
-        // is unrealizable.
-        let bad = DeltaBatch::new(vec![Edit::Delete { items: vec![1] }]);
-        assert!(engine.apply(&bad).is_err());
-        // State untouched by the failed apply.
-        assert_eq!(engine.supports(), &[3, 1]);
-        assert_eq!(engine.n_transactions(), 3);
+        assert_rejected(&supports, 3, vec![Edit::Delete { items: vec![1] }]);
         let good = DeltaBatch::new(vec![Edit::Delete { items: vec![0, 1] }]);
-        engine.apply(&good).expect("valid edit");
-        assert_eq!(engine.supports(), &[2, 0]);
-        assert_eq!(engine.n_transactions(), 2);
-        assert_bit_identical(&mut engine, 1);
+        let edited = apply_edits_to_summary(&supports, 3, &good).expect("valid edit");
+        assert_eq!(edited, (vec![2, 0], 2));
     }
 
     #[test]
-    fn replace_validation_rejects_support_overflow() {
-        let supports = vec![3u64, 1];
-        let iv = vec![(0.0, 1.0), (0.0, 1.0)];
-        let mut engine = IncrementalEngine::new(&supports, 3, &iv).expect("valid");
-        // Pushing item 0 (already full) into another transaction
-        // would exceed m.
-        let bad = DeltaBatch::new(vec![Edit::Replace {
+    fn the_last_transaction_cannot_be_deleted() {
+        assert_rejected(&[1, 1], 1, vec![Edit::Delete { items: vec![0, 1] }]);
+    }
+
+    #[test]
+    fn replace_cannot_push_a_full_item_past_m() {
+        // Item 0 is already in all 3 transactions.
+        let edit = Edit::Replace {
             old: vec![1],
             new: vec![0],
-        }]);
-        assert!(engine.apply(&bad).is_err());
-        assert_eq!(engine.supports(), &[3, 1]);
+        };
+        assert_rejected(&[3, 1], 3, vec![edit]);
     }
 
     #[test]
-    fn edits_reject_malformed_item_lists() {
-        let (s, m, iv) = bigmart();
-        let mut engine = IncrementalEngine::new(&s, m, &iv).expect("valid");
-        for edit in [
+    fn malformed_item_lists_are_rejected_in_every_edit_kind() {
+        let (s, m) = bigmart();
+        // Empty, duplicate, unsorted, out of the 6-item domain.
+        let bad_lists = [vec![], vec![2, 2], vec![3, 1], vec![6]];
+        for bad in bad_lists {
+            let good = vec![0];
+            for edit in [
+                Edit::Insert { items: bad.clone() },
+                Edit::Delete { items: bad.clone() },
+                Edit::Replace {
+                    old: bad.clone(),
+                    new: good.clone(),
+                },
+                Edit::Replace {
+                    old: good,
+                    new: bad.clone(),
+                },
+            ] {
+                assert_rejected(&s, m, vec![edit]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_late_invalid_edit_rejects_the_whole_batch() {
+        let (s, m) = bigmart();
+        let edits = vec![
+            Edit::Insert { items: vec![1] },
             Edit::Insert { items: vec![] },
-            Edit::Insert { items: vec![2, 2] },
-            Edit::Insert { items: vec![3, 1] },
-            Edit::Insert { items: vec![6] },
-        ] {
-            assert!(
-                engine.apply(&DeltaBatch::new(vec![edit.clone()])).is_err(),
-                "{edit:?} must be rejected"
-            );
-        }
-        assert_eq!(engine.supports(), &s[..]);
+        ];
+        assert_rejected(&s, m, edits);
     }
 
     #[test]
-    fn empty_batch_is_identity() {
-        let (s, m, iv) = bigmart();
-        let mut engine = IncrementalEngine::new(&s, m, &iv).expect("valid");
-        let fp = engine.summary_fingerprint();
-        engine.apply(&DeltaBatch::empty()).expect("identity");
-        assert_eq!(engine.summary_fingerprint(), fp);
-        let out = assert_bit_identical(&mut engine, 1);
-        assert_eq!(out.provenance.edits_applied, 0);
-    }
-
-    #[test]
-    fn long_random_script_stays_bit_identical_at_both_thread_counts() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let (s, m, iv) = bigmart();
-        let mut engine = IncrementalEngine::new(&s, m, &iv).expect("valid");
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        for step in 0..60 {
-            let n = engine.n();
-            let k = rng.gen_range(1..=n);
-            let mut items: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                items.swap(i, rng.gen_range(0..=i));
-            }
-            items.truncate(k);
-            items.sort_unstable();
-            let edit = Edit::Insert { items };
-            engine
-                .apply(&DeltaBatch::new(vec![edit]))
-                .expect("insert is always valid");
-            if step % 3 == 0 {
-                let threads = if step % 2 == 0 { 1 } else { 4 };
-                assert_bit_identical(&mut engine, threads);
-            }
-        }
-        assert_bit_identical(&mut engine, 4);
-    }
-
-    #[test]
-    fn constructor_validates_inputs() {
-        assert!(IncrementalEngine::new(&[], 5, &[]).is_err());
-        assert!(IncrementalEngine::new(&[1], 0, &[(0.0, 1.0)]).is_err());
-        assert!(IncrementalEngine::new(&[6], 5, &[(0.0, 1.0)]).is_err());
-        assert!(IncrementalEngine::new(&[1], 5, &[(0.5, 0.4)]).is_err());
-        assert!(IncrementalEngine::new(&[1], 5, &[(0.0, 1.5)]).is_err());
-        assert!(IncrementalEngine::new(&[1, 2], 5, &[(0.0, 1.0)]).is_err());
+    fn fingerprint_separates_m_length_and_supports() {
+        let (s, m) = bigmart();
+        let fp = summary_fingerprint(&s, m);
+        assert_eq!(fp, summary_fingerprint(&s.clone(), m));
+        assert_ne!(fp, summary_fingerprint(&s, m + 1));
+        assert_ne!(fp, summary_fingerprint(&s[..5], m));
+        let mut moved = s.clone();
+        moved[0] -= 1;
+        assert_ne!(fp, summary_fingerprint(&moved, m));
     }
 }

@@ -80,10 +80,7 @@ pub use error::{AndiError, Error, Result};
 pub use estimate::{
     best_expected_cracks, cached_profile, graph_fingerprint, CrackEstimate, EstimateMethod,
 };
-pub use incremental::{
-    apply_edits_to_summary, summary_fingerprint, DeltaAssessment, DeltaBatch, DeltaProvenance,
-    Edit, IncrementalEngine,
-};
+pub use incremental::{apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit};
 
 pub use formulas::{
     ignorant_expected_cracks, ignorant_expected_cracks_of_subset, point_valued_expected_cracks,

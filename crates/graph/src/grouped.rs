@@ -92,140 +92,6 @@ impl FrequencyScaffold {
         self.n_transactions
     }
 
-    /// Number of frequency groups `k`.
-    pub fn n_groups(&self) -> usize {
-        self.group_supports.len()
-    }
-
-    /// Distinct support counts, strictly increasing.
-    pub fn group_supports(&self) -> &[u64] {
-        &self.group_supports
-    }
-
-    /// Sizes of the frequency groups, ascending support order.
-    pub fn group_sizes(&self) -> &[usize] {
-        &self.group_sizes
-    }
-
-    /// Members (item indices, increasing) of group `g`.
-    pub fn group_members(&self, g: usize) -> &[usize] {
-        &self.group_members[g]
-    }
-
-    /// The frequency-group index of item `i`.
-    pub fn left_group_of(&self, i: usize) -> usize {
-        self.left_group[i]
-    }
-
-    /// The support of item `i`, recovered from its group.
-    pub fn support_of(&self, i: usize) -> u64 {
-        self.group_supports[self.left_group[i]]
-    }
-
-    /// Number of items whose support lies in `[lo, hi]` (inclusive):
-    /// two binary searches plus one prefix-sum lookup, `O(log k)`.
-    /// This is exactly the quantity `GroupedBigraph::outdegree`
-    /// computes through its per-item group range, so an integer
-    /// support window (see [`support_window`]) reproduces outdegrees
-    /// without rebuilding the graph.
-    pub fn count_supports_in(&self, lo: u64, hi: u64) -> usize {
-        if lo > hi {
-            return 0;
-        }
-        let a = self.group_supports.partition_point(|&s| s < lo);
-        let b = self.group_supports.partition_point(|&s| s <= hi);
-        self.prefix[b] - self.prefix[a]
-    }
-
-    /// Structural fingerprint: FNV-1a over the transaction count and
-    /// the full group structure. Two scaffolds share a fingerprint
-    /// iff they were built over the same `(supports, m)` summary
-    /// modulo hash collisions; the incremental engine and the serve
-    /// caches key dirty-tracking and invalidation on it.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = scaffold_fnv(FNV_OFFSET, self.n_transactions);
-        h = scaffold_fnv(h, self.left_group.len() as u64);
-        for (&s, &size) in self.group_supports.iter().zip(&self.group_sizes) {
-            h = scaffold_fnv(h, s);
-            h = scaffold_fnv(h, size as u64);
-        }
-        for &g in &self.left_group {
-            h = scaffold_fnv(h, g as u64);
-        }
-        h
-    }
-
-    /// Applies a batch of support changes in place, moving each item
-    /// to its new frequency group and re-deriving sizes, membership,
-    /// and prefix sums — the `O(c · (k + n))` update that replaces an
-    /// `O(n log n)` rebuild when only `c` items change. The result is
-    /// structurally identical to `FrequencyScaffold::new` over the
-    /// edited support profile (the equivalence test below pins this).
-    ///
-    /// `changes` holds `(item, new_support)` pairs; an item may
-    /// appear at most once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_m == 0`, an item index is out of range, or any
-    /// support (changed or kept) would exceed `new_m` — the same
-    /// structural contract as [`FrequencyScaffold::new`].
-    pub fn apply_support_changes(&mut self, changes: &[(usize, u64)], new_m: u64) {
-        assert!(new_m > 0, "need at least one transaction");
-        for &(item, new_s) in changes {
-            assert!(item < self.left_group.len(), "item {item} out of range");
-            assert!(new_s <= new_m, "item {item} support {new_s} exceeds m");
-            let g_old = self.left_group[item];
-            if self.group_supports[g_old] == new_s {
-                continue;
-            }
-            // Detach from the old group; drop the group if it empties.
-            if let Ok(pos) = self.group_members[g_old].binary_search(&item) {
-                self.group_members[g_old].remove(pos);
-            }
-            self.group_sizes[g_old] -= 1;
-            if self.group_sizes[g_old] == 0 {
-                self.group_supports.remove(g_old);
-                self.group_sizes.remove(g_old);
-                self.group_members.remove(g_old);
-                for lg in self.left_group.iter_mut() {
-                    if *lg > g_old {
-                        *lg -= 1;
-                    }
-                }
-            }
-            // Attach to the new group, creating it if absent.
-            let g_new = self.group_supports.partition_point(|&s| s < new_s);
-            if self.group_supports.get(g_new) != Some(&new_s) {
-                self.group_supports.insert(g_new, new_s);
-                self.group_sizes.insert(g_new, 0);
-                self.group_members.insert(g_new, Vec::new());
-                for lg in self.left_group.iter_mut() {
-                    if *lg >= g_new {
-                        *lg += 1;
-                    }
-                }
-            }
-            if let Err(pos) = self.group_members[g_new].binary_search(&item) {
-                self.group_members[g_new].insert(pos, item);
-            }
-            self.group_sizes[g_new] += 1;
-            self.left_group[item] = g_new;
-        }
-        // Shrinking m must not strand an unchanged support above it.
-        if let Some(&top) = self.group_supports.last() {
-            assert!(top <= new_m, "support {top} exceeds new m {new_m}");
-        }
-        self.n_transactions = new_m;
-        self.prefix.clear();
-        self.prefix.push(0);
-        let mut acc = 0usize;
-        for &size in &self.group_sizes {
-            acc += size;
-            self.prefix.push(acc);
-        }
-    }
-
     /// Completes the graph for one belief: computes each item's
     /// candidate group range from its interval. Borrowing variant of
     /// [`FrequencyScaffold::into_graph`] for shared (cached)
@@ -280,119 +146,6 @@ impl FrequencyScaffold {
             group_members: self.group_members,
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn scaffold_fnv(mut h: u64, v: u64) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The integer support window of a belief interval: the inclusive
-/// range of support counts `s ∈ [0, m]` whose observed frequency
-/// `s as f64 / m as f64` — computed exactly as
-/// [`FrequencyScaffold::into_graph`] computes group frequencies —
-/// lies inside `[l, r]`. Returns `None` when no integer support
-/// qualifies.
-///
-/// Because IEEE division is correctly rounded, `s ↦ s/m` is monotone
-/// non-decreasing in `s`, so the qualifying supports form a
-/// contiguous range and binary search over the *integers* reproduces
-/// the float `partition_point` outcome of graph completion
-/// bit-for-bit: a distinct support `s` satisfies `l <= s/m <= r` iff
-/// `lo <= s <= hi`. Combined with
-/// [`FrequencyScaffold::count_supports_in`] this yields the same
-/// outdegree — hence the same `1/O` crack probability down to the
-/// last bit — without building a graph. The incremental engine's
-/// bit-identity guarantee rests on this equivalence.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn support_window(m: u64, l: f64, r: f64) -> Option<(u64, u64)> {
-    assert!(m > 0, "need at least one transaction");
-    let mf = m as f64;
-    // Both boundaries sit within an ulp of the real products `l·m`
-    // and `r·m`, so a search seeded there touches a handful of
-    // supports instead of the log₂ m a cold binary search pays — the
-    // incremental engine rebuilds every window whenever m changes,
-    // making this the hot loop of a single-transaction append.
-    let s_lo = least_satisfying(m + 1, (l * mf) as u64, |s| s as f64 / mf >= l);
-    // Smallest s in [0, m] with s/m > r; the window ends just below.
-    let s_end = least_satisfying(m + 1, ((r * mf) as u64).saturating_add(1), |s| {
-        s as f64 / mf > r
-    });
-    if s_lo >= s_end {
-        None
-    } else {
-        Some((s_lo, s_end - 1))
-    }
-}
-
-/// Least `s` in `[0, limit)` satisfying the monotone predicate
-/// `pred` (false below the boundary, true at and above it), or
-/// `limit` when none does. Gallops outward from `guess` to bracket
-/// the boundary, then binary-searches the bracket — the boundary is
-/// decided only by `pred` evaluations, so the result is identical to
-/// a full binary search over `[0, limit)` for any in-range guess.
-fn least_satisfying<P: Fn(u64) -> bool>(limit: u64, guess: u64, pred: P) -> u64 {
-    if limit == 0 {
-        return 0;
-    }
-    // Bracket [a, b]: pred is false everywhere below a, true at b.
-    let g = guess.min(limit - 1);
-    let (mut a, mut b);
-    if pred(g) {
-        // The boundary is at or below the guess: gallop down.
-        b = g;
-        let mut step = 1u64;
-        loop {
-            if b == 0 {
-                return 0;
-            }
-            let probe = b.saturating_sub(step);
-            if pred(probe) {
-                b = probe;
-                step = step.saturating_mul(2);
-            } else {
-                a = probe + 1;
-                break;
-            }
-        }
-    } else {
-        // The boundary is above the guess: gallop up.
-        a = g + 1;
-        let mut step = 1u64;
-        loop {
-            if a >= limit {
-                return limit;
-            }
-            let probe = a.saturating_add(step).min(limit - 1);
-            if pred(probe) {
-                b = probe;
-                break;
-            }
-            if probe == limit - 1 {
-                return limit;
-            }
-            a = probe + 1;
-            step = step.saturating_mul(2);
-        }
-    }
-    while a < b {
-        let mid = a + (b - a) / 2;
-        if pred(mid) {
-            b = mid;
-        } else {
-            a = mid + 1;
-        }
-    }
-    a
 }
 
 /// A bipartite mapping-space graph in grouped interval form.
@@ -915,127 +668,5 @@ mod tests {
     #[should_panic(expected = "cover the same domain")]
     fn scaffold_rejects_mismatched_interval_count() {
         FrequencyScaffold::new(&bigmart_supports(), 10).graph_for(&[(0.0, 1.0)]);
-    }
-
-    fn assert_scaffold_eq(got: &FrequencyScaffold, want: &FrequencyScaffold) {
-        assert_eq!(got.group_supports, want.group_supports);
-        assert_eq!(got.group_sizes, want.group_sizes);
-        assert_eq!(got.prefix, want.prefix);
-        assert_eq!(got.left_group, want.left_group);
-        assert_eq!(got.group_members, want.group_members);
-        assert_eq!(got.n_transactions, want.n_transactions);
-        assert_eq!(got.fingerprint(), want.fingerprint());
-    }
-
-    #[test]
-    fn apply_support_changes_matches_rebuild() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xD31A);
-        for trial in 0..200 {
-            let n = rng.gen_range(1..=12usize);
-            let mut m = rng.gen_range(2..=40u64);
-            let mut supports: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=m)).collect();
-            let mut scaffold = FrequencyScaffold::new(&supports, m);
-            for step in 0..6 {
-                let new_m = (m as i64 + rng.gen_range(-1..=1i64)).max(1) as u64;
-                let n_changes = rng.gen_range(0..=n);
-                let mut changes: Vec<(usize, u64)> = Vec::new();
-                let mut touched = vec![false; n];
-                for _ in 0..n_changes {
-                    let item = rng.gen_range(0..n);
-                    if touched[item] {
-                        continue;
-                    }
-                    touched[item] = true;
-                    changes.push((item, rng.gen_range(0..=new_m)));
-                }
-                if new_m < m {
-                    // Keep unchanged supports realizable under the
-                    // smaller m, as the engine's validation would.
-                    for (j, s) in supports.iter().enumerate() {
-                        if *s > new_m && !touched[j] {
-                            touched[j] = true;
-                            changes.push((j, new_m));
-                        }
-                    }
-                }
-                for &(item, s) in &changes {
-                    supports[item] = s;
-                }
-                scaffold.apply_support_changes(&changes, new_m);
-                m = new_m;
-                let rebuilt = FrequencyScaffold::new(&supports, m);
-                assert_scaffold_eq(&scaffold, &rebuilt);
-                let _ = (trial, step);
-            }
-        }
-    }
-
-    #[test]
-    fn support_window_counts_match_outdegrees() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xF00D);
-        for _ in 0..300 {
-            let n = rng.gen_range(1..=10usize);
-            let m = rng.gen_range(1..=60u64);
-            let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=m)).collect();
-            let intervals: Vec<(f64, f64)> = (0..n)
-                .map(|_| {
-                    let a: f64 = rng.gen_range(0.0..=1.0);
-                    let b: f64 = rng.gen_range(0.0..=1.0);
-                    (a.min(b), a.max(b))
-                })
-                .collect();
-            let scaffold = FrequencyScaffold::new(&supports, m);
-            let graph = scaffold.graph_for(&intervals);
-            for (y, &(l, r)) in intervals.iter().enumerate() {
-                let by_window = match support_window(m, l, r) {
-                    None => 0,
-                    Some((lo, hi)) => scaffold.count_supports_in(lo, hi),
-                };
-                assert_eq!(
-                    by_window,
-                    graph.outdegree(y),
-                    "m={m} interval=({l},{r}) supports={supports:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn support_window_edge_cases() {
-        // Degenerate interval hitting an exact frequency.
-        assert_eq!(support_window(10, 0.5, 0.5), Some((5, 5)));
-        // Full interval covers every support.
-        assert_eq!(support_window(10, 0.0, 1.0), Some((0, 10)));
-        // Interval between adjacent representable frequencies.
-        assert_eq!(support_window(10, 0.51, 0.59), None);
-        // Window below zero / above one collapses.
-        assert_eq!(support_window(10, 1.1, 1.2), None);
-    }
-
-    #[test]
-    fn count_supports_in_handles_inverted_and_outside_ranges() {
-        let scaffold = FrequencyScaffold::new(&bigmart_supports(), 10);
-        assert_eq!(scaffold.count_supports_in(5, 3), 0);
-        assert_eq!(scaffold.count_supports_in(0, 2), 0);
-        assert_eq!(scaffold.count_supports_in(3, 5), 6);
-        assert_eq!(scaffold.count_supports_in(4, 4), 1);
-        assert_eq!(scaffold.count_supports_in(6, 100), 0);
-    }
-
-    #[test]
-    fn scaffold_fingerprint_tracks_summary_changes() {
-        let a = FrequencyScaffold::new(&bigmart_supports(), 10);
-        let b = FrequencyScaffold::new(&bigmart_supports(), 10);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = FrequencyScaffold::new(&bigmart_supports(), 11);
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let mut supports = bigmart_supports();
-        supports[0] -= 1;
-        let d = FrequencyScaffold::new(&supports, 10);
-        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 }

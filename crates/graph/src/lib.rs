@@ -58,7 +58,7 @@ pub use exact::{
     ExactError,
 };
 pub use faults::{FaultMode, FaultSchedule, FAULTS_ENV};
-pub use grouped::{support_window, BeliefGroup, FrequencyScaffold, GroupedBigraph, Matching};
+pub use grouped::{BeliefGroup, FrequencyScaffold, GroupedBigraph, Matching};
 pub use matching::{has_perfect_matching, hopcroft_karp};
 pub use par::{try_map_indexed, Budget, CancelToken, ExecError};
 pub use permanent::{permanent, try_permanent_of_rows_budgeted, MAX_PERMANENT_N};

@@ -6,20 +6,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::editscript::EditScriptCase;
 use crate::error::OracleError;
 use crate::instance::Instance;
 
 /// The committed corpus directory of this crate.
 pub fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
-}
-
-/// The committed edit-script corpus. A subdirectory: the instance
-/// replay reads only direct `.txt` entries of `corpus/`, so the two
-/// formats never cross-contaminate.
-pub fn edit_scripts_dir() -> PathBuf {
-    corpus_dir().join("edit-scripts")
 }
 
 /// Derives a stable corpus file name from an instance label:
@@ -79,43 +71,6 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, Instance)>, OracleError> {
     paths
         .into_iter()
         .map(|p| load(&p).map(|inst| (p, inst)))
-        .collect()
-}
-
-/// Writes one edit-script case into `dir` (named after its base
-/// instance's label), returning the path.
-pub fn save_script(dir: &Path, case: &EditScriptCase) -> Result<PathBuf, OracleError> {
-    fs::create_dir_all(dir).map_err(|e| OracleError::Io(format!("{}: {e}", dir.display())))?;
-    let path = dir.join(file_name_for(&case.base.label));
-    fs::write(&path, case.to_text())
-        .map_err(|e| OracleError::Io(format!("{}: {e}", path.display())))?;
-    Ok(path)
-}
-
-/// Loads one edit-script file.
-pub fn load_script(path: &Path) -> Result<EditScriptCase, OracleError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| OracleError::Io(format!("{}: {e}", path.display())))?;
-    EditScriptCase::from_text(&text)
-        .map_err(|e| OracleError::Parse(format!("{}: {e}", path.display())))
-}
-
-/// Loads every `.txt` edit script in `dir`, sorted by file name.
-pub fn load_script_dir(dir: &Path) -> Result<Vec<(PathBuf, EditScriptCase)>, OracleError> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| OracleError::Io(format!("{}: {e}", dir.display())))?;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| OracleError::Io(e.to_string()))?;
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "txt") {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    paths
-        .into_iter()
-        .map(|p| load_script(&p).map(|case| (p, case)))
         .collect()
 }
 

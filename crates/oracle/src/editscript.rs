@@ -1,121 +1,20 @@
-//! Streaming edit-script scenarios: seeded random
-//! insert/delete/replace scripts over every generator regime, the
-//! corpus text format that pins them, and the metamorphic battery
-//! `incremental ≡ from-scratch` that the delta engine must pass after
-//! every prefix.
+//! The `edit:` line format of summary edits: one
+//! [`Edit`] per line, `insert`/`delete` followed by the transaction's
+//! item indices, `replace` followed by the old and new item lists
+//! separated by `/`. The `POST /update` body of `andi-serve` carries
+//! its edits in this format.
 //!
-//! An [`EditScriptCase`] is a base [`Instance`] (drawn from one of
-//! the six existing regimes) plus an ordered list of
-//! [`Edit`]s that are valid *by construction* when applied in
-//! sequence — the generator maintains a running summary and only
-//! emits edits the summary admits. [`check_script`] is the load-
-//! bearing correctness artifact: after each prefix it compares
-//! [`IncrementalEngine::assess_risk_delta`] against a from-scratch
-//! recompute **bit for bit** (probabilities and the serial sum), at
-//! every requested thread count, and also checks that applying the
-//! whole batch at once agrees with sequential application.
-//! [`shrink_script`] minimizes a failing script by dropping and
-//! merging edits, mirroring the instance shrinker's greedy loop.
+//! ```text
+//! edit: insert 1 4
+//! edit: delete 0 2
+//! edit: replace 0 / 2 5
+//! ```
 
-use andi_core::incremental::{
-    apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit, IncrementalEngine,
-};
-use andi_core::parallel::Budget;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use andi_core::incremental::Edit;
 
 use crate::error::OracleError;
-use crate::generate::generate;
-use crate::instance::{Instance, Regime};
 
-/// Corpus header of the edit-script format.
-pub const EDIT_SCRIPT_HEADER: &str = "andi-oracle edit-script v1";
-
-const INSTANCE_HEADER: &str = "andi-oracle instance v1";
-
-/// A base instance plus an ordered edit script over its database
-/// summary.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EditScriptCase {
-    /// The starting instance (regime, summary, belief).
-    pub base: Instance,
-    /// The edits, in application order; valid in sequence.
-    pub edits: Vec<Edit>,
-}
-
-impl EditScriptCase {
-    /// The script as one [`DeltaBatch`].
-    pub fn batch(&self) -> DeltaBatch {
-        DeltaBatch::new(self.edits.clone())
-    }
-
-    /// Structural validation: the base instance must validate and the
-    /// whole script must apply cleanly in sequence.
-    ///
-    /// # Errors
-    ///
-    /// The base instance's violation, or the first inapplicable edit.
-    pub fn validate(&self) -> Result<(), OracleError> {
-        self.base.validate()?;
-        apply_edits_to_summary(&self.base.supports, self.base.m, &self.batch())?;
-        Ok(())
-    }
-
-    /// Serializes to the committed corpus format: the edit-script
-    /// header, the base instance's fields, then one `edit:` line per
-    /// edit. Round-trips bit-exactly through
-    /// [`EditScriptCase::from_text`].
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(EDIT_SCRIPT_HEADER);
-        out.push('\n');
-        for line in self.base.to_text().lines().skip(1) {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for edit in &self.edits {
-            out.push_str(&edit_to_line(edit));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the corpus format.
-    ///
-    /// # Errors
-    ///
-    /// Malformed headers, fields, numbers, or an invalid script.
-    pub fn from_text(text: &str) -> Result<EditScriptCase, OracleError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
-        if header.trim() != EDIT_SCRIPT_HEADER {
-            return Err(OracleError::Parse(format!(
-                "bad header {:?} (want {EDIT_SCRIPT_HEADER:?})",
-                header.trim()
-            )));
-        }
-        let mut instance_text = String::from(INSTANCE_HEADER);
-        instance_text.push('\n');
-        let mut edits = Vec::new();
-        for line in lines {
-            let trimmed = line.trim();
-            if let Some(spec) = trimmed.strip_prefix("edit:") {
-                edits.push(parse_edit(spec.trim())?);
-            } else {
-                instance_text.push_str(line);
-                instance_text.push('\n');
-            }
-        }
-        let case = EditScriptCase {
-            base: Instance::from_text(&instance_text)?,
-            edits,
-        };
-        case.validate()?;
-        Ok(case)
-    }
-}
-
-/// Renders one edit as its corpus line.
+/// Renders one edit as its `edit:` line.
 pub fn edit_to_line(edit: &Edit) -> String {
     fn items(list: &[usize]) -> String {
         let words: Vec<String> = list.iter().map(usize::to_string).collect();
@@ -169,394 +68,31 @@ pub fn parse_edit(spec: &str) -> Result<Edit, OracleError> {
     }
 }
 
-/// A random sorted non-empty subset of `pool`. Returns `None` when
-/// the pool is empty.
-fn random_subset(rng: &mut StdRng, pool: &[usize]) -> Option<Vec<usize>> {
-    if pool.is_empty() {
-        return None;
-    }
-    let k = rng.gen_range(1..=pool.len());
-    let mut shuffled = pool.to_vec();
-    for i in (1..shuffled.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        shuffled.swap(i, j);
-    }
-    shuffled.truncate(k);
-    shuffled.sort_unstable();
-    Some(shuffled)
-}
-
-/// A random insert edit — always applicable.
-fn random_insert(rng: &mut StdRng, n: usize) -> Edit {
-    let pool: Vec<usize> = (0..n).collect();
-    let items = random_subset(rng, &pool).unwrap_or_default();
-    Edit::Insert { items }
-}
-
-/// A delete edit valid for the running summary, or `None` when the
-/// summary admits none (m < 2, or a positive-support item set that
-/// cannot cover the full-support items).
-fn random_delete(rng: &mut StdRng, supports: &[u64], m: u64) -> Option<Edit> {
-    if m < 2 {
-        return None;
-    }
-    // Every full-support item must be named; optionally add others
-    // with positive support.
-    let required: Vec<usize> = (0..supports.len()).filter(|&j| supports[j] == m).collect();
-    let optional: Vec<usize> = (0..supports.len())
-        .filter(|&j| supports[j] >= 1 && supports[j] < m)
-        .collect();
-    let mut items = required;
-    if let Some(extra) = random_subset(rng, &optional) {
-        if rng.gen_bool(0.8) || items.is_empty() {
-            items.extend(extra);
-        }
-    }
-    if items.is_empty() {
-        return None;
-    }
-    items.sort_unstable();
-    items.dedup();
-    Some(Edit::Delete { items })
-}
-
-/// A replace edit valid for the running summary, or `None`.
-fn random_replace(rng: &mut StdRng, supports: &[u64], m: u64) -> Option<Edit> {
-    let old_pool: Vec<usize> = (0..supports.len()).filter(|&j| supports[j] >= 1).collect();
-    let old = random_subset(rng, &old_pool)?;
-    let new_pool: Vec<usize> = (0..supports.len())
-        .filter(|&j| supports[j] < m || old.binary_search(&j).is_ok())
-        .collect();
-    let new = random_subset(rng, &new_pool)?;
-    Some(Edit::Replace { old, new })
-}
-
-/// Generates the `index`-th edit-script case of a regime under a
-/// sweep seed: a base instance from the existing generator plus a
-/// script of 3–10 edits valid by construction. Pure function of the
-/// arguments, like [`generate`].
-pub fn generate_script(seed: u64, index: u64, regime: Regime) -> EditScriptCase {
-    let base = generate(seed, index, regime);
-    // A distinct stream from the instance generator's: scripts must
-    // not perturb instance reproducibility.
-    let tag = regime as u64 + 101;
-    let mut rng = StdRng::seed_from_u64(
-        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ index.rotate_left(17) ^ tag,
-    );
-    let mut supports = base.supports.clone();
-    let mut m = base.m;
-    let n = supports.len();
-    let n_edits = rng.gen_range(3..=10);
-    let mut edits = Vec::with_capacity(n_edits);
-    for _ in 0..n_edits {
-        let candidate = match rng.gen_range(0..3u32) {
-            0 => Some(random_insert(&mut rng, n)),
-            1 => random_delete(&mut rng, &supports, m),
-            _ => random_replace(&mut rng, &supports, m),
-        };
-        let edit = candidate.unwrap_or_else(|| random_insert(&mut rng, n));
-        // The constructions above are valid by design; checking keeps
-        // the generator total even if a future regime breaks an
-        // assumption, falling back to an always-valid insert.
-        let batch = DeltaBatch::new(vec![edit.clone()]);
-        match apply_edits_to_summary(&supports, m, &batch) {
-            Ok((s2, m2)) => {
-                supports = s2;
-                m = m2;
-                edits.push(edit);
-            }
-            Err(_) => {
-                let fallback = random_insert(&mut rng, n);
-                if let Ok((s2, m2)) =
-                    apply_edits_to_summary(&supports, m, &DeltaBatch::new(vec![fallback.clone()]))
-                {
-                    supports = s2;
-                    m = m2;
-                    edits.push(fallback);
-                }
-            }
-        }
-    }
-    EditScriptCase { base, edits }
-}
-
-/// Runs the metamorphic battery over one case at the given thread
-/// counts:
-///
-/// 1. After **every prefix** of the script (including the empty
-///    prefix), the incremental assessment is bit-identical to a
-///    from-scratch recompute — per-item probabilities and the summed
-///    O-estimate.
-/// 2. Applying the whole script as one batch reaches the same summary
-///    fingerprint and the same bits as applying it edit by edit
-///    (`apply(a) ∘ apply(b) ≡ apply(a ⧺ b)` at script granularity).
-/// 3. Provenance stays consistent (`total = reused + recomputed`).
-///
-/// # Errors
-///
-/// A message naming the first divergence (prefix length, thread
-/// count, item).
-pub fn check_script(case: &EditScriptCase, threads: &[usize]) -> Result<(), OracleError> {
-    case.validate()?;
-    let budget = Budget::unlimited();
-    for &t in threads {
-        let mut engine =
-            IncrementalEngine::new(&case.base.supports, case.base.m, &case.base.intervals)?;
-        for prefix in 0..=case.edits.len() {
-            if prefix > 0 {
-                let batch = DeltaBatch::new(vec![case.edits[prefix - 1].clone()]);
-                engine.apply(&batch)?;
-            }
-            let out = engine.assess_risk_delta(t, &budget)?;
-            let (oe, probs) = engine.assess_from_scratch();
-            if out.expected_cracks.to_bits() != oe.to_bits() {
-                return Err(OracleError::Invalid(format!(
-                    "threads {t} prefix {prefix}: incremental O-estimate diverges from scratch"
-                )));
-            }
-            if out.probabilities.len() != probs.len() {
-                return Err(OracleError::Invalid(format!(
-                    "threads {t} prefix {prefix}: probability vector length mismatch"
-                )));
-            }
-            for (y, (a, b)) in out.probabilities.iter().zip(&probs).enumerate() {
-                if a.to_bits() != b.to_bits() {
-                    return Err(OracleError::Invalid(format!(
-                        "threads {t} prefix {prefix} item {y}: probability bits diverge"
-                    )));
-                }
-            }
-            let p = out.provenance;
-            if p.groups_total != p.groups_reused + p.groups_recomputed {
-                return Err(OracleError::Invalid(format!(
-                    "threads {t} prefix {prefix}: provenance accounting is inconsistent"
-                )));
-            }
-        }
-        // Whole-batch application agrees with sequential application.
-        let mut whole =
-            IncrementalEngine::new(&case.base.supports, case.base.m, &case.base.intervals)?;
-        whole.apply(&case.batch())?;
-        let (seq_supports, seq_m) =
-            apply_edits_to_summary(&case.base.supports, case.base.m, &case.batch())?;
-        if whole.summary_fingerprint() != summary_fingerprint(&seq_supports, seq_m) {
-            return Err(OracleError::Invalid(format!(
-                "threads {t}: whole-batch summary diverges from sequential application"
-            )));
-        }
-        let out = whole.assess_risk_delta(t, &budget)?;
-        let (oe, _) = whole.assess_from_scratch();
-        if out.expected_cracks.to_bits() != oe.to_bits() {
-            return Err(OracleError::Invalid(format!(
-                "threads {t}: whole-batch O-estimate diverges from scratch"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Tries to merge the adjacent edit pair `(a, b)` into one equivalent
-/// edit (or into nothing, signalled by `Some(None)`).
-fn merge_pair(a: &Edit, b: &Edit) -> Option<Option<Edit>> {
-    match (a, b) {
-        // Insert a transaction, then delete the same one: net nothing.
-        (Edit::Insert { items: x }, Edit::Delete { items: y }) if x == y => Some(None),
-        // Insert then rewrite the same transaction: insert the rewrite.
-        (Edit::Insert { items: x }, Edit::Replace { old, new }) if x == old => {
-            Some(Some(Edit::Insert { items: new.clone() }))
-        }
-        // Two rewrites of the same transaction compose.
-        (Edit::Replace { old: a1, new: b1 }, Edit::Replace { old: a2, new: b2 }) if b1 == a2 => {
-            Some(Some(Edit::Replace {
-                old: a1.clone(),
-                new: b2.clone(),
-            }))
-        }
-        // Rewrite then delete the rewritten transaction: delete the
-        // original.
-        (Edit::Replace { old, new }, Edit::Delete { items: y }) if new == y => {
-            Some(Some(Edit::Delete { items: old.clone() }))
-        }
-        _ => None,
-    }
-}
-
-/// Greedily shrinks a failing edit script: repeatedly try dropping
-/// one edit, then merging one adjacent pair, keeping any candidate
-/// that still validates and still fails. Every accepted step strictly
-/// decreases the edit count, so the loop terminates; the base
-/// instance is left untouched (use the instance shrinker for that).
-pub fn shrink_script(
-    case: &EditScriptCase,
-    still_fails: impl Fn(&EditScriptCase) -> bool,
-) -> EditScriptCase {
-    let accept = |c: &EditScriptCase| c.validate().is_ok() && still_fails(c);
-    let mut current = case.clone();
-    loop {
-        let mut improved = false;
-        // Pass 1: drop one edit.
-        for i in 0..current.edits.len() {
-            let mut candidate = current.clone();
-            candidate.edits.remove(i);
-            if accept(&candidate) {
-                current = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
-        // Pass 2: merge one adjacent pair.
-        for i in 0..current.edits.len().saturating_sub(1) {
-            let Some(merged) = merge_pair(&current.edits[i], &current.edits[i + 1]) else {
-                continue;
-            };
-            let mut candidate = current.clone();
-            candidate.edits.remove(i + 1);
-            match merged {
-                Some(edit) => current_replace(&mut candidate.edits, i, edit),
-                None => {
-                    candidate.edits.remove(i);
-                }
-            }
-            if accept(&candidate) {
-                current = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return current;
-        }
-    }
-}
-
-fn current_replace(edits: &mut [Edit], i: usize, edit: Edit) {
-    if let Some(slot) = edits.get_mut(i) {
-        *slot = edit;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn generation_is_deterministic_and_valid() {
-        for regime in Regime::ALL {
-            for index in 0..4 {
-                let a = generate_script(7, index, regime);
-                let b = generate_script(7, index, regime);
-                assert_eq!(a, b, "{regime} #{index}");
-                assert!(
-                    a.validate().is_ok(),
-                    "{regime} #{index}: {:?}",
-                    a.validate()
-                );
-                assert!(!a.edits.is_empty(), "{regime} #{index} has edits");
-            }
-        }
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        for regime in Regime::ALL {
-            let case = generate_script(13, 2, regime);
-            let text = case.to_text();
-            let back = EditScriptCase::from_text(&text).expect("round trip parses");
-            assert_eq!(case, back, "{regime}");
-            assert_eq!(text, back.to_text(), "{regime} canonical text");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_scripts() {
-        assert!(EditScriptCase::from_text("nope").is_err());
-        let case = generate_script(7, 0, Regime::Ignorant);
-        let bad_verb = format!("{}edit: explode 1\n", case.to_text());
-        assert!(EditScriptCase::from_text(&bad_verb).is_err());
-        let bad_item = format!("{}edit: insert x\n", case.to_text());
-        assert!(EditScriptCase::from_text(&bad_item).is_err());
-        let bad_replace = format!("{}edit: replace 1 2\n", case.to_text());
-        assert!(EditScriptCase::from_text(&bad_replace).is_err());
-    }
-
-    #[test]
-    fn check_script_passes_on_generated_cases() {
-        for regime in Regime::ALL {
-            let case = generate_script(7, 0, regime);
-            check_script(&case, &[1]).expect("generated script checks clean");
-        }
-    }
-
-    #[test]
-    fn shrinker_minimizes_a_count_predicate() {
-        // "Fails" whenever the script still contains an insert
-        // touching item 0 — the shrinker must reduce to one edit.
-        let base = generate(7, 0, Regime::Ignorant);
-        let case = EditScriptCase {
-            base,
-            edits: vec![
-                Edit::Insert { items: vec![1] },
-                Edit::Insert { items: vec![0] },
-                Edit::Insert { items: vec![0, 1] },
-                Edit::Delete { items: vec![1] },
-            ],
-        };
-        case.validate().expect("hand-built script is valid");
-        let fails = |c: &EditScriptCase| {
-            c.edits.iter().any(|e| match e {
-                Edit::Insert { items } => items.contains(&0),
-                _ => false,
-            })
-        };
-        let shrunk = shrink_script(&case, fails);
-        assert_eq!(shrunk.edits.len(), 1, "minimal witness: {:?}", shrunk.edits);
-        assert!(fails(&shrunk));
-    }
-
-    #[test]
-    fn shrinker_merges_insert_delete_pairs() {
-        let base = generate(7, 1, Regime::Ignorant);
-        let case = EditScriptCase {
-            base,
-            edits: vec![
-                Edit::Insert { items: vec![0] },
-                Edit::Delete { items: vec![0] },
-                Edit::Insert { items: vec![1] },
-            ],
-        };
-        case.validate().expect("valid");
-        // Any script at all "fails": the shrinker should collapse to
-        // the empty script via drops/merges.
-        let shrunk = shrink_script(&case, |_| true);
-        assert!(shrunk.edits.is_empty(), "left: {:?}", shrunk.edits);
-    }
-
-    #[test]
-    fn merge_rules_preserve_net_effect() {
-        let base = generate(7, 3, Regime::PointCompliant);
-        let edits = vec![
-            Edit::Insert { items: vec![0] },
+    fn lines_round_trip_through_the_parser() {
+        let edits = [
+            Edit::Insert { items: vec![1, 4] },
+            Edit::Delete { items: vec![0] },
             Edit::Replace {
-                old: vec![0],
-                new: vec![1],
+                old: vec![0, 3],
+                new: vec![2, 5, 7],
             },
         ];
-        let case = EditScriptCase {
-            base: base.clone(),
-            edits,
-        };
-        case.validate().expect("valid");
-        let (s1, m1) =
-            apply_edits_to_summary(&base.supports, base.m, &case.batch()).expect("applies");
-        let merged = merge_pair(&case.edits[0], &case.edits[1])
-            .expect("mergeable")
-            .expect("merges to one edit");
-        let (s2, m2) =
-            apply_edits_to_summary(&base.supports, base.m, &DeltaBatch::new(vec![merged]))
-                .expect("applies");
-        assert_eq!((s1, m1), (s2, m2));
+        for edit in edits {
+            let line = edit_to_line(&edit);
+            let spec = line.strip_prefix("edit:").expect("edit: prefix");
+            assert_eq!(parse_edit(spec.trim()).expect("parses"), edit, "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_malformed_edits() {
+        for spec in ["explode 1", "insert x", "replace 1 2", "replace 1 / y"] {
+            assert!(parse_edit(spec).is_err(), "{spec:?} must be rejected");
+        }
     }
 }

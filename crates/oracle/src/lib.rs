@@ -28,9 +28,6 @@ pub mod shrink;
 pub mod sweep;
 
 pub use checks::{check_instance, CheckConfig, CheckReport, Violation};
-pub use editscript::{
-    check_script, generate_script, shrink_script, EditScriptCase, EDIT_SCRIPT_HEADER,
-};
 pub use error::OracleError;
 pub use estimators::{default_estimators, Confidence, Estimate, Estimator};
 pub use generate::generate;

@@ -5,8 +5,6 @@
 //! andi-oracle check <instance.txt>
 //! andi-oracle corpus-write [--dir DIR] [--per-regime N]
 //! andi-oracle corpus-replay [--dir DIR]
-//! andi-oracle edit-corpus-write [--dir DIR] [--per-regime N]
-//! andi-oracle edit-corpus-replay [--dir DIR]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 usage/IO error, 2 conformance failures.
@@ -27,8 +25,6 @@ USAGE:
     andi-oracle check <instance.txt> [--sampler]
     andi-oracle corpus-write [--dir DIR] [--per-regime N]
     andi-oracle corpus-replay [--dir DIR] [--sampler]
-    andi-oracle edit-corpus-write [--dir DIR] [--per-regime N]
-    andi-oracle edit-corpus-replay [--dir DIR]
 
 Regimes: ignorant, point-compliant, alpha-compliant, chain,
 near-degenerate, adversarial (default: all).
@@ -56,8 +52,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         Some("check") => cmd_check(&args[1..]),
         Some("corpus-write") => cmd_corpus_write(&args[1..]),
         Some("corpus-replay") => cmd_corpus_replay(&args[1..]),
-        Some("edit-corpus-write") => cmd_edit_corpus_write(&args[1..]),
-        Some("edit-corpus-replay") => cmd_edit_corpus_replay(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -208,53 +202,6 @@ fn cmd_corpus_write(args: &[String]) -> Result<ExitCode, String> {
         println!("{}", path.display());
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// The committed edit-script corpus: `per_regime` seeded scripts of
-/// each generation regime (seed 7, the CI sweep seed).
-fn cmd_edit_corpus_write(args: &[String]) -> Result<ExitCode, String> {
-    let mut args = args.to_vec();
-    let dir = option(&mut args, "--dir")?
-        .map(PathBuf::from)
-        .unwrap_or_else(corpus::edit_scripts_dir);
-    let per_regime: u64 = match option(&mut args, "--per-regime")? {
-        Some(n) => parse("--per-regime", &n)?,
-        None => 1,
-    };
-    reject_unknown(&args)?;
-    for regime in Regime::ALL {
-        for index in 0..per_regime {
-            let case = andi_oracle::editscript::generate_script(7, index, regime);
-            let path = corpus::save_script(&dir, &case).map_err(|e| e.to_string())?;
-            println!("{}", path.display());
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_edit_corpus_replay(args: &[String]) -> Result<ExitCode, String> {
-    let mut args = args.to_vec();
-    let dir = option(&mut args, "--dir")?
-        .map(PathBuf::from)
-        .unwrap_or_else(corpus::edit_scripts_dir);
-    reject_unknown(&args)?;
-    let entries = corpus::load_script_dir(&dir).map_err(|e| e.to_string())?;
-    let mut dirty = 0usize;
-    for (path, case) in &entries {
-        match andi_oracle::editscript::check_script(case, &[1, 4]) {
-            Ok(()) => println!("ok   {}", path.display()),
-            Err(e) => {
-                dirty += 1;
-                println!("FAIL {}: {e}", path.display());
-            }
-        }
-    }
-    println!("replayed {} edit scripts, {} failing", entries.len(), dirty);
-    if dirty == 0 {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::from(EXIT_FAILURES))
-    }
 }
 
 fn cmd_corpus_replay(args: &[String]) -> Result<ExitCode, String> {

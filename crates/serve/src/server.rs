@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use andi_core::incremental::{apply_edits_to_summary, DeltaBatch};
+use andi_core::incremental::{apply_edits_to_summary, summary_fingerprint, DeltaBatch};
 use andi_core::recipe::{ladder_crack_probabilities, RecipeConfig};
 use andi_core::report::Provenance;
 use andi_core::Error;
@@ -46,7 +46,7 @@ use andi_oracle::instance::{json_string, Instance};
 use andi_oracle::serial::{error_to_json, provenance_to_json};
 
 use crate::admission::{Admission, Offer};
-use crate::cache::{fnv1a_u64, Outcome, ShardedCache, FNV_OFFSET};
+use crate::cache::{fnv1a_u64, Outcome, ShardedCache};
 use crate::http::{read_request, Request, Response, WireError, WireLimits};
 use crate::stats::ServerStats;
 
@@ -496,7 +496,7 @@ fn assess(shared: &Shared, req: &Request, stream: &TcpStream) -> Response {
     // the entry done for the watcher.
     let _watch = shared.watch.register(stream, token.clone());
 
-    let db_key = database_fingerprint(instance.m, &instance.supports);
+    let db_key = summary_fingerprint(&instance.supports, instance.m);
     let result_key = result_fingerprint(db_key, &instance);
     index_result_key(shared, db_key, result_key);
     let computed = shared.results.get_or_compute(result_key, || {
@@ -616,16 +616,6 @@ fn outcome_name(outcome: Outcome) -> &'static str {
     }
 }
 
-/// Belief-independent fingerprint of a database summary.
-fn database_fingerprint(m: u64, supports: &[u64]) -> u64 {
-    let mut h = fnv1a_u64(FNV_OFFSET, m);
-    h = fnv1a_u64(h, supports.len() as u64);
-    for &s in supports {
-        h = fnv1a_u64(h, s);
-    }
-    h
-}
-
 /// How many database entries (and result keys per database) the
 /// invalidation index retains. Eviction is deterministic
 /// (`pop_first`) and safe: an evicted key merely escapes targeted
@@ -690,8 +680,8 @@ fn update(shared: &Shared, req: &Request) -> Response {
         Err(e) => return core_error_response(&e),
     };
 
-    let old_db = database_fingerprint(m, &supports);
-    let new_db = database_fingerprint(new_m, &new_supports);
+    let old_db = summary_fingerprint(&supports, m);
+    let new_db = summary_fingerprint(&new_supports, new_m);
     let scaffold_invalidated = shared.scaffolds.invalidate(old_db);
     let stale_results = shared
         .db_index

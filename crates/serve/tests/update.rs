@@ -1,5 +1,6 @@
 //! `POST /update`: delta application and exact cache invalidation.
 
+use andi_core::summary_fingerprint;
 use andi_oracle::instance::{Instance, Regime};
 use andi_serve::http::response_header;
 use andi_serve::{start, Client, ServeConfig};
@@ -32,6 +33,16 @@ fn update_body(m: u64, supports: &[u64], edits: &[&str]) -> String {
         body.push_str(&format!("edit: {edit}\n"));
     }
     body
+}
+
+/// The 16-hex-digit fingerprint a `/update` body reports under `field`.
+fn fingerprint_field(body: &str, field: &str) -> u64 {
+    let key = format!("\"{field}\":\"");
+    let start = body
+        .find(&key)
+        .unwrap_or_else(|| panic!("{field} missing: {body}"))
+        + key.len();
+    u64::from_str_radix(&body[start..start + 16], 16).unwrap()
 }
 
 #[test]
@@ -68,6 +79,16 @@ fn update_invalidates_exactly_the_affected_entries() {
     assert!(text.contains("\"scaffold_invalidated\":true"), "{text}");
     assert!(text.contains("\"results_invalidated\":1"), "{text}");
     assert!(text.contains("\"warmed\":true"), "{text}");
+    // The reported keys are the summary fingerprints before and after
+    // the edit.
+    assert_eq!(
+        fingerprint_field(text, "old_db"),
+        summary_fingerprint(&instance.supports, instance.m)
+    );
+    assert_eq!(
+        fingerprint_field(text, "new_db"),
+        summary_fingerprint(&[5, 5, 5, 5, 4, 5], 11)
+    );
 
     // The stale result for the pre-edit database can never be
     // served: the same request now recomputes (miss, not hit) — and,
@@ -189,5 +210,13 @@ fn update_with_no_prior_traffic_is_a_clean_noop_invalidation() {
     assert!(text.contains("\"scaffold_invalidated\":false"), "{text}");
     assert!(text.contains("\"results_invalidated\":0"), "{text}");
     assert!(text.contains("\"warmed\":true"), "{text}");
+    assert_eq!(
+        fingerprint_field(text, "old_db"),
+        summary_fingerprint(&[5, 4, 5, 5, 3, 5], 10)
+    );
+    assert_eq!(
+        fingerprint_field(text, "new_db"),
+        summary_fingerprint(&[6, 3, 6, 5, 4, 5], 11)
+    );
     handle.shutdown();
 }

@@ -350,25 +350,13 @@ fn ambient_schedule_outcome_is_thread_count_invariant() {
 }
 
 #[test]
-fn fault_mid_delta_leaves_the_incremental_engine_consistent() {
-    use andi::core::{DeltaBatch, Edit, IncrementalEngine};
+fn fault_mid_delta_rejects_the_whole_batch_or_none_of_it() {
+    use andi::core::{apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit};
+    use andi::graph::faults::FaultAction;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let supports = supports16();
-    // Point beliefs at the true frequency for odd items, ignorance
-    // for even ones: a mix of populated and reusable groups.
-    let intervals: Vec<(f64, f64)> = supports
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            if i % 2 == 0 {
-                (0.0, 1.0)
-            } else {
-                (s as f64 / M as f64, s as f64 / M as f64)
-            }
-        })
-        .collect();
     let batch = DeltaBatch::new(vec![
         Edit::Insert {
             items: vec![0, 3, 7],
@@ -379,51 +367,46 @@ fn fault_mid_delta_leaves_the_incremental_engine_consistent() {
         },
         Edit::Delete { items: vec![3, 7] },
     ]);
-
-    // Whatever a schedule injects mid-delta — a panic out of the
-    // staging probe, an isolated worker panic during assessment, or
-    // nothing — the engine must stay consistent: once faults stop,
-    // its incremental answer is bit-identical to a from-scratch
-    // recompute of whatever summary it actually holds.
-    for spec in ["7:1.0", "3:0.2", "11:0.35", "13:0.4:mix"] {
-        let mut engine = IncrementalEngine::new(&supports, M, &intervals).unwrap();
-        let before = engine.summary_fingerprint();
-        let committed;
-        {
-            let _guard = FaultSchedule::parse(spec).unwrap().install();
-            let applied = catch_unwind(AssertUnwindSafe(|| engine.apply(&batch)));
-            committed = matches!(applied, Ok(Ok(())));
-            // An assessment attempt under faults may fail with an
-            // isolated worker panic; it must never corrupt the cache.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                engine.assess_risk_delta(4, &Budget::unlimited())
-            }));
-        }
-        // Apply is transactional: it either fully committed or left
-        // the summary untouched.
-        if committed {
-            assert_ne!(engine.summary_fingerprint(), before, "spec={spec}");
-        } else {
-            assert_eq!(engine.summary_fingerprint(), before, "spec={spec}");
-        }
+    let expected = {
         let _quiet = FaultSchedule::parse("1:0").unwrap().install();
-        for threads in [1usize, 4] {
-            let out = engine
-                .assess_risk_delta(threads, &Budget::unlimited())
-                .unwrap();
-            let (oe, probs) = engine.assess_from_scratch();
-            assert_eq!(
-                out.expected_cracks.to_bits(),
-                oe.to_bits(),
-                "spec={spec} threads={threads}: O-estimate diverged after fault"
-            );
-            for (i, (a, b)) in out.probabilities.iter().zip(&probs).enumerate() {
+        apply_edits_to_summary(&supports, M, &batch).unwrap()
+    };
+    assert_ne!(
+        summary_fingerprint(&expected.0, expected.1),
+        summary_fingerprint(&supports, M)
+    );
+
+    // The `incremental.delta` probe fires before each edit is staged,
+    // so whatever a schedule injects the outcome is either the quiet
+    // answer, bit for bit, or a panic naming the first edit whose
+    // probe fires — never a partially edited summary.
+    for spec in ["7:1.0", "3:0.2", "11:0.35", "13:0.4:mix", "9:0.8:delay"] {
+        let schedule = FaultSchedule::parse(spec).unwrap();
+        let first_panic = (0..batch.len())
+            .find(|&i| schedule.fires("incremental.delta", i) == Some(FaultAction::Panic));
+        let _guard = schedule.install();
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            apply_edits_to_summary(&supports, M, &batch)
+        }));
+        match (first_panic, out) {
+            (None, Ok(Ok(edited))) => assert_eq!(edited, expected, "spec={spec}"),
+            (Some(i), Err(payload)) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
                 assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "spec={spec} threads={threads} item={i}"
+                    msg,
+                    format!("injected fault at incremental.delta[{i}]"),
+                    "spec={spec}"
                 );
             }
+            (want, got) => panic!("spec={spec}: expected panic at {want:?}, got {got:?}"),
         }
     }
+    assert_eq!(
+        supports,
+        supports16(),
+        "the caller's summary is borrowed, never edited"
+    );
 }
