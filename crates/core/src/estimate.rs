@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use andi_graph::convex::{expected_cracks_convex, ConvexError};
 use andi_graph::exact::{crack_probabilities_budgeted, ExactError};
+use andi_graph::hash::{fnv1a_u64, FNV_OFFSET};
 use andi_graph::par::{self, Budget};
 use andi_graph::GroupedBigraph;
 
@@ -208,15 +209,8 @@ fn lock_cache() -> std::sync::MutexGuard<'static, ProfileLru> {
 /// n_transactions, belief intervals) modulo hash collisions — the
 /// belief only enters `GroupedBigraph` through exactly these fields.
 pub fn graph_fingerprint(graph: &GroupedBigraph) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
     let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut mix = |v: u64| h = fnv1a_u64(h, v);
     mix(graph.n() as u64);
     mix(graph.n_transactions());
     for &s in graph.group_supports() {

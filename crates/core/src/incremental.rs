@@ -13,6 +13,7 @@
 //! batch algebra on this function.
 
 use andi_graph::faults;
+use andi_graph::hash::{fnv1a_u64, FNV_OFFSET};
 
 use crate::error::{Error, Result};
 
@@ -186,26 +187,15 @@ pub fn apply_edits_to_summary(
     Ok((s, m2))
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a fingerprint of a database summary `(supports, m)`: the
 /// service's database key and the round-trip witness of the delta
 /// property suite. Matches two summaries iff they are equal, modulo
 /// hash collisions.
 pub fn summary_fingerprint(supports: &[u64], m: u64) -> u64 {
-    let mut h = fnv_u64(FNV_OFFSET, m);
-    h = fnv_u64(h, supports.len() as u64);
+    let mut h = fnv1a_u64(FNV_OFFSET, m);
+    h = fnv1a_u64(h, supports.len() as u64);
     for &s in supports {
-        h = fnv_u64(h, s);
+        h = fnv1a_u64(h, s);
     }
     h
 }

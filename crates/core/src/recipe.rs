@@ -64,14 +64,6 @@ pub struct RecipeConfig {
     /// outdegrees (the paper's default; costs a dense
     /// materialization).
     pub use_propagation: bool,
-    /// Try the convex-exact crack marginals first (see
-    /// [`andi_graph::convex`]); falls back to the O-estimate when
-    /// the DP exceeds its state budget. Exact at `α = 1`; below it,
-    /// the masked sum interpolates over exact marginals. Only read by
-    /// [`assess_risk`]'s step 6.
-    pub use_exact: bool,
-    /// State budget for the exact DP (only read when `use_exact`).
-    pub exact_state_budget: usize,
     /// RNG seed for the mask permutations.
     pub seed: u64,
     /// Swap-walk schedule for the matching-sampler rung of the
@@ -87,8 +79,6 @@ impl Default for RecipeConfig {
             tolerance: 0.1,
             n_mask_runs: 5,
             use_propagation: true,
-            use_exact: false,
-            exact_state_budget: andi_graph::convex::DEFAULT_STATE_BUDGET,
             seed: 0xA55E55,
             sampler_schedule: SamplerConfig::quick(),
         }
@@ -193,11 +183,12 @@ impl std::fmt::Display for RiskAssessment {
 
 /// Runs Assess-Risk (Figure 8) on an observed support profile.
 ///
-/// Step 6 reads the convex-exact crack marginals when
-/// `config.use_exact` asks for them and the DP fits
-/// `config.exact_state_budget`, and the O-estimate otherwise. The
-/// α-mask runs fan out over [`par::available_threads`] workers; the
-/// result is bit-identical at any worker count.
+/// Step 6 reads the O-estimate's per-item crack probabilities (with
+/// the Figure 7 refinement when configured); for the exact
+/// expectation run [`assess_risk_budgeted`] on
+/// [`Budget::unlimited`]. The α-mask runs fan out over
+/// [`par::available_threads`] workers; the result is bit-identical at
+/// any worker count.
 ///
 /// # Examples
 ///
@@ -236,7 +227,7 @@ pub fn assess_risk(
         config,
         par::available_threads(),
         &Budget::unlimited(),
-        |graph| exact_or_oe_probabilities(graph, config).map(|probs| ((), probs)),
+        |graph| oe_probabilities(graph, config).map(|probs| ((), probs)),
     )?;
     Ok(assessment)
 }
@@ -394,22 +385,6 @@ fn figure8<T>(
         decision,
     };
     Ok((assessment, record))
-}
-
-/// [`assess_risk`]'s step 6: exact convex marginals when requested
-/// and affordable, otherwise the O-estimate (with the Figure 7
-/// refinement when configured).
-fn exact_or_oe_probabilities(graph: &GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
-    if config.use_exact {
-        match andi_graph::convex::crack_probabilities_convex(graph, config.exact_state_budget) {
-            Ok(p) => return Ok(p),
-            Err(andi_graph::convex::ConvexError::NoPerfectMatching) => {
-                return Err(Error::EmptyMappingSpace)
-            }
-            Err(_) => {}
-        }
-    }
-    oe_probabilities(graph, config)
 }
 
 /// Runs the degradation ladder directly on a caller-supplied belief
@@ -859,38 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_recipe_matches_ryser_at_full_compliance() {
-        use andi_graph::exact::expected_cracks;
-        let mut c = config(0.01); // force the full path
-        c.use_exact = true;
-        let assessment = assess_risk(&BIGMART_SUPPORTS, 10, &c).unwrap();
-        // The exact full-compliance expectation of the delta_med
-        // belief, from permanents.
-        let freqs: Vec<f64> = BIGMART_SUPPORTS.iter().map(|&s| s as f64 / 10.0).collect();
-        let belief = crate::belief::BeliefFunction::widened(&freqs, assessment.delta_med).unwrap();
-        let dense = belief.build_graph(&BIGMART_SUPPORTS, 10).to_dense();
-        let truth = expected_cracks(&dense).unwrap();
-        assert!(
-            (assessment.full_compliance_oe - truth).abs() < 1e-9,
-            "exact recipe {} vs permanent {truth}",
-            assessment.full_compliance_oe
-        );
-        // The exact value dominates the heuristic.
-        let heuristic = assess_risk(&BIGMART_SUPPORTS, 10, &config(0.01)).unwrap();
-        assert!(assessment.full_compliance_oe >= heuristic.full_compliance_oe - 1e-9);
-    }
-
-    #[test]
-    fn exact_recipe_falls_back_on_tiny_budget() {
-        let mut c = config(0.01);
-        c.use_exact = true;
-        c.exact_state_budget = 0;
-        let fallback = assess_risk(&BIGMART_SUPPORTS, 10, &c).unwrap();
-        let plain = assess_risk(&BIGMART_SUPPORTS, 10, &config(0.01)).unwrap();
-        assert!((fallback.full_compliance_oe - plain.full_compliance_oe).abs() < 1e-12);
-    }
-
-    #[test]
     fn budgeted_unlimited_answers_on_the_exact_rung() {
         let budget = Budget::unlimited();
         let base = assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &config(0.1), &budget, 1).unwrap();
@@ -911,6 +854,9 @@ mod tests {
             "exact rung {} vs permanent {truth}",
             a.full_compliance_oe
         );
+        // The exact value dominates the heuristic.
+        let heuristic = assess_risk(&BIGMART_SUPPORTS, 10, &config(0.1)).unwrap();
+        assert!(a.full_compliance_oe >= heuristic.full_compliance_oe - 1e-9);
 
         // Same numbers and decision at any worker count.
         for threads in 2..=4 {

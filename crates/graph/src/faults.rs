@@ -47,6 +47,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Duration;
 
+use crate::hash::{fnv1a, splitmix64};
+
 /// Environment variable carrying the ambient fault schedule.
 pub const FAULTS_ENV: &str = "ANDI_FAULTS";
 
@@ -214,24 +216,6 @@ pub fn probe(point: &str, index: usize) {
             panic!("injected fault at {point}[{index}]")
         }
     }
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over the probe-point name.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! * [`mod@propagate`] — the Figure 7 degree-1 propagation.
 //! * [`sampler`] — the Section 7.1 swap-walk MCMC over consistent
 //!   matchings.
-//! * [`par`] — the deterministic work-stealing execution layer the
+//! * [`par`] — the deterministic work-stealing worker pool the
 //!   permanent, sampler and (via `andi-core`) recipe hot paths fan
 //!   out on, plus the [`par::Budget`]/[`par::CancelToken`] layer that
 //!   makes every budgeted entry point deadline-bounded, cancellable,
@@ -26,6 +26,8 @@
 //! * [`faults`] — the deterministic seeded fault-injection harness
 //!   behind the chaos suite (`ANDI_FAULTS` schedules, named probe
 //!   points inside the budgeted hot paths).
+//! * [`hash`] — the FNV-1a / SplitMix64 primitives behind every
+//!   fingerprint, cache shard pick and fault-schedule draw.
 //!
 //! Each kernel has one budgeted, threaded core — the code the
 //! service runs — and at most a thin unbudgeted wrapper over it:
@@ -35,6 +37,7 @@
 //! | permanent | [`try_permanent_of_rows_budgeted`] | [`permanent()`] |
 //! | exact crack probabilities | [`crack_probabilities_budgeted`] | [`crack_probabilities`], [`expected_cracks`], [`crack_distribution`] |
 //! | sampler | [`sample_cracks_budgeted`], [`sample_crack_probabilities_budgeted`] | — ([`sample_cracks`] is the single-RNG §7.1 stream) |
+//! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +47,7 @@ pub mod dot;
 pub mod exact;
 pub mod faults;
 pub mod grouped;
+pub mod hash;
 pub mod matching;
 pub mod par;
 pub mod permanent;

@@ -2,11 +2,14 @@
 //!
 //! Every estimator in this workspace that fans out over independent
 //! subproblems — recipe mask runs, Ryser subset chunks, sampler
-//! shards — goes through [`map_indexed`]: a scoped pool over the
-//! vendored `crossbeam::thread::scope` with a shared self-scheduling
-//! task queue (work-stealing-style dynamic load balancing: idle
-//! workers pull the next unclaimed index, so uneven task costs never
-//! leave a core idle).
+//! batches — goes through one worker pool, [`try_map_indexed`]: the
+//! calling thread plus `threads − 1` scoped helpers (over the
+//! vendored `crossbeam::thread::scope`) run the same self-scheduling
+//! loop over a shared task counter (work-stealing-style dynamic load
+//! balancing: whoever is idle claims the next unclaimed index, so
+//! uneven task costs never leave a core idle). At `threads <= 1` the
+//! caller runs that loop alone and nothing is spawned.
+//! [`map_indexed`] is the same pool on an unlimited budget.
 //!
 //! # Determinism contract
 //!
@@ -15,8 +18,7 @@
 //! `threads` value, provided `f(i)` depends only on `i`. Callers
 //! then reduce the returned vector in index order, so floating-point
 //! accumulation order is fixed and results are bit-identical at any
-//! thread count (including the serial `threads == 1` fallback, which
-//! never spawns).
+//! thread count.
 //!
 //! # Thread-count resolution
 //!
@@ -35,14 +37,14 @@
 //! per mask run in the recipe, and between tasks here). A trip
 //! surfaces as a structured [`ExecError`] instead of a hang.
 //!
-//! [`try_map_indexed`] is the fault-isolated sibling of
-//! [`map_indexed`]: each task runs under `catch_unwind`, the pool
-//! drains cleanly, and a panicking task becomes
-//! [`ExecError::WorkerPanic`] carrying the *lowest* panicking task
-//! index — the same index a serial run would hit first — so the
-//! reported error is bit-identical at every thread count whenever the
-//! set of panicking tasks depends only on the task index (the
-//! [`crate::faults`] injection discipline guarantees exactly that).
+//! Each task runs under `catch_unwind`, the pool drains cleanly, and
+//! a panicking task becomes [`ExecError::WorkerPanic`] carrying the
+//! *lowest* panicking task index — the same index a serial run would
+//! hit first — so the reported error is bit-identical at every thread
+//! count whenever the set of panicking tasks depends only on the task
+//! index (the [`crate::faults`] injection discipline guarantees
+//! exactly that). [`map_indexed`] re-raises that error as a panic
+//! carrying the task's payload text.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -184,22 +186,6 @@ impl Budget {
         self.limit_ms
     }
 
-    /// Milliseconds left before the deadline, saturating at zero once
-    /// the deadline has passed (including under clock skew past it —
-    /// `Instant` arithmetic here never panics and never goes
-    /// negative). `None` when the budget has no deadline.
-    ///
-    /// This is the admission-control primitive: `andi-serve` turns a
-    /// queued request's remaining allowance into its shed decision
-    /// and `Retry-After` hint without ever reading a clock itself.
-    pub fn remaining_ms(&self) -> Option<u64> {
-        let deadline = self.deadline?;
-        // `saturating_duration_since` returns zero when `now` is at
-        // or past the deadline, so expiry can never underflow.
-        let left = deadline.saturating_duration_since(Instant::now());
-        Some(left.as_millis().min(u128::from(u64::MAX)) as u64)
-    }
-
     /// Wall-clock time elapsed since this budget was created.
     pub fn spent(&self) -> Duration {
         Instant::now().duration_since(self.start)
@@ -278,13 +264,15 @@ fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-isolated, budgeted [`map_indexed`]: maps `f` over
-/// `0..n_tasks`, polling `budget` between tasks and catching task
-/// panics instead of aborting.
+/// The workspace's one worker pool: maps `f` over `0..n_tasks` on
+/// the calling thread plus `threads.min(n_tasks) - 1` scoped helpers,
+/// polling `budget` between tasks and catching task panics instead of
+/// aborting.
 ///
-/// On success the result equals `(0..n_tasks).map(f).collect()`
-/// exactly like [`map_indexed`]. On failure the error is structured
-/// and *deterministic* under the same preconditions:
+/// On success the result equals `(0..n_tasks).map(f).collect()` (see
+/// the module docs for the determinism contract). On failure the
+/// error is structured and *deterministic* under the same
+/// preconditions:
 ///
 /// * budget/cancel trips are sticky, so whichever poll observes them
 ///   reports the same [`ExecError`] value at any thread count;
@@ -310,82 +298,57 @@ where
     F: Fn(usize) -> T + Sync,
 {
     budget.check()?;
-    if threads <= 1 || n_tasks <= 1 {
-        let mut out = Vec::with_capacity(n_tasks);
-        let mut panicked: Option<(usize, String)> = None;
-        for i in 0..n_tasks {
-            budget.check()?;
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(v) => out.push(v),
-                Err(p) => {
-                    panicked = Some((i, payload_text(p)));
-                    break;
-                }
-            }
-        }
-        budget.check()?;
-        if let Some((task, payload)) = panicked {
-            return Err(ExecError::WorkerPanic { task, payload });
-        }
-        return Ok(out);
-    }
-
-    let workers = threads.min(n_tasks);
     let next = AtomicUsize::new(0);
     let min_panic = AtomicUsize::new(usize::MAX);
     let payloads: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+    // The one task loop, run by the caller and by every helper.
+    let work = || {
+        let mut local: Vec<(usize, T)> = Vec::new();
+        loop {
+            if budget.check().is_err() {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            // Indices above the lowest known panic cannot change the
+            // reported error, and every later claim is larger still,
+            // so the loop drains. Indices below it must still run —
+            // one of them may panic with a smaller index, and the
+            // minimum over all executed tasks is what makes the
+            // report thread-count-independent.
+            if i >= n_tasks || i >= min_panic.load(Ordering::Relaxed) {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(v) => local.push((i, v)),
+                Err(p) => {
+                    min_panic.fetch_min(i, Ordering::Relaxed);
+                    let mut sink = payloads.lock().unwrap_or_else(|e| e.into_inner());
+                    sink.push((i, payload_text(p)));
+                }
+            }
+        }
+        local
+    };
+    let helpers = threads.min(n_tasks).saturating_sub(1);
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n_tasks);
-    let scope_ok = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let min_panic = &min_panic;
-                let payloads = &payloads;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        if budget.check().is_err() {
-                            return local;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            return local;
-                        }
-                        // Indices above the lowest known panic cannot
-                        // change the reported error; skip them so the
-                        // pool drains fast. Indices below it must
-                        // still run — one of them may panic with a
-                        // smaller index, and the minimum over all
-                        // executed tasks is what makes the report
-                        // thread-count-independent.
-                        if i >= min_panic.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(v) => local.push((i, v)),
-                            Err(p) => {
-                                min_panic.fetch_min(i, Ordering::Relaxed);
-                                let mut sink = payloads.lock().unwrap_or_else(|e| e.into_inner());
-                                sink.push((i, payload_text(p)));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
+    let pool = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
+        tagged.extend(work());
         for h in handles {
-            if let Ok(part) = h.join() {
-                tagged.extend(part);
-            } else {
+            match h.join() {
+                Ok(part) => tagged.extend(part),
                 // Only reachable if a panic escapes catch_unwind
                 // (e.g. a panicking payload Drop); report it rather
                 // than unwinding through the caller.
-                min_panic.fetch_min(0, Ordering::Relaxed);
+                Err(_) => {
+                    min_panic.fetch_min(0, Ordering::Relaxed);
+                }
             }
         }
-    })
-    .is_ok();
+    });
+    if pool.is_err() {
+        min_panic.fetch_min(0, Ordering::Relaxed);
+    }
 
     budget.check()?;
     let mp = min_panic.load(Ordering::Relaxed);
@@ -398,65 +361,30 @@ where
             .unwrap_or_else(|| "worker pool failure".to_string());
         return Err(ExecError::WorkerPanic { task: mp, payload });
     }
-    if !scope_ok {
-        return Err(ExecError::WorkerPanic {
-            task: 0,
-            payload: "worker pool failure".to_string(),
-        });
-    }
     debug_assert_eq!(tagged.len(), n_tasks);
     tagged.sort_unstable_by_key(|&(i, _)| i);
     Ok(tagged.into_iter().map(|(_, v)| v).collect())
 }
 
-/// Maps `f` over `0..n_tasks` on up to `threads` workers and returns
-/// the results in index order (see the module docs for the
-/// determinism contract). `threads <= 1` (or fewer than two tasks)
-/// runs serially on the calling thread without spawning.
+/// [`try_map_indexed`] on an unlimited budget: maps `f` over
+/// `0..n_tasks` and returns the results in index order. A task panic
+/// is re-raised on the calling thread with that task's payload text.
 pub fn map_indexed<T, F>(threads: usize, n_tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads <= 1 || n_tasks <= 1 {
-        return (0..n_tasks).map(f).collect();
+    match try_map_indexed(threads, n_tasks, &Budget::unlimited(), f) {
+        Ok(out) => out,
+        // andi::allow(panic-reachability) — re-raises a task's own panic; an unlimited budget never trips
+        Err(e) => panic!("{e}"),
     }
-    let workers = threads.min(n_tasks);
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n_tasks);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            return local;
-                        }
-                        local.push((i, f(i)));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // andi::allow(lib-unwrap) — join fails only if the worker panicked; re-raising the panic is intended
-            tagged.extend(h.join().expect("parallel worker panicked"));
-        }
-    })
-    // andi::allow(lib-unwrap) — scope errs only if a worker panicked, and every join above already re-raised
-    .expect("parallel scope panicked");
-    debug_assert_eq!(tagged.len(), n_tasks);
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Spawns a named, long-lived service thread.
 ///
-/// Estimator fan-out must go through [`map_indexed`] /
-/// [`try_map_indexed`] — that is what makes results thread-count
+/// Estimator fan-out must go through [`try_map_indexed`] (or its
+/// [`map_indexed`] wrapper) — that is what makes results thread-count
 /// invariant. Long-running *service* threads (a server's accept
 /// loop, its request workers, a connection watcher) are a different
 /// animal: they never touch result values, they only move requests
@@ -565,39 +493,6 @@ mod tests {
                 assert!(ranges.len() <= chunks.max(1));
             }
         }
-    }
-
-    #[test]
-    fn remaining_ms_is_none_without_deadline() {
-        assert_eq!(Budget::unlimited().remaining_ms(), None);
-        let token = CancelToken::new();
-        assert_eq!(Budget::unlimited().with_token(token).remaining_ms(), None);
-    }
-
-    #[test]
-    fn remaining_ms_counts_down_and_saturates_at_expiry() {
-        let b = Budget::with_deadline(Duration::from_millis(50));
-        let first = b.remaining_ms().expect("deadline is set");
-        assert!(first <= 50, "cannot exceed the configured limit");
-        std::thread::sleep(Duration::from_millis(60));
-        // Past the deadline: saturates at zero, never panics or
-        // underflows, and stays pinned there on every later poll.
-        assert_eq!(b.remaining_ms(), Some(0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(b.remaining_ms(), Some(0));
-        assert!(b.check().is_err(), "an expired budget trips its poll");
-    }
-
-    #[test]
-    fn remaining_ms_at_the_deadline_boundary_is_consistent_with_check() {
-        // A zero-length deadline is expired from the first poll on:
-        // remaining_ms reads zero and check() trips, never disagreeing.
-        let b = Budget::with_deadline(Duration::from_millis(0));
-        assert_eq!(b.remaining_ms(), Some(0));
-        assert!(matches!(
-            b.check(),
-            Err(ExecError::BudgetExceeded { budget_ms: 0 })
-        ));
     }
 
     #[test]

@@ -57,6 +57,40 @@ fn panicking_task_reports_the_first_panicking_index() {
 }
 
 #[test]
+fn map_indexed_reraises_the_task_panic_with_its_payload() {
+    for threads in [1usize, 2, 4] {
+        let caught = std::panic::catch_unwind(|| {
+            map_indexed(threads, 16, |i| {
+                if i == 5 {
+                    panic!("boom at {i}");
+                }
+                i
+            })
+        })
+        .expect_err("task 5 panics");
+        let message = caught
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            message.contains("boom at 5"),
+            "threads={threads}: re-raised panic lost its payload: {message:?}"
+        );
+    }
+}
+
+#[test]
+fn one_thread_runs_every_task_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    let ran_on = map_indexed(1, 9, |_| std::thread::current().id());
+    assert_eq!(ran_on, vec![caller; 9]);
+    let ran_on =
+        try_map_indexed(1, 9, &Budget::unlimited(), |_| std::thread::current().id()).unwrap();
+    assert_eq!(ran_on, vec![caller; 9]);
+}
+
+#[test]
 fn zero_budget_trips_before_any_task_runs() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let ran = AtomicUsize::new(0);

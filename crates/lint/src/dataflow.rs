@@ -139,7 +139,7 @@ fn propagate(
 
 /// Position of the top-level `=` in a statement segment (skipping
 /// `==`, `<=`-style operators and anything bracketed).
-fn top_level_eq(seg: &[Token]) -> Option<usize> {
+pub(crate) fn top_level_eq(seg: &[Token]) -> Option<usize> {
     let mut depth = 0i64;
     for (k, t) in seg.iter().enumerate() {
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {

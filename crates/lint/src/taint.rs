@@ -49,7 +49,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::statements;
+use crate::dataflow::{statements, top_level_eq};
 use crate::graph::{call_paren, split_args, CallGraph, SourceFile};
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{Item, ItemKind};
@@ -1944,29 +1944,6 @@ fn matching_delim(toks: &[Token], open: usize, oc: char, cc: char) -> usize {
         }
     }
     toks.len()
-}
-
-/// Top-level `=` inside a statement segment (same rules as the
-/// dataflow pass).
-fn top_level_eq(seg: &[Token]) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in seg.iter().enumerate() {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            depth -= 1;
-        } else if depth <= 0 && t.is_punct('=') {
-            let prev_op = k > 0
-                && seg[k - 1].kind == TokenKind::Punct
-                && !seg[k - 1].is_punct(')')
-                && !seg[k - 1].is_punct(']');
-            let next_eq = seg.get(k + 1).is_some_and(|t| t.is_punct('='));
-            if !prev_op && !next_eq {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 /// Top-level `:` (type ascription) in a `let` pattern segment.

@@ -21,6 +21,10 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use andi_graph::faults;
+use andi_graph::hash::splitmix64;
+/// The service's fingerprint primitives (FNV-1a over bytes and over
+/// chained 64-bit words).
+pub use andi_graph::hash::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// Number of shards; a power of two so the shard pick is a mask.
 const SHARDS: usize = 8;
@@ -295,33 +299,3 @@ impl<V: Clone> ShardedCache<V> {
         self.len() == 0
     }
 }
-
-/// SplitMix64 finalizer, for the shard pick.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over arbitrary bytes; the service's fingerprint primitive.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Extends an FNV-1a hash with one 64-bit word (little-endian).
-pub fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis, for chained fingerprints.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -13,10 +13,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use andi_graph::hash::{fnv1a, splitmix64};
 use andi_graph::par;
 use andi_oracle::instance::{Instance, Regime};
 
-use crate::cache::fnv1a;
 use crate::client::Client;
 
 /// Load-run parameters.
@@ -213,12 +213,4 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
         reconnects: reconnects.load(Ordering::Relaxed),
         multiset_hash: multiset.load(Ordering::Relaxed),
     })
-}
-
-/// SplitMix64 finalizer (the mix's only randomness source).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }

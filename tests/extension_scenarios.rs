@@ -7,37 +7,29 @@ use andi::core::powerset::{ItemsetBelief, PowersetBelief};
 use andi::core::sanitize::{round_supports, utility_loss};
 use andi::mining::{closed_itemsets, maximal_itemsets, Algorithm};
 use andi::{
-    assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, EstimateMethod,
-    FrequencyGroups, OutdegreeProfile, RecipeConfig,
+    assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, Budget, EstimateMethod,
+    FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Exact recipe == heuristic recipe on structure, with a value at
-/// least as large (the O-estimate underestimates).
+/// least as large (the O-estimate underestimates). The exact recipe
+/// is the budgeted one on an unlimited budget: its ladder answers on
+/// the Ryser rung.
 #[test]
 fn exact_recipe_dominates_heuristic() {
     let db = bigmart();
     let supports = db.supports();
-    let heuristic = andi::assess_risk(
-        &supports,
-        10,
-        &RecipeConfig {
-            tolerance: 0.01,
-            ..RecipeConfig::default()
-        },
-    )
-    .unwrap();
-    let exact = andi::assess_risk(
-        &supports,
-        10,
-        &RecipeConfig {
-            tolerance: 0.01,
-            use_exact: true,
-            ..RecipeConfig::default()
-        },
-    )
-    .unwrap();
+    let config = RecipeConfig {
+        tolerance: 0.01,
+        ..RecipeConfig::default()
+    };
+    let heuristic = andi::assess_risk(&supports, 10, &config).unwrap();
+    let budgeted =
+        andi::assess_risk_budgeted(&supports, 10, &config, &Budget::unlimited(), 1).unwrap();
+    assert_eq!(budgeted.provenance.rung, Rung::Exact);
+    let exact = budgeted.assessment;
     assert!(exact.full_compliance_oe >= heuristic.full_compliance_oe - 1e-9);
     // Exact risk is higher, so the exact alpha_max is at most the
     // heuristic one: the owner using exact values is *more* cautious.
