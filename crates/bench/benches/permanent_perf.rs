@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use andi_graph::{expected_cracks, permanent, DenseBigraph};
+use andi_core::BeliefFunction;
+use andi_graph::{crack_probabilities, expected_cracks, permanent, DenseBigraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,6 +24,26 @@ fn random_graph(n: usize, density: f64, seed: u64) -> DenseBigraph {
         }
     }
     g
+}
+
+/// A belief graph in the shape of the `assess-cold-exact` service
+/// traffic: `n` supports uniform in `1..1000` of `m = 1000`, each
+/// belief the true frequency with up to 0.099 of slack on each side.
+fn interval_graph(n: usize, seed: u64) -> DenseBigraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..1000u64)).collect();
+    let intervals = supports
+        .iter()
+        .map(|&s| {
+            let f = s as f64 / 1000.0;
+            let slack = rng.gen_range(0..99u64) as f64 / 1000.0;
+            ((f - slack).max(0.0), (f + slack).min(1.0))
+        })
+        .collect();
+    BeliefFunction::from_intervals(intervals)
+        .expect("intervals inside [0, 1]")
+        .build_graph(&supports, 1000)
+        .to_dense()
 }
 
 fn bench_permanent(c: &mut Criterion) {
@@ -52,6 +73,21 @@ fn bench_permanent(c: &mut Criterion) {
         group.bench_function(format!("n{n}"), |b| {
             b.iter(|| expected_cracks(black_box(&g)))
         });
+    }
+    group.finish();
+
+    // The exact rung at the largest `assess-cold-exact` size. The
+    // interval graph (seed 1) splits into connected components of
+    // 7, 4, 3, 2, 1 and 1 items — its largest is the median largest
+    // component of that traffic — and they are walked one by one. The
+    // dense graph is connected, so it still pays the whole-graph walks.
+    let mut group = c.benchmark_group("exact_crack_probabilities");
+    group.sample_size(10);
+    for (name, g) in [
+        ("n18_interval", interval_graph(18, 1)),
+        ("n18_dense", random_graph(18, 0.5, 18)),
+    ] {
+        group.bench_function(name, |b| b.iter(|| crack_probabilities(black_box(&g))));
     }
     group.finish();
 }

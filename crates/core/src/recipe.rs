@@ -436,10 +436,14 @@ fn ladder_probabilities(
     trips: &mut Vec<(Rung, Error)>,
 ) -> Result<(Rung, Vec<f64>)> {
     let n = graph.n();
+    // The dense graph serves both the exact rung and the sampler's
+    // Hopcroft–Karp seed; it is built at most once per walk.
+    let mut dense = None;
 
     // Rung 1: exact crack probabilities from Ryser permanents.
     if n <= MAX_PERMANENT_N {
-        match andi_graph::exact::crack_probabilities_budgeted(&graph.to_dense(), threads, budget) {
+        let g = dense.insert(graph.to_dense());
+        match andi_graph::exact::crack_probabilities_budgeted(g, threads, budget) {
             Ok(p) => return Ok((Rung::Exact, p)),
             Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
             Err(ExactError::Interrupted(ExecError::Cancelled)) => return Err(Error::Cancelled),
@@ -464,7 +468,7 @@ fn ladder_probabilities(
     let seed_matching = if (0..n).all(|i| graph.has_edge(i, i)) {
         Matching::identity(n)
     } else {
-        andi_graph::hopcroft_karp(&graph.to_dense())
+        andi_graph::hopcroft_karp(dense.get_or_insert_with(|| graph.to_dense()))
     };
     match andi_graph::sample_crack_probabilities_budgeted(
         graph,

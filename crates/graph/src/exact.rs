@@ -91,15 +91,28 @@ pub fn expected_cracks(g: &DenseBigraph) -> Option<f64> {
 
 /// Per-item exact crack probabilities: entry `x` is
 /// `P(x' maps to x)` — the fraction of perfect matchings that use the
-/// crack edge `(x', x)`. The full permanent and each reduced
-/// permanent run through [`try_permanent_of_rows_budgeted`], so the
-/// whole computation respects the deadline/token and reports
-/// structured errors. Item order is fixed, so the result is
-/// bit-identical at any thread count.
+/// crack edge `(x', x)`.
+///
+/// The graph is first split into its connected components. A uniform
+/// consistent mapping is a product of independent uniform mappings,
+/// one per component (Section 4.1), so `perm(A) = Π_k perm(C_k)` and,
+/// for `x` in component `C_x`,
+/// `perm(A_xx) = perm(C_x minus x) · Π_{k≠x} perm(C_k)`. Each
+/// component permanent and each diagonal minor inside a component
+/// runs through [`try_permanent_of_rows_budgeted`]; the products are
+/// `u128::checked_mul`s of those integers. They are the same
+/// integers a whole-graph walk produces, so the ratios are too, bit
+/// for bit — only the `2^n` subsets of the whole graph are never
+/// walked. The computation respects the deadline/token and reports
+/// structured errors. The order of the walks is fixed, so the result
+/// is bit-identical at any thread count.
 ///
 /// # Errors
 ///
-/// See [`ExactError`].
+/// See [`ExactError`]. A component whose sides differ in size (say,
+/// an item no candidate can take, or a column no item can reach) is
+/// an [`ExactError::EmptyMappingSpace`] before any walk runs; the
+/// budget is checked once before the split.
 ///
 /// # Panics
 ///
@@ -111,25 +124,99 @@ pub fn crack_probabilities_budgeted(
 ) -> Result<Vec<f64>, ExactError> {
     let n = g.n();
     assert!(n <= MAX_PERMANENT_N);
+    budget.check().map_err(ExactError::Interrupted)?;
     let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    let total = budgeted_permanent(&rows, n, threads, budget)?;
-    if total == 0 {
-        return Err(ExactError::EmptyMappingSpace);
-    }
-    let mut probs = Vec::with_capacity(n);
-    for x in 0..n {
-        if !g.has_edge(x, x) {
-            probs.push(0.0);
-            continue;
+    let components = components(&rows)?;
+    let mut perms = Vec::with_capacity(components.len());
+    let mut total: u128 = 1;
+    for &(left, right) in &components {
+        let p = component_permanent(&rows, left, right, threads, budget)?;
+        if p == 0 {
+            return Err(ExactError::EmptyMappingSpace);
         }
-        let reduced: Vec<u64> = (0..n)
-            .filter(|&i| i != x)
-            .map(|i| delete_column(rows[i], x))
-            .collect();
-        let fixed = budgeted_permanent(&reduced, n - 1, threads, budget)?;
-        probs.push(fixed as f64 / total as f64);
+        total = total.checked_mul(p).ok_or(ExactError::Overflow)?;
+        perms.push(p);
+    }
+    let mut probs = vec![0.0; n];
+    for (&(left, right), &p) in components.iter().zip(&perms) {
+        // The exact product of the other components' permanents.
+        let others = total / p;
+        // A crack edge puts row x and column x in one component.
+        for x in bits(left).filter(|&x| g.has_edge(x, x)) {
+            let bit = 1u64 << x;
+            let minor = component_permanent(&rows, left & !bit, right & !bit, threads, budget)?;
+            let fixed = minor.checked_mul(others).ok_or(ExactError::Overflow)?;
+            probs[x] = fixed as f64 / total as f64;
+        }
     }
     Ok(probs)
+}
+
+/// Splits the graph with row masks `rows` (`rows.len() <= 32`) into
+/// its connected components, in the order of their lowest row: each
+/// is a pair of (row, column) bitmasks. A component whose sides
+/// differ in size has no perfect matching, so it is
+/// [`ExactError::EmptyMappingSpace`]. That covers an empty row and,
+/// since the components partition the rows, an uncovered column.
+fn components(rows: &[u64]) -> Result<Vec<(u64, u64)>, ExactError> {
+    let mut unassigned = (1u64 << rows.len()) - 1;
+    let mut out = Vec::new();
+    while unassigned != 0 {
+        let first = unassigned.trailing_zeros() as usize;
+        let (mut left, mut right) = (1u64 << first, rows[first]);
+        unassigned &= !left;
+        // Pull in every unassigned row that reaches the component's
+        // columns until none does.
+        loop {
+            let joining = bits(unassigned)
+                .filter(|&i| rows[i] & right != 0)
+                .fold(0u64, |acc, i| acc | 1u64 << i);
+            if joining == 0 {
+                break;
+            }
+            unassigned &= !joining;
+            left |= joining;
+            right = bits(joining).fold(right, |acc, i| acc | rows[i]);
+        }
+        if left.count_ones() != right.count_ones() {
+            return Err(ExactError::EmptyMappingSpace);
+        }
+        out.push((left, right));
+    }
+    Ok(out)
+}
+
+/// Budgeted permanent of the square submatrix on rows `left` and
+/// columns `right` (equal popcounts), with the columns gathered into
+/// the low bits in column order.
+fn component_permanent(
+    rows: &[u64],
+    left: u64,
+    right: u64,
+    threads: usize,
+    budget: &Budget,
+) -> Result<u128, ExactError> {
+    let sub: Vec<u64> = bits(left).map(|i| gather(rows[i], right)).collect();
+    budgeted_permanent(&sub, sub.len(), threads, budget)
+}
+
+/// The set bit positions of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Packs the bits of `row` at the positions set in `cols` into the
+/// low bits, keeping their order (a software `pext`).
+fn gather(row: u64, cols: u64) -> u64 {
+    bits(cols)
+        .enumerate()
+        .fold(0, |acc, (k, j)| acc | ((row >> j) & 1) << k)
 }
 
 /// Maps the budgeted permanent's three-way outcome onto
@@ -282,6 +369,39 @@ fn distribution(g: &DenseBigraph) -> Result<Vec<f64>, ExactError> {
         }
     }
     Ok(dist)
+}
+
+/// The whole-graph ratio [`crack_probabilities_budgeted`] computed
+/// before it factored over connected components, kept verbatim as the
+/// reference for the bit-identity tests: one `n`-item permanent and
+/// one `(n-1)`-item minor per crack edge.
+#[cfg(test)]
+fn crack_probabilities_whole_graph(
+    g: &DenseBigraph,
+    threads: usize,
+    budget: &Budget,
+) -> Result<Vec<f64>, ExactError> {
+    let n = g.n();
+    assert!(n <= MAX_PERMANENT_N);
+    let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
+    let total = budgeted_permanent(&rows, n, threads, budget)?;
+    if total == 0 {
+        return Err(ExactError::EmptyMappingSpace);
+    }
+    let mut probs = Vec::with_capacity(n);
+    for x in 0..n {
+        if !g.has_edge(x, x) {
+            probs.push(0.0);
+            continue;
+        }
+        let reduced: Vec<u64> = (0..n)
+            .filter(|&i| i != x)
+            .map(|i| delete_column(rows[i], x))
+            .collect();
+        let fixed = budgeted_permanent(&reduced, n - 1, threads, budget)?;
+        probs.push(fixed as f64 / total as f64);
+    }
+    Ok(probs)
 }
 
 #[cfg(test)]
@@ -451,14 +571,187 @@ mod tests {
 
     #[test]
     fn budgeted_probabilities_zero_budget_is_interrupted() {
-        let g = DenseBigraph::complete(5);
-        let b = Budget::with_deadline(std::time::Duration::ZERO);
+        // The identity graph splits into singleton components; a
+        // zero budget still trips.
+        for g in [DenseBigraph::complete(5), identity(5)] {
+            let b = Budget::with_deadline(std::time::Duration::ZERO);
+            assert_eq!(
+                crack_probabilities_budgeted(&g, 2, &b),
+                Err(ExactError::Interrupted(ExecError::BudgetExceeded {
+                    budget_ms: 0
+                }))
+            );
+        }
+    }
+
+    fn identity(n: usize) -> DenseBigraph {
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        DenseBigraph::from_edges(n, &edges)
+    }
+
+    /// `K_b ⊕ K_b`: two disjoint complete blocks of `b` items each.
+    fn two_complete_blocks(b: usize) -> DenseBigraph {
+        let mut g = DenseBigraph::new(2 * b);
+        for block in [0, b] {
+            for i in block..block + b {
+                for j in block..block + b {
+                    g.add_edge(i, j);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn disconnected_blocks_past_the_whole_graph_walk() {
+        // K14 ⊕ K14 (n = 28) took a 2^28-subset checked-lane walk per
+        // permanent; K16 ⊕ K16 (n = 32) overflowed its i128
+        // accumulator. Factored, each block is a 14- or 16-item walk,
+        // and every item is cracked with probability 1/b.
+        for b in [14usize, 16] {
+            let g = two_complete_blocks(b);
+            for threads in [1usize, 4] {
+                let probs = crack_probabilities_budgeted(&g, threads, &Budget::unlimited())
+                    .expect("both blocks have perfect matchings");
+                assert_eq!(probs.len(), 2 * b);
+                for &p in &probs {
+                    assert_eq!(p.to_bits(), probs[0].to_bits());
+                    assert!((p - 1.0 / b as f64).abs() < 1e-15, "b={b}: p={p}");
+                }
+            }
+        }
+    }
+
+    /// Seeded graphs of the shapes the factoring must get right.
+    /// `shape`: 0 block-diagonal (items shuffled), 1 interval-shaped
+    /// (the cold-exact service traffic), 2 dense connected, 3 identity
+    /// only, 4 a random graph with one uncovered column.
+    fn shaped_graph(shape: usize, n: usize, seed: u64) -> DenseBigraph {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = DenseBigraph::new(n);
+        match shape {
+            0 => {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut rng);
+                let mut start = 0;
+                while start < n {
+                    let end = (start + rng.gen_range(1..=6usize)).min(n);
+                    for &i in &order[start..end] {
+                        g.add_edge(i, i);
+                        for &j in &order[start..end] {
+                            if rng.gen_bool(0.6) {
+                                g.add_edge(i, j);
+                            }
+                        }
+                    }
+                    start = end;
+                }
+            }
+            1 => {
+                // Supports uniform in 1..1000 of m = 1000; item y's
+                // belief is its frequency with up to 0.099 of slack.
+                let freq: Vec<f64> = (0..n)
+                    .map(|_| rng.gen_range(1..1000u64) as f64 / 1000.0)
+                    .collect();
+                let slack: Vec<f64> = (0..n)
+                    .map(|_| rng.gen_range(0..99u64) as f64 / 1000.0)
+                    .collect();
+                for (x, &f) in freq.iter().enumerate() {
+                    for (y, (&fy, &s)) in freq.iter().zip(&slack).enumerate() {
+                        if (fy - s).max(0.0) <= f && f <= (fy + s).min(1.0) {
+                            g.add_edge(x, y);
+                        }
+                    }
+                }
+            }
+            2 => {
+                for i in 0..n {
+                    g.add_edge(i, i);
+                    g.add_edge(i, (i + 1) % n);
+                    for j in 0..n {
+                        if rng.gen_bool(0.7) {
+                            g.add_edge(i, j);
+                        }
+                    }
+                }
+            }
+            3 => g = identity(n),
+            _ => {
+                let col = rng.gen_range(0..n);
+                for i in 0..n {
+                    for j in 0..n {
+                        if j != col && rng.gen_bool(0.5) {
+                            g.add_edge(i, j);
+                        }
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Bit identity of the factored core against the whole-graph
+        /// reference: equal `Result`s, probabilities compared as bit
+        /// patterns, at the CI thread counts.
+        #[test]
+        fn factored_probabilities_equal_whole_graph_reference(
+            shape in 0usize..5,
+            n in 1usize..=16,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = shaped_graph(shape, n, seed);
+            let bits = |r: Result<Vec<f64>, ExactError>| {
+                r.map(|p| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+            };
+            for threads in [1usize, 4] {
+                let b = Budget::unlimited();
+                proptest::prop_assert_eq!(
+                    bits(crack_probabilities_budgeted(&g, threads, &b)),
+                    bits(crack_probabilities_whole_graph(&g, threads, &b)),
+                    "shape={}, n={}, seed={}, threads={}", shape, n, seed, threads
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_shape_is_exercised() {
+        // The uncovered column is an empty mapping space; the other
+        // shapes answer (identity and the feasible generators keep the
+        // diagonal, the interval shape contains every true frequency).
+        let b = Budget::unlimited();
+        for shape in 0..5 {
+            let g = shaped_graph(shape, 12, 3);
+            let r = crack_probabilities_budgeted(&g, 1, &b);
+            if shape == 4 {
+                assert_eq!(r, Err(ExactError::EmptyMappingSpace));
+            } else {
+                assert!(r.is_ok(), "shape {shape}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn components_split_by_shared_columns() {
+        // Rows 0 and 2 share column 3, rows 1 and 3 share column 1.
+        let rows = [0b1001, 0b0110, 0b1000, 0b0010];
         assert_eq!(
-            crack_probabilities_budgeted(&g, 2, &b),
-            Err(ExactError::Interrupted(ExecError::BudgetExceeded {
-                budget_ms: 0
-            }))
+            components(&rows),
+            Ok(vec![(0b0101, 0b1001), (0b1010, 0b0110)])
         );
+        // Three rows over two columns: column 2 is uncovered.
+        assert_eq!(
+            components(&[0b011, 0b011, 0b001]),
+            Err(ExactError::EmptyMappingSpace)
+        );
+        assert_eq!(components(&[]), Ok(vec![]));
+        assert_eq!(gather(0b1010_0110, 0b1100_0101), 0b1010);
     }
 
     #[test]

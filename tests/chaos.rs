@@ -10,6 +10,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use andi::core::{assess_risk_budgeted, Error};
+use andi::graph::exact::{crack_probabilities_budgeted, ExactError};
 use andi::graph::faults::FaultSchedule;
 use andi::graph::par::ExecError;
 use andi::graph::permanent::try_permanent_of_rows_budgeted;
@@ -280,6 +281,66 @@ fn faulted_permanent_panic_names_the_probe_point() {
             assert_eq!(payload, "injected fault at permanent.chunk[0]");
         }
         other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Identity on items 0..4, `K3` on 4..7 and `K17` on 7..24: the exact
+/// core walks each connected component on its own, the singletons
+/// and `K3` in one chunk each, `K17` in sixteen.
+fn disconnected24() -> DenseBigraph {
+    let mut g = DenseBigraph::new(24);
+    for i in 0..4 {
+        g.add_edge(i, i);
+    }
+    for (lo, hi) in [(4, 7), (7, 24)] {
+        for i in lo..hi {
+            for j in lo..hi {
+                g.add_edge(i, j);
+            }
+        }
+    }
+    g
+}
+
+#[test]
+fn faulted_components_panic_at_the_first_chunk() {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = FaultSchedule::parse("7:1.0").unwrap().install();
+    let err = crack_probabilities_budgeted(&disconnected24(), 4, &Budget::unlimited())
+        .expect_err("every chunk fires");
+    match err {
+        ExactError::Interrupted(ExecError::WorkerPanic { task, payload }) => {
+            assert_eq!(task, 0);
+            assert_eq!(payload, "injected fault at permanent.chunk[0]");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn faulted_components_are_thread_count_invariant() {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let schedule = FaultSchedule::parse("21:0.15").unwrap();
+    // The one-chunk components must get through and `K17` must not:
+    // the fault then lands mid-graph, after answered components.
+    assert!(schedule.fires("permanent.chunk", 0).is_none());
+    assert!(
+        (1..16).any(|c| schedule.fires("permanent.chunk", c).is_some()),
+        "seed 21 no longer fires on a K17 chunk; pick another seed"
+    );
+    let _guard = schedule.install();
+    let g = disconnected24();
+    let baseline = crack_probabilities_budgeted(&g, 1, &Budget::unlimited());
+    assert!(
+        matches!(
+            baseline,
+            Err(ExactError::Interrupted(ExecError::WorkerPanic { .. }))
+        ),
+        "got {baseline:?}"
+    );
+    for threads in [2usize, 4, 8] {
+        let out = crack_probabilities_budgeted(&g, threads, &Budget::unlimited());
+        assert_eq!(out, baseline, "threads={threads}");
     }
 }
 
