@@ -278,7 +278,7 @@ impl ChainSpec {
                 _ => return None,
             }
         }
-        let n: Vec<usize> = graph.group_sizes().to_vec();
+        let n: Vec<usize> = (0..graph.n_groups()).map(|g| graph.group_size(g)).collect();
         ChainSpec::new(n, e, s).ok()
     }
 }
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(supports.len(), 8);
         let graph = belief.build_graph(&supports, 90);
         assert_eq!(graph.n_groups(), 2);
-        assert_eq!(graph.group_sizes(), &[5, 3]);
+        assert_eq!((graph.group_size(0), graph.group_size(1)), (5, 3));
         // The belief is compliant everywhere.
         let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / 90.0).collect();
         assert!((belief.alpha(&freqs) - 1.0).abs() < 1e-12);

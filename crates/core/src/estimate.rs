@@ -216,8 +216,8 @@ pub fn graph_fingerprint(graph: &GroupedBigraph) -> u64 {
     for &s in graph.group_supports() {
         mix(s);
     }
-    for &s in graph.group_sizes() {
-        mix(s as u64);
+    for g in 0..graph.n_groups() {
+        mix(graph.group_size(g) as u64);
     }
     for i in 0..graph.n() {
         mix(graph.left_group_of(i) as u64);

@@ -128,7 +128,7 @@ pub fn identify_sets(graph: &GroupedBigraph) -> SetIdentification {
     let mut lefts_in_block = 0usize;
     let mut rights_in_block: Vec<usize> = Vec::new();
     for (j, end_bucket) in ends.iter().enumerate() {
-        lefts_in_block += graph.group_sizes()[j];
+        lefts_in_block += graph.group_size(j);
         rights_in_block.extend_from_slice(end_bucket);
         if rights_in_block.len() == lefts_in_block {
             // Tight cut: close the block.

@@ -113,7 +113,7 @@ impl ConvexSpec {
             arrivals[lo][hi - lo] += 1;
         }
         Ok(ConvexSpec {
-            left_counts: graph.group_sizes().to_vec(),
+            left_counts: (0..k).map(|g| graph.group_size(g)).collect(),
             arrivals,
             ranges,
             window,

@@ -11,14 +11,15 @@
 //!
 //! By linearity of expectation, `E[X]` is the sum of these ratios —
 //! this avoids the paper's subset-sum formulation for the expectation
-//! while producing identical values. The full crack-count
-//! *distribution* `P(X = k)` is also provided for tiny domains,
-//! following the paper's formula literally (enumerate cracked subsets
-//! `S`, forbid crack edges outside `S`, count matchings).
+//! while producing identical values. The tests also keep the full
+//! crack-count *distribution* `P(X = k)` for tiny domains, following
+//! the paper's formula literally (enumerate cracked subsets `S`,
+//! forbid crack edges outside `S`, count matchings), as ground truth
+//! for the sampler's tail.
 //!
 //! [`crack_probabilities_budgeted`] is the one budgeted core; the
-//! other entry points run it (or, for the distribution, the budgeted
-//! permanent) with [`Budget::unlimited`] on the ambient worker count.
+//! other entry points run it with [`Budget::unlimited`] on the
+//! ambient worker count.
 
 use crate::dense::DenseBigraph;
 use crate::par;
@@ -263,10 +264,10 @@ fn or_empty<T>(result: Result<T, ExactError>) -> Option<T> {
 }
 
 /// The single panic site of the convenience wrappers ([`permanent`],
-/// [`crack_probabilities`], [`expected_cracks`],
-/// [`crack_distribution`]). They run on an unlimited budget, so only
-/// accumulator overflow or a fault injected into a chunk task lands
-/// here; budgeted callers see the same conditions as [`ExactError`].
+/// [`crack_probabilities`], [`expected_cracks`]). They run on an
+/// unlimited budget, so only accumulator overflow or a fault injected
+/// into a chunk task lands here; budgeted callers see the same
+/// conditions as [`ExactError`].
 ///
 /// [`permanent`]: crate::permanent::permanent
 pub(crate) fn exact_failure(e: ExactError) -> ! {
@@ -276,7 +277,7 @@ pub(crate) fn exact_failure(e: ExactError) -> ! {
 
 /// Removes bit `col` from a row mask, shifting higher bits down by
 /// one (column deletion).
-#[inline]
+#[cfg(test)]
 fn delete_column(row: u64, col: usize) -> u64 {
     let low = row & ((1u64 << col) - 1);
     let high = (row >> (col + 1)) << col;
@@ -284,30 +285,21 @@ fn delete_column(row: u64, col: usize) -> u64 {
 }
 
 /// Maximum domain size for the full crack-count distribution.
-pub const MAX_DISTRIBUTION_N: usize = 14;
+#[cfg(test)]
+const MAX_DISTRIBUTION_N: usize = 14;
 
 /// The exact distribution `P(X = k)` of the number of cracks,
-/// `k = 0..=n`, following the paper's Section 4.1 formula.
+/// `k = 0..=n`, following the paper's Section 4.1 formula: one
+/// permanent per crackable subset, so `2^n` walks. Test-only ground
+/// truth for the sampler's tail.
 ///
-/// Returns `None` if the graph has no perfect matching. Every
-/// permanent runs through [`try_permanent_of_rows_budgeted`] with an
-/// unlimited budget on the ambient worker count.
+/// Returns `None` if the graph has no perfect matching.
 ///
 /// # Panics
 ///
 /// Panics if `g.n() > MAX_DISTRIBUTION_N` or on an injected fault.
-/// # Examples
-///
-/// ```
-/// use andi_graph::{crack_distribution, DenseBigraph};
-///
-/// let dist = crack_distribution(&DenseBigraph::complete(4)).unwrap();
-/// // Derangement structure: P(X = 3) = 0 (you cannot miss exactly one).
-/// assert!(dist[3].abs() < 1e-12);
-/// let mass: f64 = dist.iter().sum();
-/// assert!((mass - 1.0).abs() < 1e-9);
-/// ```
-pub fn crack_distribution(g: &DenseBigraph) -> Option<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn crack_distribution(g: &DenseBigraph) -> Option<Vec<f64>> {
     let n = g.n();
     assert!(
         n <= MAX_DISTRIBUTION_N,
@@ -317,6 +309,7 @@ pub fn crack_distribution(g: &DenseBigraph) -> Option<Vec<f64>> {
 }
 
 /// Body of [`crack_distribution`] over the budgeted permanent.
+#[cfg(test)]
 fn distribution(g: &DenseBigraph) -> Result<Vec<f64>, ExactError> {
     let (threads, budget) = (par::available_threads(), Budget::unlimited());
     let n = g.n();

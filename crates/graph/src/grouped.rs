@@ -14,28 +14,44 @@
 //! Figure 5 — and a maximum consistent matching comes from the
 //! classical deadline-greedy in `O(n log n)`.
 
+use std::sync::Arc;
+
 use crate::dense::DenseBigraph;
 
 /// The belief-independent half of a [`GroupedBigraph`]: the
 /// frequency-group precomputation over one database summary
-/// `(supports, m)` — distinct supports sorted and deduplicated,
-/// group sizes, prefix sums, and each item's group membership.
+/// `(supports, m)` — distinct supports sorted and deduplicated, the
+/// items listed group by group, the group offsets into that list,
+/// and each item's group.
+///
+/// The layout is compressed sparse rows: one `members` array sorted
+/// by (group, item) and one `prefix` array of group offsets, so group
+/// `g` is `members[prefix[g]..prefix[g + 1]]` and its size is a
+/// `prefix` difference. That is four heap blocks whatever the number
+/// of groups.
 ///
 /// Building this is the `O(n log n)` part of graph construction and
 /// it does not depend on the hacker's belief at all, so a service
 /// answering many concurrent requests against the *same* database
 /// computes it once and completes each request's graph with the
-/// cheap per-interval [`FrequencyScaffold::into_graph`] pass. The
+/// cheap per-interval [`FrequencyScaffold::graph_for`] pass, which
+/// shares the scaffold through its `Arc` instead of copying it. The
 /// completion is definitionally equivalent to
 /// [`GroupedBigraph::new`] — `new` itself is implemented as
 /// `FrequencyScaffold::new(..).into_graph(..)`.
 #[derive(Clone, Debug)]
 pub struct FrequencyScaffold {
+    /// Distinct support counts, strictly increasing.
     group_supports: Vec<u64>,
-    group_sizes: Vec<usize>,
+    /// Group offsets into `members`: group `g` is
+    /// `members[prefix[g]..prefix[g + 1]]`, so `prefix[g]` is the
+    /// number of items in groups `0..g`.
     prefix: Vec<usize>,
+    /// Item -> its frequency-group index.
     left_group: Vec<usize>,
-    group_members: Vec<Vec<usize>>,
+    /// Items group by group, ascending within each group.
+    members: Vec<usize>,
+    /// Transaction count the supports are relative to.
     n_transactions: u64,
 }
 
@@ -55,29 +71,34 @@ impl FrequencyScaffold {
         distinct.sort_unstable();
         distinct.dedup();
         let k = distinct.len();
-        let mut group_sizes = vec![0usize; k];
         let mut left_group = vec![0usize; n];
-        let mut group_members = vec![Vec::new(); k];
+        // Count each group's size into `prefix[g + 1]`, then prefix-sum.
+        let mut prefix = vec![0usize; k + 1];
         for (i, &s) in supports.iter().enumerate() {
             assert!(s <= n_transactions, "item {i} support {s} exceeds m");
             // `distinct` was built from these same supports, so the
             // partition point lands exactly on `s`.
             let g = distinct.partition_point(|&d| d < s);
-            group_sizes[g] += 1;
+            prefix[g + 1] += 1;
             left_group[i] = g;
-            group_members[g].push(i);
         }
-        let mut prefix = vec![0usize; k + 1];
         for g in 0..k {
-            prefix[g + 1] = prefix[g] + group_sizes[g];
+            prefix[g + 1] += prefix[g];
+        }
+        // Scatter the items in increasing order, so each group's slice
+        // comes out ascending.
+        let mut next = prefix[..k].to_vec();
+        let mut members = vec![0usize; n];
+        for (i, &g) in left_group.iter().enumerate() {
+            members[next[g]] = i;
+            next[g] += 1;
         }
 
         FrequencyScaffold {
             group_supports: distinct,
-            group_sizes,
             prefix,
             left_group,
-            group_members,
+            members,
             n_transactions,
         }
     }
@@ -93,25 +114,14 @@ impl FrequencyScaffold {
     }
 
     /// Completes the graph for one belief: computes each item's
-    /// candidate group range from its interval. Borrowing variant of
-    /// [`FrequencyScaffold::into_graph`] for shared (cached)
-    /// scaffolds.
+    /// candidate group range from its interval. The graph shares this
+    /// scaffold through the `Arc`; only the ranges are built.
     ///
     /// # Panics
     ///
     /// Panics if `intervals.len() != self.n()` or an interval is
     /// inverted.
-    pub fn graph_for(&self, intervals: &[(f64, f64)]) -> GroupedBigraph {
-        self.clone().into_graph(intervals)
-    }
-
-    /// Consuming variant of [`FrequencyScaffold::graph_for`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intervals.len() != self.n()` or an interval is
-    /// inverted.
-    pub fn into_graph(self, intervals: &[(f64, f64)]) -> GroupedBigraph {
+    pub fn graph_for(self: &Arc<Self>, intervals: &[(f64, f64)]) -> GroupedBigraph {
         assert_eq!(
             self.left_group.len(),
             intervals.len(),
@@ -137,14 +147,19 @@ impl FrequencyScaffold {
             .collect();
 
         GroupedBigraph {
-            group_supports: self.group_supports,
-            group_sizes: self.group_sizes,
-            prefix: self.prefix,
-            left_group: self.left_group,
+            scaffold: Arc::clone(self),
             right_range,
-            n_transactions: self.n_transactions,
-            group_members: self.group_members,
         }
+    }
+
+    /// Consuming variant of [`FrequencyScaffold::graph_for`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `intervals.len() != self.n()` or an interval is
+    /// inverted.
+    pub fn into_graph(self, intervals: &[(f64, f64)]) -> GroupedBigraph {
+        Arc::new(self).graph_for(intervals)
     }
 }
 
@@ -174,22 +189,12 @@ impl FrequencyScaffold {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GroupedBigraph {
-    /// Distinct support counts, strictly increasing.
-    group_supports: Vec<u64>,
-    /// Number of (anonymized) items in each frequency group.
-    group_sizes: Vec<usize>,
-    /// Prefix sums of `group_sizes`; `prefix[k]` = items in groups
-    /// `0..k`.
-    prefix: Vec<usize>,
-    /// Left item -> its frequency-group index.
-    left_group: Vec<usize>,
+    /// The frequency groups, shared with every other graph built from
+    /// the same scaffold.
+    scaffold: Arc<FrequencyScaffold>,
     /// Right item -> inclusive candidate group range, or `None` when
     /// the belief interval contains no observed frequency.
     right_range: Vec<Option<(usize, usize)>>,
-    /// Transaction count the supports are relative to.
-    n_transactions: u64,
-    /// Members of each group (left item indices, increasing).
-    group_members: Vec<Vec<usize>>,
 }
 
 impl GroupedBigraph {
@@ -207,49 +212,51 @@ impl GroupedBigraph {
     /// Domain size per side.
     #[inline]
     pub fn n(&self) -> usize {
-        self.left_group.len()
+        self.scaffold.n()
     }
 
     /// Number of frequency groups `k`.
     #[inline]
     pub fn n_groups(&self) -> usize {
-        self.group_supports.len()
+        self.scaffold.group_supports.len()
     }
 
-    /// Sizes of the frequency groups, ascending frequency order.
+    /// Size of frequency group `g` (groups in ascending frequency
+    /// order).
     #[inline]
-    pub fn group_sizes(&self) -> &[usize] {
-        &self.group_sizes
+    pub fn group_size(&self, g: usize) -> usize {
+        self.scaffold.prefix[g + 1] - self.scaffold.prefix[g]
     }
 
     /// Distinct support counts, ascending.
     #[inline]
     pub fn group_supports(&self) -> &[u64] {
-        &self.group_supports
+        &self.scaffold.group_supports
     }
 
     /// Transaction count.
     #[inline]
     pub fn n_transactions(&self) -> u64 {
-        self.n_transactions
+        self.scaffold.n_transactions
     }
 
     /// Frequency of group `g`.
     #[inline]
     pub fn group_frequency(&self, g: usize) -> f64 {
-        self.group_supports[g] as f64 / self.n_transactions as f64
+        self.scaffold.group_supports[g] as f64 / self.scaffold.n_transactions as f64
     }
 
     /// The frequency-group index of (anonymized) item `i`.
     #[inline]
     pub fn left_group_of(&self, i: usize) -> usize {
-        self.left_group[i]
+        self.scaffold.left_group[i]
     }
 
-    /// Left item indices belonging to group `g`.
+    /// Left item indices belonging to group `g`, increasing.
     #[inline]
     pub fn group_members(&self, g: usize) -> &[usize] {
-        &self.group_members[g]
+        let prefix = &self.scaffold.prefix;
+        &self.scaffold.members[prefix[g]..prefix[g + 1]]
     }
 
     /// The candidate group range of original item `y`.
@@ -264,7 +271,7 @@ impl GroupedBigraph {
     pub fn has_edge(&self, left: usize, right: usize) -> bool {
         match self.right_range[right] {
             Some((lo, hi)) => {
-                let g = self.left_group[left];
+                let g = self.scaffold.left_group[left];
                 lo <= g && g <= hi
             }
             None => false,
@@ -276,7 +283,7 @@ impl GroupedBigraph {
     #[inline]
     pub fn outdegree(&self, x: usize) -> usize {
         match self.right_range[x] {
-            Some((lo, hi)) => self.prefix[hi + 1] - self.prefix[lo],
+            Some((lo, hi)) => self.scaffold.prefix[hi + 1] - self.scaffold.prefix[lo],
             None => 0,
         }
     }
@@ -307,10 +314,9 @@ impl GroupedBigraph {
         let mut g = DenseBigraph::new(n);
         for y in 0..n {
             if let Some((lo, hi)) = self.right_range[y] {
-                for grp in lo..=hi {
-                    for &i in &self.group_members[grp] {
-                        g.add_edge(i, y);
-                    }
+                let prefix = &self.scaffold.prefix;
+                for &i in &self.scaffold.members[prefix[lo]..prefix[hi + 1]] {
+                    g.add_edge(i, y);
                 }
             }
         }
@@ -350,23 +356,25 @@ impl GroupedBigraph {
             .collect();
         order.sort_unstable_by_key(|&(_, (lo, hi))| (hi, lo));
 
-        // Per-group stack of still-unassigned left items; a BTreeSet
-        // of groups with remaining capacity supports "smallest group
+        // Each group is a stack of still-unassigned left items: its
+        // members slice up to a cursor that moves down from the
+        // group's end, so items pop largest first. A BTreeSet of
+        // groups with remaining capacity supports "smallest group
         // >= lo" queries.
-        let mut remaining: Vec<Vec<usize>> = self.group_members.clone();
-        let mut nonempty: std::collections::BTreeSet<usize> = (0..self.n_groups())
-            .filter(|&g| !remaining[g].is_empty())
-            .collect();
+        let FrequencyScaffold {
+            prefix, members, ..
+        } = &*self.scaffold;
+        let mut top: Vec<usize> = prefix[1..].to_vec();
+        // Every group starts with at least one member.
+        let mut nonempty: std::collections::BTreeSet<usize> = (0..self.n_groups()).collect();
 
         let mut left_partner: Vec<Option<usize>> = vec![None; n];
         let mut right_partner: Vec<Option<usize>> = vec![None; n];
         for (y, (lo, hi)) in order {
             if let Some(&g) = nonempty.range(lo..=hi).next() {
-                let Some(i) = remaining[g].pop() else {
-                    nonempty.remove(&g);
-                    continue;
-                };
-                if remaining[g].is_empty() {
+                top[g] -= 1;
+                let i = members[top[g]];
+                if top[g] == prefix[g] {
                     nonempty.remove(&g);
                 }
                 left_partner[i] = Some(y);
@@ -468,7 +476,8 @@ mod tests {
     fn groups_match_figure_3b() {
         let g = GroupedBigraph::new(&bigmart_supports(), 10, &belief_h());
         assert_eq!(g.n_groups(), 3);
-        assert_eq!(g.group_sizes(), &[1, 1, 4]);
+        let sizes: Vec<usize> = (0..g.n_groups()).map(|grp| g.group_size(grp)).collect();
+        assert_eq!(sizes, [1, 1, 4]);
         assert_eq!(g.group_supports(), &[3, 4, 5]);
         assert_eq!(g.left_group_of(4), 0); // item 5 (0-based 4), freq .3
         assert_eq!(g.left_group_of(1), 1); // freq .4
@@ -629,7 +638,7 @@ mod tests {
         // this is the contract that lets a server share one
         // frequency-group precomputation across concurrent requests.
         let supports = bigmart_supports();
-        let scaffold = FrequencyScaffold::new(&supports, 10);
+        let scaffold = Arc::new(FrequencyScaffold::new(&supports, 10));
         assert_eq!(scaffold.n(), 6);
         assert_eq!(scaffold.n_transactions(), 10);
         let beliefs: Vec<Vec<(f64, f64)>> = vec![
@@ -650,7 +659,9 @@ mod tests {
             assert_eq!(shared.n(), direct.n());
             assert_eq!(shared.n_groups(), direct.n_groups());
             assert_eq!(shared.group_supports(), direct.group_supports());
-            assert_eq!(shared.group_sizes(), direct.group_sizes());
+            for grp in 0..direct.n_groups() {
+                assert_eq!(shared.group_size(grp), direct.group_size(grp));
+            }
             assert_eq!(shared.outdegrees(), direct.outdegrees());
             for y in 0..direct.n() {
                 assert_eq!(shared.right_range_of(y), direct.right_range_of(y));
@@ -664,9 +675,214 @@ mod tests {
         }
     }
 
+    /// The one-`Vec`-per-group layout the CSR scaffold replaced, kept
+    /// verbatim as the reference for the layout-equivalence test:
+    /// construction, edge test, deadline greedy, locality order and
+    /// dense form.
+    struct NestedReference {
+        group_sizes: Vec<usize>,
+        left_group: Vec<usize>,
+        right_range: Vec<Option<(usize, usize)>>,
+        group_members: Vec<Vec<usize>>,
+    }
+
+    impl NestedReference {
+        fn new(supports: &[u64], n_transactions: u64, intervals: &[(f64, f64)]) -> Self {
+            let n = supports.len();
+            let mut distinct: Vec<u64> = supports.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let k = distinct.len();
+            let mut group_sizes = vec![0usize; k];
+            let mut left_group = vec![0usize; n];
+            let mut group_members = vec![Vec::new(); k];
+            for (i, &s) in supports.iter().enumerate() {
+                let g = distinct.partition_point(|&d| d < s);
+                group_sizes[g] += 1;
+                left_group[i] = g;
+                group_members[g].push(i);
+            }
+            let m = n_transactions as f64;
+            let freqs: Vec<f64> = distinct.iter().map(|&s| s as f64 / m).collect();
+            let right_range = intervals
+                .iter()
+                .map(|&(l, r)| {
+                    let lo = freqs.partition_point(|&f| f < l);
+                    let hi = freqs.partition_point(|&f| f <= r);
+                    if lo < hi {
+                        Some((lo, hi - 1))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            NestedReference {
+                group_sizes,
+                left_group,
+                right_range,
+                group_members,
+            }
+        }
+
+        fn has_edge(&self, left: usize, right: usize) -> bool {
+            match self.right_range[right] {
+                Some((lo, hi)) => {
+                    let g = self.left_group[left];
+                    lo <= g && g <= hi
+                }
+                None => false,
+            }
+        }
+
+        fn locality_order(&self) -> Vec<usize> {
+            let mut order = Vec::new();
+            for members in &self.group_members {
+                order.extend_from_slice(members);
+            }
+            order
+        }
+
+        fn to_dense(&self) -> DenseBigraph {
+            let n = self.left_group.len();
+            let mut g = DenseBigraph::new(n);
+            for y in 0..n {
+                if let Some((lo, hi)) = self.right_range[y] {
+                    for grp in lo..=hi {
+                        for &i in &self.group_members[grp] {
+                            g.add_edge(i, y);
+                        }
+                    }
+                }
+            }
+            g
+        }
+
+        fn greedy_matching(&self) -> Matching {
+            let n = self.left_group.len();
+            let mut order: Vec<(usize, (usize, usize))> = (0..n)
+                .filter_map(|y| self.right_range[y].map(|r| (y, r)))
+                .collect();
+            order.sort_unstable_by_key(|&(_, (lo, hi))| (hi, lo));
+            let mut remaining: Vec<Vec<usize>> = self.group_members.clone();
+            let mut nonempty: std::collections::BTreeSet<usize> = (0..self.group_sizes.len())
+                .filter(|&g| !remaining[g].is_empty())
+                .collect();
+            let mut left_partner: Vec<Option<usize>> = vec![None; n];
+            let mut right_partner: Vec<Option<usize>> = vec![None; n];
+            for (y, (lo, hi)) in order {
+                if let Some(&g) = nonempty.range(lo..=hi).next() {
+                    let Some(i) = remaining[g].pop() else {
+                        nonempty.remove(&g);
+                        continue;
+                    };
+                    if remaining[g].is_empty() {
+                        nonempty.remove(&g);
+                    }
+                    left_partner[i] = Some(y);
+                    right_partner[y] = Some(i);
+                }
+            }
+            Matching {
+                left_partner,
+                right_partner,
+            }
+        }
+    }
+
+    /// Asserts that the CSR scaffold and the nested reference agree on
+    /// every observable of one instance.
+    fn assert_layouts_agree(supports: &[u64], m: u64, intervals: &[(f64, f64)]) {
+        use crate::sampler::EdgeOracle;
+        let reference = NestedReference::new(supports, m, intervals);
+        let g = GroupedBigraph::new(supports, m, intervals);
+        let n = supports.len();
+        assert_eq!(g.n(), n);
+        assert_eq!(g.n_groups(), reference.group_sizes.len());
+        for grp in 0..g.n_groups() {
+            assert_eq!(
+                g.group_members(grp),
+                reference.group_members[grp].as_slice()
+            );
+            assert_eq!(g.group_size(grp), reference.group_sizes[grp]);
+        }
+        for x in 0..n {
+            assert_eq!(g.left_group_of(x), reference.left_group[x]);
+            assert_eq!(g.right_range_of(x), reference.right_range[x]);
+            for y in 0..n {
+                assert_eq!(
+                    g.has_edge(x, y),
+                    reference.has_edge(x, y),
+                    "edge ({x}, {y})"
+                );
+            }
+        }
+        assert_eq!(g.greedy_matching(), reference.greedy_matching());
+        assert_eq!(g.locality_order(), Some(reference.locality_order()));
+        assert_eq!(g.to_dense(), reference.to_dense());
+    }
+
+    #[test]
+    fn csr_layout_equals_nested_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        let random_interval = |rng: &mut StdRng| {
+            let (a, b): (f64, f64) = (rng.gen(), rng.gen());
+            (a.min(b), a.max(b))
+        };
+        for _ in 0..40 {
+            // All supports distinct.
+            let n = rng.gen_range(2..=24);
+            let mut supports: Vec<u64> = (1..=n as u64).collect();
+            for i in (1..n).rev() {
+                supports.swap(i, rng.gen_range(0..=i));
+            }
+            let intervals: Vec<_> = (0..n).map(|_| random_interval(&mut rng)).collect();
+            assert_layouts_agree(&supports, n as u64 + 3, &intervals);
+
+            // All supports equal: one group.
+            let n = rng.gen_range(2..=24);
+            let intervals: Vec<_> = (0..n).map(|_| random_interval(&mut rng)).collect();
+            assert_layouts_agree(&vec![7; n], 10, &intervals);
+
+            // Repeated supports, some intervals hitting no frequency.
+            let n = rng.gen_range(2..=32);
+            let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=6)).collect();
+            let intervals: Vec<_> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        (0.75, 0.99)
+                    } else {
+                        random_interval(&mut rng)
+                    }
+                })
+                .collect();
+            assert_layouts_agree(&supports, 12, &intervals);
+
+            // n = 1.
+            let interval = random_interval(&mut rng);
+            assert_layouts_agree(&[rng.gen_range(0..=5)], 5, &[interval]);
+
+            // The cold-exact shape: n in 10..=18, supports uniform in
+            // 1..=1000 of m = 1000, truthful intervals widened by a
+            // slack below 0.1.
+            let n = rng.gen_range(10..=18);
+            let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=1000)).collect();
+            let intervals: Vec<_> = supports
+                .iter()
+                .map(|&s| {
+                    let f = s as f64 / 1000.0;
+                    let slack = rng.gen_range(0..=99) as f64 / 1000.0;
+                    ((f - slack).max(0.0), (f + slack).min(1.0))
+                })
+                .collect();
+            assert_layouts_agree(&supports, 1000, &intervals);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cover the same domain")]
     fn scaffold_rejects_mismatched_interval_count() {
-        FrequencyScaffold::new(&bigmart_supports(), 10).graph_for(&[(0.0, 1.0)]);
+        FrequencyScaffold::new(&bigmart_supports(), 10).into_graph(&[(0.0, 1.0)]);
     }
 }

@@ -35,7 +35,7 @@
 //! | kernel | budgeted core | wrappers |
 //! |--------|---------------|----------|
 //! | permanent | [`try_permanent_of_rows_budgeted`] | [`permanent()`] |
-//! | exact crack probabilities | [`crack_probabilities_budgeted`] | [`crack_probabilities`], [`expected_cracks`], [`crack_distribution`] |
+//! | exact crack probabilities | [`crack_probabilities_budgeted`] | [`crack_probabilities`], [`expected_cracks`] |
 //! | sampler | [`sample_cracks_budgeted`], [`sample_crack_probabilities_budgeted`] | — ([`sample_cracks`] is the single-RNG §7.1 stream) |
 //! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
 
@@ -57,10 +57,7 @@ pub mod sampler;
 pub use convex::{expected_cracks_convex, ConvexError, ConvexExact, DEFAULT_STATE_BUDGET};
 pub use dense::DenseBigraph;
 pub use dot::{to_dot, DotOptions};
-pub use exact::{
-    crack_distribution, crack_probabilities, crack_probabilities_budgeted, expected_cracks,
-    ExactError,
-};
+pub use exact::{crack_probabilities, crack_probabilities_budgeted, expected_cracks, ExactError};
 pub use faults::{FaultMode, FaultSchedule, FAULTS_ENV};
 pub use grouped::{BeliefGroup, FrequencyScaffold, GroupedBigraph, Matching};
 pub use matching::{has_perfect_matching, hopcroft_karp};
