@@ -60,7 +60,8 @@ impl CacheStats {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Led-computation count.
+    /// Lookups that found no entry: a [`ShardedCache::get`] miss, or
+    /// a [`ShardedCache::get_or_compute`] that led the computation.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -272,14 +273,54 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
+    /// Looks up `key` without computing or storing anything: a miss
+    /// returns `None` and leaves the cache as it was. Counts a hit or
+    /// a miss, refreshes the entry's LRU tick, and runs the same
+    /// `cache.shard` fault probe as [`ShardedCache::get_or_compute`].
+    pub fn get(&self, key: u64) -> Option<V> {
+        faults::probe("cache.shard", key as usize);
+        let mut st = self.shard_of(key).lock();
+        st.tick += 1;
+        let tick = st.tick;
+        let value = st.entries.get_mut(&key).map(|(last_used, value)| {
+            *last_used = tick;
+            value.clone()
+        });
+        drop(st);
+        let counter = if value.is_some() {
+            &self.stats.hits
+        } else {
+            &self.stats.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Removes every cached entry whose value satisfies `stale`, in one
+    /// pass over the shards (one shard lock at a time), and returns how
+    /// many went. Like [`ShardedCache::invalidate`], it leaves
+    /// in-flight computations alone.
+    pub fn invalidate_where(&self, stale: impl Fn(&V) -> bool) -> usize {
+        let mut removed = 0;
+        for shard in &self.shards {
+            let mut st = shard.lock();
+            let before = st.entries.len();
+            st.entries.retain(|_, (_, value)| !stale(value));
+            removed += before - st.entries.len();
+        }
+        self.stats
+            .invalidations
+            .fetch_add(removed as u64, Ordering::Relaxed);
+        removed
+    }
+
     /// Explicitly removes a cached entry, returning whether one was
-    /// present. This is the delta-update path: a `POST /update`
-    /// invalidates exactly the entries whose fingerprints it affects,
-    /// touching only the one shard that owns the key. An in-flight
-    /// computation for the key is untouched — its value is derived
-    /// from the key (content-addressed), so whatever it stores is
-    /// correct *for that key*; invalidation exists for callers that
-    /// re-derive keys from mutable identifiers.
+    /// present, touching only the one shard that owns the key. A
+    /// `POST /update` drops the edited database's scaffold this way.
+    /// An in-flight computation for the key is untouched — its value
+    /// is derived from the key (content-addressed), so whatever it
+    /// stores is correct *for that key*; invalidation exists for
+    /// callers that re-derive keys from mutable identifiers.
     pub fn invalidate(&self, key: u64) -> bool {
         let shard = self.shard_of(key);
         let removed = shard.lock().entries.remove(&key).is_some();

@@ -15,8 +15,11 @@
 //!    per-request [`Budget`] + [`CancelToken`] (wired to client
 //!    disconnect via the watcher thread and to the server-wide drain),
 //!    and answers with the full budgeted-ladder result — coalescing
-//!    identical requests and same-database scaffold work through the
-//!    two [`ShardedCache`]s.
+//!    identical requests through the result [`ShardedCache`], whose
+//!    entries carry their database's fingerprint. It reads the
+//!    scaffold cache but never fills it: only `POST /update` warms a
+//!    scaffold, for the edited database it says comes next, and an
+//!    `/assess` that finds none builds its own (an O(n log n) pass).
 //! 4. [`ServerHandle::shutdown`] drains: stops accepting, cancels
 //!    every in-flight token, lets workers finish their current
 //!    request, and joins all service threads.
@@ -27,9 +30,8 @@
 //! is bit-identical to the cold path and a seeded load run reproduces
 //! its exact response multiset.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -91,28 +93,26 @@ impl Default for ServeConfig {
 struct WatchEntry {
     stream: TcpStream,
     token: CancelToken,
-    done: Arc<AtomicBool>,
+    done: AtomicBool,
 }
 
 /// Registry of in-flight requests for the disconnect watcher.
 #[derive(Default)]
 struct Watchlist {
-    entries: Mutex<Vec<WatchEntry>>,
+    entries: Mutex<Vec<Arc<WatchEntry>>>,
 }
 
 /// Deregisters a request on drop (normal return or unwind).
-struct WatchGuard {
-    done: Arc<AtomicBool>,
-}
+struct WatchGuard(Arc<WatchEntry>);
 
 impl Drop for WatchGuard {
     fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
+        self.0.done.store(true, Ordering::SeqCst);
     }
 }
 
 impl Watchlist {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<WatchEntry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<WatchEntry>>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -128,20 +128,26 @@ impl Watchlist {
         {
             return None;
         }
-        let done = Arc::new(AtomicBool::new(false));
-        self.lock().push(WatchEntry {
+        let entry = Arc::new(WatchEntry {
             stream: clone,
             token,
-            done: Arc::clone(&done),
+            done: AtomicBool::new(false),
         });
-        Some(WatchGuard { done })
+        self.lock().push(Arc::clone(&entry));
+        Some(WatchGuard(entry))
     }
 
     /// One watcher pass: drop finished entries, cancel dead peers.
+    /// The peeks run on a snapshot with the list unlocked: the clone
+    /// shares the worker's receive timeout, so a peek can block for up
+    /// to that timeout, and `register` must not wait behind it.
     fn sweep(&self) {
-        let mut entries = self.lock();
-        entries.retain(|e| !e.done.load(Ordering::SeqCst));
-        for entry in entries.iter() {
+        let live: Vec<Arc<WatchEntry>> = {
+            let mut entries = self.lock();
+            entries.retain(|e| !e.done.load(Ordering::SeqCst));
+            entries.clone()
+        };
+        for entry in &live {
             let mut probe_buf = [0u8; 1];
             match entry.stream.peek(&mut probe_buf) {
                 // EOF: the client hung up — cancel the computation.
@@ -171,14 +177,9 @@ struct Shared {
     cfg: ServeConfig,
     admission: Admission,
     stats: ServerStats,
-    results: ShardedCache<Arc<str>>,
+    results: ShardedCache<CachedResult>,
+    /// Written only by `POST /update`'s warm step; `/assess` reads it.
     scaffolds: ShardedCache<Arc<FrequencyScaffold>>,
-    /// Secondary index database fingerprint -> result-cache keys, so
-    /// `POST /update` can invalidate exactly the cached results whose
-    /// database changed. Bounded; eviction only widens invalidation
-    /// misses into plain cache misses, never staleness (result keys
-    /// are content-addressed).
-    db_index: Mutex<BTreeMap<u64, BTreeSet<u64>>>,
     watch: Watchlist,
     draining: AtomicBool,
     request_seq: AtomicU64,
@@ -238,7 +239,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         stats: ServerStats::default(),
         results: ShardedCache::new(cfg.cache_cap_per_shard),
         scaffolds: ShardedCache::new(cfg.cache_cap_per_shard),
-        db_index: Mutex::new(BTreeMap::new()),
         watch: Watchlist::default(),
         draining: AtomicBool::new(false),
         request_seq: AtomicU64::new(0),
@@ -271,18 +271,24 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Nonblocking accept + drain poll.
+/// Nonblocking accept + drain poll. Connections the loop answers
+/// itself linger in `closing`, polled once per turn, so reading their
+/// requests never stalls the accepts.
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
     if listener.set_nonblocking(true).is_err() {
         // Without nonblocking accept the drain poll cannot work;
         // refuse to serve rather than hang shutdown forever.
         return;
     }
+    let limits = &shared.cfg.limits;
+    let mut closing: Vec<Closing> = Vec::new();
     let mut accept_index: usize = 0;
     loop {
         if shared.draining.load(Ordering::SeqCst) {
+            closing.into_iter().for_each(Closing::finish);
             return;
         }
+        closing.retain_mut(Closing::poll);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -293,25 +299,26 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
                 if let Err(payload) = probed {
                     // Injected accept-path fault: answer structurally
                     // instead of dropping the connection.
-                    respond_and_close(
-                        &stream,
-                        Response::json(
-                            500,
-                            error_to_json(&Error::WorkerPanic {
-                                task: accept_index,
-                                payload: panic_text(payload.as_ref()),
-                            }),
-                        ),
+                    let resp = Response::json(
+                        500,
+                        error_to_json(&Error::WorkerPanic {
+                            task: accept_index,
+                            payload: panic_text(payload.as_ref()),
+                        }),
                     );
+                    closing.extend(Closing::start(stream, &resp, limits));
                     continue;
                 }
-                match shared.admission.offer(stream) {
-                    Offer::Accepted => {}
-                    Offer::Full(stream) => shed(shared, &stream),
-                    Offer::Draining(stream) => {
-                        respond_and_close(&stream, Response::json(503, "{\"kind\":\"draining\"}"))
-                    }
-                }
+                let answered = match shared.admission.offer(stream) {
+                    Offer::Accepted => None,
+                    Offer::Full(stream) => shed(shared, stream),
+                    Offer::Draining(stream) => Closing::start(
+                        stream,
+                        &Response::json(503, "{\"kind\":\"draining\"}"),
+                        limits,
+                    ),
+                };
+                closing.extend(answered);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => par::sleep_ms(1),
             Err(_) => par::sleep_ms(5),
@@ -320,29 +327,72 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 }
 
 /// Sheds a connection with `429` + `Retry-After`.
-fn shed(shared: &Shared, stream: &TcpStream) {
+fn shed(shared: &Shared, stream: TcpStream) -> Option<Closing> {
     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
     let retry = shared
         .stats
         .retry_after_secs(shared.admission.backlog(), shared.cfg.workers.max(1));
     let body = format!("{{\"kind\":\"overloaded\",\"retry_after_s\":{retry}}}");
-    respond_and_close(
-        stream,
-        Response::json(429, body).with_header("retry-after", retry.to_string()),
-    );
+    let resp = Response::json(429, body).with_header("retry-after", retry.to_string());
+    Closing::start(stream, &resp, &shared.cfg.limits)
 }
 
-/// Best-effort bounded write of a response, then close.
-fn respond_and_close(stream: &TcpStream, resp: Response) {
-    if stream
-        .set_write_timeout(Some(Duration::from_millis(1_000)))
-        .is_err()
-    {
-        return;
+/// How long an answered connection waits for its client to hang up.
+const LINGER_MS: u64 = 250;
+
+/// A connection that got its last response outside the request loop
+/// (accept fault, shed, drain, wire error) and is half-closed. Its
+/// request may still be unread or in transit, and closing a socket
+/// with unread bytes makes the kernel reset the connection: the client
+/// would see `connection reset` or `broken pipe` instead of the
+/// structured answer. So it is read, and the bytes dropped, until the
+/// client hangs up, the [`WireLimits`] byte caps are spent, or
+/// [`LINGER_MS`] passes.
+struct Closing {
+    stream: TcpStream,
+    linger: Budget,
+    bytes_left: usize,
+}
+
+impl Closing {
+    /// Best-effort bounded write of `resp`, then a half-close. `None`
+    /// when the peer is gone: nothing structural is left to say.
+    fn start(stream: TcpStream, resp: &Response, limits: &WireLimits) -> Option<Closing> {
+        stream
+            .set_write_timeout(Some(Duration::from_millis(1_000)))
+            .ok()?;
+        resp.write_to(&mut &stream, true).ok()?;
+        stream.shutdown(Shutdown::Write).ok()?;
+        stream.set_nonblocking(true).ok()?;
+        Some(Closing {
+            stream,
+            linger: Budget::with_deadline(Duration::from_millis(LINGER_MS)),
+            bytes_left: limits.max_head_bytes + limits.max_body_bytes,
+        })
     }
-    let mut w = stream;
-    if resp.write_to(&mut w, true).is_err() {
-        // The peer is gone; nothing structural left to say.
+
+    /// Drops the bytes that have arrived; `false` once the connection
+    /// may close.
+    fn poll(&mut self) -> bool {
+        let mut buf = [0u8; 4096];
+        while self.bytes_left > 0 && self.linger.check().is_ok() {
+            let want = self.bytes_left.min(buf.len());
+            match (&self.stream).read(&mut buf[..want]) {
+                Ok(0) => return false,
+                Ok(got) => self.bytes_left -= got,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+
+    /// Polls until the connection may close, then closes it.
+    fn finish(mut self) {
+        while self.poll() {
+            par::sleep_ms(1);
+        }
     }
 }
 
@@ -397,7 +447,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 if status != 0 {
                     let resp = Response::json(status, e.to_json());
                     shared.stats.count_response(status);
-                    respond_and_close(&stream, resp);
+                    // This worker owns the connection, so it lingers
+                    // here rather than on the accept thread.
+                    if let Some(closing) = Closing::start(stream, &resp, &shared.cfg.limits) {
+                        closing.finish();
+                    }
                 }
                 return;
             }
@@ -498,14 +552,13 @@ fn assess(shared: &Shared, req: &Request, stream: &TcpStream) -> Response {
 
     let db_key = summary_fingerprint(&instance.supports, instance.m);
     let result_key = result_fingerprint(db_key, &instance);
-    index_result_key(shared, db_key, result_key);
     let computed = shared.results.get_or_compute(result_key, || {
         compute_assess(shared, &instance, db_key, &budget)
     });
     let spent_ms = budget.spent().as_millis();
     self_observe(shared, &budget);
     match computed {
-        Ok((body, outcome)) => Response::json(200, body.as_ref())
+        Ok((result, outcome)) => Response::json(200, result.body.as_ref())
             .with_header("x-andi-cache", outcome_name(outcome))
             .with_header("x-andi-spent-ms", spent_ms.to_string()),
         // An uncacheable (tripped/degraded) result is still a full
@@ -528,33 +581,41 @@ enum AssessFailure {
     Core(Error),
 }
 
-/// The cold path: scaffold (coalesced per database) + per-belief
-/// graph completion + the budgeted degradation ladder.
+/// A cached `/assess` body and the fingerprint of the database it
+/// was computed for, so `POST /update` can drop exactly that
+/// database's results.
+#[derive(Clone)]
+struct CachedResult {
+    db: u64,
+    body: Arc<str>,
+}
+
+/// The cold path: the database's scaffold (a warmed one if `/update`
+/// left it, else built here and not kept) + per-belief graph
+/// completion + the budgeted degradation ladder.
 fn compute_assess(
     shared: &Shared,
     instance: &Instance,
     db_key: u64,
     budget: &Budget,
-) -> Result<Arc<str>, AssessFailure> {
+) -> Result<CachedResult, AssessFailure> {
     if let Err(e) = budget.check() {
         return Err(AssessFailure::Core(e.into()));
     }
     let scaffold = shared
         .scaffolds
-        .get_or_compute(db_key, || {
-            Ok::<_, AssessFailure>(Arc::new(FrequencyScaffold::new(
-                &instance.supports,
-                instance.m,
-            )))
-        })
-        .map(|(s, _)| s)?;
+        .get(db_key)
+        .unwrap_or_else(|| Arc::new(FrequencyScaffold::new(&instance.supports, instance.m)));
     let graph = scaffold.graph_for(&instance.intervals);
     let (provenance, probs) =
         ladder_crack_probabilities(&graph, &shared.recipe, shared.threads, budget)
             .map_err(AssessFailure::Core)?;
     let body = render_assess(&provenance, &probs);
     if provenance.trips.is_empty() && !provenance.degraded {
-        Ok(Arc::from(body))
+        Ok(CachedResult {
+            db: db_key,
+            body: Arc::from(body),
+        })
     } else {
         Err(AssessFailure::Uncached(body))
     }
@@ -616,32 +677,13 @@ fn outcome_name(outcome: Outcome) -> &'static str {
     }
 }
 
-/// How many database entries (and result keys per database) the
-/// invalidation index retains. Eviction is deterministic
-/// (`pop_first`) and safe: an evicted key merely escapes targeted
-/// invalidation, and result keys are content-addressed so it can
-/// never be served for a *different* database.
-const DB_INDEX_CAP: usize = 1024;
-
-/// Records that `result_key` was derived from `db_key`, for
-/// `POST /update` invalidation.
-fn index_result_key(shared: &Shared, db_key: u64, result_key: u64) {
-    let mut index = shared.db_index.lock().unwrap_or_else(|e| e.into_inner());
-    if !index.contains_key(&db_key) && index.len() >= DB_INDEX_CAP {
-        index.pop_first();
-    }
-    let keys = index.entry(db_key).or_default();
-    if keys.len() >= DB_INDEX_CAP {
-        keys.pop_first();
-    }
-    keys.insert(result_key);
-}
-
 /// `POST /update`: applies a [`DeltaBatch`] to a database summary and
 /// invalidates exactly the cache entries the edit affects — the old
-/// summary's scaffold and every indexed result key — then warms the
-/// scaffold cache for the edited summary so the next `/assess`
-/// against it starts from a hit.
+/// summary's scaffold, if an earlier `/update` warmed it, and every
+/// cached result tagged with the old summary's fingerprint — then
+/// warms the scaffold cache for the edited summary so the next
+/// `/assess` against it starts from a hit. This warm step is the
+/// scaffold cache's only writer.
 ///
 /// Body format (line-oriented, like the oracle formats):
 ///
@@ -683,18 +725,7 @@ fn update(shared: &Shared, req: &Request) -> Response {
     let old_db = summary_fingerprint(&supports, m);
     let new_db = summary_fingerprint(&new_supports, new_m);
     let scaffold_invalidated = shared.scaffolds.invalidate(old_db);
-    let stale_results = shared
-        .db_index
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&old_db)
-        .unwrap_or_default();
-    let mut results_invalidated = 0usize;
-    for key in stale_results {
-        if shared.results.invalidate(key) {
-            results_invalidated += 1;
-        }
-    }
+    let results_invalidated = shared.results.invalidate_where(|r| r.db == old_db);
     // Warm the edited summary's scaffold so write traffic keeps the
     // cache hot instead of just cold.
     let warmed = shared
@@ -812,5 +843,56 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+
+    /// A connected `(client, server)` pair over loopback.
+    fn socket_pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    /// A sweep blocked on a peek must not hold up `register`: the
+    /// watched clone shares the worker's receive timeout, so a peek of
+    /// an idle client can block for that whole timeout.
+    #[test]
+    fn register_does_not_wait_behind_a_blocked_sweep() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let watch = Arc::new(Watchlist::default());
+        let (idle_client, idle) = socket_pair(&listener);
+        let _idle_guard = watch.register(&idle, CancelToken::new()).unwrap();
+        // As a worker does: its own timeout overrides the watcher's.
+        idle.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        let sweeper = {
+            let watch = Arc::clone(&watch);
+            std::thread::spawn(move || watch.sweep())
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        let (_client, other) = socket_pair(&listener);
+        let started = Instant::now();
+        let guard = watch.register(&other, CancelToken::new());
+        let waited = started.elapsed();
+        assert!(guard.is_some());
+        assert!(
+            !sweeper.is_finished(),
+            "the sweep was not blocked on its peek; the test proves nothing"
+        );
+        assert!(
+            waited < Duration::from_secs(2),
+            "register waited {waited:?} behind the sweep"
+        );
+
+        // Hanging up ends the peek (EOF) and the sweep.
+        idle_client.shutdown(Shutdown::Both).unwrap();
+        sweeper.join().unwrap();
     }
 }

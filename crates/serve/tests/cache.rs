@@ -196,3 +196,26 @@ fn error_flights_cache_nothing() {
         .unwrap();
     assert_eq!(o, Outcome::Computed);
 }
+
+/// `get` never stores on a miss, and `invalidate_where` removes
+/// exactly the matching entries, whatever shard they live in.
+#[test]
+fn lookup_only_get_and_predicate_invalidation() {
+    let cache: ShardedCache<(u64, Arc<str>)> = ShardedCache::new(8);
+    assert!(cache.get(3).is_none());
+    assert!(cache.is_empty(), "a get miss must not insert");
+    for key in 0..24u64 {
+        cache
+            .get_or_compute(key, || Ok::<_, ()>((key % 3, Arc::from(format!("v{key}")))))
+            .unwrap();
+    }
+    assert_eq!(cache.get(4).map(|(_, v)| v), Some(Arc::from("v4")));
+    assert_eq!((cache.stats().hits(), cache.stats().misses()), (1, 25));
+
+    assert_eq!(cache.invalidate_where(|(tag, _)| *tag == 1), 8);
+    assert_eq!(cache.stats().invalidations(), 8);
+    for key in 0..24u64 {
+        assert_eq!(cache.get(key).is_some(), key % 3 != 1, "key {key}");
+    }
+    assert_eq!(cache.invalidate_where(|(tag, _)| *tag == 1), 0);
+}

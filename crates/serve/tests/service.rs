@@ -89,8 +89,8 @@ fn assess_answers_with_ladder_result_and_cache_is_bit_identical() {
     assert_eq!(response_header(&hit, "x-andi-cache"), Some("hit"));
     assert_eq!(cold.body, hit.body, "cache hit must be bit-identical");
 
-    // Same database, different belief: shares the scaffold, not the
-    // result.
+    // Same database, different belief: a result of its own (no
+    // `/update` warmed this database, so it builds its own scaffold).
     let mut other = bigmart_instance();
     other.intervals = vec![(0.0, 1.0); 6];
     let second = client

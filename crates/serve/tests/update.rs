@@ -76,7 +76,9 @@ fn update_invalidates_exactly_the_affected_entries() {
     let text = std::str::from_utf8(&resp.body).unwrap();
     assert!(text.contains("\"kind\":\"updated\""), "{text}");
     assert!(text.contains("\"edits\":1"), "{text}");
-    assert!(text.contains("\"scaffold_invalidated\":true"), "{text}");
+    // Only `/update` writes the scaffold cache, and no `/update` has
+    // warmed this database: `/assess` alone leaves nothing to drop.
+    assert!(text.contains("\"scaffold_invalidated\":false"), "{text}");
     assert!(text.contains("\"results_invalidated\":1"), "{text}");
     assert!(text.contains("\"warmed\":true"), "{text}");
     // The reported keys are the summary fingerprints before and after
@@ -139,6 +141,82 @@ fn update_invalidates_exactly_the_affected_entries() {
         "result-cache invalidation count missing: {after}"
     );
 
+    // Editing the database the first update warmed drops that
+    // scaffold, and the one result assessed against it.
+    let upd = update_body(edited.m, &edited.supports, &["insert 0"]);
+    let resp = client.request("POST", "/update", upd.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let text = std::str::from_utf8(&resp.body).unwrap();
+    assert!(text.contains("\"scaffold_invalidated\":true"), "{text}");
+    assert!(text.contains("\"results_invalidated\":1"), "{text}");
+    assert!(text.contains("\"warmed\":true"), "{text}");
+
+    // With its result and warmed scaffold gone, the same belief
+    // recomputes on a scaffold built for the request, to the bytes
+    // the warmed scaffold gave.
+    let rebuilt = client
+        .request("POST", "/assess", edited.to_text().as_bytes())
+        .unwrap();
+    assert_eq!(response_header(&rebuilt, "x-andi-cache"), Some("miss"));
+    assert_eq!(rebuilt.body, edited_resp.body);
+
+    handle.shutdown();
+}
+
+/// `count` beliefs over `base`'s database: belief `t` pins item `t` to
+/// its observed frequency and leaves the rest unconstrained, so each
+/// one is answerable, cacheable and distinct.
+fn beliefs(base: &Instance, count: usize) -> Vec<String> {
+    (0..count)
+        .map(|t| {
+            let mut belief = base.clone();
+            let f = base.supports[t] as f64 / base.m as f64;
+            belief.intervals = vec![(0.0, 1.0); base.supports.len()];
+            belief.intervals[t] = (f, f);
+            belief.to_text()
+        })
+        .collect()
+}
+
+/// One `/assess`: its cache outcome and body.
+fn assess(client: &mut Client, body: &str) -> (String, Vec<u8>) {
+    let resp = client.request("POST", "/assess", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let outcome = response_header(&resp, "x-andi-cache").unwrap().to_string();
+    (outcome, resp.body)
+}
+
+#[test]
+fn update_drops_every_result_of_the_edited_database_and_no_other() {
+    let handle = start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let a = bigmart_instance();
+    let mut b = bigmart_instance();
+    b.supports = vec![7, 2, 7, 7, 1, 7];
+    let (a_beliefs, b_beliefs) = (beliefs(&a, 4), beliefs(&b, 3));
+
+    let a_cold: Vec<_> = a_beliefs.iter().map(|q| assess(&mut client, q)).collect();
+    let b_cold: Vec<_> = b_beliefs.iter().map(|q| assess(&mut client, q)).collect();
+    for (outcome, _) in a_cold.iter().chain(&b_cold) {
+        assert_eq!(outcome, "miss");
+    }
+
+    let upd = update_body(a.m, &a.supports, &["insert 1 4"]);
+    let resp = client.request("POST", "/update", upd.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let text = std::str::from_utf8(&resp.body).unwrap();
+    let want = format!("\"results_invalidated\":{}", a_beliefs.len());
+    assert!(text.contains(&want), "{text}");
+    for (belief, (_, cold)) in b_beliefs.iter().zip(&b_cold) {
+        let (outcome, body) = assess(&mut client, belief);
+        assert_eq!(outcome, "hit", "a belief over the untouched database");
+        assert_eq!(&body, cold);
+    }
+    for (belief, (_, cold)) in a_beliefs.iter().zip(&a_cold) {
+        let (outcome, body) = assess(&mut client, belief);
+        assert_eq!(outcome, "miss", "a belief over the edited database");
+        assert_eq!(&body, cold);
+    }
     handle.shutdown();
 }
 
