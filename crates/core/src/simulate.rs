@@ -207,8 +207,8 @@ pub fn simulate_expected_cracks(
 
     let runs = par::map_indexed(par::available_threads(), config.n_runs, |r| {
         let start = run_start(config.seed_mode, r, &base_seed, &decracked);
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        sample_cracks(graph, start, &config.sampler, &mut rng)
+        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
+        sample_cracks(graph, start, &config.sampler, rng)
             .map(|samples| {
                 let sd = samples.std_dev();
                 (samples.mean(), sd * sd, samples.counts.len())
@@ -282,8 +282,8 @@ pub fn simulate_crack_samples(
 
     let runs = par::map_indexed(par::available_threads(), config.n_runs, |r| {
         let start = run_start(config.seed_mode, r, &base_seed, &decracked);
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        sample_cracks(graph, start, &config.sampler, &mut rng)
+        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
+        sample_cracks(graph, start, &config.sampler, rng)
             .map(|samples| samples.counts)
             .map_err(|e| e.to_string())
     });

@@ -14,8 +14,29 @@
 //! warm-up swap attempts to produce a seed, one sample every 10 000
 //! further attempts, 250 samples per seed, then the seed is rebuilt
 //! from scratch; 5 000 samples in total.
+//!
+//! Determinism contract: a run's samples are a function of the
+//! oracle, the seed matching, the schedule and the generator's
+//! stream. How many draws one swap attempt consumes depends only on
+//! the stream and the static locality order, never on the current
+//! matching: the item, the locality coin, then either a uniform
+//! partner or an offset and its sign (an offset outside the order
+//! ends the attempt), then a free column when the seed leaves one.
+//! The walk therefore generates the stream ahead in blocks into a
+//! fixed ring, decodes each attempt with cursor arithmetic, and picks
+//! every outcome (local or uniform partner, sign, range check, accept
+//! or reject) with a select instead of a branch. It consumes exactly
+//! the draws one `gen_range`/`gen_bool` call at a time would, so the
+//! samples are bit-identical to that walk; the goldens in
+//! `tests/sampler_goldens.rs` pin them. Because the ring reads ahead,
+//! [`sample_cracks`] takes its generator by value. `Budget` is polled
+//! once per epoch and once per block of at most 204 attempts, never
+//! inside one.
 
-use rand::Rng;
+use std::hint::select_unpredictable;
+
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::dense::DenseBigraph;
 use crate::faults;
@@ -45,18 +66,22 @@ pub trait EdgeOracle {
 }
 
 impl EdgeOracle for DenseBigraph {
+    #[inline]
     fn n(&self) -> usize {
         DenseBigraph::n(self)
     }
+    #[inline]
     fn has_edge(&self, left: usize, right: usize) -> bool {
         DenseBigraph::has_edge(self, left, right)
     }
 }
 
 impl EdgeOracle for GroupedBigraph {
+    #[inline]
     fn n(&self) -> usize {
         GroupedBigraph::n(self)
     }
+    #[inline]
     fn has_edge(&self, left: usize, right: usize) -> bool {
         GroupedBigraph::has_edge(self, left, right)
     }
@@ -225,10 +250,20 @@ impl std::error::Error for SamplerError {}
 /// moving a matched left item onto a free right item, so unmatched
 /// columns still circulate.
 ///
+/// The walk reads `rng`'s stream ahead of the draws it consumes (see
+/// the module docs), so it takes the generator by value: a borrowed
+/// one would be left at a point no caller could rely on.
+///
 /// # Errors
 ///
 /// Returns an error if the seed uses an inconsistent edge or is
 /// empty.
+///
+/// # Panics
+///
+/// Panics if `config.samples_per_seed` is zero, as the budgeted
+/// drivers do.
+///
 /// # Examples
 ///
 /// ```
@@ -239,102 +274,21 @@ impl std::error::Error for SamplerError {}
 ///
 /// // The complete graph: Lemma 1 says E[cracks] = 1.
 /// let g = DenseBigraph::complete(6);
-/// let mut rng = StdRng::seed_from_u64(1);
 /// let samples = sample_cracks(&g, &Matching::identity(6),
-///     &SamplerConfig::quick(), &mut rng).unwrap();
+///     &SamplerConfig::quick(), StdRng::seed_from_u64(1)).unwrap();
 /// assert!((samples.mean() - 1.0).abs() < 0.3);
 /// assert!(samples.tail_probability(0) == 1.0);
 /// ```
-pub fn sample_cracks<O: EdgeOracle, R: Rng + ?Sized>(
+pub fn sample_cracks<O: EdgeOracle>(
     oracle: &O,
     seed: &Matching,
     config: &SamplerConfig,
-    rng: &mut R,
+    rng: StdRng,
 ) -> Result<CrackSamples, SamplerError> {
-    sample_cracks_core(oracle, seed, config, rng, &Budget::unlimited(), None)
-}
-
-/// Shared walk driver behind every sampling entry point: runs the
-/// epoch schedule under `budget` (polled once per epoch and every
-/// 1024 swap attempts inside [`Walk::run_swaps`]) and, when `hits`
-/// is provided, tallies per-item crack frequencies alongside the
-/// per-sample counts (`hits[i]` += 1 for every sample with item `i`
-/// cracked; `hits` must have length `oracle.n()`).
-fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
-    oracle: &O,
-    seed: &Matching,
-    config: &SamplerConfig,
-    rng: &mut R,
-    budget: &Budget,
-    mut hits: Option<&mut Vec<u64>>,
-) -> Result<CrackSamples, SamplerError> {
-    let n = oracle.n();
-    assert_eq!(seed.left_partner.len(), n, "seed size mismatch");
-
-    // Validate the seed once.
-    let mut active: Vec<usize> = Vec::new();
-    for (i, p) in seed.left_partner.iter().enumerate() {
-        if let Some(y) = *p {
-            if !oracle.has_edge(i, y) {
-                return Err(SamplerError::InconsistentSeed { left: i, right: y });
-            }
-            active.push(i);
-        }
-    }
-    if active.is_empty() {
-        return Err(SamplerError::EmptySeed);
-    }
-
-    // Locality structure for the proposal kernel: positions of the
-    // active items along the oracle's frequency-sorted order.
-    let locality = if config.use_locality {
-        oracle.locality_order()
-    } else {
-        None
-    }
-    .map(|order| {
-        let order: Vec<usize> = order
-            .into_iter()
-            .filter(|&i| seed.left_partner[i].is_some())
-            .collect();
-        let mut pos = vec![usize::MAX; n];
-        for (p, &i) in order.iter().enumerate() {
-            pos[i] = p;
-        }
-        (order, pos)
-    });
-
-    let mut counts = Vec::with_capacity(config.n_samples);
-    'outer: loop {
-        budget.check().map_err(SamplerError::Interrupted)?;
-        // (Re)seed.
-        let mut partner: Vec<Option<usize>> = seed.left_partner.clone();
-        let mut free_rights: Vec<usize> = (0..n)
-            .filter(|&y| seed.right_partner[y].is_none())
-            .collect();
-
-        let mut walk = Walk {
-            oracle,
-            partner: &mut partner,
-            active: &active,
-            free_rights: &mut free_rights,
-            locality: locality.as_ref(),
-        };
-
-        walk.run_swaps(config.warmup_swaps, rng, budget)
-            .map_err(SamplerError::Interrupted)?;
-        for _ in 0..config.samples_per_seed {
-            walk.run_swaps(config.swaps_between_samples, rng, budget)
-                .map_err(SamplerError::Interrupted)?;
-            counts.push(count_cracks(walk.partner));
-            if let Some(h) = hits.as_deref_mut() {
-                tally_cracks(walk.partner, h);
-            }
-            if counts.len() >= config.n_samples {
-                break 'outer;
-            }
-        }
-    }
+    let plan = Plan::new(oracle, seed, config)?;
+    let counts = plan
+        .sample(config.n_samples, rng, &Budget::unlimited(), None)
+        .map_err(SamplerError::Interrupted)?;
     Ok(CrackSamples { counts })
 }
 
@@ -349,8 +303,8 @@ fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
 /// vector depends only on `(oracle, seed, config, rng_seed)` — never
 /// on the worker count. Each batch runs as a
 /// [`crate::par::try_map_indexed`] task carrying the `sampler.batch`
-/// fault probe, and the walk polls `budget` per epoch and every 1024
-/// swap attempts.
+/// fault probe, and the walk polls `budget` per epoch and once per
+/// block of swap attempts.
 ///
 /// Note the sharded stream is *not* the same stream `sample_cracks`
 /// draws from one sequential RNG — it is a different (equally valid)
@@ -363,6 +317,10 @@ fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
 /// Seed errors as in [`sample_cracks`];
 /// [`SamplerError::Interrupted`] when the budget trips, the token
 /// fires, or an injected fault panics a batch.
+///
+/// # Panics
+///
+/// Panics if `config.samples_per_seed` is zero.
 pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
     oracle: &O,
     seed: &Matching,
@@ -385,6 +343,10 @@ pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
 /// # Errors
 ///
 /// Same conditions as [`sample_cracks_budgeted`].
+///
+/// # Panics
+///
+/// Panics if `config.samples_per_seed` is zero.
 pub fn sample_crack_probabilities_budgeted<O: EdgeOracle + Sync>(
     oracle: &O,
     seed: &Matching,
@@ -415,46 +377,27 @@ fn sample_cracks_budgeted_inner<O: EdgeOracle + Sync>(
     budget: &Budget,
     tally: bool,
 ) -> Result<(CrackSamples, Vec<u64>), SamplerError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    assert!(
-        config.samples_per_seed >= 1,
-        "samples_per_seed must be >= 1"
-    );
+    let plan = Plan::new(oracle, seed, config)?;
     let n = oracle.n();
     let per_batch = config.samples_per_seed;
     let n_batches = config.n_samples.div_ceil(per_batch);
-    if n_batches == 0 {
-        return Ok((CrackSamples { counts: Vec::new() }, vec![0; n]));
-    }
 
     let results = crate::par::try_map_indexed(threads, n_batches, budget, |b| {
         faults::probe("sampler.batch", b);
         let batch_len = per_batch.min(config.n_samples - b * per_batch);
-        let batch_config = SamplerConfig {
-            n_samples: batch_len,
-            ..*config
-        };
-        let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
+        let rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
         let mut batch_hits = if tally { Some(vec![0u64; n]) } else { None };
-        let samples = sample_cracks_core(
-            oracle,
-            seed,
-            &batch_config,
-            &mut rng,
-            budget,
-            batch_hits.as_mut(),
-        )?;
-        Ok((samples, batch_hits.unwrap_or_default()))
+        let counts = plan.sample(batch_len, rng, budget, batch_hits.as_deref_mut())?;
+        Ok((counts, batch_hits.unwrap_or_default()))
     })
     .map_err(SamplerError::Interrupted)?;
 
     let mut counts = Vec::with_capacity(config.n_samples);
     let mut hits = vec![0u64; n];
     for result in results {
-        let (samples, batch_hits): (CrackSamples, Vec<u64>) = result?;
-        counts.extend(samples.counts);
+        let (batch_counts, batch_hits): (Vec<usize>, Vec<u64>) =
+            result.map_err(SamplerError::Interrupted)?;
+        counts.extend(batch_counts);
         for (acc, h) in hits.iter_mut().zip(batch_hits) {
             *acc += h;
         }
@@ -462,18 +405,17 @@ fn sample_cracks_budgeted_inner<O: EdgeOracle + Sync>(
     Ok((CrackSamples { counts }, hits))
 }
 
-fn count_cracks(partner: &[Option<usize>]) -> usize {
-    partner
-        .iter()
-        .enumerate()
-        .filter(|&(i, p)| *p == Some(i))
-        .count()
+/// Marks a left item without a partner in the walk's matching.
+const UNMATCHED: usize = usize::MAX;
+
+fn count_cracks(partner: &[usize]) -> usize {
+    partner.iter().enumerate().filter(|&(i, &p)| p == i).count()
 }
 
 /// Adds each cracked item of one sample into the per-item tallies.
-fn tally_cracks(partner: &[Option<usize>], hits: &mut [u64]) {
-    for (i, p) in partner.iter().enumerate() {
-        if *p == Some(i) {
+fn tally_cracks(partner: &[usize], hits: &mut [u64]) {
+    for (i, &p) in partner.iter().enumerate() {
+        if p == i {
             hits[i] += 1;
         }
     }
@@ -483,106 +425,273 @@ fn tally_cracks(partner: &[Option<usize>], hits: &mut [u64]) {
 /// the frequency-sorted order).
 const LOCALITY_WINDOW: usize = 32;
 
-/// Internal walk state.
-struct Walk<'a, O: EdgeOracle> {
-    oracle: &'a O,
-    partner: &'a mut Vec<Option<usize>>,
-    active: &'a [usize],
-    free_rights: &'a mut Vec<usize>,
-    /// `(order, pos)`: active items in frequency order and each
-    /// item's position in it.
-    locality: Option<&'a (Vec<usize>, Vec<usize>)>,
+/// Draws the walk keeps generated ahead of the cursor: a power of
+/// two, so positions wrap with a mask; 8 KiB stays in L1.
+const STREAM_LEN: usize = 1024;
+
+/// The most draws one attempt consumes: the item, the locality coin,
+/// the offset, its sign, and a free column.
+const MAX_DRAWS: usize = 5;
+
+/// Attempts per block. A block starts with `STREAM_LEN` unread draws
+/// buffered, so it never reads past them; the budget is polled once
+/// per block.
+const BLOCK_ATTEMPTS: usize = STREAM_LEN / MAX_DRAWS;
+
+/// `rng.gen_range(0..span)` decoded from one draw: the vendored
+/// generator's widening multiply.
+#[inline(always)]
+fn below(draw: u64, span: usize) -> usize {
+    ((u128::from(draw) * span as u128) >> 64) as usize
 }
 
-impl<O: EdgeOracle> Walk<'_, O> {
-    /// Executes `swaps` swap attempts, polling `budget` every 1024.
-    /// Each attempt draws a pair `(i, j)` of matched items — `i`
-    /// uniform; `j` uniform half the time and from a window around
-    /// `i` in the frequency order otherwise (when the oracle provides
-    /// one) — and swaps their partners if both new edges are
-    /// consistent. The paper's uniform-permutation sweep is the
-    /// special case without locality; mixing the two keeps the chain
-    /// irreducible wherever the uniform kernel was, while the local
-    /// moves let items in small frequency groups actually find their
-    /// rare consistent peers.
-    fn run_swaps<R: Rng + ?Sized>(
-        &mut self,
-        swaps: usize,
-        rng: &mut R,
-        budget: &Budget,
-    ) -> Result<(), ExecError> {
-        let k = self.active.len();
-        let mut remaining = swaps;
-        let mut since_poll = 0u32;
-        while remaining > 0 {
-            since_poll += 1;
-            if since_poll >= 1024 {
-                since_poll = 0;
-                budget.check()?;
-            }
-            remaining -= 1;
-            let i = self.active[rng.gen_range(0..k)];
-            let j = match self.locality {
-                Some((order, pos)) if !order.is_empty() && rng.gen_bool(0.5) => {
-                    let p = pos[i];
-                    debug_assert!(p != usize::MAX);
-                    let w = LOCALITY_WINDOW.min(order.len().saturating_sub(1));
-                    if w == 0 {
-                        continue;
-                    }
-                    // Symmetric offset in [-w, w] \ {0}.
-                    let mut off = rng.gen_range(1..=w) as isize;
-                    if rng.gen_bool(0.5) {
-                        off = -off;
-                    }
-                    let q = p as isize + off;
-                    if q < 0 || q >= order.len() as isize {
-                        continue;
-                    }
-                    order[q as usize]
+/// `rng.gen_bool(0.5)` decoded from one draw: `(draw >> 11) · 2⁻⁵³`
+/// is below one half exactly when the top bit is clear.
+#[inline(always)]
+fn coin(draw: u64) -> bool {
+    draw >> 63 == 0
+}
+
+/// What every epoch of one sampling run shares: the validated seed
+/// and the proposal kernel's static structure.
+struct Plan<'a, O: EdgeOracle> {
+    oracle: &'a O,
+    config: SamplerConfig,
+    /// The seed's matched left items: the walk draws `i` from these.
+    active: Vec<usize>,
+    /// The seed's partner of every left item (`UNMATCHED` if none).
+    start: Vec<usize>,
+    /// The right items the seed leaves free.
+    free: Vec<usize>,
+    /// Active items in the oracle's locality order; empty when the
+    /// walk proposes uniform pairs only.
+    order: Vec<usize>,
+    /// Each item's position in `order` (`usize::MAX` when absent).
+    pos: Vec<usize>,
+    /// Locality window half-width `w`.
+    window: usize,
+    /// Draws a local proposal consumes: item, coin, offset, sign —
+    /// or item and coin alone when the window is empty.
+    local_draws: usize,
+}
+
+/// The walk's moving parts: the current matching, and the
+/// generator's stream decoded from a ring of pre-generated draws.
+struct Walk {
+    partner: Vec<usize>,
+    free_rights: Vec<usize>,
+    /// `draws[t % STREAM_LEN]` is the stream's draw number `t` for
+    /// every `t` in `cursor..cursor + STREAM_LEN`.
+    draws: [u64; STREAM_LEN],
+    /// Number of draws consumed so far.
+    cursor: usize,
+    rng: StdRng,
+}
+
+impl<'a, O: EdgeOracle> Plan<'a, O> {
+    /// Validates `seed` against `oracle` and lays out the kernel.
+    fn new(oracle: &'a O, seed: &Matching, config: &SamplerConfig) -> Result<Self, SamplerError> {
+        assert!(
+            config.samples_per_seed >= 1,
+            "samples_per_seed must be >= 1"
+        );
+        let n = oracle.n();
+        assert_eq!(seed.left_partner.len(), n, "seed size mismatch");
+
+        let mut active = Vec::new();
+        for (i, p) in seed.left_partner.iter().enumerate() {
+            if let Some(y) = *p {
+                if !oracle.has_edge(i, y) {
+                    return Err(SamplerError::InconsistentSeed { left: i, right: y });
                 }
-                _ => self.active[rng.gen_range(0..k)],
-            };
-            if i != j {
-                self.try_swap(i, j);
+                active.push(i);
             }
-            // Occasionally rotate through free right columns so
-            // partial matchings explore all columns.
-            if !self.free_rights.is_empty() && remaining > 0 {
-                remaining -= 1;
-                self.try_relocate(i, rng);
+        }
+        if active.is_empty() {
+            return Err(SamplerError::EmptySeed);
+        }
+
+        let order: Vec<usize> = if config.use_locality {
+            oracle.locality_order().unwrap_or_default()
+        } else {
+            Vec::new()
+        }
+        .into_iter()
+        .filter(|&i| seed.left_partner[i].is_some())
+        .collect();
+        let mut pos = vec![usize::MAX; n];
+        for (p, &i) in order.iter().enumerate() {
+            pos[i] = p;
+        }
+        let window = LOCALITY_WINDOW.min(order.len().saturating_sub(1));
+
+        Ok(Plan {
+            oracle,
+            config: *config,
+            active,
+            start: seed
+                .left_partner
+                .iter()
+                .map(|p| p.unwrap_or(UNMATCHED))
+                .collect(),
+            free: (0..n)
+                .filter(|&y| seed.right_partner[y].is_none())
+                .collect(),
+            order,
+            pos,
+            window,
+            local_draws: if window == 0 { 2 } else { 4 },
+        })
+    }
+
+    /// Runs epochs until `n_samples` crack counts are collected: each
+    /// restarts from the seed, warms up, then records one sample
+    /// every `swaps_between_samples` attempts, at most
+    /// `samples_per_seed` of them. `budget` is polled per epoch and
+    /// once per block of attempts. When `hits` is given (length
+    /// `n`), `hits[i]` counts the samples with item `i` cracked.
+    fn sample(
+        &self,
+        n_samples: usize,
+        mut rng: StdRng,
+        budget: &Budget,
+        mut hits: Option<&mut [u64]>,
+    ) -> Result<Vec<usize>, ExecError> {
+        let mut counts = Vec::with_capacity(n_samples);
+        if n_samples == 0 {
+            return Ok(counts);
+        }
+        let mut walk = Walk {
+            partner: Vec::new(),
+            free_rights: Vec::new(),
+            draws: std::array::from_fn(|_| rng.next_u64()),
+            cursor: 0,
+            rng,
+        };
+        while counts.len() < n_samples {
+            budget.check()?;
+            walk.partner.clone_from(&self.start);
+            walk.free_rights.clone_from(&self.free);
+            self.run(&mut walk, self.config.warmup_swaps, budget)?;
+            for _ in 0..self.config.samples_per_seed.min(n_samples - counts.len()) {
+                self.run(&mut walk, self.config.swaps_between_samples, budget)?;
+                counts.push(count_cracks(&walk.partner));
+                if let Some(h) = hits.as_deref_mut() {
+                    tally_cracks(&walk.partner, h);
+                }
+            }
+        }
+        Ok(counts)
+    }
+
+    /// Executes `swaps` swap attempts in blocks, polling `budget`
+    /// before each block. Each attempt draws a pair `(i, j)` of
+    /// matched items — `i` uniform; `j` uniform half the time and
+    /// from a window around `i` in the frequency order otherwise
+    /// (when the oracle provides one) — and swaps their partners if
+    /// both new edges are consistent. The paper's uniform-permutation
+    /// sweep is the special case without locality; mixing the two
+    /// keeps the chain irreducible wherever the uniform kernel was,
+    /// while the local moves let items in small frequency groups
+    /// actually find their rare consistent peers.
+    fn run(&self, walk: &mut Walk, swaps: usize, budget: &Budget) -> Result<(), ExecError> {
+        let mut remaining = swaps;
+        while remaining > 0 {
+            budget.check()?;
+            let start = walk.cursor;
+            let (partner, free_rights) = (&mut walk.partner[..], &mut walk.free_rights[..]);
+            (walk.cursor, remaining) = if self.order.is_empty() {
+                self.block::<false>(partner, free_rights, &walk.draws, start, remaining)
+            } else {
+                self.block::<true>(partner, free_rights, &walk.draws, start, remaining)
+            };
+            // Replace the draws the block consumed.
+            for t in start..walk.cursor {
+                walk.draws[t % STREAM_LEN] = walk.rng.next_u64();
             }
         }
         Ok(())
     }
 
-    /// Swaps the partners of active lefts `i` and `j` if both new
-    /// edges are consistent.
-    fn try_swap(&mut self, i: usize, j: usize) {
-        // Callers draw i, j from `active`, whose members are matched
-        // by construction; an unmatched item is simply not swappable.
-        let (Some(yi), Some(yj)) = (self.partner[i], self.partner[j]) else {
-            return;
-        };
-        if self.oracle.has_edge(i, yj) && self.oracle.has_edge(j, yi) {
-            self.partner[i] = Some(yj);
-            self.partner[j] = Some(yi);
+    /// Runs at most `BLOCK_ATTEMPTS` of the `remaining` attempts from
+    /// draw `cursor` on. Returns the new cursor and the attempts
+    /// still to run.
+    fn block<const LOCAL: bool>(
+        &self,
+        partner: &mut [usize],
+        free_rights: &mut [usize],
+        draws: &[u64; STREAM_LEN],
+        mut cursor: usize,
+        mut remaining: usize,
+    ) -> (usize, usize) {
+        for _ in 0..BLOCK_ATTEMPTS {
+            if remaining == 0 {
+                break;
+            }
+            let (used, attempts) =
+                self.attempt::<LOCAL>(partner, free_rights, draws, cursor, remaining);
+            cursor += used;
+            remaining -= attempts;
         }
+        (cursor, remaining)
     }
 
-    /// Moves left `i` onto a random free right column if consistent,
-    /// freeing its old column.
-    fn try_relocate<R: Rng + ?Sized>(&mut self, i: usize, rng: &mut R) {
-        let k = rng.gen_range(0..self.free_rights.len());
-        let r = self.free_rights[k];
-        // Callers draw i from `active`, whose members are matched by
-        // construction; an unmatched item has nothing to free.
-        if self.oracle.has_edge(i, r) {
-            if let Some(old) = self.partner[i] {
-                self.partner[i] = Some(r);
-                self.free_rights[k] = old;
-            }
+    /// One swap attempt decoded from the draws at `cursor`. It
+    /// consumes the draws `gen_range`/`gen_bool` would, in the same
+    /// order, and picks every outcome with a select instead of a
+    /// branch. With free columns and attempts to spare it then
+    /// proposes moving `i` onto a random free column, which counts
+    /// as a second attempt. Returns the draws consumed and the
+    /// attempts used (1 or 2).
+    #[inline(always)]
+    fn attempt<const LOCAL: bool>(
+        &self,
+        partner: &mut [usize],
+        free_rights: &mut [usize],
+        draws: &[u64; STREAM_LEN],
+        cursor: usize,
+        remaining: usize,
+    ) -> (usize, usize) {
+        let draw = |t: usize| draws[(cursor + t) % STREAM_LEN];
+        let active = &self.active;
+
+        let i = active[below(draw(0), active.len())];
+        // `proposed` is false when a local proposal falls outside the
+        // order: the attempt then ends without a swap or relocation.
+        let (j, proposed, used) = if LOCAL {
+            let local = coin(draw(1));
+            let uniform = active[below(draw(2), active.len())];
+            // Symmetric offset in [-w, w] \ {0}.
+            let off = 1 + below(draw(2), self.window) as isize;
+            let q = self.pos[i] as isize + select_unpredictable(coin(draw(3)), -off, off);
+            // A negative `q` wraps to a huge `usize`: one comparison
+            // checks both ends of the order.
+            let inside = (self.window > 0) & ((q as usize) < self.order.len());
+            let near = self.order[select_unpredictable(inside, q as usize, 0)];
+            (
+                select_unpredictable(local, near, uniform),
+                !local | inside,
+                select_unpredictable(local, self.local_draws, 3),
+            )
+        } else {
+            (active[below(draw(1), active.len())], true, 2)
+        };
+
+        let (yi, yj) = (partner[i], partner[j]);
+        let swap = proposed & (i != j) & self.oracle.has_edge(i, yj) & self.oracle.has_edge(j, yi);
+        partner[i] = select_unpredictable(swap, yj, yi);
+        partner[j] = select_unpredictable(swap, yi, yj);
+
+        if free_rights.is_empty() {
+            return (used, 1);
         }
+        let relocate = proposed & (remaining > 1);
+        let slot = below(draw(used), free_rights.len());
+        let (r, old) = (free_rights[slot], partner[i]);
+        let moved = relocate & self.oracle.has_edge(i, r);
+        partner[i] = select_unpredictable(moved, r, old);
+        free_rights[slot] = select_unpredictable(moved, old, r);
+        (used + usize::from(relocate), 1 + usize::from(relocate))
     }
 }
 
@@ -601,8 +710,8 @@ mod tests {
     fn complete_graph_mean_is_near_one() {
         // Lemma 1: E[X] = 1 on the complete graph.
         let g = DenseBigraph::complete(8);
-        let mut rng = StdRng::seed_from_u64(61);
-        let s = sample_cracks(&g, &Matching::identity(8), &quick(), &mut rng).unwrap();
+        let rng = StdRng::seed_from_u64(61);
+        let s = sample_cracks(&g, &Matching::identity(8), &quick(), rng).unwrap();
         assert_eq!(s.counts.len(), quick().n_samples);
         let mean = s.mean();
         assert!((mean - 1.0).abs() < 0.3, "mean {mean} too far from 1");
@@ -626,7 +735,8 @@ mod tests {
                 }
             }
             let exact = expected_cracks(&g).expect("diagonal present");
-            let s = sample_cracks(&g, &Matching::identity(n), &quick(), &mut rng).unwrap();
+            let walk_rng = StdRng::seed_from_u64(rng.gen());
+            let s = sample_cracks(&g, &Matching::identity(n), &quick(), walk_rng).unwrap();
             let mean = s.mean();
             assert!(
                 (mean - exact).abs() < 0.35 + 3.0 * s.std_dev() / (s.counts.len() as f64).sqrt(),
@@ -643,7 +753,7 @@ mod tests {
             &g,
             &Matching::identity(2),
             &quick(),
-            &mut StdRng::seed_from_u64(63),
+            StdRng::seed_from_u64(63),
         )
         .unwrap_err();
         assert!(matches!(err, SamplerError::InconsistentSeed { .. }));
@@ -656,7 +766,7 @@ mod tests {
             left_partner: vec![None, None],
             right_partner: vec![None, None],
         };
-        let err = sample_cracks(&g, &empty, &quick(), &mut StdRng::seed_from_u64(64)).unwrap_err();
+        let err = sample_cracks(&g, &empty, &quick(), StdRng::seed_from_u64(64)).unwrap_err();
         assert_eq!(err, SamplerError::EmptySeed);
     }
 
@@ -667,8 +777,8 @@ mod tests {
         for i in 0..5 {
             g.add_edge(i, i);
         }
-        let mut rng = StdRng::seed_from_u64(65);
-        let s = sample_cracks(&g, &Matching::identity(5), &quick(), &mut rng).unwrap();
+        let rng = StdRng::seed_from_u64(65);
+        let s = sample_cracks(&g, &Matching::identity(5), &quick(), rng).unwrap();
         assert!(s.counts.iter().all(|&c| c == 5));
         assert_eq!(s.std_dev(), 0.0);
     }
@@ -682,8 +792,8 @@ mod tests {
             left_partner: vec![Some(0), Some(1), Some(2), None],
             right_partner: vec![Some(0), Some(1), Some(2), None],
         };
-        let mut rng = StdRng::seed_from_u64(66);
-        let s = sample_cracks(&g, &seed, &quick(), &mut rng).unwrap();
+        let rng = StdRng::seed_from_u64(66);
+        let s = sample_cracks(&g, &seed, &quick(), rng).unwrap();
         assert!(s.counts.iter().all(|&c| c <= 3));
     }
 
@@ -700,8 +810,8 @@ mod tests {
             })
             .collect();
         let g = GroupedBigraph::new(&supports, 10, &intervals);
-        let mut rng = StdRng::seed_from_u64(67);
-        let s = sample_cracks(&g, &Matching::identity(6), &quick(), &mut rng).unwrap();
+        let rng = StdRng::seed_from_u64(67);
+        let s = sample_cracks(&g, &Matching::identity(6), &quick(), rng).unwrap();
         let mean = s.mean();
         assert!((mean - 3.0).abs() < 0.4, "mean {mean} vs exact 3");
     }
@@ -761,12 +871,8 @@ mod tests {
                 n_samples: chunk.len(),
                 ..config
             };
-            let mut rng = StdRng::seed_from_u64(99 + batch as u64);
-            expected.extend(
-                sample_cracks(&g, &seed, &batch_config, &mut rng)
-                    .unwrap()
-                    .counts,
-            );
+            let rng = StdRng::seed_from_u64(99 + batch as u64);
+            expected.extend(sample_cracks(&g, &seed, &batch_config, rng).unwrap().counts);
         }
         assert_eq!(sharded.counts, expected);
     }
@@ -865,7 +971,7 @@ mod tests {
             }
         }
         let exact = crack_distribution(&g).unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
+        let rng = StdRng::seed_from_u64(77);
         let config = SamplerConfig {
             warmup_swaps: 5_000,
             swaps_between_samples: 40,
@@ -873,7 +979,7 @@ mod tests {
             n_samples: 9_000,
             use_locality: true,
         };
-        let s = sample_cracks(&g, &Matching::identity(5), &config, &mut rng).unwrap();
+        let s = sample_cracks(&g, &Matching::identity(5), &config, rng).unwrap();
         // P(X >= 2) from the histogram matches the exact tail.
         let exact_tail: f64 = exact[2..].iter().sum();
         assert!(
@@ -881,5 +987,61 @@ mod tests {
             "sampled {} vs exact {exact_tail}",
             s.tail_probability(2)
         );
+    }
+
+    #[test]
+    fn zero_samples_means_no_samples_from_both_drivers() {
+        let g = DenseBigraph::complete(5);
+        let seed = Matching::identity(5);
+        let config = SamplerConfig {
+            n_samples: 0,
+            ..quick()
+        };
+        let s = sample_cracks(&g, &seed, &config, StdRng::seed_from_u64(3)).unwrap();
+        assert!(s.counts.is_empty());
+        let b = sample_cracks_budgeted(&g, &seed, &config, 3, 2, &Budget::unlimited()).unwrap();
+        assert!(b.counts.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "samples_per_seed must be >= 1")]
+    fn zero_samples_per_seed_panics_in_sample_cracks() {
+        let config = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        let g = DenseBigraph::complete(3);
+        let _ = sample_cracks(
+            &g,
+            &Matching::identity(3),
+            &config,
+            StdRng::seed_from_u64(4),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "samples_per_seed must be >= 1")]
+    fn zero_samples_per_seed_panics_in_the_budgeted_driver() {
+        let config = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        let g = DenseBigraph::complete(3);
+        let b = Budget::unlimited();
+        let _ = sample_cracks_budgeted(&g, &Matching::identity(3), &config, 4, 1, &b);
+    }
+
+    #[test]
+    fn decoders_match_the_generator_calls() {
+        use rand::Rng;
+        // The walk decodes raw draws itself; each decoder must agree
+        // with the `Rng` call it stands for, draw for draw.
+        let mut raw = StdRng::seed_from_u64(5);
+        let mut calls = StdRng::seed_from_u64(5);
+        for span in (1..200).chain([1 << 20, usize::MAX / 3]) {
+            assert_eq!(below(raw.next_u64(), span), calls.gen_range(0..span));
+            assert_eq!(coin(raw.next_u64()), calls.gen_bool(0.5));
+            assert_eq!(1 + below(raw.next_u64(), span), calls.gen_range(1..=span));
+        }
     }
 }

@@ -170,8 +170,8 @@ fn sampler_is_uniform_over_matchings() {
         n_samples: 12_000,
         use_locality: true,
     };
-    let mut rng = StdRng::seed_from_u64(2024);
-    let samples = sample_cracks(&g, &Matching::identity(4), &config, &mut rng).unwrap();
+    let rng = StdRng::seed_from_u64(2024);
+    let samples = sample_cracks(&g, &Matching::identity(4), &config, rng).unwrap();
 
     // Exact crack-count distribution over the enumerated matchings.
     let mut exact_counts = [0usize; 5];
@@ -211,11 +211,11 @@ fn sampler_start_independence() {
     };
     let id_start = Matching::identity(5);
     let hk = hopcroft_karp(&g); // some other perfect matching
-    let mut rng1 = StdRng::seed_from_u64(7);
-    let mut rng2 = StdRng::seed_from_u64(8);
-    let a = sample_cracks(&g, &id_start, &config, &mut rng1)
+    let a = sample_cracks(&g, &id_start, &config, StdRng::seed_from_u64(7))
         .unwrap()
         .mean();
-    let b = sample_cracks(&g, &hk, &config, &mut rng2).unwrap().mean();
+    let b = sample_cracks(&g, &hk, &config, StdRng::seed_from_u64(8))
+        .unwrap()
+        .mean();
     assert!((a - b).abs() < 0.1, "start dependence: {a} vs {b}");
 }

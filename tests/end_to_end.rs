@@ -114,7 +114,7 @@ fn recipe_oe_matches_simulated_hacker() {
 
     let belief = BeliefFunction::widened(&db.frequencies(), verdict.delta_med).unwrap();
     let graph = belief.build_graph(&supports, db.n_transactions() as u64);
-    let mut rng = StdRng::seed_from_u64(11);
+    let rng = StdRng::seed_from_u64(11);
     let samples = sample_cracks(
         &graph,
         &andi::graph::Matching::identity(db.n_items()),
@@ -125,7 +125,7 @@ fn recipe_oe_matches_simulated_hacker() {
             n_samples: 2_000,
             use_locality: true,
         },
-        &mut rng,
+        rng,
     )
     .unwrap();
     let sim = samples.mean();

@@ -259,7 +259,8 @@ fn sampler_tracks_exact_on_random_instances() {
         let belief = BeliefFunction::widened(&freqs, delta).unwrap();
         let graph = belief.build_graph(&supports, 100);
         let exact = expected_cracks(&graph.to_dense()).expect("feasible");
-        let samples = sample_cracks(&graph, &Matching::identity(n), &config, &mut rng).unwrap();
+        let walk_rng = StdRng::seed_from_u64(rng.gen());
+        let samples = sample_cracks(&graph, &Matching::identity(n), &config, walk_rng).unwrap();
         let mean = samples.mean();
         assert!(
             (mean - exact).abs() < 0.2,
