@@ -20,9 +20,11 @@
 
 use std::collections::BTreeSet;
 
-use crate::graph::{call_paren, matching_paren, split_args, CallGraph, SourceFile};
+use crate::graph::{
+    call_paren, matching, pattern_idents, split_args, split_let, CallGraph, SourceFile,
+};
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{for_loop_expr, in_lib_crate, loop_body_open, matching_brace, Finding};
+use crate::rules::{for_loop_expr, in_lib_crate, loop_body_open, Finding};
 
 /// Splits a body token range into flat statement segments at `;`,
 /// `{`, and `}` (any depth except inside parens/brackets, so call
@@ -87,17 +89,13 @@ fn propagate(
             continue;
         }
         if seg[0].is_ident("let") {
-            // `let [mut] <pat> [: Ty] = expr` — pattern idents before
-            // the top-level `=`, expression after it.
-            let Some(eq) = top_level_eq(seg) else {
+            // `let [mut] <pat> [: Ty] = expr`: the pattern's idents
+            // take the initializer's taint.
+            let Some(parts) = split_let(toks, a, b) else {
                 continue;
             };
-            if range_tainted(toks, (a + eq + 1, b), &tainted, is_source) {
-                for t in &seg[1..eq] {
-                    if t.kind == TokenKind::Ident && !t.is_ident("mut") {
-                        tainted.insert(t.text.clone());
-                    }
-                }
+            if range_tainted(toks, parts.rhs, &tainted, is_source) {
+                tainted.extend(pattern_idents(toks, parts.pat).map(str::to_string));
             }
         } else if seg[0].is_ident("for") {
             // `for <pat> in expr` (body split off at `{`).
@@ -105,11 +103,7 @@ fn propagate(
                 continue;
             };
             if range_tainted(toks, (a + pos + 1, b), &tainted, is_source) {
-                for t in &seg[1..pos] {
-                    if t.kind == TokenKind::Ident && !t.is_ident("mut") {
-                        tainted.insert(t.text.clone());
-                    }
-                }
+                tainted.extend(pattern_idents(toks, (a + 1, a + pos)).map(str::to_string));
             }
         } else if seg.len() >= 3 && seg[0].kind == TokenKind::Ident {
             // `name = expr` / `name op= expr`.
@@ -135,29 +129,6 @@ fn propagate(
         }
     }
     tainted
-}
-
-/// Position of the top-level `=` in a statement segment (skipping
-/// `==`, `<=`-style operators and anything bracketed).
-pub(crate) fn top_level_eq(seg: &[Token]) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in seg.iter().enumerate() {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            depth -= 1;
-        } else if depth <= 0 && t.is_punct('=') {
-            let prev_op = k > 0
-                && seg[k - 1].kind == TokenKind::Punct
-                && !seg[k - 1].is_punct(')')
-                && !seg[k - 1].is_punct(']');
-            let next_eq = seg.get(k + 1).is_some_and(|t| t.is_punct('='));
-            if !prev_op && !next_eq {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 /// Entropy / wall-clock sources that must never feed an RNG seed.
@@ -215,7 +186,7 @@ pub fn seed_provenance(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
             let Some(paren) = call_paren(toks, k, hi) else {
                 continue;
             };
-            let close = matching_paren(toks, paren, hi);
+            let close = matching(toks, paren, hi).unwrap_or(hi.min(toks.len()).saturating_sub(1));
             let args = split_args(toks, paren + 1, close);
             if args
                 .iter()
@@ -237,7 +208,7 @@ pub fn seed_provenance(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
 
         // Cross-file sinks: tainted argument into a `seed`-named
         // parameter of a resolved workspace fn.
-        for c in g.calls.iter().filter(|c| c.caller == u) {
+        for c in g.calls_of(u) {
             let callee = &g.fns[c.callee];
             let params: &[crate::parser::Param] =
                 if callee.params.first().is_some_and(|p| p.name == "self") {
@@ -335,7 +306,7 @@ pub fn float_merge_order(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
             let Some(paren) = call_paren(toks, k, toks.len()) else {
                 return false;
             };
-            let close = matching_paren(toks, paren, toks.len());
+            let close = matching(toks, paren, toks.len()).unwrap_or(toks.len() - 1);
             let args = split_args(toks, paren + 1, close);
             let arg_threaded =
                 |r: (usize, usize)| range_tainted(toks, r, &threads_for_source, &is_thread_source);
@@ -355,18 +326,13 @@ pub fn float_merge_order(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
         let mut float_locals: BTreeSet<String> = BTreeSet::new();
         for (a, b) in statements(toks, lo, hi) {
             let seg = &toks[a..b.min(toks.len())];
-            if seg.first().is_some_and(|t| t.is_ident("let")) {
-                let floaty = seg
+            if seg.first().is_some_and(|t| t.is_ident("let"))
+                && seg
                     .iter()
-                    .any(|t| is_float_literal(t) || t.is_ident("f64") || t.is_ident("f32"));
-                if floaty {
-                    if let Some(eq) = top_level_eq(seg) {
-                        for t in &seg[1..eq] {
-                            if t.kind == TokenKind::Ident && !t.is_ident("mut") {
-                                float_locals.insert(t.text.clone());
-                            }
-                        }
-                    }
+                    .any(|t| is_float_literal(t) || t.is_ident("f64") || t.is_ident("f32"))
+            {
+                if let Some(parts) = split_let(toks, a, b) {
+                    float_locals.extend(pattern_idents(toks, parts.pat).map(str::to_string));
                 }
             }
         }
@@ -451,7 +417,7 @@ pub fn result_discard(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
         let Some(paren) = call_paren(toks, c.tok, toks.len()) else {
             continue;
         };
-        let close = matching_paren(toks, paren, toks.len());
+        let close = matching(toks, paren, toks.len()).unwrap_or(toks.len() - 1);
         // The call's value must reach the end of the statement
         // unconsumed: next token is `;`.
         if !toks.get(close + 1).is_some_and(|t| t.is_punct(';')) {
@@ -568,18 +534,7 @@ pub fn poll_reachability(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
             .iter()
             .any(|t| t.kind == TokenKind::Ident && POLL_IDENTS.contains(&t.text.as_str()));
     }
-    loop {
-        let mut changed = false;
-        for c in &g.calls {
-            if polls[c.callee] && !polls[c.caller] {
-                polls[c.caller] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    g.mark_callers(&mut polls);
 
     let mut findings = Vec::new();
     for (u, f) in g.fns.iter().enumerate() {
@@ -605,7 +560,7 @@ pub fn poll_reachability(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
                 _ => None,
             };
             let Some(open) = body_open else { continue };
-            let Some(close) = matching_brace(toks, open) else {
+            let Some(close) = matching(toks, open, toks.len()) else {
                 continue;
             };
             let body = &toks[open + 1..close];
@@ -625,9 +580,9 @@ pub fn poll_reachability(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
             {
                 continue;
             }
-            if g.calls
+            if g.calls_of(u)
                 .iter()
-                .any(|c| c.caller == u && c.tok > open && c.tok < close && polls[c.callee])
+                .any(|c| c.tok > open && c.tok < close && polls[c.callee])
             {
                 continue;
             }
@@ -691,6 +646,40 @@ mod tests {
             seed_provenance,
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn let_type_ascription_is_not_a_tainted_name() {
+        // `usize` is `t`'s ascribed type, not a binding: the seed
+        // derives from `seed` and `n` alone.
+        let f = run(
+            &[(
+                "crates/core/src/a.rs",
+                "pub fn f(seed: u64, n: usize) {\n\
+                 let t: usize = available_threads();\n\
+                 let s = seed ^ (n as usize as u64);\n\
+                 let rng = StdRng::seed_from_u64(s);\n}\n",
+            )],
+            seed_provenance,
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn path_pattern_let_binds_its_inner_names() {
+        // The second `:` of `Wrap::Seed` is not an ascription: `t`
+        // is bound, and it carries the thread count into the seed.
+        let f = run(
+            &[(
+                "crates/core/src/a.rs",
+                "pub fn f() {\n\
+                 let Wrap::Seed(t) = available_threads() else { return };\n\
+                 let rng = StdRng::seed_from_u64(t as u64);\n}\n",
+            )],
+            seed_provenance,
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 3);
     }
 
     #[test]

@@ -32,16 +32,20 @@ pub fn lint_workspace(inputs: &[(String, String)]) -> Vec<Finding> {
         .iter()
         .map(|(path, source)| SourceFile::new(path, source))
         .collect();
+    lint_loaded(&files)
+}
 
+/// Lints already-loaded files, in the given order, as one workspace.
+fn lint_loaded(files: &[SourceFile]) -> Vec<Finding> {
     // Per-file token rules, with the parser's real test mask.
     let mut findings = Vec::new();
-    for sf in &files {
+    for sf in files {
         findings.extend(run_rules(&sf.path, &sf.scan.tokens, &sf.mask));
     }
 
     // Workspace semantic rules.
-    let graph = build(&files);
-    let (semantic, cut_pragmas) = run_semantic_rules(&files, &graph);
+    let graph = build(files);
+    let (semantic, cut_pragmas) = run_semantic_rules(files, &graph);
     findings.extend(semantic);
 
     // Contract-driven interval proofs. The `unchecked-width` and
@@ -49,14 +53,14 @@ pub fn lint_workspace(inputs: &[(String, String)]) -> Vec<Finding> {
     // rule; contract *hygiene* (malformed, misplaced, or dead
     // contracts) is appended after the suppression pass below — a
     // broken contract can never be `andi::allow`'d away.
-    let proved = crate::interval::prove(&files, &graph);
+    let proved = crate::interval::prove(files, &graph);
     findings.extend(proved.findings);
 
     // Information-flow layer: leak findings are suppressible (though
     // the idiomatic sanction is `andi::declassify`, which the pass
     // applies internally); its pragma hygiene joins the contract
     // hygiene after the suppression pass.
-    let taint = crate::taint::analyze(&files, &graph);
+    let taint = crate::taint::analyze(files, &graph);
     findings.extend(taint.findings);
 
     // Pragma suppression + hygiene, per file.
@@ -189,11 +193,21 @@ pub fn tree_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
         .collect())
 }
 
+/// Reads, scans and parses every in-scope file under `root`, in
+/// [`tree_files`] order. Every whole-tree entry point below loads
+/// through here.
+fn load_tree(root: &Path) -> io::Result<Vec<SourceFile>> {
+    tree_files(root)?
+        .iter()
+        .map(|(virt, real)| Ok(SourceFile::new(virt, &fs::read_to_string(real)?)))
+        .collect()
+}
+
 /// Walks the workspace at `root` and lints every in-scope `.rs` file
 /// as one workspace. Finding order is `(path, line, col, rule)`,
 /// independent of filesystem order.
 pub fn check_tree(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_files(&tree_files(root)?)
+    Ok(lint_loaded(&load_tree(root)?))
 }
 
 /// Runs only the interval prover over the tree at `root`: scans and
@@ -203,12 +217,8 @@ pub fn check_tree(root: &Path) -> io::Result<Vec<Finding>> {
 /// differential tests so a kernel edit that breaks a width proof
 /// fails the same job that exercises the kernel.
 pub fn prove_tree(root: &Path) -> io::Result<crate::interval::Proved> {
-    let mut files = Vec::new();
-    for (virt, real) in tree_files(root)? {
-        files.push(SourceFile::new(&virt, &fs::read_to_string(&real)?));
-    }
-    let graph = build(&files);
-    Ok(crate::interval::prove(&files, &graph))
+    let files = load_tree(root)?;
+    Ok(crate::interval::prove(&files, &build(&files)))
 }
 
 /// Runs only the information-flow layer over the tree at `root`:
@@ -217,24 +227,18 @@ pub fn prove_tree(root: &Path) -> io::Result<crate::interval::Proved> {
 /// `andi-lint taint` entry point — CI gates on zero findings and
 /// archives the flow stats as a reviewable artifact.
 pub fn taint_tree(root: &Path) -> io::Result<crate::taint::TaintReport> {
-    let mut files = Vec::new();
-    for (virt, real) in tree_files(root)? {
-        files.push(SourceFile::new(&virt, &fs::read_to_string(&real)?));
-    }
-    let graph = build(&files);
-    Ok(crate::taint::analyze(&files, &graph))
+    let files = load_tree(root)?;
+    Ok(crate::taint::analyze(&files, &build(&files)))
 }
 
 /// Counts the active `andi::declassify` boundaries in the tree at
 /// `root`. The burn-down test pins this as a decreasing ceiling —
 /// the declassification inventory can only shrink without review.
 pub fn count_declassifies(root: &Path) -> io::Result<usize> {
-    let mut n = 0;
-    for (_, real) in tree_files(root)? {
-        let source = fs::read_to_string(&real)?;
-        n += crate::lexer::scan(&source).declassifies.len();
-    }
-    Ok(n)
+    Ok(load_tree(root)?
+        .iter()
+        .map(|sf| sf.scan.declassifies.len())
+        .sum())
 }
 
 /// Counts the active suppression pragmas in the tree at `root` —
@@ -243,12 +247,10 @@ pub fn count_declassifies(root: &Path) -> io::Result<usize> {
 /// grammar are out of scope by construction). The burn-down test
 /// pins this as a decreasing ceiling.
 pub fn count_pragmas(root: &Path) -> io::Result<usize> {
-    let mut n = 0;
-    for (_, real) in tree_files(root)? {
-        let source = fs::read_to_string(&real)?;
-        n += crate::lexer::scan(&source).pragmas.len();
-    }
-    Ok(n)
+    Ok(load_tree(root)?
+        .iter()
+        .map(|sf| sf.scan.pragmas.len())
+        .sum())
 }
 
 /// Recursively collects `.rs` files under `dir` (if it exists).

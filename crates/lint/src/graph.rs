@@ -2,6 +2,18 @@
 //! all walked files, and runs the `panic-reachability` analysis on
 //! top of it.
 //!
+//! This module is also the front end every analysis reads: call
+//! sites by caller (`CallGraph::calls_of`), the callee→caller
+//! fixpoint (`CallGraph::mark_callers`), struct-field tables,
+//! delimiter matching (`matching`), call arguments (`split_args`) and
+//! `let` splitting (`split_let`). Two facts keep a second, differing
+//! implementation outside this module: the taint layer's unique
+//! callee at a call breaks ties by a `Type::` qualifier where
+//! `CallGraph::resolve_unique` is strict, and the interval prover's
+//! `pattern_names` binds only lowercase, non-path names where
+//! `pattern_idents` keeps every identifier. DESIGN.md gives the
+//! reasons.
+//!
 //! Resolution is name-based (there is no type information), tuned to
 //! this workspace's idioms and deliberately *asymmetric* in its
 //! approximation:
@@ -123,7 +135,21 @@ pub struct PanicSite {
     pub what: String,
 }
 
-/// The workspace call graph.
+/// One named struct field: `name: Ty` inside `struct S { … }`.
+#[derive(Clone, Debug)]
+pub(crate) struct Field {
+    /// Defining file (index into the workspace file list).
+    pub(crate) file: usize,
+    /// Field name.
+    pub(crate) name: String,
+    /// Line of the field name.
+    pub(crate) line: u32,
+    /// Token range of the type, up to the next depth-0 `,`.
+    pub(crate) ty: (usize, usize),
+}
+
+/// The workspace call graph, plus the struct-field table every
+/// analysis reads.
 pub struct CallGraph {
     /// Every fn definition, in (file, source) order.
     pub fns: Vec<FnNode>,
@@ -131,24 +157,44 @@ pub struct CallGraph {
     pub calls: Vec<CallSite>,
     /// Every panic site, in (fn, source) order.
     pub panics: Vec<PanicSite>,
+    /// `calls[by_caller[u]..by_caller[u + 1]]` are the sites in fn
+    /// `u`.
+    by_caller: Vec<usize>,
+    /// Named fields by struct name, in (file, source) order.
+    pub(crate) fields: BTreeMap<String, Vec<Field>>,
 }
 
 impl CallGraph {
+    /// The call sites inside fn `u`, in source order.
+    pub(crate) fn calls_of(&self, u: usize) -> &[CallSite] {
+        &self.calls[self.by_caller[u]..self.by_caller[u + 1]]
+    }
+
     /// The unique callee resolved for the call whose name token sits
     /// at `tok` inside `caller`, or `None` when the site is unlinked
     /// or ambiguous. The interval prover only trusts unambiguous
     /// edges for return-interval propagation.
     pub fn resolve_unique(&self, caller: usize, tok: usize) -> Option<usize> {
-        let mut found = None;
-        for c in &self.calls {
-            if c.caller == caller && c.tok == tok {
-                if found.is_some() {
-                    return None;
+        let mut at_tok = self.calls_of(caller).iter().filter(|c| c.tok == tok);
+        match (at_tok.next(), at_tok.next()) {
+            (Some(c), None) => Some(c.callee),
+            _ => None,
+        }
+    }
+
+    /// Marks every fn that reaches a marked fn through calls: a caller
+    /// is marked once any of its callees is (least fixpoint).
+    pub(crate) fn mark_callers(&self, marked: &mut [bool]) {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for c in &self.calls {
+                if marked[c.callee] && !marked[c.caller] {
+                    marked[c.caller] = true;
+                    changed = true;
                 }
-                found = Some(c.callee);
             }
         }
-        found
     }
 }
 
@@ -390,7 +436,7 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
             if candidates.is_empty() {
                 continue;
             }
-            let close = matching_paren(toks, paren, hi);
+            let close = matching(toks, paren, hi).unwrap_or(hi.saturating_sub(1));
             let args = split_args(toks, paren + 1, close);
             for v in candidates {
                 if v == u {
@@ -408,7 +454,85 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
         }
     }
 
-    CallGraph { fns, calls, panics }
+    let mut by_caller = vec![0; fns.len() + 1];
+    for c in &calls {
+        by_caller[c.caller + 1] += 1;
+    }
+    for u in 0..fns.len() {
+        by_caller[u + 1] += by_caller[u];
+    }
+    CallGraph {
+        fns,
+        calls,
+        panics,
+        by_caller,
+        fields: struct_fields(files),
+    }
+}
+
+/// Collects `struct Name { field: Ty, … }` field tables across the
+/// workspace (token-level: the parser does not model fields). Tuple
+/// and unit structs have no named fields.
+fn struct_fields(files: &[SourceFile]) -> BTreeMap<String, Vec<Field>> {
+    let mut out: BTreeMap<String, Vec<Field>> = BTreeMap::new();
+    for (fi, sf) in files.iter().enumerate() {
+        let toks = &sf.scan.tokens;
+        for k in 0..toks.len() {
+            if !toks[k].is_ident("struct")
+                || toks.get(k + 1).is_none_or(|n| n.kind != TokenKind::Ident)
+            {
+                continue;
+            }
+            // The body brace at depth 0, past any generics header.
+            let mut open = None;
+            let mut depth = 0i64;
+            for (j, t) in toks.iter().enumerate().skip(k + 1) {
+                if t.is_punct('<') || t.is_punct('(') {
+                    depth += 1;
+                } else if t.is_punct('>') || t.is_punct(')') {
+                    depth -= 1;
+                } else if t.is_punct(';') && depth <= 0 {
+                    break;
+                } else if t.is_punct('{') && depth <= 0 {
+                    open = Some(j);
+                    break;
+                }
+            }
+            let Some(open) = open else { continue };
+            let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
+            // `ident : ty` pairs; a type runs to the next depth-0 `,`.
+            let mut m = open + 1;
+            while m + 1 < close {
+                if toks[m].kind != TokenKind::Ident || !toks[m + 1].is_punct(':') {
+                    m += 1;
+                    continue;
+                }
+                let mut d = 0i64;
+                let mut e = m + 2;
+                while e < close {
+                    let u = &toks[e];
+                    if u.is_punct('<') || u.is_punct('(') || u.is_punct('[') {
+                        d += 1;
+                    } else if u.is_punct('>') || u.is_punct(')') || u.is_punct(']') {
+                        d -= 1;
+                    } else if u.is_punct(',') && d <= 0 {
+                        break;
+                    }
+                    e += 1;
+                }
+                out.entry(toks[k + 1].text.clone())
+                    .or_default()
+                    .push(Field {
+                        file: fi,
+                        name: toks[m].text.clone(),
+                        line: toks[m].line,
+                        ty: (m + 2, e),
+                    });
+                m = e + 1;
+            }
+        }
+    }
+    out
 }
 
 /// Narrows free-fn candidates: same file beats same crate beats
@@ -470,20 +594,169 @@ pub(crate) fn call_paren(toks: &[Token], k: usize, hi: usize) -> Option<usize> {
     None
 }
 
-/// Index of the `)` matching the `(` at `open` (clamped to `hi`).
-pub(crate) fn matching_paren(toks: &[Token], open: usize, hi: usize) -> usize {
+/// Index of the delimiter closing the `(`, `[` or `{` at `open`,
+/// searching before `hi` and counting only that delimiter kind, or
+/// `None` when `open` holds no opener or it is unclosed before `hi`.
+/// Callers pick their own fallback for unbalanced input.
+pub(crate) fn matching(toks: &[Token], open: usize, hi: usize) -> Option<usize> {
+    let opener = toks.get(open).filter(|t| t.kind == TokenKind::Punct)?;
+    let (oc, cc) = match opener.text.as_str() {
+        "(" => ("(", ")"),
+        "[" => ("[", "]"),
+        "{" => ("{", "}"),
+        _ => return None,
+    };
     let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().take(hi.min(toks.len())).skip(open) {
-        if t.is_punct('(') {
+    for (j, t) in toks.iter().enumerate().take(hi).skip(open) {
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        if t.text == oc {
             depth += 1;
-        } else if t.is_punct(')') {
+        } else if t.text == cc {
             depth -= 1;
             if depth == 0 {
-                return j;
+                return Some(j);
             }
         }
     }
-    hi.min(toks.len()).saturating_sub(1)
+    None
+}
+
+/// A `let` statement split into half-open token ranges.
+pub(crate) struct LetParts {
+    /// The binding pattern, after `let`.
+    pub(crate) pat: (usize, usize),
+    /// The type ascription after a top-level `:`, if any.
+    pub(crate) ty: Option<(usize, usize)>,
+    /// The initializer, up to a top-level `else` (`let … else`).
+    pub(crate) rhs: (usize, usize),
+}
+
+/// Splits `let [mut] <pat> [: ty] = <rhs> [else { … }]` with `let` at
+/// `k` and the statement ending before `end`. Both split points lie
+/// outside brackets: the ascription is the first lone `:` (not half
+/// of a `::` path separator), and the initializer starts after the
+/// first plain assignment `=` (not `==`, `<=`, `=>` or a compound
+/// `+=`). `None` without an initializer.
+pub(crate) fn split_let(toks: &[Token], k: usize, end: usize) -> Option<LetParts> {
+    let end = end.min(toks.len());
+    let mut colon = None;
+    let mut eq = None;
+    let mut d = 0i64;
+    for j in k + 1..end {
+        let t = &toks[j];
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') || t.is_punct('{') {
+            d += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') || t.is_punct('}') {
+            d -= 1;
+        } else if d <= 0 && t.is_punct(':') && !in_path_sep(toks, j) {
+            colon = colon.or(Some(j));
+        } else if d <= 0 && is_plain_assign(toks, j) {
+            eq = Some(j);
+            break;
+        }
+    }
+    let eq = eq?;
+    let mut rhs_hi = end;
+    let mut d = 0i64;
+    for (j, t) in toks.iter().enumerate().take(end).skip(eq + 1) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            d += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            d -= 1;
+        } else if d <= 0 && t.is_ident("else") {
+            rhs_hi = j;
+            break;
+        }
+    }
+    Some(LetParts {
+        pat: (k + 1, colon.unwrap_or(eq)),
+        ty: colon.map(|c| (c + 1, eq)),
+        rhs: (eq + 1, rhs_hi),
+    })
+}
+
+/// Whether the `:` at `j` is half of a `::` path separator, which the
+/// lexer emits as two touching `:` tokens.
+fn in_path_sep(toks: &[Token], j: usize) -> bool {
+    let t = &toks[j];
+    toks.get(j + 1)
+        .is_some_and(|n| n.is_punct(':') && adjacent(t, n))
+        || j.checked_sub(1)
+            .is_some_and(|i| toks[i].is_punct(':') && adjacent(&toks[i], t))
+}
+
+/// The names a `let` or `for` pattern in `[lo, hi)` may bind: every
+/// identifier but `mut` and `ref`, constructor and path names
+/// included (an over-approximation).
+pub(crate) fn pattern_idents(
+    toks: &[Token],
+    (lo, hi): (usize, usize),
+) -> impl Iterator<Item = &str> {
+    toks[lo..hi]
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident && !t.is_ident("mut") && !t.is_ident("ref"))
+        .map(|t| t.text.as_str())
+}
+
+/// Whether tokens `a` and `b` touch (no whitespace between them).
+pub(crate) fn adjacent(a: &Token, b: &Token) -> bool {
+    a.start + a.len == b.start
+}
+
+/// Whether the `=` at `j` is an assignment (not `==`, `<=`, `>=`,
+/// `!=`, `=>`, `..=`, or part of a compound `op=` — compound forms
+/// are still assignments, so only comparison/arrow shapes reject).
+pub(crate) fn is_assign_eq(toks: &[Token], j: usize) -> bool {
+    let t = &toks[j];
+    if !t.is_punct('=') {
+        return false;
+    }
+    if let Some(n) = toks.get(j + 1) {
+        if adjacent(t, n) && (n.is_punct('=') || n.is_punct('>')) {
+            return false; // `==` or `=>`
+        }
+    }
+    if j > 0 {
+        let p = &toks[j - 1];
+        if adjacent(p, t) {
+            if p.is_punct('=') || p.is_punct('!') {
+                return false; // `==` tail or `!=`
+            }
+            if p.is_punct('.') {
+                return false; // `..=`
+            }
+            if p.is_punct('<') || p.is_punct('>') {
+                // `<=`/`>=` unless it is `<<=`/`>>=`.
+                let double = j >= 2 && adjacent(&toks[j - 2], p) && toks[j - 2].text == p.text;
+                return double;
+            }
+        }
+    }
+    true
+}
+
+/// Whether the `=` at `j` is a *plain* assignment (no compound op).
+fn is_plain_assign(toks: &[Token], j: usize) -> bool {
+    if !is_assign_eq(toks, j) {
+        return false;
+    }
+    if j == 0 {
+        return true;
+    }
+    let p = &toks[j - 1];
+    !(adjacent(p, &toks[j])
+        && (p.is_punct('+')
+            || p.is_punct('-')
+            || p.is_punct('*')
+            || p.is_punct('/')
+            || p.is_punct('%')
+            || p.is_punct('&')
+            || p.is_punct('|')
+            || p.is_punct('^')
+            || p.is_punct('<')
+            || p.is_punct('>')))
 }
 
 /// Splits `(lo..hi)` (exclusive of the parens) into top-level
@@ -566,16 +839,7 @@ pub fn panic_reachability(
     for p in &live {
         reaches_panic[p.func] = true;
     }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for c in &g.calls {
-            if reaches_panic[c.callee] && !reaches_panic[c.caller] {
-                reaches_panic[c.caller] = true;
-                changed = true;
-            }
-        }
-    }
+    g.mark_callers(&mut reaches_panic);
 
     // Partition edges: cut (pragma'd call sites) vs. traversable.
     let mut adj: Vec<Vec<&CallSite>> = vec![Vec::new(); n];

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::contracts::{self, Assume, Contract};
-use crate::graph::{self, CallGraph, SourceFile};
+use crate::graph::{self, adjacent, is_assign_eq, matching, CallGraph, SourceFile};
 use crate::lexer::{Token, TokenKind};
 use crate::rules::Finding;
 
@@ -692,7 +692,7 @@ pub fn prove(files: &[SourceFile], g: &CallGraph) -> Proved {
         hygiene: Vec::new(),
         stats: ProofStats::default(),
     };
-    p.scan_fields();
+    p.fold_fields();
     p.scan_consts();
     p.map_contracts();
     p.run();
@@ -709,76 +709,22 @@ pub fn prove(files: &[SourceFile], g: &CallGraph) -> Proved {
 }
 
 impl<'a> Prover<'a> {
-    /// Collects `struct N { f: T, … }` field types workspace-wide,
-    /// keyed by struct name (so two structs can share a field name
-    /// with different types); duplicate same-name struct definitions
-    /// with disagreeing types degrade to unknown.
-    fn scan_fields(&mut self) {
-        for sf in self.files {
-            let toks = &sf.scan.tokens;
-            for k in 0..toks.len() {
-                if !toks[k].is_ident("struct")
-                    || toks.get(k + 1).is_none_or(|n| n.kind != TokenKind::Ident)
-                {
-                    continue;
-                }
-                let sname = toks[k + 1].text.clone();
-                // `struct Name … {` — find the body brace at depth 0
-                // (skipping the generics header), then `ident : ty`
-                // pairs at depth 1.
-                let mut j = k + 1;
-                let mut open = None;
-                let mut depth = 0i64;
-                while j < toks.len() {
-                    let t = &toks[j];
-                    if t.is_punct('<') || t.is_punct('(') {
-                        depth += 1;
-                    } else if t.is_punct('>') || t.is_punct(')') {
-                        depth -= 1;
-                    } else if t.is_punct(';') && depth <= 0 {
-                        break; // tuple/unit struct
-                    } else if t.is_punct('{') && depth <= 0 {
-                        open = Some(j);
-                        break;
-                    }
-                    j += 1;
-                }
-                let Some(open) = open else { continue };
-                let close = matching_brace(toks, open);
-                let mut m = open + 1;
-                while m + 1 < close {
-                    let t = &toks[m];
-                    if t.kind == TokenKind::Ident && toks[m + 1].is_punct(':') {
-                        // Type text runs to the next depth-0 `,`.
-                        let mut d = 0i64;
-                        let mut e = m + 2;
-                        while e < close {
-                            let u = &toks[e];
-                            if u.is_punct('<') || u.is_punct('(') || u.is_punct('[') {
-                                d += 1;
-                            } else if u.is_punct('>') || u.is_punct(')') || u.is_punct(']') {
-                                d -= 1;
-                            } else if u.is_punct(',') && d <= 0 {
-                                break;
-                            }
-                            e += 1;
+    /// Folds the shared struct-field table to field types, keyed by
+    /// struct name (so two structs can share a field name with
+    /// different types); duplicate same-name struct definitions with
+    /// disagreeing types degrade to unknown.
+    fn fold_fields(&mut self) {
+        for (sname, fs) in &self.g.fields {
+            let per = self.fields.entry(sname.clone()).or_default();
+            for f in fs {
+                let ty = parse_ty_toks(&self.files[f.file].scan.tokens[f.ty.0..f.ty.1], 0).0;
+                per.entry(f.name.clone())
+                    .and_modify(|v| {
+                        if v.as_ref() != Some(&ty) {
+                            *v = None;
                         }
-                        let ty = parse_ty_toks(&toks[m + 2..e], 0).0;
-                        self.fields
-                            .entry(sname.clone())
-                            .or_default()
-                            .entry(toks[m].text.clone())
-                            .and_modify(|v| {
-                                if v.as_ref() != Some(&ty) {
-                                    *v = None;
-                                }
-                            })
-                            .or_insert(Some(ty));
-                        m = e + 1;
-                    } else {
-                        m += 1;
-                    }
-                }
+                    })
+                    .or_insert(Some(ty));
             }
         }
     }
@@ -1089,18 +1035,16 @@ impl<'a> Prover<'a> {
                     continue;
                 }
                 let (glo, ghi) = if is_assert {
-                    let Some(open) = toks.get(k + 2).filter(|n| n.is_punct('(')) else {
+                    if !toks.get(k + 2).is_some_and(|n| n.is_punct('(')) {
                         continue;
-                    };
-                    let _ = open;
-                    let close = graph::matching_paren(toks, k + 2, hi);
-                    (k + 3, close)
+                    }
+                    (k + 3, matching(toks, k + 2, hi).unwrap_or(hi - 1))
                 } else {
                     // `match scrutinee { arms }` — the whole construct.
                     let Some(open) = brace_after(toks, k + 1, hi) else {
                         continue;
                     };
-                    (k + 1, matching_brace(toks, open))
+                    (k + 1, matching(toks, open, hi).unwrap_or(hi))
                 };
                 let mentions_all = a.idents.iter().all(|id| {
                     toks[glo..ghi.min(hi)]
@@ -1236,7 +1180,7 @@ impl<'a> Prover<'a> {
             // Attributes on statements.
             if t.is_punct('#') {
                 if toks.get(k + 1).is_some_and(|n| n.is_punct('[')) {
-                    k = matching_bracket(toks, k + 1).min(close) + 1;
+                    k = matching(toks, k + 1, close).unwrap_or(close) + 1;
                 } else {
                     k += 1;
                 }
@@ -1268,7 +1212,7 @@ impl<'a> Prover<'a> {
                 }
                 "break" | "continue" => k = stmt_end(toks, k + 1, close) + 1,
                 "unsafe" if toks.get(k + 1).is_some_and(|n| n.is_punct('{')) => {
-                    let c = matching_brace(toks, k + 1).min(close);
+                    let c = matching(toks, k + 1, close).unwrap_or(close);
                     let v = self.walk_block(cx, k + 1, c);
                     if c + 1 >= close {
                         tail = v;
@@ -1276,7 +1220,7 @@ impl<'a> Prover<'a> {
                     k = c + 1;
                 }
                 _ if t.is_punct('{') => {
-                    let c = matching_brace(toks, k).min(close);
+                    let c = matching(toks, k, close).unwrap_or(close);
                     let v = self.walk_block(cx, k, c);
                     if c + 1 >= close {
                         tail = v;
@@ -1357,47 +1301,13 @@ impl<'a> Prover<'a> {
         let files = self.files;
         let toks = &files[cx.file].scan.tokens;
         let end = stmt_end(toks, k, close);
-        // Split `pat [: ty] = rhs` at depth-0 `:` / assignment `=`.
-        let mut eq = None;
-        let mut colon = None;
-        let mut d = 0i64;
-        for j in k + 1..end {
-            let t = &toks[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') || t.is_punct('{') {
-                d += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') || t.is_punct('}') {
-                d -= 1;
-            } else if d <= 0 && t.is_punct(':') && !toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                if colon.is_none() {
-                    colon = Some(j);
-                }
-            } else if d <= 0 && is_plain_assign(toks, j, end) {
-                eq = Some(j);
-                break;
-            }
-        }
-        let Some(eq) = eq else { return end + 1 };
-        let pat_hi = colon.unwrap_or(eq);
-        let names = pattern_names(toks, k + 1, pat_hi);
-        // `let … = rhs else { … };` — evaluate only up to `else`.
-        let mut rhs_hi = end;
-        let mut d2 = 0i64;
-        #[allow(clippy::needless_range_loop)] // depth-tracking token scan
-        for j in eq + 1..end {
-            let t = &toks[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                d2 += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                d2 -= 1;
-            } else if d2 <= 0 && t.is_ident("else") {
-                rhs_hi = j;
-                break;
-            }
-        }
-        let mut val = self.eval(cx, eq + 1, rhs_hi);
-        if let Some(c) = colon {
-            let asc = parse_ty_toks(&toks[c + 1..eq], 0).0;
+        let Some(parts) = graph::split_let(toks, k, end) else {
+            return end + 1;
+        };
+        let names = pattern_names(toks, parts.pat.0, parts.pat.1);
+        let mut val = self.eval(cx, parts.rhs.0, parts.rhs.1);
+        if let Some((lo, hi)) = parts.ty {
+            let asc = parse_ty_toks(&toks[lo..hi], 0).0;
             match asc {
                 TyInfo::Int(t) => {
                     val.iv = val.iv.meet(t.range()).unwrap_or(t.range());
@@ -1443,7 +1353,7 @@ impl<'a> Prover<'a> {
         let Some(open) = brace_after(toks, in_at + 1, close) else {
             return close;
         };
-        let body_close = matching_brace(toks, open).min(close);
+        let body_close = matching(toks, open, close).unwrap_or(close);
         let shape = self.analyze_iter(cx, in_at + 1, open);
         let written = prescan_writes(toks, open + 1, body_close);
         self.widen_written(cx, &written, true);
@@ -1481,7 +1391,7 @@ impl<'a> Prover<'a> {
         if toks[k].is_ident("while") && k + 1 < open {
             self.eval(cx, k + 1, open);
         }
-        let body_close = matching_brace(toks, open).min(close);
+        let body_close = matching(toks, open, close).unwrap_or(close);
         let written = prescan_writes(toks, open + 1, body_close);
         self.widen_written(cx, &written, true);
         self.walk_block(cx, open, body_close);
@@ -1501,7 +1411,7 @@ impl<'a> Prover<'a> {
         if k + 1 < open {
             self.eval(cx, k + 1, open);
         }
-        let body_close = matching_brace(toks, open).min(close);
+        let body_close = matching(toks, open, close).unwrap_or(close);
         let written = prescan_writes(toks, open + 1, body_close);
         self.widen_written(cx, &written, false);
         body_close + 1
@@ -1525,7 +1435,7 @@ impl<'a> Prover<'a> {
             if j + 1 < open {
                 self.eval(cx, j + 1, open);
             }
-            let body_close = matching_brace(toks, open).min(close);
+            let body_close = matching(toks, open, close).unwrap_or(close);
             cx.env = base.clone();
             vals.push(self.walk_block(cx, open, body_close));
             branch_envs.push(std::mem::take(&mut cx.env));
@@ -1540,7 +1450,7 @@ impl<'a> Prover<'a> {
             let Some(open2) = toks.get(j + 1).filter(|t| t.is_punct('{')).map(|_| j + 1) else {
                 break;
             };
-            let bc = matching_brace(toks, open2).min(close);
+            let bc = matching(toks, open2, close).unwrap_or(close);
             cx.env = base.clone();
             vals.push(self.walk_block(cx, open2, bc));
             branch_envs.push(std::mem::take(&mut cx.env));
@@ -1910,68 +1820,10 @@ fn prescan_writes(toks: &[Token], lo: usize, hi: usize) -> BTreeSet<String> {
 // Token helpers
 // ---------------------------------------------------------------
 
-fn adjacent(a: &Token, b: &Token) -> bool {
-    a.start + a.len == b.start
-}
-
 fn is_ident_word(w: &str) -> bool {
     let mut cs = w.chars();
     cs.next().is_some_and(|c| c.is_alphabetic() || c == '_')
         && cs.all(|c| c.is_alphanumeric() || c == '_')
-}
-
-/// Whether the `=` at `j` is an assignment (not `==`, `<=`, `>=`,
-/// `!=`, `=>`, `..=`, or part of a compound `op=` — compound forms
-/// are still assignments, so only comparison/arrow shapes reject).
-fn is_assign_eq(toks: &[Token], j: usize) -> bool {
-    let t = &toks[j];
-    if !t.is_punct('=') {
-        return false;
-    }
-    if let Some(n) = toks.get(j + 1) {
-        if adjacent(t, n) && (n.is_punct('=') || n.is_punct('>')) {
-            return false; // `==` or `=>`
-        }
-    }
-    if j > 0 {
-        let p = &toks[j - 1];
-        if adjacent(p, t) {
-            if p.is_punct('=') || p.is_punct('!') {
-                return false; // `==` tail or `!=`
-            }
-            if p.is_punct('.') {
-                return false; // `..=`
-            }
-            if p.is_punct('<') || p.is_punct('>') {
-                // `<=`/`>=` unless it is `<<=`/`>>=`.
-                let double = j >= 2 && adjacent(&toks[j - 2], p) && toks[j - 2].text == p.text;
-                return double;
-            }
-        }
-    }
-    true
-}
-
-/// Whether the `=` at `j` is a *plain* assignment (no compound op).
-fn is_plain_assign(toks: &[Token], j: usize, _end: usize) -> bool {
-    if !is_assign_eq(toks, j) {
-        return false;
-    }
-    if j == 0 {
-        return true;
-    }
-    let p = &toks[j - 1];
-    !(adjacent(p, &toks[j])
-        && (p.is_punct('+')
-            || p.is_punct('-')
-            || p.is_punct('*')
-            || p.is_punct('/')
-            || p.is_punct('%')
-            || p.is_punct('&')
-            || p.is_punct('|')
-            || p.is_punct('^')
-            || p.is_punct('<')
-            || p.is_punct('>')))
 }
 
 /// Index just past the statement: the depth-0 `;`, else `close`.
@@ -1992,38 +1844,6 @@ fn stmt_end(toks: &[Token], from: usize, close: usize) -> usize {
         }
     }
     close
-}
-
-/// Index of the `}` matching the `{` at `open` (or the last token).
-fn matching_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the `]` matching the `[` at `open`.
-fn matching_bracket(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// First depth-0 `{` at or after `from` (depth counted over
@@ -2127,7 +1947,7 @@ impl<'a> Prover<'a> {
         }
         // A fully parenthesized iterable: `(0..n).rev()` recursion
         // lands here with `(0..n)`.
-        if toks[lo].is_punct('(') && graph::matching_paren(toks, lo, hi) == hi - 1 {
+        if toks[lo].is_punct('(') && matching(toks, lo, hi).unwrap_or(hi - 1) == hi - 1 {
             return self.analyze_iter(cx, lo + 1, hi - 1);
         }
         // Trailing iterator adaptor? `recv . name ( … )` ending at hi.
@@ -2277,7 +2097,7 @@ impl<'a> Prover<'a> {
             return Val::top();
         }
         if t0.is_punct('{') {
-            let c = matching_brace(toks, lo).min(hi);
+            let c = matching(toks, lo, hi).unwrap_or(hi);
             return self.walk_block(cx, lo, c).unwrap_or_else(Val::top);
         }
         if t0.is_punct('|') || t0.is_ident("move") {
@@ -2396,7 +2216,7 @@ impl<'a> Prover<'a> {
         if !toks[lo].is_punct('(') {
             return None;
         }
-        let close = graph::matching_paren(toks, lo, minus);
+        let close = matching(toks, lo, minus).unwrap_or(minus - 1);
         if close + 1 != minus {
             return None;
         }
@@ -2546,7 +2366,7 @@ impl<'a> Prover<'a> {
             }
             TokenKind::Str | TokenKind::Char | TokenKind::Lifetime => (Val::top(), lo + 1),
             TokenKind::Punct if t0.is_punct('(') => {
-                let c = graph::matching_paren(toks, lo, hi);
+                let c = matching(toks, lo, hi).unwrap_or(hi - 1);
                 let parts = graph::split_args(toks, lo + 1, c);
                 let v = if parts.len() == 1 {
                     self.eval(cx, parts[0].0, parts[0].1)
@@ -2559,7 +2379,7 @@ impl<'a> Prover<'a> {
                 (v, c + 1)
             }
             TokenKind::Punct if t0.is_punct('[') => {
-                let c = matching_bracket(toks, lo).min(hi);
+                let c = matching(toks, lo, hi).unwrap_or(hi);
                 // `[elem; N]` or `[a, b, …]`.
                 let mut semi = None;
                 let mut d = 0i64;
@@ -2609,7 +2429,7 @@ impl<'a> Prover<'a> {
                 val = Val::top();
                 j += 1;
             } else if t.is_punct('[') {
-                let c = matching_bracket(toks, j).min(hi);
+                let c = matching(toks, j, hi).unwrap_or(hi);
                 self.eval(cx, j + 1, c);
                 val = val.elem();
                 j = c + 1;
@@ -2620,7 +2440,7 @@ impl<'a> Prover<'a> {
                     j += 2;
                 } else if n.kind == TokenKind::Ident {
                     if toks.get(j + 2).is_some_and(|p| p.is_punct('(')) {
-                        let close = graph::matching_paren(toks, j + 2, hi);
+                        let close = matching(toks, j + 2, hi).unwrap_or(hi - 1);
                         let args = graph::split_args(toks, j + 3, close);
                         let mut argv = Vec::new();
                         for (alo, ahi) in &args {
@@ -2640,7 +2460,7 @@ impl<'a> Prover<'a> {
                     break;
                 }
             } else if t.is_punct('(') {
-                let c = graph::matching_paren(toks, j, hi);
+                let c = matching(toks, j, hi).unwrap_or(hi - 1);
                 for (alo, ahi) in graph::split_args(toks, j + 1, c) {
                     self.eval(cx, alo, ahi);
                 }
@@ -2663,11 +2483,13 @@ impl<'a> Prover<'a> {
         // Macro invocation: opaque, never checked.
         if toks.get(lo + 1).is_some_and(|n| n.is_punct('!')) {
             let j = lo + 2;
-            let end = match toks.get(j) {
-                Some(t) if t.is_punct('(') => graph::matching_paren(toks, j, hi) + 1,
-                Some(t) if t.is_punct('[') => matching_bracket(toks, j) + 1,
-                Some(t) if t.is_punct('{') => matching_brace(toks, j) + 1,
-                _ => j,
+            let opens = toks
+                .get(j)
+                .is_some_and(|t| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'));
+            let end = if opens {
+                matching(toks, j, hi).map_or(hi, |c| c + 1)
+            } else {
+                j
             };
             return (Val::top(), end.min(hi));
         }
@@ -2726,7 +2548,7 @@ impl<'a> Prover<'a> {
         let is_call = graph::call_paren(toks, last_at, hi).is_some();
         if is_call {
             let paren = graph::call_paren(toks, last_at, hi).expect("checked");
-            let close = graph::matching_paren(toks, paren, hi);
+            let close = matching(toks, paren, hi).unwrap_or(hi - 1);
             let args = graph::split_args(toks, paren + 1, close);
             let mut argv = Vec::new();
             for (alo, ahi) in &args {
@@ -2779,7 +2601,7 @@ impl<'a> Prover<'a> {
             && t0.text.chars().next().is_some_and(char::is_uppercase)
             && toks.get(next).is_some_and(|n| n.is_punct('{'))
         {
-            let c = matching_brace(toks, next).min(hi);
+            let c = matching(toks, next, hi).unwrap_or(hi);
             return (Val::top(), c + 1);
         }
         if segs.len() == 1 {
@@ -3232,7 +3054,7 @@ fn trailing_method(toks: &[Token], lo: usize, hi: usize) -> Option<(usize, &str,
         if t.is_punct('.')
             && toks.get(j + 1).is_some_and(|n| n.kind == TokenKind::Ident)
             && toks.get(j + 2).is_some_and(|n| n.is_punct('('))
-            && graph::matching_paren(toks, j + 2, hi) == hi - 1
+            && matching(toks, j + 2, hi).unwrap_or(hi - 1) == hi - 1
         {
             found = Some((j, toks[j + 1].text.as_str(), j + 2));
         }

@@ -13,7 +13,9 @@
 //! * a **semantic layer**: a recursive-descent item parser
 //!   ([`parser`]) producing per-file item trees with real
 //!   `#[cfg(test)]` scopes, a workspace call graph linking fn
-//!   definitions to call sites across crates ([`graph`]), and a
+//!   definitions to call sites across crates ([`graph`], also the
+//!   shared front end: call lists, field tables, delimiter matches
+//!   and `let` splits that every analysis reads), and a
 //!   forward-dataflow engine over fn bodies ([`dataflow`]) — the
 //!   substrate for `panic-reachability`, `seed-provenance`,
 //!   `float-merge-order`, and `result-discard`.

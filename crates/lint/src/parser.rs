@@ -17,6 +17,7 @@
 //! inside function bodies is *not* parsed here; the dataflow layer
 //! works on the raw body token range.
 
+use crate::graph::matching;
 use crate::lexer::{Token, TokenKind};
 
 /// Item visibility, as far as the rules care.
@@ -200,26 +201,6 @@ impl<'a> Parser<'a> {
         self.toks.get(i).is_some_and(|t| t.is_punct(c))
     }
 
-    /// Index of the token closing the `{`/`(`/`[` opened at `open`.
-    /// Clamps to `end` on imbalance (total, never panics).
-    fn matching(&self, open: usize, end: usize, lo: char, hi: char) -> usize {
-        let mut depth = 0i64;
-        let mut k = open;
-        while k < end.min(self.toks.len()) {
-            let t = &self.toks[k];
-            if t.is_punct(lo) {
-                depth += 1;
-            } else if t.is_punct(hi) {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            k += 1;
-        }
-        end.min(self.toks.len()).saturating_sub(1)
-    }
-
     /// Skips a balanced generics group `<…>` starting at `i` (which
     /// must hold `<`); returns the index just past the closing `>`.
     /// `->` arrows inside (Fn-trait sugar) do not close the group.
@@ -347,7 +328,7 @@ impl<'a> Parser<'a> {
             if !self.punct_at(open, '[') {
                 break;
             }
-            let close = self.matching(open, end, '[', ']');
+            let close = matching(self.toks, open, end).unwrap_or(end - 1);
             if !inner && self.attr_is_test(open + 1, close) {
                 attr_test = true;
             }
@@ -360,7 +341,7 @@ impl<'a> Parser<'a> {
             *i += 1;
             if self.punct_at(*i, '(') {
                 vis = Vis::Restricted;
-                *i = self.matching(*i, end, '(', ')') + 1;
+                *i = matching(self.toks, *i, end).unwrap_or(end - 1) + 1;
             } else {
                 vis = Vis::Pub;
             }
@@ -434,7 +415,7 @@ impl<'a> Parser<'a> {
                 }
                 let mut params = Vec::new();
                 if self.punct_at(*i, '(') {
-                    let close = self.matching(*i, end, '(', ')');
+                    let close = matching(self.toks, *i, end).unwrap_or(end - 1);
                     params = self.parse_params(*i + 1, close);
                     *i = close + 1;
                 }
@@ -453,7 +434,7 @@ impl<'a> Parser<'a> {
                     ret.truncate(w);
                 }
                 let (body, item_end) = if self.punct_at(*i, '{') {
-                    let close = self.matching(*i, end, '{', '}');
+                    let close = matching(self.toks, *i, end).unwrap_or(end - 1);
                     (Some((*i + 1, close)), close + 1)
                 } else {
                     (None, (*i + 1).min(end)) // the `;`
@@ -477,7 +458,7 @@ impl<'a> Parser<'a> {
                 let name = self.ident_at(*i).unwrap_or("").to_string();
                 *i += 1;
                 if self.punct_at(*i, '{') {
-                    let close = self.matching(*i, end, '{', '}');
+                    let close = matching(self.toks, *i, end).unwrap_or(end - 1);
                     let children = self.parse_items(*i + 1, close, in_test, None);
                     *i = close + 1;
                     let mut item = mk(
@@ -532,7 +513,7 @@ impl<'a> Parser<'a> {
                 }
                 let name = self.self_type_name(header_start, k);
                 if self.punct_at(k, '{') {
-                    let close = self.matching(k, end, '{', '}');
+                    let close = matching(self.toks, k, end).unwrap_or(end - 1);
                     let children = self.parse_items(k + 1, close, in_test, Some(&name));
                     *i = close + 1;
                     let mut item = mk(
@@ -640,7 +621,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 let item_end = if self.punct_at(*i, '{') {
-                    self.matching(*i, end, '{', '}') + 1
+                    matching(self.toks, *i, end).unwrap_or(end - 1) + 1
                 } else {
                     let mut k = *i;
                     self.skip_to_semi(&mut k, end)
@@ -661,16 +642,9 @@ impl<'a> Parser<'a> {
             name if !is_item_keyword(name) && self.punct_at(j + 1, '!') => {
                 *i = j + 2;
                 let item_end = if self.punct_at(*i, '{') {
-                    self.matching(*i, end, '{', '}') + 1
-                } else if self.punct_at(*i, '(') {
-                    let close = self.matching(*i, end, '(', ')');
-                    if self.punct_at(close + 1, ';') {
-                        close + 2
-                    } else {
-                        close + 1
-                    }
-                } else if self.punct_at(*i, '[') {
-                    let close = self.matching(*i, end, '[', ']');
+                    matching(self.toks, *i, end).unwrap_or(end - 1) + 1
+                } else if self.punct_at(*i, '(') || self.punct_at(*i, '[') {
+                    let close = matching(self.toks, *i, end).unwrap_or(end - 1);
                     if self.punct_at(close + 1, ';') {
                         close + 2
                     } else {
@@ -766,7 +740,7 @@ impl<'a> Parser<'a> {
         while *i < end {
             let t = &self.toks[*i];
             if t.is_punct('{') && depth == 0 {
-                *i = self.matching(*i, end, '{', '}') + 1;
+                *i = matching(self.toks, *i, end).unwrap_or(end - 1) + 1;
                 return *i;
             }
             if t.is_punct('(') || t.is_punct('[') {

@@ -350,22 +350,6 @@ pub(crate) fn loop_body_open(tokens: &[Token], i: usize) -> Option<usize> {
     None
 }
 
-/// For an opening `{` at `open`, the index of its matching `}`.
-pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Whether tokens `i+1..=i+3` spell `::<seg>`.
 fn path_follows(tokens: &[Token], i: usize, seg: &str) -> bool {
     tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))

@@ -49,11 +49,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::{statements, top_level_eq};
-use crate::graph::{call_paren, split_args, CallGraph, SourceFile};
+use crate::dataflow::statements;
+use crate::graph::{
+    call_paren, matching, pattern_idents, split_args, split_let, CallGraph, SourceFile,
+};
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{Item, ItemKind};
-use crate::rules::{matching_brace, Finding};
+use crate::rules::Finding;
 
 /// Formatting/logging macro names whose argument positions are
 /// disclosure sinks. `assert!`/`debug_assert!` are deliberately
@@ -318,85 +320,12 @@ fn words(ty: &str) -> Vec<String> {
     out
 }
 
-/// One struct field scraped from the token stream: name, normalized
-/// type text, and the line of the field name (for annotation
-/// matching).
-#[derive(Clone, Debug)]
-struct FieldDef {
-    name: String,
-    ty: String,
-    line: u32,
-}
-
-/// Collects `struct Name { field: Ty, … }` tables workspace-wide.
-/// Token-level (the parser does not model fields), same skeleton as
-/// the interval prover's field scan.
-fn scan_fields(files: &[SourceFile]) -> BTreeMap<String, Vec<FieldDef>> {
-    let mut out: BTreeMap<String, Vec<FieldDef>> = BTreeMap::new();
-    for sf in files {
-        let toks = &sf.scan.tokens;
-        for k in 0..toks.len() {
-            if !toks[k].is_ident("struct")
-                || toks.get(k + 1).is_none_or(|n| n.kind != TokenKind::Ident)
-            {
-                continue;
-            }
-            let sname = toks[k + 1].text.clone();
-            // Find the body brace at depth 0 (skipping generics).
-            let mut j = k + 1;
-            let mut open = None;
-            let mut depth = 0i64;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct('<') || t.is_punct('(') {
-                    depth += 1;
-                } else if t.is_punct('>') || t.is_punct(')') {
-                    depth -= 1;
-                } else if t.is_punct(';') && depth <= 0 {
-                    break; // tuple/unit struct: no named fields
-                } else if t.is_punct('{') && depth <= 0 {
-                    open = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            let Some(open) = open else { continue };
-            let close = matching_brace(toks, open).unwrap_or(toks.len());
-            let mut m = open + 1;
-            while m + 1 < close {
-                let t = &toks[m];
-                if t.kind == TokenKind::Ident && toks[m + 1].is_punct(':') {
-                    let mut d = 0i64;
-                    let mut e = m + 2;
-                    while e < close {
-                        let u = &toks[e];
-                        if u.is_punct('<') || u.is_punct('(') || u.is_punct('[') {
-                            d += 1;
-                        } else if u.is_punct('>') || u.is_punct(')') || u.is_punct(']') {
-                            d -= 1;
-                        } else if u.is_punct(',') && d <= 0 {
-                            break;
-                        }
-                        e += 1;
-                    }
-                    let ty = toks[m + 2..e]
-                        .iter()
-                        .map(|t| t.text.as_str())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    out.entry(sname.clone()).or_default().push(FieldDef {
-                        name: t.text.clone(),
-                        ty,
-                        line: t.line,
-                    });
-                    m = e;
-                } else {
-                    m += 1;
-                }
-            }
-        }
-    }
-    out
+/// Normalized type text: the tokens joined by single spaces.
+fn type_text(toks: &[Token]) -> String {
+    toks.iter()
+        .map(|t| t.text.as_str())
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// One precomputed disclosure-sink site inside a fn body. The token
@@ -427,13 +356,8 @@ struct Analysis<'a> {
     files: &'a [SourceFile],
     g: &'a CallGraph,
     cat: Catalog,
-    fields: BTreeMap<String, Vec<FieldDef>>,
     /// Per-fn summaries, indexed like `g.fns`.
     sums: Vec<Summary>,
-    /// `(file, tok)` → resolved callee, for unique call sites.
-    site: BTreeMap<(usize, usize), usize>,
-    /// `(file, tok)` → argument token ranges of that call site.
-    site_args: BTreeMap<(usize, usize), Vec<(usize, usize)>>,
     /// Callee → callers, for the fixpoint worklist.
     callers: BTreeMap<usize, BTreeSet<usize>>,
     /// Per-file: (declassify index) → used flag + sanctioned flows.
@@ -452,14 +376,14 @@ struct Analysis<'a> {
     /// Per-fn statement segmentation of the body — bodies never
     /// change across fixpoint rounds, so parse once.
     stmts: Vec<Vec<(usize, usize)>>,
+    /// Normalized type text of each field in `g.fields`, in the
+    /// table's iteration order, joined once for the catalogue.
+    field_tys: Vec<Vec<String>>,
     /// Per-file dense call-resolution table indexed by name token:
-    /// `u32::MAX` = no unique resolution, else index into `g.calls`.
-    /// `eval` probes this for every ident token, so the `site`
-    /// BTreeMap is too slow to sit on that path.
+    /// `u32::MAX` = no unique resolution (no call, or an ambiguous
+    /// one), else index into `g.calls`. `eval` probes this for every
+    /// ident token.
     site_by_tok: Vec<Vec<u32>>,
-    /// Caller → its call indices, so per-fn scans skip the global
-    /// call list.
-    calls_of: Vec<Vec<usize>>,
     /// Per-fn precomputed sink sites (see [`SinkSite`]).
     sinks_of: Vec<Vec<SinkSite>>,
     findings: Vec<Finding>,
@@ -469,15 +393,11 @@ struct Analysis<'a> {
 
 /// Runs the information-flow analysis over a parsed workspace.
 pub fn analyze(files: &[SourceFile], g: &CallGraph) -> TaintReport {
-    let fields = scan_fields(files);
     let mut a = Analysis {
         files,
         g,
         cat: Catalog::default(),
-        fields,
         sums: vec![Summary::default(); g.fns.len()],
-        site: BTreeMap::new(),
-        site_args: BTreeMap::new(),
         callers: BTreeMap::new(),
         declassify_used: files
             .iter()
@@ -494,8 +414,16 @@ pub fn analyze(files: &[SourceFile], g: &CallGraph) -> TaintReport {
         ret_mentions: Vec::new(),
         ret_countlike: Vec::new(),
         stmts: Vec::new(),
+        field_tys: g
+            .fields
+            .values()
+            .map(|fs| {
+                fs.iter()
+                    .map(|f| type_text(&files[f.file].scan.tokens[f.ty.0..f.ty.1]))
+                    .collect()
+            })
+            .collect(),
         site_by_tok: Vec::new(),
-        calls_of: Vec::new(),
         sinks_of: Vec::new(),
         findings: Vec::new(),
         hygiene: Vec::new(),
@@ -530,7 +458,6 @@ pub fn analyze(files: &[SourceFile], g: &CallGraph) -> TaintReport {
             None => Vec::new(),
         })
         .collect();
-    a.calls_of = vec![Vec::new(); g.fns.len()];
     a.sinks_of = (0..g.fns.len()).map(|u| a.find_sinks(u)).collect();
     // A `Type::name(…)` path call names its impl type, so same-name
     // fns on other types don't make the site ambiguous.
@@ -546,11 +473,14 @@ pub fn analyze(files: &[SourceFile], g: &CallGraph) -> TaintReport {
             None
         }
     };
+    // `(file, tok)` → the call resolved there, or `usize::MAX` when
+    // ambiguous.
+    let mut site: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for (i, c) in g.calls.iter().enumerate() {
         let fi = g.fns[c.caller].file;
         // Only unique resolutions feed summaries (same trust rule as
         // the interval prover's return propagation).
-        match a.site.entry((fi, c.tok)) {
+        match site.entry((fi, c.tok)) {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(i);
             }
@@ -576,15 +506,13 @@ pub fn analyze(files: &[SourceFile], g: &CallGraph) -> TaintReport {
                 }
             }
         }
-        a.site_args.insert((fi, c.tok), c.args.clone());
         a.callers.entry(c.callee).or_default().insert(c.caller);
-        a.calls_of[c.caller].push(i);
     }
     a.site_by_tok = files
         .iter()
         .map(|sf| vec![u32::MAX; sf.scan.tokens.len()])
         .collect();
-    for (&(fi, tok), &i) in &a.site {
+    for (&(fi, tok), &i) in &site {
         if i != usize::MAX {
             a.site_by_tok[fi][tok] = i as u32;
         }
@@ -625,13 +553,13 @@ impl<'a> Analysis<'a> {
         let mut bearing: BTreeSet<String> = self.cat.direct.clone();
         loop {
             let mut grew = false;
-            for (sname, fs) in &self.fields {
+            for (sname, tys) in self.g.fields.keys().zip(&self.field_tys) {
                 if bearing.contains(sname) {
                     continue;
                 }
-                if fs
+                if tys
                     .iter()
-                    .any(|f| words(&f.ty).iter().any(|w| bearing.contains(w)))
+                    .any(|ty| words(ty).iter().any(|w| bearing.contains(w)))
                 {
                     bearing.insert(sname.clone());
                     grew = true;
@@ -645,13 +573,13 @@ impl<'a> Analysis<'a> {
         // Every field whose type mentions a bearing type is an
         // `Into` projection (unless annotated as a leaf).
         let mut extra: Vec<((String, String), Proj)> = Vec::new();
-        for (sname, fs) in &self.fields {
-            for f in fs {
+        for ((sname, fs), tys) in self.g.fields.iter().zip(&self.field_tys) {
+            for (f, ty) in fs.iter().zip(tys) {
                 let key = (sname.clone(), f.name.clone());
                 if self.cat.proj.contains_key(&key) {
                     continue;
                 }
-                let m = self.cat.mentions(&f.ty);
+                let m = self.cat.mentions(ty);
                 if !m.is_empty() {
                     extra.push((key, Proj::Into(m)));
                 }
@@ -711,19 +639,17 @@ impl<'a> Analysis<'a> {
             return true;
         }
         // Field inside a struct defined in this file.
-        let path = &self.files[fi].path;
-        let mut hit: Option<(String, String, String)> = None;
-        for (sname, fs) in &self.fields {
-            for f in fs {
-                if (f.line == line || f.line == line + 1) && self.owns_struct(path, sname, f.line) {
-                    hit = Some((sname.clone(), f.name.clone(), f.ty.clone()));
-                    break;
-                }
-            }
-            if hit.is_some() {
-                break;
-            }
-        }
+        let hit = self
+            .g
+            .fields
+            .iter()
+            .zip(&self.field_tys)
+            .find_map(|((sname, fs), tys)| {
+                fs.iter()
+                    .zip(tys)
+                    .find(|(f, _)| f.file == fi && (f.line == line || f.line == line + 1))
+                    .map(|(f, ty)| (sname.clone(), f.name.clone(), ty.clone()))
+            });
         if let Some((sname, fname, ty)) = hit {
             self.cat.direct.insert(sname.clone());
             let m = self.mentions_before_closure(&ty);
@@ -737,20 +663,6 @@ impl<'a> Analysis<'a> {
             return true;
         }
         false
-    }
-
-    /// Whether the named struct (with a field at `line`) is defined
-    /// in `path` — guards against same-named fields in other files.
-    fn owns_struct(&self, path: &str, sname: &str, line: u32) -> bool {
-        self.files.iter().any(|sf| {
-            sf.path == path
-                && sf
-                    .scan
-                    .tokens
-                    .windows(2)
-                    .any(|w| w[0].is_ident("struct") && w[1].is_ident(sname))
-                && sf.scan.tokens.iter().any(|t| t.line == line)
-        })
     }
 
     /// Bearing-type mentions *before* the closure exists: direct
@@ -853,21 +765,22 @@ impl<'a> Analysis<'a> {
                 continue;
             }
             if seg[0].is_ident("let") {
-                let Some(eq) = top_level_eq(seg) else {
+                // A `let` whose ascription ends in `>` (`let v: Vec<u64>
+                // = …`) binds nothing here. The lattice cannot see that
+                // `xs.iter().map(|t| t.len())` is a count, so binding
+                // such lets flags `DatasetSummary::of` (DESIGN.md,
+                // "Documented approximations").
+                let Some(parts) = split_let(toks, a, b)
+                    .filter(|p| !p.ty.is_some_and(|(_, hi)| toks[hi - 1].is_punct('>')))
+                else {
                     continue;
                 };
-                let mut t = self.eval(fi, a + eq + 1, b, &env);
+                let mut t = self.eval(fi, parts.rhs.0, parts.rhs.1, &env);
                 // `let x: Database = …` — a carrier-typed ascription
                 // upgrades an unknown RHS to a carrier.
-                let colon = top_level_colon(&seg[1..eq]).map(|c| c + 1);
                 if t.kind == Kind::Clean {
-                    if let Some(c) = colon {
-                        let ty: String = seg[c + 1..eq]
-                            .iter()
-                            .map(|t| t.text.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" ");
-                        let m = self.cat.mentions(&ty);
+                    if let Some((lo, hi)) = parts.ty {
+                        let m = self.cat.mentions(&type_text(&toks[lo..hi]));
                         if !m.is_empty() {
                             t.kind = Kind::Carrier(m);
                         }
@@ -876,13 +789,10 @@ impl<'a> Analysis<'a> {
                 if t.is_clean() {
                     continue;
                 }
-                let pat_end = colon.unwrap_or(eq);
-                for tk in &seg[1..pat_end] {
-                    if tk.kind == TokenKind::Ident && !tk.is_ident("mut") && !tk.is_ident("ref") {
-                        env.entry(tk.text.clone())
-                            .or_insert_with(Taint::clean)
-                            .merge(&t);
-                    }
+                for name in pattern_idents(toks, parts.pat) {
+                    env.entry(name.to_string())
+                        .or_insert_with(Taint::clean)
+                        .merge(&t);
                 }
             } else if seg[0].is_ident("for") {
                 let Some(pos) = seg.iter().position(|t| t.is_ident("in")) else {
@@ -898,16 +808,11 @@ impl<'a> Analysis<'a> {
                     .windows(2)
                     .any(|w| w[0].is_punct('.') && w[1].is_ident("enumerate"))
                     && seg.get(1).is_some_and(|t| t.is_punct('('));
-                let mut first = true;
-                for tk in &seg[1..pos] {
-                    if tk.kind == TokenKind::Ident && !tk.is_ident("mut") && !tk.is_ident("ref") {
-                        if enumerated && std::mem::take(&mut first) {
-                            continue;
-                        }
-                        env.entry(tk.text.clone())
-                            .or_insert_with(Taint::clean)
-                            .merge(&t);
-                    }
+                let names = pattern_idents(toks, (a + 1, a + pos));
+                for name in names.skip(usize::from(enumerated)) {
+                    env.entry(name.to_string())
+                        .or_insert_with(Taint::clean)
+                        .merge(&t);
                 }
             } else if seg.len() >= 3 && seg[0].kind == TokenKind::Ident {
                 // Plain `name = expr` propagates; compound assigns
@@ -973,15 +878,6 @@ impl<'a> Analysis<'a> {
             let from = if explicit { *a + 1 } else { *a };
             let t = self.eval(fi, from, *b, env);
             if t.kind == Kind::Raw && !self.sums[u].returns_raw {
-                if std::env::var_os("ANDI_TAINT_DEBUG").is_some() {
-                    eprintln!(
-                        "[taint] returns_raw {} at {}:{} src {}",
-                        self.displays[u],
-                        self.files[fi].path,
-                        toks.get(from).map(|t| t.line).unwrap_or(0),
-                        t.src
-                    );
-                }
                 self.sums[u].returns_raw = true;
                 self.sums[u].ret_src = t.src.clone();
             }
@@ -1004,20 +900,12 @@ impl<'a> Analysis<'a> {
         env: &BTreeMap<String, Taint>,
         emit: bool,
     ) {
-        let sites: Vec<(usize, usize, u32, u32)> = self.calls_of[u]
-            .iter()
-            .map(|&i| &self.g.calls[i])
-            .filter(|c| c.tok >= lo && c.tok < hi)
-            .map(|c| (c.tok, c.callee, c.line, c.col))
-            .collect();
-        for (tok, callee, line, col) in sites {
-            if self.site.get(&(fi, tok)) == Some(&usize::MAX) {
+        let g = self.g;
+        for c in g.calls_of(u).iter().filter(|c| c.tok >= lo && c.tok < hi) {
+            let (tok, callee, line, col) = (c.tok, c.callee, c.line, c.col);
+            if self.site_by_tok[fi][tok] == u32::MAX {
                 continue; // ambiguous resolution: don't trust it
             }
-            let args = match self.site_args.get(&(fi, tok)) {
-                Some(a) => a.clone(),
-                None => continue,
-            };
             // Method-style calls bind the receiver to param 0; the
             // parenthesized args start at param 1.
             let toks = &self.files[fi].scan.tokens;
@@ -1032,7 +920,7 @@ impl<'a> Analysis<'a> {
             } else {
                 0
             };
-            for (j, (alo, ahi)) in args.iter().enumerate() {
+            for (j, (alo, ahi)) in c.args.iter().enumerate() {
                 let pi = j + offset;
                 if pi >= self.sums[callee].param_sink.len() || !self.sums[callee].param_sink[pi] {
                     continue;
@@ -1129,20 +1017,18 @@ impl<'a> Analysis<'a> {
                 continue;
             }
             let open = k + 4;
-            let (close, region) = if toks.get(open).is_some_and(|t| t.is_punct('(')) {
-                let c = matching_delim(toks, open, '(', ')');
-                (c, (open + 1, c))
-            } else if toks.get(open).is_some_and(|t| t.is_punct('{')) {
-                let c = matching_brace(toks, open).unwrap_or(toks.len());
-                (c, (open + 1, c))
-            } else {
+            if !toks
+                .get(open)
+                .is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
+            {
                 k += 1;
                 continue;
-            };
+            }
+            let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
             ctor_regions.push((k, close));
             out.push(SinkSite {
-                lo: region.0,
-                hi: region.1,
+                lo: open + 1,
+                hi: close,
                 line: toks[k].line,
                 col: toks[k].col,
                 desc: format!("`{}::{}` payload", toks[k].text, toks[k + 3].text),
@@ -1162,15 +1048,14 @@ impl<'a> Analysis<'a> {
                 && toks[k + 1].is_punct('!')
             {
                 let open = k + 2;
-                let (oc, cc) = match toks.get(open) {
-                    Some(t) if t.is_punct('(') => ('(', ')'),
-                    Some(t) if t.is_punct('[') => ('[', ']'),
-                    _ => {
-                        k += 1;
-                        continue;
-                    }
-                };
-                let close = matching_delim(toks, open, oc, cc);
+                if !toks
+                    .get(open)
+                    .is_some_and(|t| t.is_punct('(') || t.is_punct('['))
+                {
+                    k += 1;
+                    continue;
+                }
+                let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
                 if ctor_regions.iter().any(|&(a, b)| k > a && k < b) {
                     k = close; // the enclosing ctor finding covers it
                     continue;
@@ -1210,7 +1095,7 @@ impl<'a> Analysis<'a> {
                 } else {
                     (k + 4, k + 3)
                 };
-                let close = matching_delim(toks, open, '(', ')');
+                let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
                 if ctor_regions.iter().any(|&(a, b)| k > a && k < b) {
                     k = close;
                     continue;
@@ -1420,7 +1305,7 @@ impl<'a> Analysis<'a> {
                         // Struct literal: the value is a carrier;
                         // field initializers are evaluated by the
                         // outer walk.
-                        let close = matching_brace(toks, k + 1).unwrap_or(b);
+                        let close = matching(toks, k + 1, toks.len()).unwrap_or(b);
                         let (val, end) = self.postfix_from(fi, close + 1, b, carrier, env);
                         self.merge_occurrence(&mut out, val, toks, k, end);
                         k += 2; // walk the initializers too
@@ -1428,7 +1313,7 @@ impl<'a> Analysis<'a> {
                     }
                     if nxt.is_some_and(|n| n.is_punct('(')) {
                         // Tuple-struct ctor `B(…)`.
-                        let close = matching_delim(toks, k + 1, '(', ')');
+                        let close = matching(toks, k + 1, toks.len()).unwrap_or(toks.len());
                         let (val, end) = self.postfix_from(fi, close + 1, b, carrier, env);
                         self.merge_occurrence(&mut out, val, toks, k, end);
                         k += 2; // evaluate arguments too
@@ -1443,7 +1328,7 @@ impl<'a> Analysis<'a> {
                         // assume the result carries `B`.
                         let name_tok = k + 3;
                         if let Some(open) = call_paren(toks, name_tok, b) {
-                            let close = matching_delim(toks, open, '(', ')');
+                            let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
                             let val = match self.resolved(fi, name_tok) {
                                 Some(cu) => self.call_result(fi, cu, open, close, env, carrier),
                                 None => carrier,
@@ -1467,7 +1352,7 @@ impl<'a> Analysis<'a> {
             if !next_colon {
                 if let Some(cu) = self.resolved(fi, k) {
                     if let Some(open) = call_paren(toks, k, b) {
-                        let close = matching_delim(toks, open, '(', ')');
+                        let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
                         let val = self.call_result(fi, cu, open, close, env, Taint::clean());
                         let (val, end) = self.postfix_from(fi, close + 1, b, val, env);
                         self.merge_occurrence(&mut out, val, toks, k, end);
@@ -1580,7 +1465,7 @@ impl<'a> Analysis<'a> {
             if t.is_punct('[') {
                 // Element access keeps the value (an element of a
                 // carrier collection is what the `Into` set names).
-                let close = matching_delim(toks, j, '[', ']');
+                let close = matching(toks, j, toks.len()).unwrap_or(toks.len());
                 j = close + 1;
                 continue;
             }
@@ -1606,7 +1491,7 @@ impl<'a> Analysis<'a> {
                     continue;
                 }
                 let open = call_paren(toks, j + 1, b).unwrap_or(j + 2);
-                let close = matching_delim(toks, open, '(', ')');
+                let close = matching(toks, open, toks.len()).unwrap_or(toks.len());
                 // Resolved method summaries take precedence over the
                 // token-level projection rules.
                 if let Some(cu) = self.resolved(fi, j + 1) {
@@ -1743,17 +1628,6 @@ impl<'a> Analysis<'a> {
         if k.checked_sub(1).is_some_and(|p| arith(p, true)) || arith(end, false) {
             return; // laundered
         }
-        if std::env::var_os("ANDI_TAINT_DEBUG").is_some() {
-            eprintln!(
-                "[taint] {}:{} tok `{}` -> {:?} origins {:?} src {}",
-                self.files.first().map(|_| "").unwrap_or(""),
-                toks[k].line,
-                toks[k].text,
-                val.kind,
-                val.origins,
-                val.src
-            );
-        }
         out.merge(&val);
     }
 
@@ -1773,7 +1647,7 @@ impl<'a> Analysis<'a> {
                 // Derive site: the `Debug` token inside a `derive`
                 // attribute directly above `struct ty` / `enum ty`.
                 if toks[k].is_ident("derive") && toks.get(k + 1).is_some_and(|t| t.is_punct('(')) {
-                    let close = matching_delim(toks, k + 1, '(', ')');
+                    let close = matching(toks, k + 1, toks.len()).unwrap_or(toks.len());
                     let Some(d) = toks[k + 2..close.min(toks.len())]
                         .iter()
                         .find(|t| t.is_ident("Debug"))
@@ -1928,38 +1802,6 @@ impl<'a> Analysis<'a> {
 /// Receiver-mutating methods through which taint enters a local
 /// collection/string (`buf.push_str(raw)`).
 const MUTATORS: &[&str] = &["push", "push_str", "insert", "extend", "append"];
-
-/// Matching close delimiter for `open` (same-kind nesting), or the
-/// token count when unbalanced.
-fn matching_delim(toks: &[Token], open: usize, oc: char, cc: char) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct(oc) {
-            depth += 1;
-        } else if t.is_punct(cc) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len()
-}
-
-/// Top-level `:` (type ascription) in a `let` pattern segment.
-fn top_level_colon(seg: &[Token]) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in seg.iter().enumerate() {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            depth -= 1;
-        } else if depth <= 0 && t.is_punct(':') {
-            return Some(k);
-        }
-    }
-    None
-}
 
 /// Identifier names captured inline in a format string literal:
 /// `"{x}"`, `"{x:?}"`, `"{x:>8}"`. `{{` escapes are skipped;

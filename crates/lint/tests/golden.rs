@@ -652,6 +652,26 @@ fn declassify_count_only_decreases() {
     );
 }
 
+/// Golden prover coverage: the tree proves clean, and the counts of
+/// regions, width-checked ops, assumes and analyzed fns are pinned. A
+/// front-end change that drops a struct field, a `let` binding or a
+/// call edge must not silently shrink what the prover checks.
+#[test]
+fn prove_tree_is_clean_with_pinned_stats() {
+    let proved = andi_lint::prove_tree(&workspace_root()).expect("tree walk succeeds");
+    assert!(proved.findings.is_empty(), "{:?}", proved.findings);
+    assert!(proved.hygiene.is_empty(), "{:?}", proved.hygiene);
+    assert_eq!(
+        proved.stats,
+        andi_lint::ProofStats {
+            regions: 7,
+            checked_ops: 27,
+            assumes: 19,
+            fns_analyzed: 7,
+        }
+    );
+}
+
 /// Golden declassify inventory: the tree is leak-clean and the exact
 /// set of sanctioned disclosure boundaries is pinned. A new boundary
 /// (or a moved one) must update this list deliberately.
