@@ -89,8 +89,10 @@ pub fn quick_mode() -> bool {
 }
 
 /// The Section 7.1 sampler schedule with swap budgets scaled to the
-/// domain size (see [`andi_core::simulate::SimulationConfig::scaled`]),
-/// or a reduced version under `--quick`.
+/// domain size: warm-up and thinning each cover the whole domain
+/// several times, which the paper's fixed numbers (100 000 and
+/// 10 000 attempts) only did for small `n`. `--quick` uses a reduced
+/// version.
 pub fn sampler_config(quick: bool, n_items: usize) -> SamplerConfig {
     let n = n_items.max(1);
     if quick {

@@ -108,6 +108,4 @@ pub use similarity::{
     sample_release_curve, sampled_belief, similarity_by_sampling, GapPolicy, SampleReleasePoint,
     SampledBelief, SimilarityConfig, SimilarityPoint,
 };
-pub use simulate::{
-    simulate_crack_samples, simulate_expected_cracks, SeedMode, SimulationConfig, SimulationResult,
-};
+pub use simulate::{simulate_expected_cracks, SeedMode, SimulationConfig, SimulationResult};

@@ -7,16 +7,21 @@
 //! estimate is the mean of the run means and the spread is their
 //! standard deviation ("the differences between the O-estimates and
 //! the average simulated estimates are well within one standard
-//! deviation"). Runs are independent and execute through the
-//! deterministic parallel layer ([`andi_graph::par`]): run `r` is
-//! seeded with `seed + r` regardless of which worker executes it, so
-//! results are identical at any thread count.
+//! deviation").
+//!
+//! Seeding: each run is one call of the sampler's one driver,
+//! [`sample_cracks_budgeted`], from the run's [`SeedMode`] start. The
+//! driver splits a run into `n_batches = ⌈n_samples /
+//! samples_per_seed⌉` seed epochs and seeds batch `b` with
+//! `rng_seed + b`, so run `r` uses `rng_seed = seed + r·n_batches`
+//! (wrapping): no two runs share a batch stream. Runs execute one
+//! after another; the batches of each fan out inside the driver on
+//! [`par::available_threads`] workers, and the result is identical at
+//! any thread count.
 
-use andi_graph::par;
-use andi_graph::sampler::{sample_cracks, SamplerConfig};
+use andi_graph::par::{self, Budget};
+use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig, SamplerError};
 use andi_graph::{GroupedBigraph, Matching};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::error::{Error, Result};
 
@@ -43,7 +48,8 @@ pub struct SimulationConfig {
     pub sampler: SamplerConfig,
     /// Number of independent runs averaged (the paper uses 5).
     pub n_runs: usize,
-    /// Base RNG seed; run `r` uses `seed + r`.
+    /// Base RNG seed; run `r` uses `seed + r·n_batches` (see the
+    /// module docs).
     pub seed: u64,
     /// Walk seeding strategy.
     pub seed_mode: SeedMode,
@@ -68,24 +74,6 @@ impl SimulationConfig {
             n_runs: 3,
             seed: 0x51_D2005,
             seed_mode: SeedMode::Alternate,
-        }
-    }
-
-    /// The paper's schedule with the swap budget scaled to the domain
-    /// size: warm-up and thinning each cover the whole domain several
-    /// times, which the fixed published numbers only did for small
-    /// `n`.
-    pub fn scaled(n: usize) -> Self {
-        let n = n.max(1);
-        SimulationConfig {
-            sampler: SamplerConfig {
-                warmup_swaps: (30 * n).max(100_000),
-                swaps_between_samples: (2 * n).max(10_000),
-                samples_per_seed: 250,
-                n_samples: 5_000,
-                use_locality: true,
-            },
-            ..SimulationConfig::default()
         }
     }
 }
@@ -172,8 +160,17 @@ impl SimulationResult {
 ///
 /// # Errors
 ///
-/// Returns [`Error::EmptyMappingSpace`] if no item can be matched at
-/// all, or [`Error::Sampler`] on internal sampler failures.
+/// Returns [`Error::InvalidParameter`] if `config.n_runs` is zero,
+/// [`Error::EmptyMappingSpace`] if no item can be matched at all,
+/// [`Error::WorkerPanic`] if a sampler batch panics (an injected
+/// `sampler.batch` fault), or [`Error::Sampler`] on other sampler
+/// failures.
+///
+/// # Panics
+///
+/// Panics if `config.sampler.samples_per_seed` is zero, as the
+/// sampler does.
+///
 /// # Examples
 ///
 /// ```
@@ -192,6 +189,9 @@ pub fn simulate_expected_cracks(
     graph: &GroupedBigraph,
     config: &SimulationConfig,
 ) -> Result<SimulationResult> {
+    if config.n_runs == 0 {
+        return Err(Error::InvalidParameter("need at least one run".into()));
+    }
     let n = graph.n();
     let identity_ok = (0..n).all(|x| graph.crack_edge_exists(x));
     let base_seed = if identity_ok {
@@ -205,33 +205,40 @@ pub fn simulate_expected_cracks(
     };
     let decracked = decrack(graph, &base_seed);
 
-    let runs = par::map_indexed(par::available_threads(), config.n_runs, |r| {
-        let start = run_start(config.seed_mode, r, &base_seed, &decracked);
-        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        sample_cracks(graph, start, &config.sampler, rng)
-            .map(|samples| {
-                let sd = samples.std_dev();
-                (samples.mean(), sd * sd, samples.counts.len())
-            })
-            .map_err(|e| e.to_string())
-    });
-
-    let mut run_means = Vec::with_capacity(config.n_runs);
-    let mut run_vars = Vec::with_capacity(config.n_runs);
-    let mut run_len = 0usize;
-    for run in runs {
-        let (mean, var, len) = run.map_err(Error::Sampler)?;
-        run_means.push(mean);
-        run_vars.push(var);
-        run_len = len;
-    }
-
-    Ok(SimulationResult {
-        run_means,
-        run_vars,
-        run_len,
+    // `max(1)` leaves a zero `samples_per_seed` to the sampler's own
+    // panic.
+    let n_batches = config
+        .sampler
+        .n_samples
+        .div_ceil(config.sampler.samples_per_seed.max(1)) as u64;
+    let threads = par::available_threads();
+    let mut result = SimulationResult {
+        run_means: Vec::with_capacity(config.n_runs),
+        run_vars: Vec::with_capacity(config.n_runs),
+        run_len: 0,
         matched: base_seed.size(),
-    })
+    };
+    for r in 0..config.n_runs {
+        let start = run_start(config.seed_mode, r, &base_seed, &decracked);
+        let rng_seed = config.seed.wrapping_add((r as u64).wrapping_mul(n_batches));
+        let samples = sample_cracks_budgeted(
+            graph,
+            start,
+            &config.sampler,
+            rng_seed,
+            threads,
+            &Budget::unlimited(),
+        )
+        .map_err(|e| match e {
+            SamplerError::Interrupted(e) => Error::from(e),
+            e => Error::Sampler(e.to_string()),
+        })?;
+        let sd = samples.std_dev();
+        result.run_means.push(samples.mean());
+        result.run_vars.push(sd * sd);
+        result.run_len = samples.counts.len();
+    }
+    Ok(result)
 }
 
 /// The walk start for run `r` under a seed mode.
@@ -252,47 +259,6 @@ fn run_start<'a>(
             }
         }
     }
-}
-
-/// Like [`simulate_expected_cracks`], but returns the pooled crack
-/// samples of all runs, giving access to the full empirical
-/// distribution — histograms, quantiles and tail probabilities
-/// (`P(X >= t)`), which matter to an owner whose concern is the
-/// *chance* of a bad release rather than the average.
-///
-/// # Errors
-///
-/// As [`simulate_expected_cracks`].
-pub fn simulate_crack_samples(
-    graph: &GroupedBigraph,
-    config: &SimulationConfig,
-) -> Result<andi_graph::CrackSamples> {
-    let n = graph.n();
-    let identity_ok = (0..n).all(|x| graph.crack_edge_exists(x));
-    let base_seed = if identity_ok {
-        Matching::identity(n)
-    } else {
-        let m = graph.greedy_matching();
-        if m.size() == 0 {
-            return Err(Error::EmptyMappingSpace);
-        }
-        m
-    };
-    let decracked = decrack(graph, &base_seed);
-
-    let runs = par::map_indexed(par::available_threads(), config.n_runs, |r| {
-        let start = run_start(config.seed_mode, r, &base_seed, &decracked);
-        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        sample_cracks(graph, start, &config.sampler, rng)
-            .map(|samples| samples.counts)
-            .map_err(|e| e.to_string())
-    });
-
-    let mut counts = Vec::new();
-    for run in runs {
-        counts.extend(run.map_err(Error::Sampler)?);
-    }
-    Ok(andi_graph::CrackSamples { counts })
 }
 
 /// Rewires a consistent matching to reduce its crack count without
@@ -404,21 +370,61 @@ mod tests {
     }
 
     #[test]
-    fn pooled_samples_match_distribution() {
-        // Point-valued BigMart: singletons always cracked, so every
-        // sample has at least 2 cracks; the tail at 2 is 1.0.
-        let freqs: Vec<f64> = BIGMART_SUPPORTS.iter().map(|&s| s as f64 / 10.0).collect();
-        let b = BeliefFunction::point_valued(&freqs).unwrap();
+    fn zero_runs_are_rejected() {
+        // No runs means no samples: there is no mean to report.
+        let b = BeliefFunction::ignorant(6);
         let graph = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let samples = simulate_crack_samples(&graph, &SimulationConfig::quick()).unwrap();
-        assert_eq!(
-            samples.counts.len(),
-            SimulationConfig::quick().n_runs * SimulationConfig::quick().sampler.n_samples
-        );
-        assert_eq!(samples.tail_probability(2), 1.0);
-        assert!(samples.tail_probability(7) == 0.0);
-        assert!((samples.mean() - 3.0).abs() < 0.3);
-        assert!(samples.quantile(0.0) >= 2);
+        let config = SimulationConfig {
+            n_runs: 0,
+            ..SimulationConfig::quick()
+        };
+        let err = simulate_expected_cracks(&graph, &config).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn run_r_is_one_driver_call_at_its_own_batch_seeds() {
+        // Run r starts from its seed mode's matching and draws its
+        // batches from `seed + r·n_batches` on: 450 samples in batches
+        // of 100 make 5 batches per run, so no two runs share one.
+        let b = BeliefFunction::widened(&BIGMART_SUPPORTS.map(|s| s as f64 / 10.0), 0.1).unwrap();
+        let graph = b.build_graph(&BIGMART_SUPPORTS, 10);
+        let config = SimulationConfig {
+            sampler: SamplerConfig {
+                n_samples: 450,
+                ..SamplerConfig::quick()
+            },
+            ..SimulationConfig::quick()
+        };
+        let sim = simulate_expected_cracks(&graph, &config).unwrap();
+        assert_eq!(sim.run_means.len(), config.n_runs);
+        assert_eq!(sim.run_len, 450);
+        let identity = Matching::identity(6);
+        let decracked = decrack(&graph, &identity);
+        assert_ne!(identity, decracked, "the two starts differ");
+        for r in 0..config.n_runs {
+            let start = if r.is_multiple_of(2) {
+                &identity
+            } else {
+                &decracked
+            };
+            let direct = sample_cracks_budgeted(
+                &graph,
+                start,
+                &config.sampler,
+                config.seed + 5 * r as u64,
+                1,
+                &Budget::unlimited(),
+            )
+            .unwrap();
+            let sd = direct.std_dev();
+            assert_eq!(
+                sim.run_means[r].to_bits(),
+                direct.mean().to_bits(),
+                "run {r}"
+            );
+            assert_eq!(sim.run_vars[r].to_bits(), (sd * sd).to_bits(), "run {r}");
+        }
     }
 
     #[test]

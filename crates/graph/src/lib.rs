@@ -36,7 +36,7 @@
 //! |--------|---------------|----------|
 //! | permanent | [`try_permanent_of_rows_budgeted`] | [`permanent()`] |
 //! | exact crack probabilities | [`crack_probabilities_budgeted`] | [`crack_probabilities`], [`expected_cracks`] |
-//! | sampler | [`sample_cracks_budgeted`], [`sample_crack_probabilities_budgeted`] | — ([`sample_cracks`] is the single-RNG §7.1 stream) |
+//! | sampler | [`sample_cracks_budgeted`] (counts and per-item hits) | — ([`sample_crack_probabilities_budgeted`] is its hits / samples, same budget) |
 //! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
 
 #![forbid(unsafe_code)]
@@ -65,6 +65,6 @@ pub use par::{try_map_indexed, Budget, CancelToken, ExecError};
 pub use permanent::{permanent, try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
 pub use propagate::{propagate, Propagation};
 pub use sampler::{
-    sample_crack_probabilities_budgeted, sample_cracks, sample_cracks_budgeted, CrackSamples,
-    EdgeOracle, SamplerConfig, SamplerError,
+    sample_crack_probabilities_budgeted, sample_cracks_budgeted, CrackSamples, EdgeOracle,
+    SamplerConfig, SamplerError,
 };

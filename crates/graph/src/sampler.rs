@@ -29,9 +29,10 @@
 //! the draws one `gen_range`/`gen_bool` call at a time would, so the
 //! samples are bit-identical to that walk; the goldens in
 //! `tests/sampler_goldens.rs` pin them. Because the ring reads ahead,
-//! [`sample_cracks`] takes its generator by value. `Budget` is polled
-//! once per epoch and once per block of at most 204 attempts, never
-//! inside one.
+//! each seed epoch owns its generator: [`sample_cracks_budgeted`], the
+//! one driver, runs every epoch as a batch on its own stream. `Budget`
+//! is polled once per batch and once per block of at most 204
+//! attempts, never inside one.
 
 use std::hint::select_unpredictable;
 
@@ -146,6 +147,9 @@ impl SamplerConfig {
 pub struct CrackSamples {
     /// One crack count per sampled matching.
     pub counts: Vec<usize>,
+    /// Per item: the number of sampled matchings in which it is
+    /// cracked (mapped to itself). `Σ hits = Σ counts`.
+    pub hits: Vec<u64>,
 }
 
 impl CrackSamples {
@@ -243,84 +247,49 @@ impl std::error::Error for SamplerError {}
 
 /// Runs the swap-walk sampler over the matchings of `oracle`,
 /// starting from `seed` (typically the identity under full
-/// compliance, or a greedy/HK matching otherwise).
+/// compliance, or a greedy/HK matching otherwise). This is the one
+/// driver of the walk: the ladder's sampler rung and the §7.1
+/// simulation both run through it.
 ///
 /// The seed may be partial (a maximum matching smaller than `n`);
 /// the walk then permutes the matched pairs and additionally proposes
 /// moving a matched left item onto a free right item, so unmatched
 /// columns still circulate.
 ///
-/// The walk reads `rng`'s stream ahead of the draws it consumes (see
-/// the module docs), so it takes the generator by value: a borrowed
-/// one would be left at a point no caller could rely on.
-///
-/// # Errors
-///
-/// Returns an error if the seed uses an inconsistent edge or is
-/// empty.
-///
-/// # Panics
-///
-/// Panics if `config.samples_per_seed` is zero, as the budgeted
-/// drivers do.
-///
-/// # Examples
-///
-/// ```
-/// use andi_graph::{sample_cracks, DenseBigraph, Matching};
-/// use andi_graph::sampler::SamplerConfig;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// // The complete graph: Lemma 1 says E[cracks] = 1.
-/// let g = DenseBigraph::complete(6);
-/// let samples = sample_cracks(&g, &Matching::identity(6),
-///     &SamplerConfig::quick(), StdRng::seed_from_u64(1)).unwrap();
-/// assert!((samples.mean() - 1.0).abs() < 0.3);
-/// assert!(samples.tail_probability(0) == 1.0);
-/// ```
-pub fn sample_cracks<O: EdgeOracle>(
-    oracle: &O,
-    seed: &Matching,
-    config: &SamplerConfig,
-    rng: StdRng,
-) -> Result<CrackSamples, SamplerError> {
-    let plan = Plan::new(oracle, seed, config)?;
-    let counts = plan
-        .sample(config.n_samples, rng, &Budget::unlimited(), None)
-        .map_err(SamplerError::Interrupted)?;
-    Ok(CrackSamples { counts })
-}
-
-/// Parallel, thread-count-invariant, budgeted version of
-/// [`sample_cracks`].
-///
 /// The schedule is sharded into *batches* of `config.samples_per_seed`
 /// samples — exactly one seed epoch each, the walk's natural unit of
-/// independence (every epoch restarts from `seed` anyway). Batch `b`
-/// runs its own `StdRng` seeded `rng_seed.wrapping_add(b)`, and the
-/// batches are concatenated in batch order, so the returned sample
-/// vector depends only on `(oracle, seed, config, rng_seed)` — never
-/// on the worker count. Each batch runs as a
-/// [`crate::par::try_map_indexed`] task carrying the `sampler.batch`
-/// fault probe, and the walk polls `budget` per epoch and once per
-/// block of swap attempts.
-///
-/// Note the sharded stream is *not* the same stream `sample_cracks`
-/// draws from one sequential RNG — it is a different (equally valid)
-/// schedule with a per-epoch seeding discipline. What is guaranteed
-/// is bit-identity of the sharded sampler with itself across thread
-/// counts.
+/// independence (every epoch restarts from `seed`). Batch `b` draws
+/// from its own `StdRng` seeded `rng_seed.wrapping_add(b)`; the
+/// batches' counts are concatenated in batch order and their per-item
+/// hits summed, so the result depends only on
+/// `(oracle, seed, config, rng_seed)` — never on `threads`. Each batch
+/// runs as a [`crate::par::try_map_indexed`] task carrying the
+/// `sampler.batch` fault probe, and the walk polls `budget` per batch
+/// and once per block of swap attempts.
 ///
 /// # Errors
 ///
-/// Seed errors as in [`sample_cracks`];
-/// [`SamplerError::Interrupted`] when the budget trips, the token
-/// fires, or an injected fault panics a batch.
+/// [`SamplerError::InconsistentSeed`] or [`SamplerError::EmptySeed`]
+/// for a bad seed; [`SamplerError::Interrupted`] when the budget
+/// trips, the token fires, or an injected fault panics a batch.
 ///
 /// # Panics
 ///
 /// Panics if `config.samples_per_seed` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use andi_graph::{sample_cracks_budgeted, Budget, DenseBigraph, Matching};
+/// use andi_graph::sampler::SamplerConfig;
+///
+/// // The complete graph: Lemma 1 says E[cracks] = 1.
+/// let g = DenseBigraph::complete(6);
+/// let samples = sample_cracks_budgeted(&g, &Matching::identity(6),
+///     &SamplerConfig::quick(), 1, 2, &Budget::unlimited()).unwrap();
+/// assert!((samples.mean() - 1.0).abs() < 0.3);
+/// assert!(samples.tail_probability(0) == 1.0);
+/// ```
 pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
     oracle: &O,
     seed: &Matching,
@@ -329,16 +298,38 @@ pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
     threads: usize,
     budget: &Budget,
 ) -> Result<CrackSamples, SamplerError> {
-    let (samples, _hits) =
-        sample_cracks_budgeted_inner(oracle, seed, config, rng_seed, threads, budget, false)?;
+    let plan = Plan::new(oracle, seed, config)?;
+    let per_batch = config.samples_per_seed;
+    let n_batches = config.n_samples.div_ceil(per_batch);
+
+    let batches = crate::par::try_map_indexed(threads, n_batches, budget, |b| {
+        faults::probe("sampler.batch", b);
+        let batch_len = per_batch.min(config.n_samples - b * per_batch);
+        let rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
+        plan.sample(batch_len, rng, budget)
+    })
+    .map_err(SamplerError::Interrupted)?;
+
+    let mut samples = CrackSamples {
+        counts: Vec::with_capacity(config.n_samples),
+        hits: vec![0; oracle.n()],
+    };
+    for batch in batches {
+        let batch = batch.map_err(SamplerError::Interrupted)?;
+        samples.counts.extend(batch.counts);
+        for (acc, h) in samples.hits.iter_mut().zip(batch.hits) {
+            *acc += h;
+        }
+    }
     Ok(samples)
 }
 
-/// Per-item crack probabilities estimated by the budgeted sampler:
-/// `out[i]` is the fraction of sampled matchings in which item `i`
-/// is cracked (mapped to itself). This is the sampler rung's answer
-/// to the same question the exact permanent answers via
-/// [`crate::exact::crack_probabilities`].
+/// Per-item crack probabilities estimated by the sampler: `out[i]` is
+/// the fraction of sampled matchings in which item `i` is cracked
+/// (mapped to itself), i.e. `hits[i] / counts.len()` of
+/// [`sample_cracks_budgeted`] (all zeros for no samples). This is the
+/// sampler rung's answer to the same question the exact permanent
+/// answers via [`crate::exact::crack_probabilities`].
 ///
 /// # Errors
 ///
@@ -355,70 +346,24 @@ pub fn sample_crack_probabilities_budgeted<O: EdgeOracle + Sync>(
     threads: usize,
     budget: &Budget,
 ) -> Result<Vec<f64>, SamplerError> {
-    let (samples, hits) =
-        sample_cracks_budgeted_inner(oracle, seed, config, rng_seed, threads, budget, true)?;
-    let total = samples.counts.len();
-    if total == 0 {
-        return Ok(vec![0.0; oracle.n()]);
-    }
-    Ok(hits.iter().map(|&h| h as f64 / total as f64).collect())
-}
-
-/// Shared batch fan-out for the budgeted samplers. Batch boundaries
-/// and per-batch RNG seeds depend only on `(config, rng_seed)`, so
-/// the concatenated stream (and the folded tallies, when `tally`)
-/// never depend on the worker count.
-fn sample_cracks_budgeted_inner<O: EdgeOracle + Sync>(
-    oracle: &O,
-    seed: &Matching,
-    config: &SamplerConfig,
-    rng_seed: u64,
-    threads: usize,
-    budget: &Budget,
-    tally: bool,
-) -> Result<(CrackSamples, Vec<u64>), SamplerError> {
-    let plan = Plan::new(oracle, seed, config)?;
-    let n = oracle.n();
-    let per_batch = config.samples_per_seed;
-    let n_batches = config.n_samples.div_ceil(per_batch);
-
-    let results = crate::par::try_map_indexed(threads, n_batches, budget, |b| {
-        faults::probe("sampler.batch", b);
-        let batch_len = per_batch.min(config.n_samples - b * per_batch);
-        let rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
-        let mut batch_hits = if tally { Some(vec![0u64; n]) } else { None };
-        let counts = plan.sample(batch_len, rng, budget, batch_hits.as_deref_mut())?;
-        Ok((counts, batch_hits.unwrap_or_default()))
-    })
-    .map_err(SamplerError::Interrupted)?;
-
-    let mut counts = Vec::with_capacity(config.n_samples);
-    let mut hits = vec![0u64; n];
-    for result in results {
-        let (batch_counts, batch_hits): (Vec<usize>, Vec<u64>) =
-            result.map_err(SamplerError::Interrupted)?;
-        counts.extend(batch_counts);
-        for (acc, h) in hits.iter_mut().zip(batch_hits) {
-            *acc += h;
-        }
-    }
-    Ok((CrackSamples { counts }, hits))
+    let samples = sample_cracks_budgeted(oracle, seed, config, rng_seed, threads, budget)?;
+    let total = samples.counts.len().max(1) as f64;
+    Ok(samples.hits.iter().map(|&h| h as f64 / total).collect())
 }
 
 /// Marks a left item without a partner in the walk's matching.
 const UNMATCHED: usize = usize::MAX;
 
-fn count_cracks(partner: &[usize]) -> usize {
-    partner.iter().enumerate().filter(|&(i, &p)| p == i).count()
-}
-
-/// Adds each cracked item of one sample into the per-item tallies.
-fn tally_cracks(partner: &[usize], hits: &mut [u64]) {
-    for (i, &p) in partner.iter().enumerate() {
-        if p == i {
-            hits[i] += 1;
-        }
+/// Counts the cracked items of one sample and adds each into the
+/// per-item tallies, in one pass.
+fn record_cracks(partner: &[usize], hits: &mut [u64]) -> usize {
+    let mut count = 0;
+    for (i, (&p, h)) in partner.iter().zip(hits).enumerate() {
+        let cracked = p == i;
+        *h += u64::from(cracked);
+        count += usize::from(cracked);
     }
+    count
 }
 
 /// Half-width of the locality proposal window (in positions along
@@ -544,44 +489,36 @@ impl<'a, O: EdgeOracle> Plan<'a, O> {
         })
     }
 
-    /// Runs epochs until `n_samples` crack counts are collected: each
-    /// restarts from the seed, warms up, then records one sample
-    /// every `swaps_between_samples` attempts, at most
-    /// `samples_per_seed` of them. `budget` is polled per epoch and
-    /// once per block of attempts. When `hits` is given (length
-    /// `n`), `hits[i]` counts the samples with item `i` cracked.
+    /// Runs one seed epoch of `n_samples` (at most
+    /// `samples_per_seed`) samples: starts from the seed, warms up,
+    /// then records one sample every `swaps_between_samples`
+    /// attempts. `budget` is polled before the epoch and once per
+    /// block of attempts.
     fn sample(
         &self,
         n_samples: usize,
         mut rng: StdRng,
         budget: &Budget,
-        mut hits: Option<&mut [u64]>,
-    ) -> Result<Vec<usize>, ExecError> {
-        let mut counts = Vec::with_capacity(n_samples);
-        if n_samples == 0 {
-            return Ok(counts);
-        }
+    ) -> Result<CrackSamples, ExecError> {
+        budget.check()?;
+        let mut samples = CrackSamples {
+            counts: Vec::with_capacity(n_samples),
+            hits: vec![0; self.start.len()],
+        };
         let mut walk = Walk {
-            partner: Vec::new(),
-            free_rights: Vec::new(),
+            partner: self.start.clone(),
+            free_rights: self.free.clone(),
             draws: std::array::from_fn(|_| rng.next_u64()),
             cursor: 0,
             rng,
         };
-        while counts.len() < n_samples {
-            budget.check()?;
-            walk.partner.clone_from(&self.start);
-            walk.free_rights.clone_from(&self.free);
-            self.run(&mut walk, self.config.warmup_swaps, budget)?;
-            for _ in 0..self.config.samples_per_seed.min(n_samples - counts.len()) {
-                self.run(&mut walk, self.config.swaps_between_samples, budget)?;
-                counts.push(count_cracks(&walk.partner));
-                if let Some(h) = hits.as_deref_mut() {
-                    tally_cracks(&walk.partner, h);
-                }
-            }
+        self.run(&mut walk, self.config.warmup_swaps, budget)?;
+        for _ in 0..n_samples {
+            self.run(&mut walk, self.config.swaps_between_samples, budget)?;
+            let count = record_cracks(&walk.partner, &mut samples.hits);
+            samples.counts.push(count);
         }
-        Ok(counts)
+        Ok(samples)
     }
 
     /// Executes `swaps` swap attempts in blocks, polling `budget`
@@ -706,12 +643,28 @@ mod tests {
         SamplerConfig::quick()
     }
 
+    /// The driver on an unlimited budget at the ambient worker count.
+    fn sample<O: EdgeOracle + Sync>(
+        oracle: &O,
+        seed: &Matching,
+        config: &SamplerConfig,
+        rng_seed: u64,
+    ) -> Result<CrackSamples, SamplerError> {
+        sample_cracks_budgeted(
+            oracle,
+            seed,
+            config,
+            rng_seed,
+            crate::par::available_threads(),
+            &Budget::unlimited(),
+        )
+    }
+
     #[test]
     fn complete_graph_mean_is_near_one() {
         // Lemma 1: E[X] = 1 on the complete graph.
         let g = DenseBigraph::complete(8);
-        let rng = StdRng::seed_from_u64(61);
-        let s = sample_cracks(&g, &Matching::identity(8), &quick(), rng).unwrap();
+        let s = sample(&g, &Matching::identity(8), &quick(), 61).unwrap();
         assert_eq!(s.counts.len(), quick().n_samples);
         let mean = s.mean();
         assert!((mean - 1.0).abs() < 0.3, "mean {mean} too far from 1");
@@ -735,8 +688,7 @@ mod tests {
                 }
             }
             let exact = expected_cracks(&g).expect("diagonal present");
-            let walk_rng = StdRng::seed_from_u64(rng.gen());
-            let s = sample_cracks(&g, &Matching::identity(n), &quick(), walk_rng).unwrap();
+            let s = sample(&g, &Matching::identity(n), &quick(), rng.gen()).unwrap();
             let mean = s.mean();
             assert!(
                 (mean - exact).abs() < 0.35 + 3.0 * s.std_dev() / (s.counts.len() as f64).sqrt(),
@@ -749,13 +701,7 @@ mod tests {
     #[test]
     fn rejects_inconsistent_seed() {
         let g = DenseBigraph::from_edges(2, &[(0, 1), (1, 0)]);
-        let err = sample_cracks(
-            &g,
-            &Matching::identity(2),
-            &quick(),
-            StdRng::seed_from_u64(63),
-        )
-        .unwrap_err();
+        let err = sample(&g, &Matching::identity(2), &quick(), 63).unwrap_err();
         assert!(matches!(err, SamplerError::InconsistentSeed { .. }));
     }
 
@@ -766,7 +712,7 @@ mod tests {
             left_partner: vec![None, None],
             right_partner: vec![None, None],
         };
-        let err = sample_cracks(&g, &empty, &quick(), StdRng::seed_from_u64(64)).unwrap_err();
+        let err = sample(&g, &empty, &quick(), 64).unwrap_err();
         assert_eq!(err, SamplerError::EmptySeed);
     }
 
@@ -777,10 +723,10 @@ mod tests {
         for i in 0..5 {
             g.add_edge(i, i);
         }
-        let rng = StdRng::seed_from_u64(65);
-        let s = sample_cracks(&g, &Matching::identity(5), &quick(), rng).unwrap();
+        let s = sample(&g, &Matching::identity(5), &quick(), 65).unwrap();
         assert!(s.counts.iter().all(|&c| c == 5));
         assert_eq!(s.std_dev(), 0.0);
+        assert_eq!(s.hits, vec![quick().n_samples as u64; 5]);
     }
 
     #[test]
@@ -792,9 +738,9 @@ mod tests {
             left_partner: vec![Some(0), Some(1), Some(2), None],
             right_partner: vec![Some(0), Some(1), Some(2), None],
         };
-        let rng = StdRng::seed_from_u64(66);
-        let s = sample_cracks(&g, &seed, &quick(), rng).unwrap();
+        let s = sample(&g, &seed, &quick(), 66).unwrap();
         assert!(s.counts.iter().all(|&c| c <= 3));
+        assert_eq!(s.hits[3], 0, "the unmatched item is never cracked");
     }
 
     #[test]
@@ -810,20 +756,25 @@ mod tests {
             })
             .collect();
         let g = GroupedBigraph::new(&supports, 10, &intervals);
-        let rng = StdRng::seed_from_u64(67);
-        let s = sample_cracks(&g, &Matching::identity(6), &quick(), rng).unwrap();
+        let s = sample(&g, &Matching::identity(6), &quick(), 67).unwrap();
         let mean = s.mean();
         assert!((mean - 3.0).abs() < 0.4, "mean {mean} vs exact 3");
     }
 
     #[test]
     fn stats_on_empty_and_singleton() {
-        let s = CrackSamples { counts: vec![] };
+        let s = CrackSamples {
+            counts: vec![],
+            hits: vec![],
+        };
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
         assert!(s.histogram().is_empty());
         assert_eq!(s.tail_probability(0), 0.0);
-        let s = CrackSamples { counts: vec![4] };
+        let s = CrackSamples {
+            counts: vec![4],
+            hits: vec![1; 4],
+        };
         assert_eq!(s.mean(), 4.0);
         assert_eq!(s.std_dev(), 0.0);
     }
@@ -832,6 +783,7 @@ mod tests {
     fn histogram_tail_and_quantiles() {
         let s = CrackSamples {
             counts: vec![0, 1, 1, 2, 2, 2, 3, 5],
+            hits: vec![],
         };
         assert_eq!(s.histogram(), vec![1, 2, 3, 1, 0, 1]);
         assert!((s.tail_probability(2) - 5.0 / 8.0).abs() < 1e-12);
@@ -853,50 +805,37 @@ mod tests {
         for threads in 2..=8 {
             let par = sample_cracks_budgeted(&g, &seed, &config, 99, threads, &b).unwrap();
             assert_eq!(par.counts, serial.counts, "threads = {threads}");
+            assert_eq!(par.hits, serial.hits, "threads = {threads}");
         }
     }
 
     #[test]
-    fn sharded_batches_replay_the_sequential_walk_per_epoch() {
-        // Batch b is exactly one sequential `sample_cracks` run on its
-        // own `rng_seed + b` stream.
+    fn each_batch_is_a_one_batch_call_at_its_own_seed() {
+        // Batch b of a multi-batch run is exactly the driver's
+        // one-batch run on the `rng_seed + b` stream.
         let g = DenseBigraph::complete(6);
         let seed = Matching::identity(6);
-        let config = SamplerConfig::quick();
+        let config = SamplerConfig {
+            n_samples: 350, // 3 full batches + one of 50
+            ..quick()
+        };
         let b = Budget::unlimited();
         let sharded = sample_cracks_budgeted(&g, &seed, &config, 99, 4, &b).unwrap();
-        let mut expected = Vec::new();
+        let mut counts = Vec::new();
+        let mut hits = vec![0; 6];
         for (batch, chunk) in sharded.counts.chunks(config.samples_per_seed).enumerate() {
-            let batch_config = SamplerConfig {
+            let one = SamplerConfig {
                 n_samples: chunk.len(),
                 ..config
             };
-            let rng = StdRng::seed_from_u64(99 + batch as u64);
-            expected.extend(sample_cracks(&g, &seed, &batch_config, rng).unwrap().counts);
+            let s = sample_cracks_budgeted(&g, &seed, &one, 99 + batch as u64, 1, &b).unwrap();
+            counts.extend(s.counts);
+            for (acc, h) in hits.iter_mut().zip(s.hits) {
+                *acc += h;
+            }
         }
-        assert_eq!(sharded.counts, expected);
-    }
-
-    #[test]
-    fn sharded_sampler_mean_stays_calibrated() {
-        // Sharded seeding is a different stream than sequential, but
-        // the estimate must still match the exact expectation.
-        let g = DenseBigraph::complete(8);
-        let s = sample_cracks_budgeted(
-            &g,
-            &Matching::identity(8),
-            &quick(),
-            7,
-            crate::par::available_threads(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(s.counts.len(), quick().n_samples);
-        assert!(
-            (s.mean() - 1.0).abs() < 0.3,
-            "mean {} too far from 1",
-            s.mean()
-        );
+        assert_eq!(sharded.counts, counts);
+        assert_eq!(sharded.hits, hits);
     }
 
     #[test]
@@ -942,6 +881,10 @@ mod tests {
         let config = SamplerConfig::quick();
         let b = Budget::unlimited();
         let s = sample_cracks_budgeted(&g, &seed, &config, 7, 3, &b).unwrap();
+        assert_eq!(
+            s.hits.iter().sum::<u64>(),
+            s.counts.iter().sum::<usize>() as u64
+        );
         let probs = sample_crack_probabilities_budgeted(&g, &seed, &config, 7, 3, &b).unwrap();
         assert_eq!(probs.len(), 6);
         let total: f64 = probs.iter().sum();
@@ -951,7 +894,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile")]
     fn quantile_rejects_out_of_range() {
-        let s = CrackSamples { counts: vec![1] };
+        let s = CrackSamples {
+            counts: vec![1],
+            hits: vec![],
+        };
         let _ = s.quantile(1.5);
     }
 
@@ -971,7 +917,6 @@ mod tests {
             }
         }
         let exact = crack_distribution(&g).unwrap();
-        let rng = StdRng::seed_from_u64(77);
         let config = SamplerConfig {
             warmup_swaps: 5_000,
             swaps_between_samples: 40,
@@ -979,7 +924,7 @@ mod tests {
             n_samples: 9_000,
             use_locality: true,
         };
-        let s = sample_cracks(&g, &Matching::identity(5), &config, rng).unwrap();
+        let s = sample(&g, &Matching::identity(5), &config, 77).unwrap();
         // P(X >= 2) from the histogram matches the exact tail.
         let exact_tail: f64 = exact[2..].iter().sum();
         assert!(
@@ -990,33 +935,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_samples_means_no_samples_from_both_drivers() {
+    fn zero_samples_means_no_samples() {
         let g = DenseBigraph::complete(5);
-        let seed = Matching::identity(5);
         let config = SamplerConfig {
             n_samples: 0,
             ..quick()
         };
-        let s = sample_cracks(&g, &seed, &config, StdRng::seed_from_u64(3)).unwrap();
+        let s = sample(&g, &Matching::identity(5), &config, 3).unwrap();
         assert!(s.counts.is_empty());
-        let b = sample_cracks_budgeted(&g, &seed, &config, 3, 2, &Budget::unlimited()).unwrap();
-        assert!(b.counts.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "samples_per_seed must be >= 1")]
-    fn zero_samples_per_seed_panics_in_sample_cracks() {
-        let config = SamplerConfig {
-            samples_per_seed: 0,
-            ..quick()
-        };
-        let g = DenseBigraph::complete(3);
-        let _ = sample_cracks(
+        assert_eq!(s.hits, vec![0; 5]);
+        let p = sample_crack_probabilities_budgeted(
             &g,
-            &Matching::identity(3),
+            &Matching::identity(5),
             &config,
-            StdRng::seed_from_u64(4),
-        );
+            3,
+            2,
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(p, vec![0.0; 5]);
     }
 
     #[test]

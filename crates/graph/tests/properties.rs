@@ -5,13 +5,12 @@
 use andi_graph::dense::DenseBigraph;
 use andi_graph::grouped::GroupedBigraph;
 use andi_graph::matching::hopcroft_karp;
+use andi_graph::par::{available_threads, Budget};
 use andi_graph::permanent::{permanent, permanent_naive};
 use andi_graph::propagate::propagate;
-use andi_graph::sampler::{sample_cracks, SamplerConfig};
+use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
 use andi_graph::Matching;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Strategy: a random bipartite graph given as an adjacency bit
 /// matrix over `n <= 7` nodes per side.
@@ -170,8 +169,15 @@ fn sampler_is_uniform_over_matchings() {
         n_samples: 12_000,
         use_locality: true,
     };
-    let rng = StdRng::seed_from_u64(2024);
-    let samples = sample_cracks(&g, &Matching::identity(4), &config, rng).unwrap();
+    let samples = sample_cracks_budgeted(
+        &g,
+        &Matching::identity(4),
+        &config,
+        2024,
+        available_threads(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
 
     // Exact crack-count distribution over the enumerated matchings.
     let mut exact_counts = [0usize; 5];
@@ -211,10 +217,12 @@ fn sampler_start_independence() {
     };
     let id_start = Matching::identity(5);
     let hk = hopcroft_karp(&g); // some other perfect matching
-    let a = sample_cracks(&g, &id_start, &config, StdRng::seed_from_u64(7))
+    let threads = available_threads();
+    let unlimited = Budget::unlimited();
+    let a = sample_cracks_budgeted(&g, &id_start, &config, 7, threads, &unlimited)
         .unwrap()
         .mean();
-    let b = sample_cracks(&g, &hk, &config, StdRng::seed_from_u64(8))
+    let b = sample_cracks_budgeted(&g, &hk, &config, 8, threads, &unlimited)
         .unwrap()
         .mean();
     assert!((a - b).abs() < 0.1, "start dependence: {a} vs {b}");

@@ -1,10 +1,13 @@
 //! Pinned sampler outputs: the swap walk's bit-identity contract.
 //!
-//! Every value below was recorded from the walk that tested each
-//! proposal with branches, one `gen_range`/`gen_bool` call at a time.
-//! Any later walk must draw the same proposals from the same stream
-//! and accept the same swaps, so these hashes may never change: a
-//! mismatch means the walk now samples different matchings. Each
+//! Every value below comes from the seed-epoch batch stream (batch
+//! `b` on the `7 + b` generator). The probabilities were recorded from
+//! the walk that tested each proposal with branches, one
+//! `gen_range`/`gen_bool` call at a time; the counts from the
+//! branch-free walk proven bit-identical to it. Any later walk must
+//! draw the same proposals from the same stream and accept the same
+//! swaps, so these hashes may never change: a mismatch means the walk
+//! now samples different matchings. Each
 //! golden is an FNV-1a fold of the exact output — per-item crack
 //! probabilities by `to_bits`, crack counts as integers — never an
 //! epsilon comparison.
@@ -13,14 +16,14 @@
 //! beliefs (the service's analog workload; locality proposals on),
 //! the same CHESS graph with the paper's uniform-pair walk, a partial
 //! seed on a `DenseBigraph` (the free-column relocation path), and a
-//! single matched item (a zero-width locality window). The budgeted
-//! sampler runs at 1 and 4 workers and at `ANDI_THREADS`.
+//! single matched item (a zero-width locality window). The driver
+//! runs at 1 and 4 workers and at `ANDI_THREADS`.
 
 use andi_data::{Analog, FrequencyGroups};
 use andi_graph::hash::{fnv1a_u64, FNV_OFFSET};
 use andi_graph::par::{available_threads, Budget};
 use andi_graph::sampler::{
-    sample_crack_probabilities_budgeted, sample_cracks, EdgeOracle, SamplerConfig,
+    sample_crack_probabilities_budgeted, sample_cracks_budgeted, EdgeOracle, SamplerConfig,
 };
 use andi_graph::{DenseBigraph, GroupedBigraph, Matching};
 use rand::rngs::StdRng;
@@ -97,9 +100,10 @@ fn hash_counts(c: &[usize]) -> u64 {
     c.iter().fold(FNV_OFFSET, |h, &x| fnv1a_u64(h, x as u64))
 }
 
-/// Runs both drivers on one case and checks them against the pinned
-/// hashes: the budgeted per-item probabilities at every worker count,
-/// and the single-stream `sample_cracks` counts.
+/// Runs the driver on one case at every worker count and checks it
+/// against the pinned hashes: the per-item probabilities and the
+/// crack counts. The probabilities must also be the driver's
+/// `hits / samples` bit for bit, and its hits must sum to its counts.
 fn check<O: EdgeOracle + Sync>(
     name: &str,
     oracle: &O,
@@ -108,31 +112,42 @@ fn check<O: EdgeOracle + Sync>(
     probabilities: u64,
     counts: u64,
 ) {
+    let budget = Budget::unlimited();
     for threads in [1, 4, available_threads()] {
-        let p = sample_crack_probabilities_budgeted(
-            oracle,
-            seed,
-            config,
-            7,
-            threads,
-            &Budget::unlimited(),
-        )
-        .expect("seed is consistent");
+        let p = sample_crack_probabilities_budgeted(oracle, seed, config, 7, threads, &budget)
+            .expect("seed is consistent");
         assert_eq!(
             hash_probabilities(&p),
             probabilities,
             "{name}: probabilities moved at {threads} threads (got {:#018x})",
             hash_probabilities(&p)
         );
+        let s = sample_cracks_budgeted(oracle, seed, config, 7, threads, &budget)
+            .expect("seed is consistent");
+        assert_eq!(s.counts.len(), config.n_samples, "{name}");
+        assert_eq!(
+            hash_counts(&s.counts),
+            counts,
+            "{name}: counts moved at {threads} threads (got {:#018x})",
+            hash_counts(&s.counts)
+        );
+        let total = s.counts.len() as f64;
+        let from_hits: Vec<u64> = s
+            .hits
+            .iter()
+            .map(|&h| (h as f64 / total).to_bits())
+            .collect();
+        let bits: Vec<u64> = p.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            bits, from_hits,
+            "{name}: probabilities are not hits / samples"
+        );
+        assert_eq!(
+            s.hits.iter().sum::<u64>(),
+            s.counts.iter().sum::<usize>() as u64,
+            "{name}: hits do not sum to the counts"
+        );
     }
-    let s = sample_cracks(oracle, seed, config, StdRng::seed_from_u64(7)).expect("consistent");
-    assert_eq!(s.counts.len(), config.n_samples, "{name}");
-    assert_eq!(
-        hash_counts(&s.counts),
-        counts,
-        "{name}: counts moved (got {:#018x})",
-        hash_counts(&s.counts)
-    );
 }
 
 #[test]
@@ -145,7 +160,7 @@ fn chess_delta_med_is_pinned() {
         &seed,
         &SamplerConfig::quick(),
         0xc954932a574a294a,
-        0x6671993e1edf401e,
+        0x0f188fe35c66eb2b,
     );
 }
 
@@ -159,7 +174,7 @@ fn mushroom_delta_med_is_pinned() {
         &seed,
         &SamplerConfig::quick(),
         0xc95650503869b885,
-        0xcdbd887b8f83987e,
+        0x0097ab2fd6182098,
     );
 }
 
@@ -173,7 +188,7 @@ fn connect_delta_med_is_pinned() {
         &seed,
         &SamplerConfig::quick(),
         0xc1c76b480e17dd79,
-        0xf51a5252f04b8d39,
+        0x3d338fed3498438c,
     );
 }
 
@@ -191,7 +206,7 @@ fn uniform_pair_walk_is_pinned() {
         &seed,
         &config,
         0x2469822cf6c2bc50,
-        0xcc232a3fafe1a60c,
+        0x68ff862b099ef82e,
     );
 }
 
@@ -204,7 +219,7 @@ fn partial_dense_seed_is_pinned() {
         &seed,
         &SamplerConfig::quick(),
         0x3281b9b462d8321c,
-        0xfaf9ced7c7a21b2e,
+        0xf8e5129490e867a3,
     );
 }
 
@@ -217,6 +232,6 @@ fn single_active_item_is_pinned() {
         &seed,
         &SamplerConfig::quick(),
         0xb1e405a16ee281d1,
-        0x77660122c216e644,
+        0x3172dd6a7a38ccc4,
     );
 }

@@ -387,6 +387,25 @@ fn faulted_sampler_is_thread_count_invariant() {
 }
 
 #[test]
+fn simulation_turns_an_injected_batch_fault_into_a_structured_error() {
+    use andi::{simulate_expected_cracks, BeliefFunction, SimulationConfig};
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = FaultSchedule::parse("7:1.0").unwrap().install();
+    // Every §7.1 run is a call of the sampler's batch driver, so its
+    // `sampler.batch` probe reaches the simulation: the first batch's
+    // fault surfaces as an error, never an abort.
+    let supports = supports16();
+    let graph = BeliefFunction::ignorant(supports.len()).build_graph(&supports, M);
+    match simulate_expected_cracks(&graph, &SimulationConfig::quick()) {
+        Err(Error::WorkerPanic { task, payload }) => {
+            assert_eq!(task, 0);
+            assert_eq!(payload, "injected fault at sampler.batch[0]");
+        }
+        other => panic!("expected an isolated injected panic, got {other:?}"),
+    }
+}
+
+#[test]
 fn ambient_schedule_outcome_is_thread_count_invariant() {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // No override installed: probes consult ANDI_FAULTS, which the

@@ -2,7 +2,7 @@
 //! hacker attacks, and the estimates predict what actually happens.
 
 use andi::graph::sampler::SamplerConfig;
-use andi::graph::{hopcroft_karp, sample_cracks};
+use andi::graph::{hopcroft_karp, sample_cracks_budgeted, Budget};
 use andi::mining::Algorithm;
 use andi::{
     assess_risk, sampled_belief, AnonymizationMapping, BeliefFunction, OutdegreeProfile,
@@ -114,8 +114,7 @@ fn recipe_oe_matches_simulated_hacker() {
 
     let belief = BeliefFunction::widened(&db.frequencies(), verdict.delta_med).unwrap();
     let graph = belief.build_graph(&supports, db.n_transactions() as u64);
-    let rng = StdRng::seed_from_u64(11);
-    let samples = sample_cracks(
+    let samples = sample_cracks_budgeted(
         &graph,
         &andi::graph::Matching::identity(db.n_items()),
         &SamplerConfig {
@@ -125,7 +124,9 @@ fn recipe_oe_matches_simulated_hacker() {
             n_samples: 2_000,
             use_locality: true,
         },
-        rng,
+        11,
+        andi::graph::par::available_threads(),
+        &Budget::unlimited(),
     )
     .unwrap();
     let sim = samples.mean();

@@ -7,7 +7,7 @@
 //! so these properties exercise exactly the objects the conformance
 //! sweeps and the committed corpus replay.
 
-use andi::graph::{expected_cracks, sample_cracks, Matching};
+use andi::graph::{expected_cracks, sample_cracks_budgeted, Budget, Matching};
 use andi::{BeliefFunction, ChainSpec, OutdegreeProfile};
 use andi_oracle::estimators::{crack_probabilities_of, ClosedForm, OEstimate, Permanent};
 use andi_oracle::{Estimator, Instance, Regime};
@@ -259,8 +259,15 @@ fn sampler_tracks_exact_on_random_instances() {
         let belief = BeliefFunction::widened(&freqs, delta).unwrap();
         let graph = belief.build_graph(&supports, 100);
         let exact = expected_cracks(&graph.to_dense()).expect("feasible");
-        let walk_rng = StdRng::seed_from_u64(rng.gen());
-        let samples = sample_cracks(&graph, &Matching::identity(n), &config, walk_rng).unwrap();
+        let samples = sample_cracks_budgeted(
+            &graph,
+            &Matching::identity(n),
+            &config,
+            rng.gen(),
+            andi::graph::par::available_threads(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let mean = samples.mean();
         assert!(
             (mean - exact).abs() < 0.2,
