@@ -12,14 +12,12 @@
 //!
 //! [`best_expected_cracks`] tries them in that order and reports
 //! which one answered, so callers (and reports) know whether a
-//! number is exact or heuristic.
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+//! number is exact or heuristic. Every call builds what it needs from
+//! the graph it is given; a caller that reuses an O-estimate keeps the
+//! [`OutdegreeProfile`] itself.
 
 use andi_graph::convex::{expected_cracks_convex, ConvexError};
 use andi_graph::exact::{crack_probabilities_budgeted, ExactError};
-use andi_graph::hash::{fnv1a_u64, FNV_OFFSET};
 use andi_graph::par::{self, Budget};
 use andi_graph::GroupedBigraph;
 
@@ -68,8 +66,13 @@ const RYSER_LIMIT: usize = 18;
 ///
 /// # Errors
 ///
-/// Returns [`Error::EmptyMappingSpace`] when no consistent perfect
-/// matching exists (all three methods agree on detecting this).
+/// Returns [`Error::EmptyMappingSpace`] when the convex DP proves that
+/// no consistent perfect matching exists, when Ryser (at most 18
+/// items) finds a zero permanent, or when propagation proves the space
+/// empty. The three do not always agree: above 18 items, a graph with
+/// an unmatchable item gets an O-estimate answer unless propagation
+/// proves its space empty.
+///
 /// # Examples
 ///
 /// ```
@@ -125,135 +128,10 @@ pub fn best_expected_cracks(graph: &GroupedBigraph, state_budget: usize) -> Resu
     }
 
     // 3. O-estimate with propagation.
-    let profile = cached_profile(graph, true)?;
     Ok(CrackEstimate {
-        value: profile.oestimate(),
+        value: OutdegreeProfile::propagated(graph)?.oestimate(),
         method: EstimateMethod::OEstimate,
     })
-}
-
-/// Entry cap on the profile memo. Eviction is per-entry LRU (not a
-/// wholesale clear): a long-running server sweeping many distinct
-/// beliefs keeps its hot working set while cold entries age out.
-const PROFILE_CACHE_CAP: usize = 256;
-
-/// A bounded, deterministic least-recently-used memo.
-///
-/// Recency is a logical tick counter bumped on every hit and insert —
-/// no wall clock — so eviction order is a pure function of the access
-/// sequence. When full, the entry with the smallest tick is evicted;
-/// ties are impossible (ticks are unique) and the scan walks the
-/// `BTreeMap` in key order, so the behavior is identical across runs
-/// and thread counts for a fixed access sequence.
-struct ProfileLru {
-    tick: u64,
-    entries: BTreeMap<(u64, bool), (u64, Arc<OutdegreeProfile>)>,
-}
-
-impl ProfileLru {
-    const fn new() -> Self {
-        ProfileLru {
-            tick: 0,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn get(&mut self, key: &(u64, bool)) -> Option<Arc<OutdegreeProfile>> {
-        let tick = self.touch();
-        let (last_used, profile) = self.entries.get_mut(key)?;
-        *last_used = tick;
-        Some(Arc::clone(profile))
-    }
-
-    fn insert(&mut self, key: (u64, bool), profile: Arc<OutdegreeProfile>) {
-        let tick = self.touch();
-        if !self.entries.contains_key(&key) && self.entries.len() >= PROFILE_CACHE_CAP {
-            if let Some(coldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&coldest);
-            }
-        }
-        self.entries.insert(key, (tick, profile));
-    }
-}
-
-type ProfileCache = Mutex<ProfileLru>;
-
-fn profile_cache() -> &'static ProfileCache {
-    static CACHE: OnceLock<ProfileCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(ProfileLru::new()))
-}
-
-/// Locks the cache, tolerating poisoning: the guarded map is a pure
-/// memo, so a panic mid-update can at worst leave a stale or missing
-/// entry — never an inconsistent one worth propagating a panic for.
-fn lock_cache() -> std::sync::MutexGuard<'static, ProfileLru> {
-    profile_cache()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Structural fingerprint of a grouped mapping space: FNV-1a over the
-/// domain size, transaction count, group supports/sizes, each item's
-/// frequency group and each item's candidate group range. Two graphs
-/// share a fingerprint iff they were built from the same (supports,
-/// n_transactions, belief intervals) modulo hash collisions — the
-/// belief only enters `GroupedBigraph` through exactly these fields.
-pub fn graph_fingerprint(graph: &GroupedBigraph) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| h = fnv1a_u64(h, v);
-    mix(graph.n() as u64);
-    mix(graph.n_transactions());
-    for &s in graph.group_supports() {
-        mix(s);
-    }
-    for g in 0..graph.n_groups() {
-        mix(graph.group_size(g) as u64);
-    }
-    for i in 0..graph.n() {
-        mix(graph.left_group_of(i) as u64);
-        match graph.right_range_of(i) {
-            Some((lo, hi)) => {
-                mix(lo as u64 + 1);
-                mix(hi as u64 + 1);
-            }
-            None => mix(0),
-        }
-    }
-    h
-}
-
-/// Memoized [`OutdegreeProfile`] lookup keyed by the graph's
-/// structural fingerprint (which encodes the belief and supports) and
-/// the propagation flag. Repeated α/τ sweeps over the same release —
-/// the recipe's common shape — rebuild the profile once instead of
-/// per call; the `Arc` is shared, never cloned deep.
-///
-/// # Errors
-///
-/// Propagates [`OutdegreeProfile::propagated`]'s empty-mapping-space
-/// error (never cached).
-pub fn cached_profile(graph: &GroupedBigraph, propagated: bool) -> Result<Arc<OutdegreeProfile>> {
-    let key = (graph_fingerprint(graph), propagated);
-    if let Some(hit) = lock_cache().get(&key) {
-        return Ok(hit);
-    }
-    let profile = Arc::new(if propagated {
-        OutdegreeProfile::propagated(graph)?
-    } else {
-        OutdegreeProfile::plain(graph)
-    });
-    lock_cache().insert(key, Arc::clone(&profile));
-    Ok(profile)
 }
 
 #[cfg(test)]
@@ -323,80 +201,6 @@ mod tests {
         let e = best_expected_cracks(&g, 0).unwrap();
         assert_eq!(e.method, EstimateMethod::OEstimate);
         assert!(!e.method.is_exact());
-    }
-
-    #[test]
-    fn profile_cache_shares_and_discriminates() {
-        let b = BeliefFunction::widened(&freqs(), 0.1).unwrap();
-        let g = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let p1 = cached_profile(&g, false).unwrap();
-        let p2 = cached_profile(&g, false).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "second lookup must hit the cache");
-
-        // A structurally identical rebuild (fresh allocation) still
-        // hits: the key is the fingerprint, not the address.
-        let g_again = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let p3 = cached_profile(&g_again, false).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p3));
-
-        // The propagation flag and a different belief both miss.
-        let p_prop = cached_profile(&g, true).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p_prop));
-        let wider = BeliefFunction::widened(&freqs(), 0.2).unwrap();
-        let g_wide = wider.build_graph(&BIGMART_SUPPORTS, 10);
-        let p_wide = cached_profile(&g_wide, false).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p_wide));
-        assert_ne!(
-            graph_fingerprint(&g),
-            graph_fingerprint(&g_wide),
-            "wider belief must change the fingerprint"
-        );
-
-        // Cached values agree with direct construction.
-        let direct = OutdegreeProfile::plain(&g);
-        assert_eq!(p1.probabilities(), direct.probabilities());
-    }
-
-    #[test]
-    fn lru_keeps_hot_entry_and_hits_stay_bit_identical() {
-        let b = BeliefFunction::widened(&freqs(), 0.15).unwrap();
-        let g = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let hot = cached_profile(&g, true).unwrap();
-
-        // Flood the memo with more distinct entries than the cap,
-        // re-touching the hot entry after every insert so it is never
-        // the least-recently-used — it must survive the whole sweep.
-        for i in 0..(PROFILE_CACHE_CAP as u64 + 16) {
-            let supports = [i + 1, i + 2];
-            let filler = BeliefFunction::from_intervals(vec![(0.0, 1.0), (0.0, 1.0)]).unwrap();
-            let fg = filler.build_graph(&supports, 1_000);
-            cached_profile(&fg, false).unwrap();
-            let again = cached_profile(&g, true).unwrap();
-            assert!(
-                Arc::ptr_eq(&hot, &again),
-                "hot entry evicted after filler {i}"
-            );
-        }
-
-        // The earliest filler entries were the coldest and must be
-        // gone: a re-lookup rebuilds (fresh Arc)...
-        let filler0 = BeliefFunction::from_intervals(vec![(0.0, 1.0), (0.0, 1.0)]).unwrap();
-        let fg0 = filler0.build_graph(&[1u64, 2], 1_000);
-        let key0 = (graph_fingerprint(&fg0), false);
-        let cached0 = lock_cache().get(&key0);
-        assert!(cached0.is_none(), "coldest filler should have been evicted");
-
-        // ...and a cache hit is bit-identical to cold-path
-        // construction, for both profile flavors.
-        let rebuilt = cached_profile(&fg0, false).unwrap();
-        assert_eq!(
-            rebuilt.probabilities(),
-            OutdegreeProfile::plain(&fg0).probabilities()
-        );
-        assert_eq!(
-            hot.probabilities(),
-            OutdegreeProfile::propagated(&g).unwrap().probabilities()
-        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ use rand::SeedableRng;
 
 use crate::belief::BeliefFunction;
 use crate::error::{Error, Result};
+use crate::oestimate::OutdegreeProfile;
 use crate::report::{Provenance, Rung};
 
 /// Number of compliant items for a degree of compliancy `alpha` over
@@ -590,11 +591,15 @@ pub fn compliancy_curve_decoy(
     })
 }
 
-/// Crack probabilities via the O-estimate path (profiles memoized on
-/// the graph fingerprint, see [`crate::estimate::cached_profile`] —
-/// τ sweeps over one release hit the cache after the first call).
+/// Crack probabilities via the O-estimate path: the outdegree profile
+/// of `graph`, after Figure 7 propagation when configured. Built once
+/// per assessment; the α search reuses the returned vector.
 fn oe_probabilities(graph: &GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
-    let profile = crate::estimate::cached_profile(graph, config.use_propagation)?;
+    let profile = if config.use_propagation {
+        OutdegreeProfile::propagated(graph)?
+    } else {
+        OutdegreeProfile::plain(graph)
+    };
     Ok(profile.probabilities())
 }
 
@@ -632,7 +637,6 @@ fn mean_at(prefix_sums: &[Vec<f64>], c: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oestimate::OutdegreeProfile;
 
     const BIGMART_SUPPORTS: [u64; 6] = [5, 4, 5, 5, 3, 5];
 

@@ -1,7 +1,6 @@
 //! A sharded, fingerprint-keyed, single-flight result cache.
 //!
-//! Generalizes `andi_core::estimate::cached_profile` for the service
-//! layer: entries are keyed by a caller-computed 64-bit structural
+//! Entries are keyed by a caller-computed 64-bit structural
 //! fingerprint, spread across a fixed power-of-two number of shards
 //! (so unrelated requests never contend on one lock), bounded by a
 //! per-shard deterministic LRU, and **coalesced** — when several
