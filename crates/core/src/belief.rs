@@ -12,7 +12,6 @@
 //!   item's true frequency, and **α-compliant** when a fraction `α`
 //!   of items are compliant.
 
-use andi_data::Database;
 use andi_graph::GroupedBigraph;
 use rand::Rng;
 
@@ -248,11 +247,6 @@ impl BeliefFunction {
             "support profile size mismatch"
         );
         GroupedBigraph::new(supports, n_transactions, &self.intervals)
-    }
-
-    /// Convenience: build the graph straight from a database.
-    pub fn build_graph_for(&self, db: &Database) -> GroupedBigraph {
-        self.build_graph(&db.supports(), db.n_transactions() as u64)
     }
 }
 

@@ -73,22 +73,6 @@ impl OutdegreeProfile {
         Self::propagated_dense(graph.to_dense())
     }
 
-    /// Plain profile over an arbitrary dense mapping-space graph —
-    /// the Section 8.1 generalization, where the graph may come from
-    /// relational/attribute knowledge rather than frequency
-    /// intervals.
-    pub fn plain_dense(graph: &DenseBigraph) -> Self {
-        let status = graph
-            .right_degrees()
-            .into_iter()
-            .map(|d| match d {
-                0 => ItemStatus::NoCandidates,
-                d => ItemStatus::Free { outdegree: d },
-            })
-            .collect();
-        OutdegreeProfile { status }
-    }
-
     /// Propagated profile over an arbitrary dense mapping-space
     /// graph (consumes the graph, which propagation mutates).
     ///

@@ -340,6 +340,78 @@ impl GroupedBigraph {
             .collect()
     }
 
+    /// Splits the graph into its connected components with one sweep
+    /// over the frequency groups, in `O(n log n)` and without a dense
+    /// graph.
+    ///
+    /// Every candidate set is a contiguous range of groups, so a
+    /// component is a run of consecutive groups that no item's range
+    /// crosses: its left side is the run's anonymized items and its
+    /// right side the original items whose ranges lie inside it. When
+    /// every group is covered by some range, each run is connected,
+    /// because every pair of neighbouring groups in it shares the
+    /// range that crosses their boundary.
+    ///
+    /// Returns `None` when the sweep proves the mapping space empty:
+    /// an original item with no candidate, a group no range covers,
+    /// or a run whose two sides differ in size.
+    pub fn components(&self) -> Option<Components> {
+        let k = self.n_groups();
+        let ranges: Vec<(usize, usize)> =
+            self.right_range.iter().copied().collect::<Option<_>>()?;
+        // reach[g]: the highest group any range starting at g reaches.
+        let mut reach: Vec<Option<usize>> = vec![None; k];
+        for &(lo, hi) in &ranges {
+            reach[lo] = reach[lo].max(Some(hi));
+        }
+        // A run ends at the first group no earlier range reaches past;
+        // a group that no earlier range reaches is uncovered.
+        let mut run_of = vec![0usize; k];
+        let mut bounds = vec![0usize];
+        let mut end = None;
+        for g in 0..k {
+            end = end.max(reach[g]);
+            if end < Some(g) {
+                return None;
+            }
+            run_of[g] = bounds.len() - 1;
+            if end == Some(g) {
+                bounds.push(self.scaffold.prefix[g + 1]);
+            }
+        }
+        let runs = bounds.len() - 1;
+        let mut sizes = vec![0usize; runs];
+        for &(lo, _) in &ranges {
+            sizes[run_of[lo]] += 1;
+        }
+        if sizes
+            .iter()
+            .zip(bounds.windows(2))
+            .any(|(&size, run)| size != run[1] - run[0])
+        {
+            return None;
+        }
+        // Right items: bucketed by run in item order, so each run's
+        // items come out ascending.
+        let mut next = bounds[..runs].to_vec();
+        let mut right = vec![0usize; ranges.len()];
+        for (y, &(lo, _)) in ranges.iter().enumerate() {
+            let slot = &mut next[run_of[lo]];
+            right[*slot] = y;
+            *slot += 1;
+        }
+        // Left items: the runs' group slices, each sorted by item.
+        let mut left = self.scaffold.members.clone();
+        for run in bounds.windows(2) {
+            left[run[0]..run[1]].sort_unstable();
+        }
+        Some(Components {
+            left,
+            right,
+            bounds,
+        })
+    }
+
     /// Maximum consistent matching via the deadline greedy: original
     /// items are processed by increasing range upper end and matched
     /// to the lowest-frequency anonymized item still available in
@@ -410,6 +482,37 @@ impl BeliefGroup {
     /// groups (*shared*).
     pub fn is_shared(&self) -> bool {
         matches!(self.range, Some((lo, hi)) if hi == lo + 1)
+    }
+}
+
+/// The connected components of a [`GroupedBigraph`], in ascending
+/// frequency order ([`GroupedBigraph::components`]). Both sides of a
+/// component have the same size, so one offset list serves both:
+/// component `c` pairs the anonymized items
+/// `left[bounds[c]..bounds[c + 1]]` with the original items
+/// `right[bounds[c]..bounds[c + 1]]`, each ascending.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Components {
+    left: Vec<usize>,
+    right: Vec<usize>,
+    bounds: Vec<usize>,
+}
+
+impl Components {
+    /// Each component's (anonymized, original) items, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[usize], &[usize])> {
+        self.bounds
+            .windows(2)
+            .map(|run| (&self.left[run[0]..run[1]], &self.right[run[0]..run[1]]))
+    }
+
+    /// Items per side of the largest component (0 when there is none).
+    pub fn largest(&self) -> usize {
+        self.bounds
+            .windows(2)
+            .map(|run| run[1] - run[0])
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -878,6 +981,135 @@ mod tests {
                 .collect();
             assert_layouts_agree(&supports, 1000, &intervals);
         }
+    }
+
+    /// The connected components of the dense rendering by a
+    /// depth-first search, each as (sorted left, sorted right), sorted;
+    /// `None` when one has sides of different sizes.
+    fn dense_components(g: &GroupedBigraph) -> Option<Vec<(Vec<usize>, Vec<usize>)>> {
+        let n = g.n();
+        let mut seen = vec![false; 2 * n];
+        let mut out = Vec::new();
+        for start in 0..2 * n {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let (mut left, mut right, mut stack) = (Vec::new(), Vec::new(), vec![start]);
+            while let Some(v) = stack.pop() {
+                if v < n {
+                    left.push(v)
+                } else {
+                    right.push(v - n)
+                }
+                for w in 0..n {
+                    let (next, edge) = if v < n {
+                        (n + w, g.has_edge(v, w))
+                    } else {
+                        (w, g.has_edge(w, v - n))
+                    };
+                    if edge && !seen[next] {
+                        seen[next] = true;
+                        stack.push(next);
+                    }
+                }
+            }
+            if left.len() != right.len() {
+                return None;
+            }
+            left.sort_unstable();
+            right.sort_unstable();
+            out.push((left, right));
+        }
+        out.sort_unstable();
+        Some(out)
+    }
+
+    #[test]
+    fn component_sweep_equals_a_dense_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut split, mut empty) = (0, 0);
+        for _ in 0..400 {
+            // Repeated supports; mostly truthful narrow intervals, some
+            // wrong ones and some that hold no observed frequency.
+            let n = rng.gen_range(1..=24);
+            let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=40)).collect();
+            let intervals: Vec<(f64, f64)> = supports
+                .iter()
+                .map(|&s| {
+                    let f = s as f64 / 50.0;
+                    let slack = rng.gen_range(0..=4) as f64 / 50.0;
+                    match rng.gen_range(0..10) {
+                        0 => (0.9, 1.0),
+                        1 => {
+                            let c = rng.gen_range(1..=40) as f64 / 50.0;
+                            ((c - slack).max(0.0), (c + slack).min(1.0))
+                        }
+                        _ => ((f - slack).max(0.0), (f + slack).min(1.0)),
+                    }
+                })
+                .collect();
+            let g = GroupedBigraph::new(&supports, 50, &intervals);
+            let want = dense_components(&g);
+            let got = g.components().map(|c| {
+                let mut parts: Vec<(Vec<usize>, Vec<usize>)> =
+                    c.iter().map(|(l, r)| (l.to_vec(), r.to_vec())).collect();
+                let largest = parts.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+                assert_eq!(c.largest(), largest);
+                parts.sort_unstable();
+                parts
+            });
+            assert_eq!(got, want, "supports {supports:?}, intervals {intervals:?}");
+            if got.is_some() {
+                split += 1
+            } else {
+                empty += 1
+            }
+        }
+        assert!(split > 50 && empty > 50, "{split} split, {empty} empty");
+    }
+
+    #[test]
+    fn component_sweep_reports_each_kind_of_empty_space() {
+        let supports = [1u64, 2, 3, 4];
+        let graph = |intervals: &[(f64, f64)]| GroupedBigraph::new(&supports, 10, intervals);
+        // Two runs, {.1, .2} and {.3, .4}, each with both sides even.
+        let ok = graph(&[(0.1, 0.2), (0.1, 0.2), (0.3, 0.3), (0.3, 0.4)]);
+        let c = ok.components().expect("both runs are balanced");
+        let parts: Vec<_> = c.iter().collect();
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0], (&[0, 1][..], &[0, 1][..]));
+        assert_eq!(parts[1], (&[2, 3][..], &[2, 3][..]));
+        // An item with no candidate.
+        assert_eq!(
+            graph(&[(0.1, 0.2), (0.1, 0.2), (0.3, 0.4), (0.9, 1.0)]).components(),
+            None
+        );
+        // Group .4 covered by no range.
+        assert_eq!(
+            graph(&[(0.1, 0.2), (0.1, 0.2), (0.3, 0.3), (0.3, 0.3)]).components(),
+            None
+        );
+        // One range across the boundary joins the runs.
+        assert_eq!(
+            graph(&[(0.1, 0.2), (0.1, 0.2), (0.1, 0.4), (0.3, 0.4)])
+                .components()
+                .map(|c| c.iter().count()),
+            Some(1)
+        );
+        // A run with three originals over two anonymized items.
+        assert_eq!(
+            graph(&[(0.1, 0.2), (0.1, 0.2), (0.2, 0.2), (0.3, 0.4)]).components(),
+            None
+        );
+        // The empty domain has no components.
+        let none = GroupedBigraph::new(&[], 10, &[]);
+        assert_eq!(
+            none.components().map(|c| (c.iter().count(), c.largest())),
+            Some((0, 0))
+        );
     }
 
     #[test]

@@ -642,7 +642,12 @@ pub fn permanent_naive(g: &DenseBigraph) -> u128 {
 /// tests: one branchy row-sum update and a sequential checked
 /// product per subset.
 #[cfg(test)]
-fn ryser_range_reference(rows: &[u64], n: usize, s_start: u64, s_end: u64) -> Option<i128> {
+pub(crate) fn ryser_range_reference(
+    rows: &[u64],
+    n: usize,
+    s_start: u64,
+    s_end: u64,
+) -> Option<i128> {
     let mut prev_gray = (s_start - 1) ^ ((s_start - 1) >> 1);
     let mut row_sums: Vec<i64> = rows
         .iter()

@@ -50,6 +50,58 @@ fn small_grouped() -> impl Strategy<Value = GroupedBigraph> {
     })
 }
 
+/// Strategy: a random grouped interval graph of up to 48 items whose
+/// beliefs mix truthful intervals, wrong ones (placed anywhere) and
+/// ones that hold no observed frequency, so the mapping space is
+/// often not perfect or outright empty.
+fn noncompliant_grouped() -> impl Strategy<Value = GroupedBigraph> {
+    (1usize..=48).prop_flat_map(|n| {
+        (
+            prop::collection::vec(1u64..40, n),
+            prop::collection::vec((0u8..10, 0u64..40, 0u64..6), n),
+        )
+            .prop_map(|(supports, beliefs)| {
+                let intervals: Vec<(f64, f64)> = supports
+                    .iter()
+                    .zip(&beliefs)
+                    .map(|(&s, &(kind, centre, slack))| {
+                        let (centre, slack) = match kind {
+                            // No support reaches 40 of 50: no frequency.
+                            0 => (45, 0),
+                            1..=3 => (centre, slack),
+                            _ => (s, slack),
+                        };
+                        let lo = centre.saturating_sub(slack) as f64 / 50.0;
+                        let hi = (centre + slack).min(50) as f64 / 50.0;
+                        (lo, hi)
+                    })
+                    .collect();
+                GroupedBigraph::new(&supports, 50, &intervals)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The deadline greedy stays maximum when beliefs are wrong or
+    /// hold no frequency: the same matching size as Hopcroft–Karp on
+    /// the dense rendering, through consistent edges only. The ladder
+    /// and the oracle seed the sampler with it on that claim.
+    #[test]
+    fn greedy_matching_is_maximum_on_noncompliant_interval_graphs(g in noncompliant_grouped()) {
+        let greedy = g.greedy_matching();
+        let hk = hopcroft_karp(&g.to_dense());
+        prop_assert_eq!(greedy.size(), hk.size());
+        for (i, p) in greedy.left_partner.iter().enumerate() {
+            if let Some(y) = *p {
+                prop_assert!(g.has_edge(i, y));
+                prop_assert_eq!(greedy.right_partner[y], Some(i));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -93,9 +93,4 @@ impl Admission {
     pub fn backlog(&self) -> usize {
         self.lock().queue.len()
     }
-
-    /// Whether drain mode is on.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
 }

@@ -40,13 +40,6 @@ impl Client {
         })
     }
 
-    /// Overrides the response-side wire limits (and with them the
-    /// per-response watchdog: `read timeout × max_stall_ticks`).
-    pub fn with_limits(mut self, limits: WireLimits) -> Client {
-        self.limits = limits;
-        self
-    }
-
     /// Writes one request without waiting for the response
     /// (pipelining half).
     ///

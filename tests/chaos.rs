@@ -9,14 +9,14 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use andi::core::{assess_risk_budgeted, Error};
+use andi::core::{assess_risk_budgeted, ladder_crack_probabilities, BeliefFunction, Error};
 use andi::graph::exact::{crack_probabilities_budgeted, ExactError};
 use andi::graph::faults::FaultSchedule;
 use andi::graph::par::ExecError;
 use andi::graph::permanent::try_permanent_of_rows_budgeted;
 use andi::graph::sampler::{sample_cracks_budgeted, SamplerConfig};
-use andi::graph::{DenseBigraph, Matching};
-use andi::{Budget, BudgetedAssessment, RecipeConfig, Rung};
+use andi::graph::{DenseBigraph, GroupedBigraph, Matching};
+use andi::{Analog, Budget, BudgetedAssessment, FrequencyGroups, RecipeConfig, Rung};
 
 /// Serializes the chaos tests within this binary. `install()` holds
 /// its own global lock, but the ambient test takes no guard, so
@@ -341,6 +341,61 @@ fn faulted_components_are_thread_count_invariant() {
     for threads in [2usize, 4, 8] {
         let out = crack_probabilities_budgeted(&g, threads, &Budget::unlimited());
         assert_eq!(out, baseline, "threads={threads}");
+    }
+}
+
+/// CHESS at `δ_med`: 75 items in connected components of at most a
+/// dozen, so the exact rung answers with one single-chunk walk per
+/// permanent, and a fault on `permanent.chunk[0]` hits every one.
+fn chess_delta_med() -> GroupedBigraph {
+    let supports = Analog::Chess.supports();
+    let m = Analog::Chess.spec().n_transactions;
+    let delta = FrequencyGroups::from_supports(&supports, m)
+        .median_gap()
+        .expect("CHESS has several groups");
+    let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m as f64).collect();
+    BeliefFunction::widened(&freqs, delta)
+        .expect("δ_med is a valid half-width")
+        .build_graph(&supports, m)
+}
+
+#[test]
+fn faulted_component_walks_trip_to_the_sampler_at_analog_scale() {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let config = RecipeConfig::default();
+    let batches = config
+        .sampler_schedule
+        .n_samples
+        .div_ceil(config.sampler_schedule.samples_per_seed);
+    let schedule = FaultSchedule::parse("59:0.5").unwrap();
+    assert!(
+        schedule.fires("permanent.chunk", 0).is_some()
+            && (0..batches).all(|b| schedule.fires("sampler.batch", b).is_none()),
+        "seed 59 no longer faults the exact rung alone; pick another seed"
+    );
+    let _guard = schedule.install();
+    let graph = chess_delta_med();
+    let run = |threads: usize| {
+        let (provenance, probs) =
+            ladder_crack_probabilities(&graph, &config, threads, &Budget::unlimited())
+                .expect("the sampler answers");
+        let bits: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
+        (provenance.rung, provenance.trips, bits)
+    };
+    let baseline = run(1);
+    assert_eq!(baseline.0, Rung::Sampler);
+    assert_eq!(
+        baseline.1,
+        vec![(
+            Rung::Exact,
+            Error::WorkerPanic {
+                task: 0,
+                payload: "injected fault at permanent.chunk[0]".into()
+            }
+        )]
+    );
+    for threads in [2usize, 4] {
+        assert_eq!(run(threads), baseline, "threads={threads}");
     }
 }
 

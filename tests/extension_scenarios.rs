@@ -245,3 +245,58 @@ fn estimator_provenance_chain() {
         ryser.value
     );
 }
+
+/// Forty items with distinct supports, each believed within one
+/// support step of its own: forty-item graphs made of small connected
+/// components.
+fn forty_narrow_items() -> (Vec<u64>, Vec<(f64, f64)>) {
+    let supports: Vec<u64> = (1..=40).map(|s| 2 * s).collect();
+    let intervals = supports
+        .iter()
+        .map(|&s| ((s - 1) as f64 / 100.0, (s + 1) as f64 / 100.0))
+        .collect();
+    (supports, intervals)
+}
+
+/// Above 18 items, Ryser still answers when the convex DP declines:
+/// it runs one connected component at a time, so a state budget of 0
+/// on forty items in small components is `RyserExact`, equal to the
+/// convex value.
+#[test]
+fn ryser_answers_above_eighteen_items_in_small_components() {
+    let (supports, intervals) = forty_narrow_items();
+    let graph = BeliefFunction::from_intervals(intervals)
+        .unwrap()
+        .build_graph(&supports, 100);
+    assert!(graph.components().is_some_and(|c| c.largest() <= 18));
+
+    let ryser = best_expected_cracks(&graph, 0).unwrap();
+    assert_eq!(ryser.method, EstimateMethod::RyserExact);
+    let convex = best_expected_cracks(&graph, 1_000_000).unwrap();
+    assert!(matches!(convex.method, EstimateMethod::ConvexExact { .. }));
+    assert!(
+        (convex.value - ryser.value).abs() < 1e-9,
+        "{} vs {}",
+        convex.value,
+        ryser.value
+    );
+}
+
+/// An item no anonymized item can be is an empty mapping space at
+/// every domain size: the component split proves it before any
+/// estimate, where forty items used to get an O-estimate.
+#[test]
+fn an_unmatchable_item_is_an_empty_space_at_every_size() {
+    let (supports, mut intervals) = forty_narrow_items();
+    intervals[0] = (0.95, 1.0);
+    let graph = BeliefFunction::from_intervals(intervals)
+        .unwrap()
+        .build_graph(&supports, 100);
+    for state_budget in [0, 1_000_000] {
+        assert_eq!(
+            best_expected_cracks(&graph, state_budget).unwrap_err(),
+            andi::core::Error::EmptyMappingSpace,
+            "state budget {state_budget}"
+        );
+    }
+}
