@@ -61,9 +61,10 @@ fn main() -> ExitCode {
 /// able to tell a degraded figure from an exact one.
 const EXIT_DEGRADED: u8 = 3;
 
-/// Renders the usage text; built at call time so the exact-permanent
-/// cap in the help tracks [`andi::graph::MAX_PERMANENT_N`] instead of
-/// drifting when the kernel's ceiling moves.
+/// Renders the usage text; built at call time so the component caps
+/// in the help track [`andi::graph::MAX_PERMANENT_N`] and
+/// [`andi::core::estimate::RYSER_LIMIT`] instead of drifting when a
+/// ceiling moves.
 fn usage() -> String {
     format!(
         "usage:
@@ -78,13 +79,15 @@ fn usage() -> String {
   andi mine <file.dat> --min-support N [--algo apriori|fpgrowth|eclat] [--rules C]
   andi demo
 
-exact kernels (assess's exact rung, oe --exact) handle domains of up
-to {cap} items; larger domains answer from the sampler / O-estimate
-rungs instead
+exact kernels run one connected component at a time, at any domain
+size: assess's exact rung takes components of up to {cap} items and
+oe --exact's Ryser leg up to {ryser}; larger components answer from the
+sampler / O-estimate instead
 
 exit codes: 0 success, 1 error, 3 budgeted assessment answered by a
 degraded rung (see the provenance lines)",
-        cap = andi::graph::MAX_PERMANENT_N
+        cap = andi::graph::MAX_PERMANENT_N,
+        ryser = andi::core::estimate::RYSER_LIMIT
     )
 }
 

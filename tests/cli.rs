@@ -266,8 +266,8 @@ fn missing_file_is_a_clean_error() {
 }
 
 /// Writes a FIMI file of 4 identical transactions over 31 items, so
-/// every item has support 4 and the domain exceeds the
-/// exact-permanent cap of 30.
+/// every item has support 4 and an ignorant belief makes one complete
+/// 31-item component.
 fn wide_file(dir: &std::path::Path) -> PathBuf {
     let row: Vec<String> = (1..=31).map(|i| i.to_string()).collect();
     let row = row.join(" ");
@@ -300,8 +300,9 @@ fn assess_belief_degrades_to_sampler_above_the_permanent_cap() {
     let inst = wide_ignorant_instance(&dir);
     let json = dir.join("prov.json");
 
-    // 31 items exceed the exact-permanent cap, so the ladder answers
-    // on the sampler rung: degraded exit code, one recorded trip.
+    // The complete 31-item component overflows the Ryser accumulator,
+    // so the ladder answers on the sampler rung: degraded exit code,
+    // one recorded trip.
     let out = andi(&[
         "assess",
         file.to_str().unwrap(),
