@@ -131,16 +131,6 @@ impl ChainSpec {
         &self.n
     }
 
-    /// Exclusive belief-group sizes.
-    pub fn exclusive_sizes(&self) -> &[usize] {
-        &self.e
-    }
-
-    /// Shared belief-group sizes.
-    pub fn shared_sizes(&self) -> &[usize] {
-        &self.s
-    }
-
     /// The shared split `(u, v)`: `u[i]` items of `S_i` truly belong
     /// to group `i`, `v[i]` to group `i+1`.
     pub fn shared_split(&self) -> (&[usize], &[usize]) {

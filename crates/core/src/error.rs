@@ -86,11 +86,6 @@ impl From<andi_graph::par::ExecError> for Error {
 /// Convenient result alias for the crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Workspace-conventional name for the core error type; downstream
-/// crates and docs refer to fallible analysis APIs as returning
-/// `AndiError` results.
-pub type AndiError = Error;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -66,7 +66,9 @@ pub const RYSER_LIMIT: usize = 18;
 ///
 /// `state_budget` bounds the convex DP (use
 /// [`andi_graph::convex::DEFAULT_STATE_BUDGET`] unless memory is
-/// tight). When the DP declines, Ryser runs one connected component
+/// tight). The DP declines a window whose packed state key needs more
+/// than 64 bits before any work, and any other window once it spends
+/// that budget. When the DP declines, Ryser runs one connected component
 /// at a time ([`crack_probabilities_per_component`]) at any domain
 /// size. A component above [`RYSER_LIMIT`] items, or a permanent that
 /// overflows, leaves the answer to the O-estimate.
@@ -107,7 +109,7 @@ pub fn best_expected_cracks(graph: &GroupedBigraph, state_budget: usize) -> Resu
         Err(ConvexError::NoPerfectMatching) | Err(ConvexError::UnmatchableItem { .. }) => {
             return Err(Error::EmptyMappingSpace)
         }
-        Err(ConvexError::BudgetExceeded { .. }) => {}
+        Err(ConvexError::BudgetExceeded { .. }) | Err(ConvexError::WindowTooWide { .. }) => {}
     }
 
     // 2. Ryser exact per connected component of at most RYSER_LIMIT

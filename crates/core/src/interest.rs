@@ -144,8 +144,6 @@ pub struct InterestConfig {
     pub delta: Option<f64>,
     /// Averaging runs for the α curve.
     pub n_mask_runs: usize,
-    /// Apply Figure 7 propagation.
-    pub use_propagation: bool,
     /// RNG seed for mask permutations.
     pub seed: u64,
 }
@@ -156,7 +154,6 @@ impl Default for InterestConfig {
             tolerance: 0.1,
             delta: None,
             n_mask_runs: 5,
-            use_propagation: true,
             seed: 0x1A7E,
         }
     }
@@ -213,11 +210,7 @@ pub fn assess_interest_risk(
     let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m).collect();
     let belief = BeliefFunction::widened(&freqs, delta)?;
     let graph = belief.build_graph(supports, n_transactions);
-    let profile = if config.use_propagation {
-        OutdegreeProfile::propagated(&graph)?
-    } else {
-        OutdegreeProfile::plain(&graph)
-    };
+    let profile = OutdegreeProfile::propagated(&graph)?;
     let interval_oe = profile.oestimate_masked(&mask)?;
 
     // α search against the interest budget. The compliancy curve

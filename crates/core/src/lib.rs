@@ -78,7 +78,7 @@ pub use advisor::{suppression_plan, SuppressionPlan};
 pub use anonymize::AnonymizationMapping;
 pub use belief::BeliefFunction;
 pub use chain::ChainSpec;
-pub use error::{AndiError, Error, Result};
+pub use error::{Error, Result};
 pub use estimate::{best_expected_cracks, CrackEstimate, EstimateMethod};
 pub use incremental::{apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit};
 

@@ -18,7 +18,7 @@
 //! Figure 6(a) into exact contributions.
 
 use andi_data::Database;
-use andi_graph::propagate::propagate_in_place;
+use andi_graph::propagate::propagate;
 use andi_graph::{DenseBigraph, GroupedBigraph};
 
 use crate::belief::BeliefFunction;
@@ -74,18 +74,18 @@ impl OutdegreeProfile {
     }
 
     /// Propagated profile over an arbitrary dense mapping-space
-    /// graph (consumes the graph, which propagation mutates).
+    /// graph (consumed: propagation reduces it in place).
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyMappingSpace`] if propagation proves no
     /// consistent perfect matching exists.
-    pub fn propagated_dense(mut dense: DenseBigraph) -> Result<Self> {
-        let prop = propagate_in_place(&mut dense);
+    pub fn propagated_dense(dense: DenseBigraph) -> Result<Self> {
+        let prop = propagate(dense);
         if prop.infeasible() {
             return Err(Error::EmptyMappingSpace);
         }
-        let n = dense.n();
+        let n = prop.graph.n();
         let mut status: Vec<ItemStatus> = prop
             .graph
             .right_degrees()

@@ -36,10 +36,14 @@
 //! significant, so numeric order equals tuple lex order) held in a
 //! sorted key vector parallel to a weight vector, and transitions
 //! stream through a scratch block that is stably sorted and merged
-//! per generation. The fold order of `log_add` into each target state
-//! is exactly the entry-API order of the previous ordered-map
-//! implementation (kept as the wide-window fallback), so the two
-//! lanes are bit-identical.
+//! per generation. A field holds the open rights that share one
+//! deadline group, so its width is that of `E`, the largest number of
+//! items with the same range end — not that of `n`. A window whose
+//! key still needs more than 64 bits is declined with
+//! [`ConvexError::WindowTooWide`] before any work. The fold order of
+//! `log_add` into each target state is exactly the entry-API order of
+//! an ordered map keyed by the state tuples; the tests keep that
+//! ordered-map walk as the bit-identity reference.
 
 use std::collections::BTreeMap;
 
@@ -54,6 +58,10 @@ pub enum ConvexError {
     /// The DP state budget was exceeded (window too wide / groups
     /// too large) — fall back to sampling.
     BudgetExceeded { states: usize, budget: usize },
+    /// The DP key of a `window`-group profile needs `bits` > 64 bits
+    /// even at the narrowest field width the input allows. Declined
+    /// before any work — fall back to sampling.
+    WindowTooWide { window: usize, bits: usize },
     /// The space admits no perfect matching (counting reached zero).
     NoPerfectMatching,
 }
@@ -69,6 +77,12 @@ impl std::fmt::Display for ConvexError {
             }
             ConvexError::BudgetExceeded { states, budget } => {
                 write!(f, "DP needed {states} states, budget is {budget}")
+            }
+            ConvexError::WindowTooWide { window, bits } => {
+                write!(
+                    f,
+                    "a {window}-group window needs {bits}-bit DP keys; the limit is 64"
+                )
             }
             ConvexError::NoPerfectMatching => {
                 write!(f, "the mapping space admits no perfect matching")
@@ -96,28 +110,48 @@ struct ConvexSpec {
 
 impl ConvexSpec {
     fn from_graph(graph: &GroupedBigraph) -> Result<Self, ConvexError> {
-        let k = graph.n_groups();
-        let mut window = 1usize;
-        let mut ranges = Vec::with_capacity(graph.n());
-        for x in 0..graph.n() {
-            match graph.right_range_of(x) {
-                Some((lo, hi)) => {
-                    window = window.max(hi - lo + 1);
-                    ranges.push((lo, hi));
-                }
-                None => return Err(ConvexError::UnmatchableItem { item: x }),
-            }
-        }
-        let mut arrivals = vec![vec![0usize; window]; k];
+        let ranges = (0..graph.n())
+            .map(|x| {
+                graph
+                    .right_range_of(x)
+                    .ok_or(ConvexError::UnmatchableItem { item: x })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let left_counts = (0..graph.n_groups()).map(|g| graph.group_size(g)).collect();
+        Ok(Self::from_ranges(ranges, left_counts))
+    }
+
+    /// The spec of items with candidate group ranges `ranges` (each
+    /// non-empty) over groups of `left_counts` anonymized items.
+    fn from_ranges(ranges: Vec<(usize, usize)>, left_counts: Vec<usize>) -> Self {
+        let window = ranges
+            .iter()
+            .map(|&(lo, hi)| hi - lo + 1)
+            .max()
+            .unwrap_or(1);
+        let mut arrivals = vec![vec![0usize; window]; left_counts.len()];
         for &(lo, hi) in &ranges {
             arrivals[lo][hi - lo] += 1;
         }
-        Ok(ConvexSpec {
-            left_counts: (0..k).map(|g| graph.group_size(g)).collect(),
+        ConvexSpec {
+            left_counts,
             arrivals,
             ranges,
             window,
-        })
+        }
+    }
+
+    /// Width of one packed DP field: a field counts the open rights
+    /// that share one deadline group, so it never exceeds the largest
+    /// number of items with the same range end. At least one bit, so
+    /// `(window - 1) · bits <= 64` also caps the window at 65.
+    fn field_bits(&self) -> u32 {
+        let mut per_end = vec![0u64; self.left_counts.len()];
+        for &(_, hi) in &self.ranges {
+            per_end[hi] += 1;
+        }
+        let most = per_end.into_iter().max().unwrap_or(0);
+        (64 - most.leading_zeros()).max(1)
     }
 }
 
@@ -165,42 +199,28 @@ fn log_add(a: f64, b: f64) -> f64 {
 /// transition work, so pathological windows abort promptly instead
 /// of hanging inside one group.
 ///
-/// Runs the blocked SoA kernel whenever the `(w-1)`-tuple of open
-/// counts packs into one `u64` key (every realistic window; a state
-/// counter never exceeds the item count `n`, so the packed form
-/// covers `(w-1) · ceil(log2(n+1)) <= 64`); wider windows fall back
-/// to the ordered-map walk. Both paths produce bit-identical
-/// weights: the packed keys order exactly like the state vectors
-/// (fields are fixed-width with `state[0]` most significant), and
-/// the scratch-block merge folds `log_add` per target state in
-/// generation order, which is precisely the entry-API accumulation
-/// order of the map.
+/// The live generation is a pair of parallel vectors (packed keys
+/// ascending + log weights); transitions stream into a scratch block
+/// that is stably sorted and two-pointer-merged into the next
+/// generation, so the DP table is never touched through a
+/// pointer-chasing map node. The `(w-1)`-tuple of open counts packs
+/// into one `u64` key at [`ConvexSpec::field_bits`] bits per field; a
+/// window that needs more than 64 bits is declined with
+/// [`ConvexError::WindowTooWide`] before the first group.
 fn log_permanent(
     spec: &ConvexSpec,
     ln: &LnFact,
     max_states: usize,
 ) -> Result<Option<f64>, ConvexError> {
     let w = spec.window;
-    let n = spec.ranges.len();
-    let bits = 64 - (n as u64).leading_zeros();
-    if w > 1 && (w - 1) as u32 * bits > 64 {
-        return log_permanent_wide(spec, ln, max_states);
+    let bits = spec.field_bits();
+    let key_bits = (w - 1) * bits as usize;
+    if key_bits > 64 {
+        return Err(ConvexError::WindowTooWide {
+            window: w,
+            bits: key_bits,
+        });
     }
-    log_permanent_packed(spec, ln, max_states, bits)
-}
-
-/// The blocked SoA lane of [`log_permanent`]: the live generation is
-/// a pair of parallel vectors (packed keys ascending + log weights),
-/// transitions stream into a scratch block that is stably sorted and
-/// two-pointer-merged into the next generation, and the DP table is
-/// never touched through a pointer-chasing map node.
-fn log_permanent_packed(
-    spec: &ConvexSpec,
-    ln: &LnFact,
-    max_states: usize,
-    bits: u32,
-) -> Result<Option<f64>, ConvexError> {
-    let w = spec.window;
     let k = spec.left_counts.len();
     let mut keys: Vec<u64> = vec![0]; // the all-zero open profile
     let mut weights: Vec<f64> = vec![0.0];
@@ -397,123 +417,6 @@ impl PackedSink<'_> {
     }
 }
 
-/// The ordered-map fallback for windows too wide to pack (and the
-/// bit-identity reference for the packed lane).
-fn log_permanent_wide(
-    spec: &ConvexSpec,
-    ln: &LnFact,
-    max_states: usize,
-) -> Result<Option<f64>, ConvexError> {
-    let w = spec.window;
-    let k = spec.left_counts.len();
-    // State: open counts at offsets 1..w-1 (relative to the *next*
-    // group), i.e. a vector of length w-1. Log-weighted. A BTreeMap
-    // keeps the iteration order (and so the `log_add` accumulation
-    // order feeding shared target states) deterministic — hash order
-    // would perturb floating-point results run to run.
-    let mut states: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
-    states.insert(vec![0usize; w - 1], 0.0);
-
-    let mut dp = Dp {
-        ln,
-        next: BTreeMap::new(),
-        work: 0,
-        // Same clamp as the packed lane, so the two lanes' work
-        // accounting trips identically.
-        work_budget: max_states.saturating_mul(16).clamp(1_000, 1 << 62),
-        w,
-    };
-    let mut avail = vec![0usize; w];
-    let mut choice = vec![0usize; w];
-    for g in 0..k {
-        dp.next.clear();
-        for (state, &lw) in &states {
-            // Offsets 0..w-1 available at this group: carried opens
-            // (shifted) plus fresh arrivals.
-            for d in 0..w {
-                let carried = if d < w - 1 { state[d] } else { 0 };
-                avail[d] = carried + spec.arrivals[g][d];
-            }
-            // Deadline-now rights are mandatory.
-            let must = avail[0];
-            let l_g = spec.left_counts[g];
-            if must > l_g {
-                continue; // more deadlines than slots: dead path
-            }
-            choice[0] = must;
-            dp.distribute(&avail, &mut choice, 1, l_g - must, lw + ln.fact(l_g))?;
-        }
-        std::mem::swap(&mut states, &mut dp.next);
-        if states.len() > max_states {
-            return Err(ConvexError::BudgetExceeded {
-                states: states.len(),
-                budget: max_states,
-            });
-        }
-        if states.is_empty() {
-            return Ok(None);
-        }
-    }
-    Ok(states.get(vec![0usize; w - 1].as_slice()).copied())
-}
-
-/// DP scratch: target map plus the transition-work accounting.
-struct Dp<'a> {
-    ln: &'a LnFact,
-    next: BTreeMap<Vec<usize>, f64>,
-    work: usize,
-    work_budget: usize,
-    w: usize,
-}
-
-impl Dp<'_> {
-    /// Recursively distributes `rem` matches over offsets `d..w`,
-    /// accumulating resulting states.
-    fn distribute(
-        &mut self,
-        avail: &[usize],
-        choice: &mut Vec<usize>,
-        d: usize,
-        rem: usize,
-        lw: f64,
-    ) -> Result<(), ConvexError> {
-        self.work += 1;
-        if self.work > self.work_budget {
-            return Err(ConvexError::BudgetExceeded {
-                states: self.work,
-                budget: self.work_budget,
-            });
-        }
-        let w = self.w;
-        if d == w {
-            if rem != 0 {
-                return Ok(());
-            }
-            // Weight: product of C(avail_d, choice_d); offset-0
-            // choose is C(a, a) = 0 in log space.
-            let mut weight = lw;
-            for j in 1..w {
-                weight += self.ln.choose(avail[j], choice[j]);
-            }
-            // New state: leftovers shifted down by one offset.
-            let state: Vec<usize> = (1..w).map(|j| avail[j] - choice[j]).collect();
-            let slot = self.next.entry(state).or_insert(f64::NEG_INFINITY);
-            *slot = log_add(*slot, weight);
-            return Ok(());
-        }
-        // Bound the choice at this offset by what later offsets can
-        // still absorb.
-        let later_capacity: usize = avail[d + 1..w.min(avail.len())].iter().sum();
-        let min_c = rem.saturating_sub(later_capacity);
-        let max_c = rem.min(avail[d]);
-        for c in min_c..=max_c {
-            choice[d] = c;
-            self.distribute(avail, choice, d + 1, rem - c, lw)?;
-        }
-        Ok(())
-    }
-}
-
 /// Result of the convex exact analysis.
 #[derive(Clone, Debug)]
 pub struct ConvexExact {
@@ -629,6 +532,123 @@ fn crack_marginals(
 mod tests {
     use super::*;
     use crate::exact::expected_cracks;
+
+    /// The ordered-map walk: the bit-identity reference for the packed
+    /// lane of [`log_permanent`].
+    fn log_permanent_wide(
+        spec: &ConvexSpec,
+        ln: &LnFact,
+        max_states: usize,
+    ) -> Result<Option<f64>, ConvexError> {
+        let w = spec.window;
+        let k = spec.left_counts.len();
+        // State: open counts at offsets 1..w-1 (relative to the *next*
+        // group), i.e. a vector of length w-1. Log-weighted. A BTreeMap
+        // keeps the iteration order (and so the `log_add` accumulation
+        // order feeding shared target states) deterministic — hash order
+        // would perturb floating-point results run to run.
+        let mut states: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
+        states.insert(vec![0usize; w - 1], 0.0);
+
+        let mut dp = Dp {
+            ln,
+            next: BTreeMap::new(),
+            work: 0,
+            // Same clamp as the packed lane, so the two walks' work
+            // accounting trips identically.
+            work_budget: max_states.saturating_mul(16).clamp(1_000, 1 << 62),
+            w,
+        };
+        let mut avail = vec![0usize; w];
+        let mut choice = vec![0usize; w];
+        for g in 0..k {
+            dp.next.clear();
+            for (state, &lw) in &states {
+                // Offsets 0..w-1 available at this group: carried opens
+                // (shifted) plus fresh arrivals.
+                for d in 0..w {
+                    let carried = if d < w - 1 { state[d] } else { 0 };
+                    avail[d] = carried + spec.arrivals[g][d];
+                }
+                // Deadline-now rights are mandatory.
+                let must = avail[0];
+                let l_g = spec.left_counts[g];
+                if must > l_g {
+                    continue; // more deadlines than slots: dead path
+                }
+                choice[0] = must;
+                dp.distribute(&avail, &mut choice, 1, l_g - must, lw + ln.fact(l_g))?;
+            }
+            std::mem::swap(&mut states, &mut dp.next);
+            if states.len() > max_states {
+                return Err(ConvexError::BudgetExceeded {
+                    states: states.len(),
+                    budget: max_states,
+                });
+            }
+            if states.is_empty() {
+                return Ok(None);
+            }
+        }
+        Ok(states.get(vec![0usize; w - 1].as_slice()).copied())
+    }
+
+    /// DP scratch: target map plus the transition-work accounting.
+    struct Dp<'a> {
+        ln: &'a LnFact,
+        next: BTreeMap<Vec<usize>, f64>,
+        work: usize,
+        work_budget: usize,
+        w: usize,
+    }
+
+    impl Dp<'_> {
+        /// Recursively distributes `rem` matches over offsets `d..w`,
+        /// accumulating resulting states.
+        fn distribute(
+            &mut self,
+            avail: &[usize],
+            choice: &mut Vec<usize>,
+            d: usize,
+            rem: usize,
+            lw: f64,
+        ) -> Result<(), ConvexError> {
+            self.work += 1;
+            if self.work > self.work_budget {
+                return Err(ConvexError::BudgetExceeded {
+                    states: self.work,
+                    budget: self.work_budget,
+                });
+            }
+            let w = self.w;
+            if d == w {
+                if rem != 0 {
+                    return Ok(());
+                }
+                // Weight: product of C(avail_d, choice_d); offset-0
+                // choose is C(a, a) = 0 in log space.
+                let mut weight = lw;
+                for j in 1..w {
+                    weight += self.ln.choose(avail[j], choice[j]);
+                }
+                // New state: leftovers shifted down by one offset.
+                let state: Vec<usize> = (1..w).map(|j| avail[j] - choice[j]).collect();
+                let slot = self.next.entry(state).or_insert(f64::NEG_INFINITY);
+                *slot = log_add(*slot, weight);
+                return Ok(());
+            }
+            // Bound the choice at this offset by what later offsets can
+            // still absorb.
+            let later_capacity: usize = avail[d + 1..w.min(avail.len())].iter().sum();
+            let min_c = rem.saturating_sub(later_capacity);
+            let max_c = rem.min(avail[d]);
+            for c in min_c..=max_c {
+                choice[d] = c;
+                self.distribute(avail, choice, d + 1, rem - c, lw)?;
+            }
+            Ok(())
+        }
+    }
 
     /// Grouped graph from supports + intervals (helper).
     fn graph(supports: &[u64], m: u64, intervals: &[(f64, f64)]) -> GroupedBigraph {
@@ -875,8 +895,7 @@ mod tests {
             let g = graph(&supports, m, &intervals);
             let spec = ConvexSpec::from_graph(&g).unwrap();
             let ln = LnFact::new(g.n() + 1);
-            let bits = 64 - (spec.ranges.len() as u64).leading_zeros();
-            let packed = log_permanent_packed(&spec, &ln, DEFAULT_STATE_BUDGET, bits)
+            let packed = log_permanent(&spec, &ln, DEFAULT_STATE_BUDGET)
                 .unwrap()
                 .unwrap();
             let wide = log_permanent_wide(&spec, &ln, DEFAULT_STATE_BUDGET)
@@ -920,14 +939,142 @@ mod tests {
         let g = graph(&supports, 1000, &intervals);
         let spec = ConvexSpec::from_graph(&g).unwrap();
         let ln = LnFact::new(g.n() + 1);
-        let bits = 64 - (spec.ranges.len() as u64).leading_zeros();
-        let packed = log_permanent_packed(&spec, &ln, DEFAULT_STATE_BUDGET, bits)
+        let packed = log_permanent(&spec, &ln, DEFAULT_STATE_BUDGET)
             .unwrap()
             .unwrap();
         let wide = log_permanent_wide(&spec, &ln, DEFAULT_STATE_BUDGET)
             .unwrap()
             .unwrap();
         assert_eq!(packed.to_bits(), wide.to_bits());
+    }
+
+    /// The packed lane's answer (or error) with the weight as bits.
+    fn lane_bits(r: Result<Option<f64>, ConvexError>) -> Result<Option<u64>, ConvexError> {
+        r.map(|v| v.map(f64::to_bits))
+    }
+
+    #[test]
+    fn packed_lane_equals_ordered_map_walk_on_random_specs() {
+        // Random convex specs at the width production packs them.
+        // Odd trials put at most 28 items on 14..=24 groups with
+        // windows up to the whole domain, so many need more than 64
+        // bits at `bits(n)` per field but pack at `bits(E)`. Each
+        // item's own group lies in its range, so a perfect matching
+        // exists; every spec and its crack minor for item 0 must come
+        // out bit for bit as on the ordered-map walk.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0_4E_E7);
+        let mut packs_only_at_e = 0;
+        for trial in 0..120 {
+            let (n, k, max_width) = if trial % 2 == 0 {
+                let n: usize = rng.gen_range(1..=28);
+                let k = rng.gen_range(1..=n.min(24));
+                (n, k, rng.gen_range(1..=k))
+            } else {
+                let k = rng.gen_range(14..=24);
+                (rng.gen_range(k..=28), k, k)
+            };
+            let mut ranges = Vec::with_capacity(n);
+            let mut own = Vec::with_capacity(n);
+            let mut left_counts = vec![0usize; k];
+            for _ in 0..n {
+                let lo = rng.gen_range(0..k);
+                let hi = (lo + rng.gen_range(0..max_width)).min(k - 1);
+                ranges.push((lo, hi));
+                own.push(rng.gen_range(lo..=hi));
+                left_counts[own[own.len() - 1]] += 1;
+            }
+            let spec = ConvexSpec::from_ranges(ranges, left_counts);
+            let n_bits = 64 - (n as u64).leading_zeros();
+            let key_bits = (spec.window - 1) as u32 * spec.field_bits();
+            if (spec.window - 1) as u32 * n_bits > 64 && key_bits <= 64 {
+                packs_only_at_e += 1;
+            }
+            let ln = LnFact::new(n + 1);
+            let mut minor = spec.clone();
+            let (lo, hi) = minor.ranges[0];
+            minor.arrivals[lo][hi - lo] -= 1;
+            minor.left_counts[own[0]] -= 1;
+            for s in [&spec, &minor] {
+                let packed = log_permanent(s, &ln, DEFAULT_STATE_BUDGET);
+                if key_bits > 64 {
+                    assert!(
+                        matches!(packed, Err(ConvexError::WindowTooWide { .. })),
+                        "trial {trial}: {packed:?}"
+                    );
+                    continue;
+                }
+                assert_eq!(
+                    lane_bits(packed),
+                    lane_bits(log_permanent_wide(s, &ln, DEFAULT_STATE_BUDGET)),
+                    "trial {trial}: window {}, field bits {}",
+                    s.window,
+                    s.field_bits()
+                );
+            }
+        }
+        assert!(packs_only_at_e >= 10, "only {packs_only_at_e} specs");
+    }
+
+    #[test]
+    fn a_wide_window_is_declined_before_any_work() {
+        // 34 groups of one anonymized item each. Item 0 may take any
+        // of them; every other item believes its own frequency, so
+        // items 0 and 33 share the last deadline: E = 2, two bits per
+        // field, 33 fields = 66 bits. A zero state budget would trip
+        // after the first group, so the decline comes first. The
+        // ordered-map walk still finishes on this profile; the
+        // production DP deliberately does not run it.
+        let supports: Vec<u64> = (1..=34).collect();
+        let f = |s: u64| s as f64 / 100.0;
+        let mut intervals: Vec<(f64, f64)> = supports.iter().map(|&s| (f(s), f(s))).collect();
+        intervals[0] = (f(1), f(34));
+        let g = graph(&supports, 100, &intervals);
+        assert_eq!(
+            expected_cracks_convex(&g, 0).unwrap_err(),
+            ConvexError::WindowTooWide {
+                window: 34,
+                bits: 66
+            }
+        );
+        let spec = ConvexSpec::from_graph(&g).unwrap();
+        let ln = LnFact::new(g.n() + 1);
+        assert_eq!(
+            log_permanent_wide(&spec, &ln, DEFAULT_STATE_BUDGET),
+            Ok(Some(0.0)),
+            "one perfect matching: the identity"
+        );
+    }
+
+    #[test]
+    fn wide_analog_windows_are_declined() {
+        // PUMSB and ACCIDENTS at δ_med: their busiest deadlines hold
+        // hundreds of items, so even the narrowest fields overflow
+        // one key, and the DP returns before spending its work budget.
+        use andi_data::{Analog, FrequencyGroups};
+        for (analog, window) in [(Analog::Pumsb, 9), (Analog::Accidents, 47)] {
+            let supports = analog.supports();
+            let m = analog.spec().n_transactions;
+            let delta = FrequencyGroups::from_supports(&supports, m)
+                .median_gap()
+                .unwrap();
+            let intervals: Vec<(f64, f64)> = supports
+                .iter()
+                .map(|&s| {
+                    let f = s as f64 / m as f64;
+                    ((f - delta).max(0.0), (f + delta).min(1.0))
+                })
+                .collect();
+            let g = graph(&supports, m, &intervals);
+            match expected_cracks_convex(&g, DEFAULT_STATE_BUDGET) {
+                Err(ConvexError::WindowTooWide { window: w, bits }) => {
+                    assert_eq!(w, window, "{}", analog.name());
+                    assert!(bits > 64, "{}: {bits} bits", analog.name());
+                }
+                other => panic!("{}: expected a decline, got {other:?}", analog.name()),
+            }
+        }
     }
 
     #[test]

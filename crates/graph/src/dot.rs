@@ -119,7 +119,7 @@ mod tests {
                 g.add_edge(i, j);
             }
         }
-        let p = propagate(&g);
+        let p = propagate(g);
         let dot = to_dot(&p.graph, &DotOptions::with_propagation(&p));
         assert!(dot.contains("color=red"));
         assert!(dot.contains("style=dashed"));

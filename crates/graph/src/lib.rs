@@ -13,8 +13,10 @@
 //!   prefix sums (the `O(|D| + n log n)` path of Figure 5).
 //! * [`matching`] — Hopcroft–Karp maximum matching.
 //! * [`mod@permanent`] / [`exact`] — Ryser permanents and the exact
-//!   Section 4.1 expectation/distribution, for ground truth on small
-//!   domains.
+//!   Section 4.1 expectation and per-item crack probabilities, run one
+//!   connected component at a time at any domain size.
+//! * [`convex`] — the exact deadline-profile DP for interval
+//!   (convex) mapping spaces of narrow candidate windows.
 //! * [`mod@propagate`] — the Figure 7 degree-1 propagation.
 //! * [`sampler`] — the Section 7.1 swap-walk MCMC over consistent
 //!   matchings.

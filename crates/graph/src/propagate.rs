@@ -47,7 +47,10 @@ enum Side {
     Right(usize),
 }
 
-/// Runs degree-1 propagation on (a copy of) `g` until fixpoint.
+/// Runs degree-1 propagation on `graph` until fixpoint and returns
+/// the reduced graph inside the report. A caller that still needs
+/// the original graph clones it at the call site.
+///
 /// # Examples
 ///
 /// ```
@@ -60,17 +63,10 @@ enum Side {
 ///         g.add_edge(i, j);
 ///     }
 /// }
-/// let p = propagate(&g);
+/// let p = propagate(g);
 /// assert_eq!(p.forced_cracks(), 4);
 /// ```
-pub fn propagate(g: &DenseBigraph) -> Propagation {
-    let mut graph = g.clone();
-    propagate_in_place(&mut graph)
-}
-
-/// In-place variant of [`propagate`]; `graph` is left in its reduced
-/// state and also cloned into the returned report.
-pub fn propagate_in_place(graph: &mut DenseBigraph) -> Propagation {
+pub fn propagate(mut graph: DenseBigraph) -> Propagation {
     let n = graph.n();
     let mut left_deg = graph.left_degrees();
     let mut right_deg = graph.right_degrees();
@@ -167,7 +163,7 @@ pub fn propagate_in_place(graph: &mut DenseBigraph) -> Propagation {
     }
 
     Propagation {
-        graph: graph.clone(),
+        graph,
         forced,
         dead_nodes: dead,
         rounds: steps + 1,
@@ -192,7 +188,7 @@ mod tests {
 
     #[test]
     fn staircase_cascades_to_identity() {
-        let p = propagate(&staircase());
+        let p = propagate(staircase());
         assert_eq!(p.forced.len(), 4);
         assert_eq!(p.forced_cracks(), 4, "all four items identified");
         assert!(!p.infeasible());
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn complete_graph_is_a_fixpoint() {
         let g = DenseBigraph::complete(5);
-        let p = propagate(&g);
+        let p = propagate(g);
         assert!(p.forced.is_empty());
         assert_eq!(p.rounds, 1);
         assert_eq!(p.graph.n_edges(), 25);
@@ -228,7 +224,7 @@ mod tests {
                 (3, 3),
             ],
         );
-        let p = propagate(&g);
+        let p = propagate(g);
         assert!(p.forced.is_empty());
         assert!(
             p.graph.has_edge(1, 2),
@@ -240,7 +236,7 @@ mod tests {
     fn detects_dead_nodes() {
         // Right 0 unreachable.
         let g = DenseBigraph::from_edges(2, &[(0, 1), (1, 1)]);
-        let p = propagate(&g);
+        let p = propagate(g);
         assert!(p.infeasible());
         assert!(p.dead_nodes.contains(&(false, 0)));
     }
@@ -250,7 +246,7 @@ mod tests {
         // 0' can only map to 1, 1' can only map to 0: forced swaps,
         // zero cracks.
         let g = DenseBigraph::from_edges(2, &[(0, 1), (1, 0)]);
-        let p = propagate(&g);
+        let p = propagate(g);
         assert_eq!(p.forced.len(), 2);
         assert_eq!(p.forced_cracks(), 0);
     }
@@ -269,7 +265,7 @@ mod tests {
                 g.add_edge(i, j);
             }
         }
-        let p = propagate(&g);
+        let p = propagate(g);
         assert_eq!(p.forced_cracks(), 3);
         assert_eq!(p.graph.n_edges(), 9, "the complete block is untouched");
     }
@@ -279,7 +275,7 @@ mod tests {
         // Left degrees all >= 2, but right 2 has a single incoming
         // edge: forcing it strands left 1 onto right 1, cascading.
         let g = DenseBigraph::from_edges(3, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 1)]);
-        let p = propagate(&g);
+        let p = propagate(g);
         // (1,2) forced, then left 1 gone; rights 0,1 shared by 0,2.
         assert!(p.forced.contains(&(1, 2)));
         assert!(!p.infeasible());
@@ -305,7 +301,7 @@ mod tests {
                 }
             }
             let before = permanent(&g);
-            let p = propagate(&g);
+            let p = propagate(g);
             if p.infeasible() {
                 assert_eq!(before, 0, "trial {trial}: dead node implies no matching");
                 continue;

@@ -124,7 +124,7 @@ proptest! {
     /// permanent) and idempotent.
     #[test]
     fn propagation_sound_and_idempotent(g in small_graph()) {
-        let p = propagate(&g);
+        let p = propagate(g.clone());
         if p.infeasible() {
             prop_assert_eq!(permanent(&g), 0);
         } else {
@@ -134,7 +134,7 @@ proptest! {
             }
             prop_assert_eq!(permanent(&restored), permanent(&g));
             // Idempotent: a second pass finds nothing new.
-            let p2 = propagate(&p.graph);
+            let p2 = propagate(p.graph.clone());
             let spurious: Vec<_> = p2
                 .forced
                 .iter()

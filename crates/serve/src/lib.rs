@@ -14,9 +14,11 @@
 //!   deterministically on shutdown.
 //! * **Coalescing shard cache** ([`cache`]) — fingerprint-keyed,
 //!   FNV-sharded, bounded-LRU, poison-tolerant, with single-flight
-//!   coalescing at two levels: identical `(database, belief)`
-//!   requests share one ladder run, and same-database requests share
-//!   one [`andi_graph::FrequencyScaffold`] precomputation.
+//!   coalescing of identical `(database, belief)` requests into one
+//!   ladder run. `/assess` only reads the
+//!   [`andi_graph::FrequencyScaffold`] cache: only `/update` fills it,
+//!   for the edited database, and a miss builds a scaffold that is
+//!   not kept.
 //! * **Fault isolation** ([`server`]) — `serve.accept`,
 //!   `serve.request`, and `cache.shard` probe points
 //!   ([`andi_graph::faults`]) sit inside `catch_unwind` boundaries,
