@@ -5,7 +5,7 @@
 //! variant across the benchmark analogs, plus graph construction on
 //! its own.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use andi_bench::Workload;
@@ -33,28 +33,16 @@ fn bench_plain_oe(c: &mut Criterion) {
 fn bench_propagated_oe(c: &mut Criterion) {
     let mut group = c.benchmark_group("oe_propagated");
     group.sample_size(10);
-    // RETAIL's dense materialization is heavy; bench the other three
-    // Figure 10 datasets plus the small ones at full fidelity.
-    for analog in [
-        Analog::Chess,
-        Analog::Mushroom,
-        Analog::Connect,
-        Analog::Accidents,
-        Analog::Pumsb,
-    ] {
+    for analog in Analog::ALL {
         let w = Workload::load(analog);
         let belief = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         group.bench_function(w.name.clone(), |b| {
-            b.iter_batched(
-                || graph.clone(),
-                |g| {
-                    OutdegreeProfile::propagated(&g)
-                        .expect("feasible")
-                        .oestimate()
-                },
-                BatchSize::LargeInput,
-            )
+            b.iter(|| {
+                OutdegreeProfile::propagated(black_box(&graph))
+                    .expect("feasible")
+                    .oestimate()
+            })
         });
     }
     group.finish();

@@ -13,25 +13,22 @@ use andi_data::synth::Analog;
 use andi_graph::FrequencyScaffold;
 
 fn bench_recipe(c: &mut Criterion) {
-    for (label, use_propagation) in [("plain", false), ("propagated", true)] {
-        let mut group = c.benchmark_group(format!("assess_risk_{label}"));
-        group.sample_size(10);
-        for analog in [Analog::Chess, Analog::Connect, Analog::Pumsb] {
-            let w = Workload::load(analog);
-            let config = RecipeConfig {
-                tolerance: 0.1,
-                use_propagation,
-                ..RecipeConfig::default()
-            };
-            group.bench_function(w.name.clone(), |b| {
-                b.iter(|| {
-                    assess_risk(black_box(&w.supports), w.n_transactions, &config)
-                        .expect("valid inputs")
-                })
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("assess_risk_propagated");
+    group.sample_size(10);
+    let config = RecipeConfig {
+        tolerance: 0.1,
+        ..RecipeConfig::default()
+    };
+    for analog in [Analog::Chess, Analog::Connect, Analog::Pumsb] {
+        let w = Workload::load(analog);
+        group.bench_function(w.name.clone(), |b| {
+            b.iter(|| {
+                assess_risk(black_box(&w.supports), w.n_transactions, &config)
+                    .expect("valid inputs")
+            })
+        });
     }
+    group.finish();
 }
 
 fn bench_graph_build(c: &mut Criterion) {

@@ -88,7 +88,6 @@ fn main() {
             &RecipeConfig {
                 tolerance: tau,
                 n_mask_runs: n_runs(quick),
-                use_propagation: true,
                 seed: 0xF1611,
                 ..RecipeConfig::default()
             },

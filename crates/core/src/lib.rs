@@ -90,7 +90,7 @@ pub use interest::{
     assess_interest_risk, weighted_expected_damage, InterestConfig, InterestRisk, InterestSpec,
 };
 pub use itemsets::{identify_sets, IdentifiedBlock, SetIdentification};
-pub use oestimate::{oestimate, oestimate_for, oestimate_propagated, ItemStatus, OutdegreeProfile};
+pub use oestimate::{oestimate, oestimate_for, ItemStatus, OutdegreeProfile};
 pub use powerset::{assess_powerset_risk, ItemsetBelief, PowersetBelief, PowersetRisk};
 pub use recipe::{
     assess_risk, assess_risk_budgeted, compliancy_curve, compliancy_curve_decoy, compliant_count,

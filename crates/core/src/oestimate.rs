@@ -15,10 +15,12 @@
 //! *propagated* variant first applies the Figure 7 degree-1
 //! propagation ("whenever we refer to outdegrees, we assume that this
 //! algorithm has been applied"), which turns certainty cascades like
-//! Figure 6(a) into exact contributions.
+//! Figure 6(a) into exact contributions. On an interval belief the
+//! propagation walks the same frequency groups, so neither variant
+//! builds a dense graph.
 
 use andi_data::Database;
-use andi_graph::propagate::propagate;
+use andi_graph::propagate::{propagate, propagate_grouped, Propagation};
 use andi_graph::{DenseBigraph, GroupedBigraph};
 
 use crate::belief::BeliefFunction;
@@ -61,34 +63,38 @@ impl OutdegreeProfile {
         OutdegreeProfile { status }
     }
 
-    /// Profile after degree-1 propagation (Figure 7). Materializes
-    /// the dense graph; intended for domains up to a few tens of
-    /// thousands of items.
+    /// Profile after degree-1 propagation (Figure 7), walked over the
+    /// frequency groups: `O(n + k)` memory for `k` groups, no dense
+    /// graph.
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyMappingSpace`] if propagation proves no
     /// consistent perfect matching exists.
     pub fn propagated(graph: &GroupedBigraph) -> Result<Self> {
-        Self::propagated_dense(graph.to_dense())
+        Self::from_propagation(propagate_grouped(graph))
     }
 
     /// Propagated profile over an arbitrary dense mapping-space
-    /// graph (consumed: propagation reduces it in place).
+    /// graph.
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyMappingSpace`] if propagation proves no
     /// consistent perfect matching exists.
-    pub fn propagated_dense(dense: DenseBigraph) -> Result<Self> {
-        let prop = propagate(dense);
+    pub fn propagated_dense(dense: &DenseBigraph) -> Result<Self> {
+        Self::from_propagation(propagate(dense))
+    }
+
+    /// Reads a propagation report: forced items are certain or never
+    /// cracked, and every other item is `Free` at its residual
+    /// out-degree.
+    fn from_propagation(prop: Propagation) -> Result<Self> {
         if prop.infeasible() {
             return Err(Error::EmptyMappingSpace);
         }
-        let n = prop.graph.n();
         let mut status: Vec<ItemStatus> = prop
-            .graph
-            .right_degrees()
+            .outdegrees
             .into_iter()
             .map(|d| match d {
                 0 => ItemStatus::NoCandidates,
@@ -96,7 +102,6 @@ impl OutdegreeProfile {
             })
             .collect();
         for &(i, y) in &prop.forced {
-            debug_assert!(y < n);
             status[y] = if i == y {
                 ItemStatus::ForcedCrack
             } else {
@@ -219,20 +224,6 @@ pub fn oestimate(belief: &BeliefFunction, supports: &[u64], n_transactions: u64)
     OutdegreeProfile::plain(&graph).oestimate()
 }
 
-/// Figure 5 + the Figure 7 propagation.
-///
-/// # Errors
-///
-/// See [`OutdegreeProfile::propagated`].
-pub fn oestimate_propagated(
-    belief: &BeliefFunction,
-    supports: &[u64],
-    n_transactions: u64,
-) -> Result<f64> {
-    let graph = belief.build_graph(supports, n_transactions);
-    Ok(OutdegreeProfile::propagated(&graph)?.oestimate())
-}
-
 /// Convenience: the plain O-estimate straight from a database
 /// (computes the support profile in a single pass, as step 1 of
 /// Figure 5 prescribes).
@@ -284,7 +275,9 @@ mod tests {
             (plain - 25.0 / 12.0).abs() < 1e-12,
             "plain OE should be 25/12, got {plain}"
         );
-        let prop = oestimate_propagated(&b, &supports, 10).unwrap();
+        let prop = OutdegreeProfile::propagated(&b.build_graph(&supports, 10))
+            .unwrap()
+            .oestimate();
         assert!(
             (prop - 4.0).abs() < 1e-12,
             "propagated OE should be 4, got {prop}"

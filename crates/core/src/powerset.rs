@@ -251,7 +251,7 @@ pub fn assess_powerset_risk(db: &Database, belief: &PowersetBelief) -> Result<Po
         }
     }
 
-    let profile = OutdegreeProfile::propagated_dense(graph.clone())?;
+    let profile = OutdegreeProfile::propagated_dense(&graph)?;
     Ok(PowersetRisk {
         graph,
         pruned_edges,

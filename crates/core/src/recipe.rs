@@ -61,10 +61,6 @@ pub struct RecipeConfig {
     pub tolerance: f64,
     /// Averaging runs for the α anchoring (the paper uses 5).
     pub n_mask_runs: usize,
-    /// Whether to apply Figure 7 propagation before reading
-    /// outdegrees (the paper's default; costs a dense
-    /// materialization).
-    pub use_propagation: bool,
     /// RNG seed for the mask permutations.
     pub seed: u64,
     /// Swap-walk schedule for the matching-sampler rung of the
@@ -79,7 +75,6 @@ impl Default for RecipeConfig {
         RecipeConfig {
             tolerance: 0.1,
             n_mask_runs: 5,
-            use_propagation: true,
             seed: 0xA55E55,
             sampler_schedule: SamplerConfig::quick(),
         }
@@ -185,7 +180,7 @@ impl std::fmt::Display for RiskAssessment {
 /// Runs Assess-Risk (Figure 8) on an observed support profile.
 ///
 /// Step 6 reads the O-estimate's per-item crack probabilities (with
-/// the Figure 7 refinement when configured); for the exact
+/// the Figure 7 refinement); for the exact
 /// expectation run [`assess_risk_budgeted`] on
 /// [`Budget::unlimited`]. The α-mask runs fan out over
 /// [`par::available_threads`] workers; the result is bit-identical at
@@ -228,7 +223,7 @@ pub fn assess_risk(
         config,
         par::available_threads(),
         &Budget::unlimited(),
-        |graph| oe_probabilities(graph, config).map(|probs| ((), probs)),
+        |graph| oe_probabilities(graph).map(|probs| ((), probs)),
     )?;
     Ok(assessment)
 }
@@ -414,11 +409,11 @@ fn figure8<T>(
 /// bit. A component of `c` items costs `c + 1` walks of up to `2^c`
 /// subsets, so one of 25–32 items outlasts a short deadline: the
 /// exact rung trips, the sticky deadline trips the sampler at its
-/// first poll, and the O-estimate floor answers. The sampler rung starts from the identity when every item has
-/// its crack edge, and otherwise from
-/// [`GroupedBigraph::greedy_matching`], so no dense graph of the whole
-/// domain is built on any rung but the O-estimate floor's
-/// propagation.
+/// first poll, and the O-estimate floor answers. The sampler rung
+/// starts from the identity when every item has its crack edge, and
+/// otherwise from [`GroupedBigraph::greedy_matching`], and the floor
+/// propagates over the frequency groups, so no rung builds a dense
+/// graph of the whole domain.
 ///
 /// # Errors
 ///
@@ -501,7 +496,7 @@ fn ladder_probabilities(
     }
 
     // Rung 3: the O-estimate floor — probe-free and unconditional.
-    Ok((Rung::OEstimate, oe_probabilities(graph, config)?))
+    Ok((Rung::OEstimate, oe_probabilities(graph)?))
 }
 
 /// One point of the Figure 11 compliancy curve.
@@ -607,15 +602,10 @@ pub fn compliancy_curve_decoy(
 }
 
 /// Crack probabilities via the O-estimate path: the outdegree profile
-/// of `graph`, after Figure 7 propagation when configured. Built once
-/// per assessment; the α search reuses the returned vector.
-fn oe_probabilities(graph: &GroupedBigraph, config: &RecipeConfig) -> Result<Vec<f64>> {
-    let profile = if config.use_propagation {
-        OutdegreeProfile::propagated(graph)?
-    } else {
-        OutdegreeProfile::plain(graph)
-    };
-    Ok(profile.probabilities())
+/// of `graph` after Figure 7 propagation. Built once per assessment;
+/// the α search reuses the returned vector.
+fn oe_probabilities(graph: &GroupedBigraph) -> Result<Vec<f64>> {
+    Ok(OutdegreeProfile::propagated(graph)?.probabilities())
 }
 
 /// Mask run `r`'s random item order; the compliant subset for any α
@@ -659,7 +649,6 @@ mod tests {
         RecipeConfig {
             tolerance: tau,
             n_mask_runs: 5,
-            use_propagation: true,
             seed: 99,
             ..RecipeConfig::default()
         }
@@ -969,16 +958,5 @@ mod tests {
         let mut c = config(0.1);
         c.n_mask_runs = 0;
         assert!(assess_risk_budgeted(&BIGMART_SUPPORTS, 10, &c, &b, 1).is_err());
-    }
-
-    #[test]
-    fn propagation_toggle_is_respected() {
-        let mut c = config(0.1);
-        c.use_propagation = false;
-        let plain = assess_risk(&BIGMART_SUPPORTS, 10, &c).unwrap();
-        c.use_propagation = true;
-        let prop = assess_risk(&BIGMART_SUPPORTS, 10, &c).unwrap();
-        // Propagation can only sharpen (raise) the estimate.
-        assert!(prop.full_compliance_oe >= plain.full_compliance_oe - 1e-12);
     }
 }

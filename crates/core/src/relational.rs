@@ -216,7 +216,7 @@ pub fn assess_relational_risk(
     knowledge: &Knowledge,
 ) -> Result<RelationalRisk> {
     let graph = build_graph(relation, knowledge)?;
-    let profile = OutdegreeProfile::propagated_dense(graph)?;
+    let profile = OutdegreeProfile::propagated_dense(&graph)?;
     Ok(RelationalRisk {
         oestimate: profile.oestimate(),
         certain: profile.forced_cracks(),

@@ -35,7 +35,6 @@ proptest! {
         let tau = tau_pct as f64 / 100.0;
         let config = RecipeConfig {
             tolerance: tau,
-            use_propagation: false,
             n_mask_runs: 8,
             ..RecipeConfig::default()
         };
@@ -208,12 +207,10 @@ proptest! {
         supports in prop::collection::vec(1u64..60, 2..=12),
         seed in 0u64..1000,
         n_mask_runs in 1usize..7,
-        use_propagation in any::<bool>(),
     ) {
         let config = |tolerance: f64| RecipeConfig {
             tolerance,
             n_mask_runs,
-            use_propagation,
             seed,
             ..RecipeConfig::default()
         };

@@ -155,11 +155,6 @@ impl DenseBigraph {
         deg
     }
 
-    /// All left degrees.
-    pub fn left_degrees(&self) -> Vec<usize> {
-        (0..self.n).map(|i| self.left_degree(i)).collect()
-    }
-
     /// Total edge count.
     pub fn n_edges(&self) -> usize {
         self.rows.iter().map(|w| w.count_ones() as usize).sum()
@@ -171,32 +166,6 @@ impl DenseBigraph {
             .iter()
             .enumerate()
             .flat_map(|(w, &word)| BitIter { word, base: w * 64 })
-    }
-
-    /// The sole neighbor of a left node, if its degree is exactly 1.
-    pub fn unique_neighbor(&self, left: usize) -> Option<usize> {
-        let mut found = None;
-        for y in self.neighbors(left) {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(y);
-        }
-        found
-    }
-
-    /// Clears an entire left row.
-    pub fn clear_left(&mut self, left: usize) {
-        self.row_mut(left).fill(0);
-    }
-
-    /// Clears an entire right column.
-    pub fn clear_right(&mut self, right: usize) {
-        let word = right / 64;
-        let mask = !(1u64 << (right % 64));
-        for i in 0..self.n {
-            self.rows[i * self.words_per_row + word] &= mask;
-        }
     }
 
     /// The adjacency row of `left` as a raw bitmask word slice
@@ -233,6 +202,42 @@ impl Iterator for BitIter {
         let b = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1;
         Some(self.base + b)
+    }
+}
+
+/// Helpers of the bitset propagation walk, kept with it as the
+/// reference of the unit walk's differential tests.
+#[cfg(test)]
+impl DenseBigraph {
+    /// All left degrees.
+    pub(crate) fn left_degrees(&self) -> Vec<usize> {
+        (0..self.n).map(|i| self.left_degree(i)).collect()
+    }
+
+    /// The sole neighbor of a left node, if its degree is exactly 1.
+    pub(crate) fn unique_neighbor(&self, left: usize) -> Option<usize> {
+        let mut found = None;
+        for y in self.neighbors(left) {
+            if found.is_some() {
+                return None;
+            }
+            found = Some(y);
+        }
+        found
+    }
+
+    /// Clears an entire left row.
+    pub(crate) fn clear_left(&mut self, left: usize) {
+        self.row_mut(left).fill(0);
+    }
+
+    /// Clears an entire right column.
+    pub(crate) fn clear_right(&mut self, right: usize) {
+        let word = right / 64;
+        let mask = !(1u64 << (right % 64));
+        for i in 0..self.n {
+            self.rows[i * self.words_per_row + word] &= mask;
+        }
     }
 }
 

@@ -7,7 +7,6 @@
 //! optional forced-pair emphasis from a propagation result.
 
 use crate::dense::DenseBigraph;
-use crate::propagate::Propagation;
 
 /// Rendering options.
 #[derive(Clone, Debug, Default)]
@@ -16,17 +15,6 @@ pub struct DotOptions {
     pub title: Option<String>,
     /// Highlight forced pairs from a propagation run.
     pub forced: Option<Vec<(usize, usize)>>,
-}
-
-impl DotOptions {
-    /// Convenience: options highlighting a propagation's forced
-    /// pairs.
-    pub fn with_propagation(prop: &Propagation) -> Self {
-        DotOptions {
-            title: None,
-            forced: Some(prop.forced.clone()),
-        }
-    }
 }
 
 /// Renders the bipartite graph in DOT format.
@@ -111,16 +99,20 @@ mod tests {
 
     #[test]
     fn forced_pairs_are_red_even_after_removal() {
-        // Staircase: propagation clears everything; forced pairs
-        // render dashed red.
+        // Staircase: propagation forces every pair, so the reduced
+        // graph is edgeless and the forced pairs render dashed red.
         let mut g = DenseBigraph::new(3);
         for j in 0..3 {
             for i in 0..=j {
                 g.add_edge(i, j);
             }
         }
-        let p = propagate(g);
-        let dot = to_dot(&p.graph, &DotOptions::with_propagation(&p));
+        let p = propagate(&g);
+        let options = DotOptions {
+            title: None,
+            forced: Some(p.forced),
+        };
+        let dot = to_dot(&DenseBigraph::new(3), &options);
         assert!(dot.contains("color=red"));
         assert!(dot.contains("style=dashed"));
     }

@@ -265,6 +265,12 @@ impl GroupedBigraph {
         self.right_range[y]
     }
 
+    /// Every original item's candidate group range, by item.
+    #[inline]
+    pub(crate) fn right_ranges(&self) -> &[Option<(usize, usize)>] {
+        &self.right_range
+    }
+
     /// Whether edge `(left, right)` exists: left's observed frequency
     /// group lies inside right's candidate range. O(1).
     #[inline]

@@ -17,7 +17,8 @@
 //!   connected component at a time at any domain size.
 //! * [`convex`] — the exact deadline-profile DP for interval
 //!   (convex) mapping spaces of narrow candidate windows.
-//! * [`mod@propagate`] — the Figure 7 degree-1 propagation.
+//! * [`mod@propagate`] — the Figure 7 degree-1 propagation, one
+//!   worklist over frequency groups or dense rows.
 //! * [`sampler`] — the Section 7.1 swap-walk MCMC over consistent
 //!   matchings.
 //! * [`par`] — the deterministic work-stealing worker pool the
@@ -68,7 +69,7 @@ pub use grouped::{BeliefGroup, Components, FrequencyScaffold, GroupedBigraph, Ma
 pub use matching::{has_perfect_matching, hopcroft_karp};
 pub use par::{try_map_indexed, Budget, CancelToken, ExecError};
 pub use permanent::{permanent, try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
-pub use propagate::{propagate, Propagation};
+pub use propagate::{propagate, propagate_grouped, Propagation};
 pub use sampler::{
     sample_crack_probabilities_budgeted, sample_cracks_budgeted, CrackSamples, EdgeOracle,
     SamplerConfig, SamplerError,

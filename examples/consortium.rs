@@ -42,9 +42,6 @@ fn main() {
             spec.n_transactions,
             &RecipeConfig {
                 tolerance: tau,
-                // Plain Figure-5 outdegrees keep the example snappy;
-                // the bench binaries run the propagated variant.
-                use_propagation: false,
                 ..RecipeConfig::default()
             },
         )

@@ -69,7 +69,7 @@ fn main() {
     // Figure 3(a): the bipartite graph, as DOT.
     // ------------------------------------------------------------------
     let dense = graph.to_dense();
-    let prop = propagate(dense.clone());
+    let prop = propagate(&dense);
     let dot = to_dot(
         &dense,
         &DotOptions {

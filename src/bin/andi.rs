@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! andi stats <file.dat>                      dataset summary (Figure 9 row)
-//! andi assess <file.dat> [--tau T] [--no-propagation] [--budget-ms N]
+//! andi assess <file.dat> [--tau T] [--budget-ms N]
 //!             [--belief inst.txt] [--provenance-json out.json]
 //!                                            the Assess-Risk recipe (Figure 8);
 //!                                            with a budget the estimate degrades
@@ -69,7 +69,7 @@ fn usage() -> String {
     format!(
         "usage:
   andi stats <file.dat>
-  andi assess <file.dat> [--tau T] [--no-propagation] [--budget-ms N]
+  andi assess <file.dat> [--tau T] [--budget-ms N]
               [--belief inst.txt] [--provenance-json out.json]
   andi advise <file.dat> [--tau T]
   andi portfolio <file.dat> [--min-support N] [--tau T]
@@ -166,7 +166,6 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     };
     let config = RecipeConfig {
         tolerance: tau,
-        use_propagation: !flag(args, "--no-propagation"),
         ..RecipeConfig::default()
     };
     let supports = db.supports();

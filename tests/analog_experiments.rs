@@ -66,7 +66,6 @@ fn fig11_qualitative_ordering() {
             spec.n_transactions,
             &RecipeConfig {
                 tolerance: tau,
-                use_propagation: false,
                 n_mask_runs: 3,
                 seed: 1,
                 ..RecipeConfig::default()
@@ -184,7 +183,6 @@ fn recipe_stages_on_mushroom() {
         spec.n_transactions,
         &RecipeConfig {
             tolerance: 0.8,
-            use_propagation: false,
             ..RecipeConfig::default()
         },
     )
@@ -196,7 +194,6 @@ fn recipe_stages_on_mushroom() {
         spec.n_transactions,
         &RecipeConfig {
             tolerance: 0.05,
-            use_propagation: false,
             ..RecipeConfig::default()
         },
     )
