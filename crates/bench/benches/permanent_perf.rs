@@ -92,28 +92,36 @@ fn bench_permanent(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_convex(c: &mut Criterion) {
+fn bench_per_component(c: &mut Criterion) {
     use andi_bench::Workload;
+    use andi_core::estimate::RYSER_LIMIT;
     use andi_data::synth::Analog;
-    use andi_graph::convex::expected_cracks_convex;
+    use andi_graph::{crack_probabilities_per_component, Budget};
 
-    let mut group = c.benchmark_group("convex_exact");
+    let mut group = c.benchmark_group("exact_per_component");
     group.sample_size(10);
-    // The convex DP handles exactly the cases Ryser cannot: dense
-    // benchmark-scale interval graphs.
+    // Dense benchmark-scale interval graphs far above the 32-item
+    // permanent cap: at δ_med they split into connected components
+    // of at most 10 items, so `best_expected_cracks` answers them
+    // exactly, one component at a time, on one worker here.
     for analog in [Analog::Chess, Analog::Mushroom, Analog::Connect] {
         let w = Workload::load(analog);
         let belief = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| {
-                expected_cracks_convex(black_box(&graph), 3_000_000)
-                    .expect("window fits the budget")
+                crack_probabilities_per_component(
+                    black_box(&graph),
+                    RYSER_LIMIT,
+                    1,
+                    &Budget::unlimited(),
+                )
+                .expect("components fit the cap")
             })
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_permanent, bench_convex);
+criterion_group!(benches, bench_permanent, bench_per_component);
 criterion_main!(benches);

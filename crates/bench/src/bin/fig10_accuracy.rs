@@ -16,9 +16,8 @@ use std::time::Instant;
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
-use andi_core::OutdegreeProfile;
+use andi_core::{best_expected_cracks, OutdegreeProfile};
 use andi_data::synth::Analog;
-use andi_graph::convex::expected_cracks_convex;
 
 fn main() {
     let quick = quick_mode();
@@ -31,7 +30,7 @@ fn main() {
         "n",
         "OE (plain)",
         "OE (propagated)",
-        "convex exact",
+        "exact",
         "sim mean",
         "sim std",
         "R-hat",
@@ -55,12 +54,13 @@ fn main() {
             .oestimate();
         let prop_time = t0.elapsed();
 
-        // Exact expectation via the convex DP where the window
-        // allows it (our addition beyond the paper: dense datasets
-        // get ground truth without sampling).
-        let exact = expected_cracks_convex(&graph, 3_000_000)
-            .map(|e| format!("{:.2} (W={})", e.expected_cracks, e.window))
-            .unwrap_or_else(|_| "—".into());
+        // Exact expectation via Ryser per connected component where
+        // the components are small enough (our addition beyond the
+        // paper: dense datasets get ground truth without sampling).
+        let exact = best_expected_cracks(&graph)
+            .ok()
+            .filter(|e| e.method.is_exact())
+            .map_or_else(|| "—".into(), |e| format!("{:.2}", e.value));
 
         let sim_config = SimulationConfig {
             sampler: sampler_config(quick, w.n_items()),

@@ -17,13 +17,14 @@
 //! ```
 
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
+use andi_core::estimate::RYSER_LIMIT;
 use andi_core::recipe::{compliancy_curve, compliancy_curve_decoy};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
 use andi_core::{assess_risk, OutdegreeProfile, RecipeConfig};
 use andi_data::synth::Analog;
-use andi_graph::convex::crack_probabilities_convex;
-use andi_graph::par::available_threads;
+use andi_graph::crack_probabilities_per_component;
+use andi_graph::par::{available_threads, Budget};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -39,10 +40,14 @@ fn main() {
         let n = w.n_items();
         let belief = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
-        // Exact convex marginals when the window allows; otherwise
-        // the propagated O-estimate.
-        let (probs, estimator) = match crack_probabilities_convex(&graph, 3_000_000) {
-            Ok(p) => (p, "convex exact"),
+        let threads = available_threads();
+        // Exact marginals, one connected component at a time, when
+        // every component is small enough; otherwise the propagated
+        // O-estimate.
+        let exact =
+            crack_probabilities_per_component(&graph, RYSER_LIMIT, threads, &Budget::unlimited());
+        let (probs, estimator) = match exact {
+            Ok(p) => (p, "exact"),
             Err(_) => (
                 OutdegreeProfile::propagated(&graph)
                     .expect("compliant space is non-empty")
@@ -50,7 +55,6 @@ fn main() {
                 "O-estimate",
             ),
         };
-        let threads = available_threads();
         let curve = compliancy_curve(&probs, &alphas, n_runs(quick), 0xF1611, threads);
         // Decoy-corrected variant: wrong intervals of the same mean
         // width still absorb anonymized items and compete with the

@@ -1,13 +1,11 @@
 //! Best-effort crack-expectation estimation.
 //!
-//! The library has three estimators with different domains of
+//! The library has two estimators with different domains of
 //! applicability:
 //!
-//! 1. **Convex exact** ([`andi_graph::convex`]) — polynomial for
-//!    narrow candidate windows; exact.
-//! 2. **Ryser exact** ([`andi_graph::exact`]) — any graph, but
-//!    `O(2^n)`; exact.
-//! 3. **O-estimate** ([`mod@crate::oestimate`]) — always fast; a close
+//! 1. **Ryser exact** ([`andi_graph::exact`]) — one connected
+//!    component at a time, `O(2^c)` in the component size `c`; exact.
+//! 2. **O-estimate** ([`mod@crate::oestimate`]) — always fast; a close
 //!    under-estimate (the paper's Δ analysis).
 //!
 //! [`best_expected_cracks`] tries them in that order and reports
@@ -16,7 +14,6 @@
 //! the graph it is given; a caller that reuses an O-estimate keeps the
 //! [`OutdegreeProfile`] itself.
 
-use andi_graph::convex::{expected_cracks_convex, ConvexError};
 use andi_graph::exact::{crack_probabilities_per_component, ExactError};
 use andi_graph::par::{self, Budget};
 use andi_graph::GroupedBigraph;
@@ -27,11 +24,6 @@ use crate::oestimate::OutdegreeProfile;
 /// Which estimator produced the value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EstimateMethod {
-    /// Exact, via the convex-bipartite dynamic program.
-    ConvexExact {
-        /// The candidate-window width the DP ran with.
-        window: usize,
-    },
     /// Exact, via Ryser permanents, one connected component at a
     /// time.
     RyserExact,
@@ -64,55 +56,36 @@ pub const RYSER_LIMIT: usize = 18;
 /// Computes the expected number of cracks of a grouped mapping
 /// space, exactly when affordable.
 ///
-/// `state_budget` bounds the convex DP (use
-/// [`andi_graph::convex::DEFAULT_STATE_BUDGET`] unless memory is
-/// tight). The DP declines a window whose packed state key needs more
-/// than 64 bits before any work, and any other window once it spends
-/// that budget. When the DP declines, Ryser runs one connected component
-/// at a time ([`crack_probabilities_per_component`]) at any domain
-/// size. A component above [`RYSER_LIMIT`] items, or a permanent that
-/// overflows, leaves the answer to the O-estimate.
+/// Ryser runs one connected component at a time
+/// ([`crack_probabilities_per_component`]) at any domain size. A
+/// component above [`RYSER_LIMIT`] items, or a permanent that
+/// overflows, leaves the answer to the propagated O-estimate, once
+/// the deadline greedy — a maximum matching on interval graphs — has
+/// found a perfect matching.
 ///
 /// # Errors
 ///
-/// Returns [`Error::EmptyMappingSpace`] when the convex DP or the
-/// component split proves that no consistent perfect matching
-/// exists — an item without candidates does so at every domain size —
-/// when Ryser finds a zero permanent inside a component, or when
-/// propagation proves the space empty.
+/// Returns [`Error::EmptyMappingSpace`] when no consistent perfect
+/// matching exists: the component split proves it (an item without
+/// candidates does so at every domain size), Ryser finds a zero
+/// permanent inside a component, or the deadline greedy matches fewer
+/// than every item.
 ///
 /// # Examples
 ///
 /// ```
 /// use andi_core::{best_expected_cracks, BeliefFunction};
-/// use andi_graph::convex::DEFAULT_STATE_BUDGET;
 ///
 /// let supports = [5u64, 4, 5, 5, 3, 5];
 /// let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / 10.0).collect();
 /// let belief = BeliefFunction::point_valued(&freqs).unwrap();
 /// let graph = belief.build_graph(&supports, 10);
-/// let estimate = best_expected_cracks(&graph, DEFAULT_STATE_BUDGET).unwrap();
+/// let estimate = best_expected_cracks(&graph).unwrap();
 /// assert!(estimate.method.is_exact());
 /// assert!((estimate.value - 3.0).abs() < 1e-9); // Lemma 3, exactly
 /// ```
-pub fn best_expected_cracks(graph: &GroupedBigraph, state_budget: usize) -> Result<CrackEstimate> {
-    // 1. Convex exact.
-    match expected_cracks_convex(graph, state_budget) {
-        Ok(exact) => {
-            return Ok(CrackEstimate {
-                value: exact.expected_cracks,
-                method: EstimateMethod::ConvexExact {
-                    window: exact.window,
-                },
-            })
-        }
-        Err(ConvexError::NoPerfectMatching) | Err(ConvexError::UnmatchableItem { .. }) => {
-            return Err(Error::EmptyMappingSpace)
-        }
-        Err(ConvexError::BudgetExceeded { .. }) | Err(ConvexError::WindowTooWide { .. }) => {}
-    }
-
-    // 2. Ryser exact per connected component of at most RYSER_LIMIT
+pub fn best_expected_cracks(graph: &GroupedBigraph) -> Result<CrackEstimate> {
+    // 1. Ryser exact per connected component of at most RYSER_LIMIT
     // items: the item-order sum of the exact crack probabilities.
     let threads = par::available_threads();
     match crack_probabilities_per_component(graph, RYSER_LIMIT, threads, &Budget::unlimited()) {
@@ -127,7 +100,11 @@ pub fn best_expected_cracks(graph: &GroupedBigraph, state_budget: usize) -> Resu
         Err(ExactError::Interrupted(e)) => return Err(e.into()),
     }
 
-    // 3. O-estimate with propagation.
+    // 2. O-estimate with propagation, on a space with a perfect
+    // matching.
+    if !graph.greedy_matching().is_perfect() {
+        return Err(Error::EmptyMappingSpace);
+    }
     Ok(CrackEstimate {
         value: OutdegreeProfile::propagated(graph)?.oestimate(),
         method: EstimateMethod::OEstimate,
@@ -146,19 +123,19 @@ mod tests {
     }
 
     #[test]
-    fn point_valued_goes_convex() {
+    fn point_valued_is_exact() {
         let b = BeliefFunction::point_valued(&freqs()).unwrap();
         let g = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let e = best_expected_cracks(&g, 1_000_000).unwrap();
-        assert_eq!(e.method, EstimateMethod::ConvexExact { window: 1 });
+        let e = best_expected_cracks(&g).unwrap();
+        assert_eq!(e.method, EstimateMethod::RyserExact);
         assert!(e.method.is_exact());
         assert!((e.value - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn belief_h_is_exact_too() {
-        // h's widest interval spans all three groups: window 3, still
-        // affordable; must equal the Ryser value 1.8125.
+        // h's widest interval spans all three groups; the exact
+        // value is 1.8125.
         let h = BeliefFunction::from_intervals(vec![
             (0.0, 1.0),
             (0.4, 0.5),
@@ -169,25 +146,15 @@ mod tests {
         ])
         .unwrap();
         let g = h.build_graph(&BIGMART_SUPPORTS, 10);
-        let e = best_expected_cracks(&g, 1_000_000).unwrap();
+        let e = best_expected_cracks(&g).unwrap();
         assert!(e.method.is_exact());
         assert!((e.value - 1.8125).abs() < 1e-9, "got {}", e.value);
     }
 
     #[test]
-    fn tiny_budget_falls_back_to_ryser_then_oe() {
-        let h = BeliefFunction::widened(&freqs(), 0.1).unwrap();
-        let g = h.build_graph(&BIGMART_SUPPORTS, 10);
-        // Budget 0 kills the convex DP; n = 6 <= RYSER_LIMIT.
-        let e = best_expected_cracks(&g, 0).unwrap();
-        assert_eq!(e.method, EstimateMethod::RyserExact);
-    }
-
-    #[test]
     fn large_noncompliant_domains_are_empty_spaces() {
-        // 30 items, one whose interval holds no frequency: convex
-        // refuses, and the component split proves the space empty at
-        // this size too.
+        // 30 items, one whose interval holds no frequency: the
+        // component split proves the space empty at this size too.
         let supports: Vec<u64> = (1..=30).collect();
         let mut intervals: Vec<(f64, f64)> = supports
             .iter()
@@ -200,7 +167,7 @@ mod tests {
         let b = BeliefFunction::from_intervals(intervals).unwrap();
         let g = b.build_graph(&supports, 30);
         assert_eq!(
-            best_expected_cracks(&g, 0).unwrap_err(),
+            best_expected_cracks(&g).unwrap_err(),
             Error::EmptyMappingSpace
         );
     }
@@ -209,9 +176,8 @@ mod tests {
     fn large_noncompliant_domains_use_oe() {
         // 30 items, each believed within one support step of its own
         // but item 0, believed at the top frequency (non-compliant,
-        // yet matchable): one 30-item component. Convex refuses at
-        // budget 0 and the component is above RYSER_LIMIT, so the
-        // O-estimate answers without a walk.
+        // yet matchable): one 30-item component. It is above
+        // RYSER_LIMIT, so the O-estimate answers without a walk.
         let supports: Vec<u64> = (1..=30).collect();
         let mut intervals: Vec<(f64, f64)> = supports
             .iter()
@@ -225,7 +191,7 @@ mod tests {
         let g = b.build_graph(&supports, 30);
         assert_eq!(g.components().unwrap().largest(), 30);
         let start = std::time::Instant::now();
-        let e = best_expected_cracks(&g, 0).unwrap();
+        let e = best_expected_cracks(&g).unwrap();
         assert_eq!(e.method, EstimateMethod::OEstimate);
         // One Ryser walk of this component alone takes seconds.
         assert!(start.elapsed().as_secs() < 2, "took {:?}", start.elapsed());
@@ -237,9 +203,28 @@ mod tests {
         let supports = vec![5u64; 40];
         let b = BeliefFunction::from_intervals(vec![(0.0, 1.0); 40]).unwrap();
         let g = b.build_graph(&supports, 10);
-        let e = best_expected_cracks(&g, 0).unwrap();
+        let e = best_expected_cracks(&g).unwrap();
         assert_eq!(e.method, EstimateMethod::OEstimate);
         assert!(!e.method.is_exact());
+    }
+
+    #[test]
+    fn an_empty_space_above_the_cap_is_reported() {
+        // Three items believe only the support-1 group, which holds
+        // two anonymized items; 17 more believe anything. That is one
+        // 20-item component above RYSER_LIMIT with no degree-1 item
+        // for propagation to force, and no perfect matching.
+        let supports: Vec<u64> = (0..20).map(|i| if i < 2 { 1 } else { 2 }).collect();
+        let intervals: Vec<(f64, f64)> = (0..20)
+            .map(|i| if i < 3 { (0.1, 0.1) } else { (0.0, 1.0) })
+            .collect();
+        let b = BeliefFunction::from_intervals(intervals).unwrap();
+        let g = b.build_graph(&supports, 10);
+        assert_eq!(g.components().unwrap().largest(), 20);
+        assert_eq!(
+            best_expected_cracks(&g).unwrap_err(),
+            Error::EmptyMappingSpace
+        );
     }
 
     #[test]
@@ -248,7 +233,7 @@ mod tests {
         let intervals = vec![(0.4, 0.4), (0.4, 0.4)];
         let b = BeliefFunction::from_intervals(intervals).unwrap();
         let g = b.build_graph(&supports, 10);
-        let err = best_expected_cracks(&g, 1_000_000).unwrap_err();
+        let err = best_expected_cracks(&g).unwrap_err();
         assert_eq!(err, Error::EmptyMappingSpace);
     }
 }

@@ -512,7 +512,7 @@ pub struct CompliancyPoint {
 
 /// Sweeps the α grid of Figure 11 over per-item crack probabilities
 /// from any estimator (an [`OutdegreeProfile::probabilities`], the
-/// convex-exact marginals, …), averaging the masked sum over
+/// exact per-component marginals, …), averaging the masked sum over
 /// `n_mask_runs` nested random compliant subsets.
 ///
 /// The mask runs fan out over `threads` workers. The output is

@@ -3,8 +3,9 @@
 //! - On the CHESS, MUSHROOM and CONNECT analogs with truthful
 //!   intervals widened from `δ_med` to `2·δ_med` (the beliefs the
 //!   service's analog traffic sends), the exact rung answers with no
-//!   trip, within 1e-12 relative of the convex DP's marginals, and
-//!   bit-identically at 1, 4 and `ANDI_THREADS` workers.
+//!   trip, bit-identically at 1, 4 and `ANDI_THREADS` workers.
+//!   `andi-oracle`'s analog test checks the same marginals against
+//!   its independent exact estimator.
 //! - On random interval instances of at most 32 items, the ladder's
 //!   `Result` is the dense Ryser kernel's on the whole graph, bit for
 //!   bit, at 1, 4 and `ANDI_THREADS` workers.
@@ -13,7 +14,6 @@
 
 use andi_core::{ladder_crack_probabilities, BeliefFunction, Error, RecipeConfig, Rung};
 use andi_data::{Analog, FrequencyGroups};
-use andi_graph::convex::{crack_probabilities_convex, DEFAULT_STATE_BUDGET};
 use andi_graph::par::{available_threads, Budget};
 use andi_graph::{crack_probabilities_budgeted, ExactError, GroupedBigraph, MAX_PERMANENT_N};
 use rand::rngs::StdRng;
@@ -57,16 +57,6 @@ fn analog_beliefs_answer_on_the_exact_rung() {
             for threads in [4, available_threads()] {
                 let again = ladder(&graph, threads).expect("thread-invariant");
                 assert_eq!(again, (rung, bits.clone()), "{name}, t={threads}");
-            }
-
-            let convex = crack_probabilities_convex(&graph, DEFAULT_STATE_BUDGET)
-                .expect("δ_med windows are narrow");
-            for (x, (&b, &q)) in bits.iter().zip(&convex).enumerate() {
-                let p = f64::from_bits(b);
-                assert!(
-                    (p - q).abs() <= 1e-12 * q.abs(),
-                    "{name}: item {x} exact {p} vs convex {q}"
-                );
             }
         }
     }

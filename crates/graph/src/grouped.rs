@@ -113,6 +113,18 @@ impl FrequencyScaffold {
         self.n_transactions
     }
 
+    /// Whether this scaffold was built over exactly `supports` out of
+    /// `n_transactions` — what a cache keyed by a hash of the two
+    /// checks before it trusts a hit.
+    pub fn is_for(&self, supports: &[u64], n_transactions: u64) -> bool {
+        self.n_transactions == n_transactions
+            && supports.len() == self.left_group.len()
+            && supports
+                .iter()
+                .zip(&self.left_group)
+                .all(|(&s, &g)| self.group_supports[g] == s)
+    }
+
     /// Completes the graph for one belief: computes each item's
     /// candidate group range from its interval. The graph shares this
     /// scaffold through the `Arc`; only the ranges are built.
@@ -579,6 +591,15 @@ mod tests {
             (0.1, 0.4),
             (0.5, 0.5),
         ]
+    }
+
+    #[test]
+    fn a_scaffold_knows_the_supports_it_was_built_over() {
+        let scaffold = FrequencyScaffold::new(&[5, 4, 5, 5, 3, 5], 10);
+        assert!(scaffold.is_for(&[5, 4, 5, 5, 3, 5], 10));
+        assert!(!scaffold.is_for(&[5, 4, 5, 5, 3, 5], 11));
+        assert!(!scaffold.is_for(&[5, 4, 5, 5, 3, 4], 10));
+        assert!(!scaffold.is_for(&[5, 4, 5, 5, 3], 10));
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! * [`mod@permanent`] / [`exact`] — Ryser permanents and the exact
 //!   Section 4.1 expectation and per-item crack probabilities, run one
 //!   connected component at a time at any domain size.
-//! * [`convex`] — the exact deadline-profile DP for interval
-//!   (convex) mapping spaces of narrow candidate windows.
 //! * [`mod@propagate`] — the Figure 7 degree-1 propagation, one
 //!   worklist over frequency groups or dense rows.
 //! * [`sampler`] — the Section 7.1 swap-walk MCMC over consistent
@@ -44,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod convex;
 pub mod dense;
 pub mod dot;
 pub mod exact;
@@ -57,7 +54,6 @@ pub mod permanent;
 pub mod propagate;
 pub mod sampler;
 
-pub use convex::{expected_cracks_convex, ConvexError, ConvexExact, DEFAULT_STATE_BUDGET};
 pub use dense::DenseBigraph;
 pub use dot::{to_dot, DotOptions};
 pub use exact::{

@@ -179,44 +179,6 @@ impl CrackSamples {
             / (n - 1) as f64;
         var.sqrt()
     }
-
-    /// Empirical histogram of crack counts: `hist[k]` = number of
-    /// samples with exactly `k` cracks. Length = max observed + 1
-    /// (empty for no samples).
-    pub fn histogram(&self) -> Vec<usize> {
-        let Some(&max) = self.counts.iter().max() else {
-            return Vec::new();
-        };
-        let mut hist = vec![0usize; max + 1];
-        for &c in &self.counts {
-            hist[c] += 1;
-        }
-        hist
-    }
-
-    /// Empirical tail probability `P(X >= threshold)` — the figure
-    /// an owner reads when the *chance* of a bad release matters
-    /// more than the expectation.
-    pub fn tail_probability(&self, threshold: usize) -> f64 {
-        if self.counts.is_empty() {
-            return 0.0;
-        }
-        self.counts.iter().filter(|&&c| c >= threshold).count() as f64 / self.counts.len() as f64
-    }
-
-    /// Empirical `q`-quantile of the crack count (nearest-rank).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or there are no samples.
-    pub fn quantile(&self, q: f64) -> usize {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        assert!(!self.counts.is_empty(), "no samples");
-        let mut sorted = self.counts.clone();
-        sorted.sort_unstable();
-        let idx = ((q * (sorted.len() - 1) as f64).round()) as usize;
-        sorted[idx]
-    }
 }
 
 /// Errors from the sampler.
@@ -288,7 +250,6 @@ impl std::error::Error for SamplerError {}
 /// let samples = sample_cracks_budgeted(&g, &Matching::identity(6),
 ///     &SamplerConfig::quick(), 1, 2, &Budget::unlimited()).unwrap();
 /// assert!((samples.mean() - 1.0).abs() < 0.3);
-/// assert!(samples.tail_probability(0) == 1.0);
 /// ```
 pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
     oracle: &O,
@@ -769,29 +730,12 @@ mod tests {
         };
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
-        assert!(s.histogram().is_empty());
-        assert_eq!(s.tail_probability(0), 0.0);
         let s = CrackSamples {
             counts: vec![4],
             hits: vec![1; 4],
         };
         assert_eq!(s.mean(), 4.0);
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_tail_and_quantiles() {
-        let s = CrackSamples {
-            counts: vec![0, 1, 1, 2, 2, 2, 3, 5],
-            hits: vec![],
-        };
-        assert_eq!(s.histogram(), vec![1, 2, 3, 1, 0, 1]);
-        assert!((s.tail_probability(2) - 5.0 / 8.0).abs() < 1e-12);
-        assert_eq!(s.tail_probability(0), 1.0);
-        assert!((s.tail_probability(6) - 0.0).abs() < 1e-12);
-        assert_eq!(s.quantile(0.0), 0);
-        assert_eq!(s.quantile(0.5), 2);
-        assert_eq!(s.quantile(1.0), 5);
     }
 
     #[test]
@@ -892,16 +836,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_rejects_out_of_range() {
-        let s = CrackSamples {
-            counts: vec![1],
-            hits: vec![],
-        };
-        let _ = s.quantile(1.5);
-    }
-
-    #[test]
     fn tail_matches_exact_distribution_on_blocks() {
         use crate::exact::crack_distribution;
         // Two complete blocks of sizes 2 and 3.
@@ -925,12 +859,12 @@ mod tests {
             use_locality: true,
         };
         let s = sample(&g, &Matching::identity(5), &config, 77).unwrap();
-        // P(X >= 2) from the histogram matches the exact tail.
+        // The sampled P(X >= 2) matches the exact tail.
         let exact_tail: f64 = exact[2..].iter().sum();
+        let sampled = s.counts.iter().filter(|&&c| c >= 2).count() as f64 / s.counts.len() as f64;
         assert!(
-            (s.tail_probability(2) - exact_tail).abs() < 0.03,
-            "sampled {} vs exact {exact_tail}",
-            s.tail_probability(2)
+            (sampled - exact_tail).abs() < 0.03,
+            "sampled {sampled} vs exact {exact_tail}"
         );
     }
 

@@ -3,15 +3,18 @@
 //! isolated into structured errors with a deterministic task index,
 //! deadlines bound wall-clock time to budget + one chunk, and a
 //! cancel token fired from another thread stops the permanent and the
-//! sampler with `Cancelled` at every thread count.
+//! sampler with `Cancelled` at every thread count. The component walk
+//! behind the ladder's exact rung keeps the same deadline and cancel
+//! contract.
 
 use std::time::{Duration, Instant};
 
 use andi_graph::dense::DenseBigraph;
+use andi_graph::exact::{crack_probabilities_per_component, ExactError};
 use andi_graph::par::{map_indexed, try_map_indexed, Budget, CancelToken, ExecError};
 use andi_graph::permanent::try_permanent_of_rows_budgeted;
 use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
-use andi_graph::Matching;
+use andi_graph::{GroupedBigraph, Matching, MAX_PERMANENT_N};
 use proptest::prelude::*;
 
 /// Generous allowance for "one chunk of work plus scheduling noise"
@@ -144,6 +147,61 @@ fn budgeted_sampler_returns_within_budget_plus_one_batch() {
             elapsed <= Duration::from_millis(25) + SLACK,
             "threads={threads}: took {elapsed:?}"
         );
+    }
+}
+
+/// A chain of 26 supports over `m = 100`, each believed within three
+/// support steps: one 26-item connected component, whose `c + 1`
+/// walks of `2^26` subsets far outlast a short deadline.
+fn one_26_item_component() -> GroupedBigraph {
+    let supports: Vec<u64> = (1..=26).collect();
+    let intervals: Vec<(f64, f64)> = supports
+        .iter()
+        .map(|&s| (s.saturating_sub(3) as f64 / 100.0, (s + 3) as f64 / 100.0))
+        .collect();
+    let graph = GroupedBigraph::new(&supports, 100, &intervals);
+    assert_eq!(graph.components().map(|c| c.largest()), Some(26));
+    graph
+}
+
+#[test]
+fn component_walk_returns_within_budget_plus_one_chunk() {
+    let graph = one_26_item_component();
+    for threads in [1usize, 4] {
+        let budget = Budget::with_deadline(Duration::from_millis(25));
+        let start = Instant::now();
+        let out = crack_probabilities_per_component(&graph, MAX_PERMANENT_N, threads, &budget);
+        let elapsed = start.elapsed();
+        assert_eq!(
+            out,
+            Err(ExactError::Interrupted(ExecError::BudgetExceeded {
+                budget_ms: 25
+            })),
+            "threads={threads}"
+        );
+        assert!(
+            elapsed <= Duration::from_millis(25) + SLACK,
+            "threads={threads}: took {elapsed:?}"
+        );
+    }
+}
+
+#[test]
+fn component_walk_stops_on_a_pre_cancelled_token() {
+    let graph = one_26_item_component();
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = Budget::unlimited().with_token(token);
+    for threads in [1usize, 4] {
+        let start = Instant::now();
+        let out = crack_probabilities_per_component(&graph, MAX_PERMANENT_N, threads, &budget);
+        let elapsed = start.elapsed();
+        assert_eq!(
+            out,
+            Err(ExactError::Interrupted(ExecError::Cancelled)),
+            "threads={threads}"
+        );
+        assert!(elapsed <= SLACK, "threads={threads}: took {elapsed:?}");
     }
 }
 

@@ -1,7 +1,8 @@
-//! The paper's worked examples as oracle instances. These are the
-//! hand-written ground-truth anchors: every constructor here enters
-//! the committed regression corpus and is replayed by the ordinary
-//! test suite, and the integration tests pin their exact values.
+//! The paper's worked examples as oracle instances, plus two anchors
+//! for the convex DP's windows. These are the hand-written
+//! ground-truth anchors: every constructor here enters the committed
+//! regression corpus and is replayed by the ordinary test suite, and
+//! the integration tests pin their exact values.
 
 use andi_core::ChainSpec;
 
@@ -146,7 +147,44 @@ pub fn figure_6b() -> Instance {
     }
 }
 
-/// Every paper case, in corpus order.
+/// A window-3 space beyond chains, under a mask: two items may take
+/// any of the three frequency groups, so no closed form applies, and
+/// the convex DP's masked sum must equal the permanent's and the
+/// ladder's.
+pub fn convex_window_3() -> Instance {
+    let f = |s: u64| s as f64 / 10.0;
+    Instance {
+        label: "convex:window-3".into(),
+        regime: Regime::AlphaCompliant,
+        supports: vec![2, 2, 5, 5, 8, 8, 8],
+        m: 10,
+        intervals: vec![
+            (f(2), f(8)),
+            (f(2), f(5)),
+            (f(2), f(5)),
+            (f(5), f(8)),
+            (f(5), f(8)),
+            (f(2), f(8)),
+            (f(5), f(8)),
+        ],
+        mask: Some(vec![true, false, true, true, false, true, false]),
+    }
+}
+
+/// A 120-item chain — groups (60, 60) with 60 shared items — far
+/// above the permanent's cap: Lemma 5 gives exactly 1.5 expected
+/// cracks, and the convex DP answers it as a window-2 space.
+pub fn convex_chain_120() -> Result<Instance, OracleError> {
+    chain_instance(
+        "convex:chain-120",
+        vec![60, 60],
+        vec![30, 30],
+        vec![60],
+        1000,
+    )
+}
+
+/// Every case, in corpus order.
 pub fn all() -> Result<Vec<Instance>, OracleError> {
     let mut out = vec![
         bigmart_h(),
@@ -157,6 +195,8 @@ pub fn all() -> Result<Vec<Instance>, OracleError> {
         figure_6b(),
     ];
     out.extend(delta_table()?);
+    out.push(convex_window_3());
+    out.push(convex_chain_120()?);
     Ok(out)
 }
 
@@ -167,11 +207,11 @@ mod tests {
     #[test]
     fn all_cases_are_valid_and_uniquely_labelled() {
         let cases = all().unwrap();
-        assert_eq!(cases.len(), 11);
+        assert_eq!(cases.len(), 13);
         let mut labels: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), 11, "labels must be unique");
+        assert_eq!(labels.len(), 13, "labels must be unique");
         for c in &cases {
             assert!(c.validate().is_ok(), "{}: {:?}", c.label, c.validate());
         }
@@ -185,6 +225,21 @@ mod tests {
         let spec = ChainSpec::detect(&g).expect("paper chain detects");
         assert!((spec.expected_cracks() - 74.0 / 45.0).abs() < 1e-12);
         assert!((spec.oestimate() - 197.0 / 120.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn convex_cases_run_the_dp_on_wide_windows() {
+        use crate::convex::{convex_exact, DEFAULT_STATE_BUDGET};
+        let window_3 = convex_exact(&convex_window_3().graph().unwrap(), DEFAULT_STATE_BUDGET);
+        assert_eq!(window_3.unwrap().window, 3);
+        let chain = convex_chain_120().unwrap();
+        assert_eq!(chain.n(), 120);
+        let g = chain.graph().unwrap();
+        let spec = ChainSpec::detect(&g).expect("the chain detects");
+        assert!((spec.expected_cracks() - 1.5).abs() < 1e-12);
+        let exact = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
+        assert_eq!(exact.window, 2);
+        assert!((exact.expected_cracks() - 1.5).abs() < 1e-9);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The differential engine: every applicable estimator pair is
 //! evaluated on an instance and the paper's relations are checked —
-//! exact ≡ exact (Lemmas 1–6 vs the permanent), sampler → exact
+//! exact ≡ exact (Lemmas 1–6, the permanent, the ladder's exact rung
+//! and the convex DP, pairwise), sampler → exact
 //! within a CLT band, the O-estimate's structural relations (range,
 //! propagation sharpening, forced cracks as a lower bound, the §5.2
 //! chain closed form), plus the metamorphic relations (Lemma 8
@@ -19,7 +20,8 @@ use andi_graph::{Budget, MAX_PERMANENT_N};
 
 use crate::error::OracleError;
 use crate::estimators::{
-    crack_probabilities_of, default_estimators, Confidence, Estimator, SwapSampler,
+    crack_probabilities_of, default_estimators, Confidence, ConvexDp, Estimate, Estimator,
+    SwapSampler,
 };
 use crate::instance::Instance;
 
@@ -95,9 +97,9 @@ impl CheckReport {
 /// holds or no relation connects the two confidences.
 fn compare_values(
     a_name: &str,
-    a: &crate::estimators::Estimate,
+    a: &Estimate,
     b_name: &str,
-    b: &crate::estimators::Estimate,
+    b: &Estimate,
     z: f64,
 ) -> Option<String> {
     use Confidence::*;
@@ -126,6 +128,20 @@ fn compare_values(
     }
 }
 
+/// An estimator's answer on one instance, or `None` when it does not
+/// apply — including a decline only its own work could find
+/// ([`OracleError::NotApplicable`]).
+fn answer(e: &dyn Estimator, inst: &Instance) -> Result<Option<Estimate>, OracleError> {
+    if !e.applies_to(inst) {
+        return Ok(None);
+    }
+    match e.estimate(inst) {
+        Ok(estimate) => Ok(Some(estimate)),
+        Err(OracleError::NotApplicable(_)) => Ok(None),
+        Err(err) => Err(err),
+    }
+}
+
 /// Pairwise differential comparison of two estimators on one
 /// instance. Used by the engine and directly by bug-injection tests.
 ///
@@ -138,10 +154,9 @@ pub fn compare(
     inst: &Instance,
     z: f64,
 ) -> Result<Option<Violation>, OracleError> {
-    if !(a.applies_to(inst) && b.applies_to(inst)) {
+    let (Some(ea), Some(eb)) = (answer(a, inst)?, answer(b, inst)?) else {
         return Ok(None);
-    }
-    let (ea, eb) = (a.estimate(inst)?, b.estimate(inst)?);
+    };
     Ok(
         compare_values(a.name(), &ea, b.name(), &eb, z).map(|detail| Violation {
             check: format!("{}-vs-{}", a.name(), b.name()),
@@ -167,19 +182,25 @@ pub fn check_instance(inst: &Instance, cfg: &CheckConfig) -> Result<CheckReport,
         return Ok(report);
     }
 
-    // Pairwise differential sweep over the estimator battery.
-    let battery = default_estimators(cfg.threads, cfg.exact_cap);
-    for (i, a) in battery.iter().enumerate() {
-        for b in battery.iter().skip(i + 1) {
-            if !(a.applies_to(inst) && b.applies_to(inst)) {
-                continue;
+    // Pairwise differential sweep over the estimator battery: each
+    // estimator answers once, and every pair that both answer is
+    // compared.
+    let mut answers = Vec::new();
+    for e in default_estimators(cfg.threads, cfg.exact_cap) {
+        if let Some(estimate) = answer(e.as_ref(), inst)? {
+            answers.push((e.name(), estimate));
+        }
+    }
+    for (i, (a_name, a)) in answers.iter().enumerate() {
+        for (b_name, b) in &answers[i + 1..] {
+            let check = format!("{a_name}-vs-{b_name}");
+            if let Some(detail) = compare_values(a_name, a, b_name, b, cfg.z) {
+                report.violations.push(Violation {
+                    check: check.clone(),
+                    detail,
+                });
             }
-            report
-                .checks_run
-                .push(format!("{}-vs-{}", a.name(), b.name()));
-            if let Some(v) = compare(a.as_ref(), b.as_ref(), inst, cfg.z)? {
-                report.violations.push(v);
-            }
+            report.checks_run.push(check);
         }
     }
 
@@ -478,6 +499,11 @@ fn check_empty_space_consistency(
             ),
         ));
     }
+    // The convex DP may decline, but it must not return a number.
+    verdicts.push((
+        "convex-dp".into(),
+        ConvexDp::default().estimate(inst).is_err(),
+    ));
     // Propagation is a sound but *incomplete* emptiness test (it can
     // miss Hall-condition violations), so `Ok` is acceptable here —
     // but any error it does raise must be the structured verdict.
@@ -503,7 +529,7 @@ fn check_empty_space_consistency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::{Estimate, Permanent};
+    use crate::estimators::Permanent;
     use crate::instance::Regime;
 
     fn bigmart_h() -> Instance {
@@ -590,6 +616,20 @@ mod tests {
             .expect("off-by-one must be detected");
         assert_eq!(v.check, "off-by-one-vs-permanent");
         assert!(v.detail.contains("2.8125"), "detail: {}", v.detail);
+    }
+
+    #[test]
+    fn a_declining_estimator_is_no_violation() {
+        let declines = ConvexDp { max_states: 0 };
+        assert_eq!(
+            compare(&declines, &Permanent::default(), &bigmart_h(), 6.0),
+            Ok(None)
+        );
+        let report = check_instance(&bigmart_h(), &CheckConfig::default()).unwrap();
+        assert!(report
+            .checks_run
+            .iter()
+            .any(|c| c == "convex-dp-vs-permanent"));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Exact matching counts and crack expectations for *convex*
-//! (interval) mapping spaces.
+//! The oracle's independent exact estimator: matching counts and
+//! crack expectations for *convex* (interval) mapping spaces.
 //!
-//! The paper treats exact computation as hopeless — the permanent is
-//! #P-complete in general (Section 4.1) — and derives closed forms
-//! only for chains (Lemma 6). But the mapping space of an interval
-//! belief function is a *convex bipartite graph*: each original
-//! item's candidates are a contiguous run of frequency groups, and
-//! anonymized items within a group are interchangeable. That
-//! structure admits an exact dynamic program:
+//! The answer path computes exact crack probabilities with integer
+//! Ryser permanents, one connected component at a time
+//! ([`andi_graph::crack_probabilities_per_component`]). This module
+//! reaches the same numbers by a different road, which is what makes
+//! it a check: the paper treats exact computation as hopeless — the
+//! permanent is #P-complete in general (Section 4.1) — and derives
+//! closed forms only for chains (Lemma 6). But the mapping space of
+//! an interval belief function is a *convex bipartite graph*: each
+//! original item's candidates are a contiguous run of frequency
+//! groups, and anonymized items within a group are interchangeable.
+//! That structure admits an exact dynamic program:
 //!
 //! * process frequency groups in increasing order;
 //! * a right item with candidate range `[a, b]` "arrives" at group
@@ -28,8 +32,8 @@
 //!
 //! Complexity: states are `(W-1)`-tuples of open counts, so this is
 //! polynomial for fixed `W` but grows quickly with wide windows; the
-//! `max_states` budget makes the trade-off explicit and callers fall
-//! back to sampling beyond it.
+//! `max_states` budget makes the trade-off explicit, and the oracle
+//! reads a spent budget as "does not apply".
 //!
 //! The DP table is stored in a blocked SoA layout: state tuples pack
 //! into single `u64` keys (fixed-width fields, `state[0]` most
@@ -47,7 +51,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::grouped::GroupedBigraph;
+use andi_graph::GroupedBigraph;
 
 /// Failure modes of the convex exact computation.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,11 +60,11 @@ pub enum ConvexError {
     /// has no perfect matching by construction.
     UnmatchableItem { item: usize },
     /// The DP state budget was exceeded (window too wide / groups
-    /// too large) — fall back to sampling.
+    /// too large).
     BudgetExceeded { states: usize, budget: usize },
     /// The DP key of a `window`-group profile needs `bits` > 64 bits
     /// even at the narrowest field width the input allows. Declined
-    /// before any work — fall back to sampling.
+    /// before any work.
     WindowTooWide { window: usize, bits: usize },
     /// The space admits no perfect matching (counting reached zero).
     NoPerfectMatching,
@@ -420,19 +424,27 @@ impl PackedSink<'_> {
 /// Result of the convex exact analysis.
 #[derive(Clone, Debug)]
 pub struct ConvexExact {
-    /// Exact expected number of cracks.
-    pub expected_cracks: f64,
-    /// Natural log of the number of consistent perfect matchings.
-    pub log_matchings: f64,
+    /// Exact per-item crack probabilities: entry `x` is `P(x' maps
+    /// to x)` under a uniformly random consistent perfect matching.
+    /// Non-compliant items get 0.
+    pub probabilities: Vec<f64>,
     /// The window width `W` the DP ran with.
     pub window: usize,
+}
+
+impl ConvexExact {
+    /// Exact expected number of cracks: the item-order sum of the
+    /// crack probabilities.
+    pub fn expected_cracks(&self) -> f64 {
+        self.probabilities.iter().sum()
+    }
 }
 
 /// Default DP state budget.
 pub const DEFAULT_STATE_BUDGET: usize = 2_000_000;
 
-/// Computes the exact expected number of cracks of a (compliant)
-/// grouped mapping space by convex dynamic programming.
+/// Computes the exact crack probabilities of a grouped mapping space
+/// by convex dynamic programming.
 ///
 /// Generalizes Lemma 3 (`W = 1`), Lemma 5/6 (`W = 2` chains) and
 /// goes beyond, in time polynomial for fixed window width.
@@ -442,8 +454,8 @@ pub const DEFAULT_STATE_BUDGET: usize = 2_000_000;
 /// Point-valued beliefs (window 1) recover Lemma 3 exactly:
 ///
 /// ```
-/// use andi_graph::convex::{expected_cracks_convex, DEFAULT_STATE_BUDGET};
 /// use andi_graph::GroupedBigraph;
+/// use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 ///
 /// let supports = [5u64, 4, 5, 5, 3, 5]; // three frequency groups
 /// let intervals: Vec<(f64, f64)> = supports
@@ -451,49 +463,17 @@ pub const DEFAULT_STATE_BUDGET: usize = 2_000_000;
 ///     .map(|&s| { let f = s as f64 / 10.0; (f, f) })
 ///     .collect();
 /// let graph = GroupedBigraph::new(&supports, 10, &intervals);
-/// let exact = expected_cracks_convex(&graph, DEFAULT_STATE_BUDGET).unwrap();
+/// let exact = convex_exact(&graph, DEFAULT_STATE_BUDGET).unwrap();
 /// assert_eq!(exact.window, 1);
-/// assert!((exact.expected_cracks - 3.0).abs() < 1e-12); // = g
+/// assert!((exact.expected_cracks() - 3.0).abs() < 1e-12); // = g
 /// ```
 ///
 /// # Errors
 ///
 /// See [`ConvexError`]. A non-compliant graph is fine as long as
 /// every item keeps a non-empty candidate range (non-compliant items
-/// simply have crack probability 0 and are skipped in the marginal
-/// sum).
-pub fn expected_cracks_convex(
-    graph: &GroupedBigraph,
-    max_states: usize,
-) -> Result<ConvexExact, ConvexError> {
-    let (probs, log_total, window) = crack_marginals(graph, max_states)?;
-    Ok(ConvexExact {
-        expected_cracks: probs.iter().sum(),
-        log_matchings: log_total,
-        window,
-    })
-}
-
-/// Exact per-item crack probabilities of a grouped mapping space:
-/// entry `x` is `P(x' maps to x)` under a uniformly random
-/// consistent perfect matching. Non-compliant items get 0.
-///
-/// # Errors
-///
-/// See [`ConvexError`].
-pub fn crack_probabilities_convex(
-    graph: &GroupedBigraph,
-    max_states: usize,
-) -> Result<Vec<f64>, ConvexError> {
-    crack_marginals(graph, max_states).map(|(p, _, _)| p)
-}
-
-/// Shared marginal computation: per-item probabilities, the log
-/// matching count, and the window width.
-fn crack_marginals(
-    graph: &GroupedBigraph,
-    max_states: usize,
-) -> Result<(Vec<f64>, f64, usize), ConvexError> {
+/// simply have crack probability 0).
+pub fn convex_exact(graph: &GroupedBigraph, max_states: usize) -> Result<ConvexExact, ConvexError> {
     let spec = ConvexSpec::from_graph(graph)?;
     let ln = LnFact::new(graph.n() + 1);
     let log_total = log_permanent(&spec, &ln, max_states)?.ok_or(ConvexError::NoPerfectMatching)?;
@@ -511,7 +491,7 @@ fn crack_marginals(
         buckets.entry((lo, hi, own)).or_default().push(x);
     }
 
-    let mut probs = vec![0.0f64; graph.n()];
+    let mut probabilities = vec![0.0f64; graph.n()];
     for (&(lo, hi, own), members) in &buckets {
         let mut minor = spec.clone();
         minor.left_counts[own] -= 1;
@@ -522,16 +502,19 @@ fn crack_marginals(
         };
         let p = (log_minor - log_total).exp();
         for &x in members {
-            probs[x] = p;
+            probabilities[x] = p;
         }
     }
-    Ok((probs, log_total, spec.window))
+    Ok(ConvexExact {
+        probabilities,
+        window: spec.window,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::expected_cracks;
+    use andi_graph::expected_cracks;
 
     /// The ordered-map walk: the bit-identity reference for the packed
     /// lane of [`log_permanent`].
@@ -667,11 +650,13 @@ mod tests {
             })
             .collect();
         let g = graph(&supports, 10, &intervals);
-        let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         assert_eq!(r.window, 1);
-        assert!((r.expected_cracks - 3.0).abs() < 1e-9);
+        assert!((r.expected_cracks() - 3.0).abs() < 1e-9);
         // log matchings = ln(4! * 1 * 1) = ln 24.
-        assert!((r.log_matchings - 24.0f64.ln()).abs() < 1e-9);
+        let spec = ConvexSpec::from_graph(&g).unwrap();
+        let log_matchings = log_permanent(&spec, &LnFact::new(g.n() + 1), DEFAULT_STATE_BUDGET);
+        assert!((log_matchings.unwrap().unwrap() - 24.0f64.ln()).abs() < 1e-9);
     }
 
     #[test]
@@ -697,18 +682,18 @@ mod tests {
         supports.push(60);
         intervals.push((f1, f2));
         let g = graph(&supports, 90, &intervals);
-        let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         assert_eq!(r.window, 2);
         assert!(
-            (r.expected_cracks - 74.0 / 45.0).abs() < 1e-9,
+            (r.expected_cracks() - 74.0 / 45.0).abs() < 1e-9,
             "got {}",
-            r.expected_cracks
+            r.expected_cracks()
         );
     }
 
     #[test]
     fn marginals_match_ryser_probabilities() {
-        use crate::exact::crack_probabilities;
+        use andi_graph::crack_probabilities;
         let supports = [5u64, 4, 5, 5, 3, 5];
         let intervals = vec![
             (0.0, 1.0),
@@ -719,7 +704,9 @@ mod tests {
             (0.5, 0.5),
         ];
         let g = graph(&supports, 10, &intervals);
-        let convex = crack_probabilities_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let convex = convex_exact(&g, DEFAULT_STATE_BUDGET)
+            .unwrap()
+            .probabilities;
         let ryser = crack_probabilities(&g.to_dense()).unwrap();
         for (x, (a, b)) in convex.iter().zip(ryser.iter()).enumerate() {
             assert!((a - b).abs() < 1e-9, "item {x}: convex {a} vs ryser {b}");
@@ -746,12 +733,11 @@ mod tests {
             let g = graph(&supports, 30, &intervals);
             let dense = g.to_dense();
             let exact = expected_cracks(&dense).expect("compliant");
-            let convex =
-                expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).expect("compliant and small");
+            let convex = convex_exact(&g, DEFAULT_STATE_BUDGET).expect("compliant and small");
             assert!(
-                (convex.expected_cracks - exact).abs() < 1e-7,
+                (convex.expected_cracks() - exact).abs() < 1e-7,
                 "trial {trial}: convex {} vs ryser {exact}",
-                convex.expected_cracks
+                convex.expected_cracks()
             );
         }
     }
@@ -771,13 +757,13 @@ mod tests {
             (f(5), f(8)),
         ];
         let g = graph(&supports, 10, &intervals);
-        let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         assert_eq!(r.window, 3);
         let exact = expected_cracks(&g.to_dense()).unwrap();
         assert!(
-            (r.expected_cracks - exact).abs() < 1e-9,
+            (r.expected_cracks() - exact).abs() < 1e-9,
             "convex {} vs ryser {exact}",
-            r.expected_cracks
+            r.expected_cracks()
         );
     }
 
@@ -807,13 +793,13 @@ mod tests {
             intervals.push((f1, f2));
         }
         let g = graph(&supports, 1000, &intervals);
-        let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         // Lemma 5: e1/n1 + e2/n2 + u^2/(s n1) + v^2/(s n2)
         //        = .5 + .5 + 900/3600 + 900/3600 = 1.5.
         assert!(
-            (r.expected_cracks - 1.5).abs() < 1e-9,
+            (r.expected_cracks() - 1.5).abs() < 1e-9,
             "got {}",
-            r.expected_cracks
+            r.expected_cracks()
         );
     }
 
@@ -836,22 +822,15 @@ mod tests {
             (f(5), f(8)),
         ];
         let g = graph(&supports, 10, &intervals);
-        let first = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
-        let first_probs = crack_probabilities_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let first = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         for run in 0..20 {
-            let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+            let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
             assert_eq!(
-                r.expected_cracks.to_bits(),
-                first.expected_cracks.to_bits(),
+                r.expected_cracks().to_bits(),
+                first.expected_cracks().to_bits(),
                 "run {run}: expected_cracks drifted"
             );
-            assert_eq!(
-                r.log_matchings.to_bits(),
-                first.log_matchings.to_bits(),
-                "run {run}: log_matchings drifted"
-            );
-            let probs = crack_probabilities_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
-            for (x, (a, b)) in probs.iter().zip(first_probs.iter()).enumerate() {
+            for (x, (a, b)) in r.probabilities.iter().zip(&first.probabilities).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "run {run}: item {x} drifted");
             }
         }
@@ -1032,7 +1011,7 @@ mod tests {
         intervals[0] = (f(1), f(34));
         let g = graph(&supports, 100, &intervals);
         assert_eq!(
-            expected_cracks_convex(&g, 0).unwrap_err(),
+            convex_exact(&g, 0).unwrap_err(),
             ConvexError::WindowTooWide {
                 window: 34,
                 bits: 66
@@ -1067,7 +1046,7 @@ mod tests {
                 })
                 .collect();
             let g = graph(&supports, m, &intervals);
-            match expected_cracks_convex(&g, DEFAULT_STATE_BUDGET) {
+            match convex_exact(&g, DEFAULT_STATE_BUDGET) {
                 Err(ConvexError::WindowTooWide { window: w, bits }) => {
                     assert_eq!(w, window, "{}", analog.name());
                     assert!(bits > 64, "{}: {bits} bits", analog.name());
@@ -1083,7 +1062,7 @@ mod tests {
         let intervals = vec![(0.9, 1.0), (0.0, 1.0)];
         let g = graph(&supports, 10, &intervals);
         assert_eq!(
-            expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap_err(),
+            convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap_err(),
             ConvexError::UnmatchableItem { item: 0 }
         );
     }
@@ -1097,7 +1076,7 @@ mod tests {
         let intervals = vec![(f4, f4), (f4, f4)];
         let g = graph(&supports, 10, &intervals);
         assert_eq!(
-            expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap_err(),
+            convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap_err(),
             ConvexError::NoPerfectMatching
         );
     }
@@ -1109,7 +1088,7 @@ mod tests {
         let f = |s: u64| s as f64 / 10.0;
         let intervals = vec![(f(2), f(8)), (f(2), f(8)), (f(2), f(8))];
         let g = graph(&supports, 10, &intervals);
-        match expected_cracks_convex(&g, 0) {
+        match convex_exact(&g, 0) {
             Err(ConvexError::BudgetExceeded { budget: 0, .. }) => {}
             other => panic!("expected budget error, got {other:?}"),
         }
@@ -1123,13 +1102,13 @@ mod tests {
         let f = |s: u64| s as f64 / 10.0;
         let intervals = vec![(f(8), f(8)), (f(2), f(8))];
         let g = graph(&supports, 10, &intervals);
-        let r = expected_cracks_convex(&g, DEFAULT_STATE_BUDGET).unwrap();
+        let r = convex_exact(&g, DEFAULT_STATE_BUDGET).unwrap();
         // Unique matching: 0' (freq .2)... item 0 accepts only the
         // freq-.8 anonymized item (1'), item 1 accepts both; perfect
         // matching must give 1' to item 0 and 0' to item 1: zero
         // cracks... except item 1 gets 0' which is NOT its own (its
         // own is 1'): so E = 0.
-        assert!((r.expected_cracks - 0.0).abs() < 1e-12);
+        assert!((r.expected_cracks() - 0.0).abs() < 1e-12);
         let exact = expected_cracks(&g.to_dense()).unwrap();
         assert!((exact - 0.0).abs() < 1e-12);
     }

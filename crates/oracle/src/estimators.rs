@@ -4,17 +4,26 @@
 //!
 //! | estimator              | domain                      | confidence |
 //! |------------------------|-----------------------------|------------|
+//! | convex DP              | DP key `<= 64` bits and `<= max_states` states, feasible | exact |
 //! | closed forms (L1–L6)   | ignorant / point / chain    | exact      |
 //! | Ryser permanent        | `n <= cap`, feasible        | exact      |
 //! | budgeted ladder (exact rung) | every component `<= cap`, feasible | exact |
 //! | swap-walk sampler      | feasible, whole domain      | stochastic |
 //! | O-estimate plain/prop  | everywhere feasible         | lower bound|
+//!
+//! The convex DP shares no code with the Ryser kernels behind
+//! [`Permanent`] and [`LadderExact`], so it is the independent exact
+//! check of the answer path. Its declines — a window whose key needs
+//! more than 64 bits, or a spent state budget — are reported as
+//! [`OracleError::NotApplicable`], which the engine reads as "does
+//! not apply", never as a violation.
 
 use andi_core::{ChainSpec, OutdegreeProfile};
 use andi_data::FrequencyGroups;
 use andi_graph::sampler::SamplerConfig;
 use andi_graph::{Budget, Matching, MAX_PERMANENT_N};
 
+use crate::convex::{convex_exact, ConvexError, DEFAULT_STATE_BUDGET};
 use crate::error::OracleError;
 use crate::instance::Instance;
 
@@ -56,8 +65,10 @@ pub trait Estimator {
     ///
     /// # Errors
     ///
-    /// Structural failures (infeasible instance, overflow); an
-    /// estimator must not panic on any instance it applies to.
+    /// Structural failures (infeasible instance, overflow), or
+    /// [`OracleError::NotApplicable`] when the estimator declines an
+    /// instance only its own work could rule out; an estimator must
+    /// not panic on any instance it applies to.
     fn estimate(&self, inst: &Instance) -> Result<Estimate, OracleError>;
 }
 
@@ -159,20 +170,25 @@ impl Estimator for Permanent {
     }
 
     fn estimate(&self, inst: &Instance) -> Result<Estimate, OracleError> {
-        let probs = crack_probabilities_of(inst)?;
-        let value = match &inst.mask {
-            None => probs.iter().sum(),
-            Some(mask) => probs
-                .iter()
-                .zip(mask.iter())
-                .filter(|&(_, &keep)| keep)
-                .map(|(&p, _)| p)
-                .sum(),
-        };
-        Ok(Estimate {
-            value,
-            confidence: Confidence::Exact,
-        })
+        Ok(exact_sum(&crack_probabilities_of(inst)?, inst))
+    }
+}
+
+/// The exact estimate of per-item crack probabilities: their sum over
+/// the whole domain, or over the instance's mask.
+fn exact_sum(probs: &[f64], inst: &Instance) -> Estimate {
+    let value = match &inst.mask {
+        None => probs.iter().sum(),
+        Some(mask) => probs
+            .iter()
+            .zip(mask.iter())
+            .filter(|&(_, &keep)| keep)
+            .map(|(&p, _)| p)
+            .sum(),
+    };
+    Estimate {
+        value,
+        confidence: Confidence::Exact,
     }
 }
 
@@ -228,19 +244,48 @@ impl Estimator for LadderExact {
                     }
                     other => OracleError::Invalid(format!("budgeted permanent failed: {other}")),
                 })?;
-        let value = match &inst.mask {
-            None => probs.iter().sum(),
-            Some(mask) => probs
-                .iter()
-                .zip(mask.iter())
-                .filter(|&(_, &keep)| keep)
-                .map(|(&p, _)| p)
-                .sum(),
-        };
-        Ok(Estimate {
-            value,
-            confidence: Confidence::Exact,
-        })
+        Ok(exact_sum(&probs, inst))
+    }
+}
+
+/// Exact crack probabilities from the convex deadline-profile DP
+/// ([`crate::convex`]), summed over the whole domain or the
+/// instance's mask. It applies to every valid instance and declines
+/// by its own work: a window too wide to pack or a spent state budget
+/// is [`OracleError::NotApplicable`].
+pub struct ConvexDp {
+    /// DP state budget (and, ×16, transition-work budget) per
+    /// permanent; spending it is a decline.
+    pub max_states: usize,
+}
+
+impl Default for ConvexDp {
+    fn default() -> Self {
+        ConvexDp {
+            max_states: DEFAULT_STATE_BUDGET,
+        }
+    }
+}
+
+impl Estimator for ConvexDp {
+    fn name(&self) -> &'static str {
+        "convex-dp"
+    }
+
+    fn applies_to(&self, inst: &Instance) -> bool {
+        inst.validate().is_ok()
+    }
+
+    fn estimate(&self, inst: &Instance) -> Result<Estimate, OracleError> {
+        match convex_exact(&inst.graph()?, self.max_states) {
+            Ok(exact) => Ok(exact_sum(&exact.probabilities, inst)),
+            Err(ConvexError::WindowTooWide { .. } | ConvexError::BudgetExceeded { .. }) => {
+                Err(OracleError::NotApplicable("convex-dp"))
+            }
+            Err(ConvexError::NoPerfectMatching | ConvexError::UnmatchableItem { .. }) => {
+                Err(OracleError::Core(andi_core::Error::EmptyMappingSpace))
+            }
+        }
     }
 }
 
@@ -352,6 +397,7 @@ impl Estimator for OEstimate {
 /// The default estimator battery the differential engine sweeps.
 pub fn default_estimators(threads: usize, exact_cap: usize) -> Vec<Box<dyn Estimator>> {
     vec![
+        Box::new(ConvexDp::default()),
         Box::new(ClosedForm),
         Box::new(Permanent { cap: exact_cap }),
         Box::new(LadderExact {
@@ -428,6 +474,19 @@ mod tests {
     }
 
     #[test]
+    fn convex_dp_recovers_lemma_3_and_declines_without_failing() {
+        let inst = bigmart_point();
+        let c = ConvexDp::default().estimate(&inst).unwrap();
+        assert_eq!(c.confidence, Confidence::Exact);
+        assert!((c.value - 3.0).abs() < 1e-12, "{}", c.value);
+        // A spent state budget is a decline, not a failure.
+        assert_eq!(
+            ConvexDp { max_states: 0 }.estimate(&inst),
+            Err(OracleError::NotApplicable("convex-dp"))
+        );
+    }
+
+    #[test]
     fn oe_is_a_lower_bound_on_bigmart_h() {
         let inst = Instance {
             label: "unit:bigmart-h".into(),
@@ -470,6 +529,11 @@ mod tests {
         let s = SwapSampler::sweep(1).estimate(&inst);
         assert_eq!(
             s,
+            Err(OracleError::Core(andi_core::Error::EmptyMappingSpace))
+        );
+        let c = ConvexDp::default().estimate(&inst);
+        assert_eq!(
+            c,
             Err(OracleError::Core(andi_core::Error::EmptyMappingSpace))
         );
     }

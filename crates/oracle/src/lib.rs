@@ -10,6 +10,9 @@
 //!   applicable [`Estimator`] pair and the
 //!   paper's metamorphic relations (Lemmas 1–6, 8, 10; sampler CLT
 //!   tolerance; masked additivity; budgeted-ladder equivalence);
+//! - [`convex`] is the exact deadline-profile DP for interval
+//!   mapping spaces, the battery's exact estimator that shares no
+//!   code with the Ryser kernels;
 //! - [`shrink`](shrink::shrink) minimizes failing instances, which
 //!   are committed under `crates/oracle/corpus/` and replayed as
 //!   ordinary tests;
@@ -17,6 +20,7 @@
 
 pub mod cases;
 pub mod checks;
+pub mod convex;
 pub mod corpus;
 pub mod editscript;
 pub mod error;

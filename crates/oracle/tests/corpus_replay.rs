@@ -4,13 +4,14 @@
 //! `ANDI_THREADS=1` and `ANDI_THREADS=4`; the reports must not
 //! depend on the thread count.
 
+use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 use andi_oracle::{check_instance, corpus, CheckConfig};
 
 #[test]
 fn committed_corpus_replays_clean() {
     let entries = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
     assert!(
-        entries.len() >= 29,
+        entries.len() >= 31,
         "corpus unexpectedly small: {} files",
         entries.len()
     );
@@ -65,4 +66,38 @@ fn corpus_files_are_canonical() {
             inst.label
         );
     }
+}
+
+#[test]
+fn convex_cases_compare_the_dp_on_wide_windows() {
+    // The committed `convex:` cases keep the convex DP answering at a
+    // window of two groups or more, and the battery compares it with
+    // another exact estimator there.
+    let entries = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
+    let config = CheckConfig::default();
+    let mut seen = 0;
+    for (path, inst) in entries
+        .iter()
+        .filter(|(_, i)| i.label.starts_with("convex:"))
+    {
+        let exact = convex_exact(&inst.graph().unwrap(), DEFAULT_STATE_BUDGET).unwrap();
+        assert!(
+            exact.window >= 2,
+            "{}: W = {}",
+            path.display(),
+            exact.window
+        );
+        let report = check_instance(inst, &config).unwrap();
+        assert!(
+            report
+                .checks_run
+                .iter()
+                .any(|c| c.starts_with("convex-dp-vs-") && !c.contains("o-estimate")),
+            "{}: {:?}",
+            path.display(),
+            report.checks_run
+        );
+        seen += 1;
+    }
+    assert!(seen >= 2, "only {seen} convex cases");
 }

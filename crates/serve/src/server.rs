@@ -16,10 +16,12 @@
 //!    disconnect via the watcher thread and to the server-wide drain),
 //!    and answers with the full budgeted-ladder result — coalescing
 //!    identical requests through the result [`ShardedCache`], whose
-//!    entries carry their database's fingerprint. It reads the
-//!    scaffold cache but never fills it: only `POST /update` warms a
-//!    scaffold, for the edited database it says comes next, and an
-//!    `/assess` that finds none builds its own (an O(n log n) pass).
+//!    entries carry their database's fingerprint and a second,
+//!    independent hash of the instance that a hit must match. It
+//!    reads the scaffold cache but never fills it: only `POST /update`
+//!    warms a scaffold, for the edited database it says comes next,
+//!    and an `/assess` that finds none — or finds one built over other
+//!    supports — builds its own (an O(n log n) pass).
 //! 4. [`ServerHandle::shutdown`] drains: stops accepting, cancels
 //!    every in-flight token, lets workers finish their current
 //!    request, and joins all service threads.
@@ -41,6 +43,7 @@ use andi_core::incremental::{apply_edits_to_summary, summary_fingerprint, DeltaB
 use andi_core::recipe::{ladder_crack_probabilities, RecipeConfig};
 use andi_core::report::Provenance;
 use andi_core::Error;
+use andi_graph::hash::splitmix64;
 use andi_graph::par::{self, Budget, CancelToken, WorkerHandle};
 use andi_graph::{faults, FrequencyScaffold};
 use andi_oracle::editscript::parse_edit;
@@ -552,14 +555,24 @@ fn assess(shared: &Shared, req: &Request, stream: &TcpStream) -> Response {
 
     let db_key = summary_fingerprint(&instance.supports, instance.m);
     let result_key = result_fingerprint(db_key, &instance);
+    let check = result_check(&instance);
     let computed = shared.results.get_or_compute(result_key, || {
-        compute_assess(shared, &instance, db_key, &budget)
+        compute_assess(shared, &instance, db_key, check, &budget)
     });
+    // An entry whose second hash differs holds another instance's
+    // body under a colliding key: answer this instance outside the
+    // cache.
+    let answered = match computed {
+        Ok((result, outcome)) if result.check == check => Ok((result.body, outcome_name(outcome))),
+        Ok(_) => compute_assess(shared, &instance, db_key, check, &budget)
+            .map(|result| (result.body, "uncached")),
+        Err(e) => Err(e),
+    };
     let spent_ms = budget.spent().as_millis();
     self_observe(shared, &budget);
-    match computed {
-        Ok((result, outcome)) => Response::json(200, result.body.as_ref())
-            .with_header("x-andi-cache", outcome_name(outcome))
+    match answered {
+        Ok((body, cache)) => Response::json(200, body.as_ref())
+            .with_header("x-andi-cache", cache)
             .with_header("x-andi-spent-ms", spent_ms.to_string()),
         // An uncacheable (tripped/degraded) result is still a full
         // answer; it just bypassed the cache.
@@ -581,22 +594,24 @@ enum AssessFailure {
     Core(Error),
 }
 
-/// A cached `/assess` body and the fingerprint of the database it
-/// was computed for, so `POST /update` can drop exactly that
-/// database's results.
+/// A cached `/assess` body, the fingerprint of the database it was
+/// computed for, so `POST /update` can drop exactly that database's
+/// results, and the [`result_check`] of its instance.
 #[derive(Clone)]
 struct CachedResult {
     db: u64,
+    check: u64,
     body: Arc<str>,
 }
 
 /// The cold path: the database's scaffold (a warmed one if `/update`
-/// left it, else built here and not kept) + per-belief graph
-/// completion + the budgeted degradation ladder.
+/// left it for these supports, else built here and not kept) +
+/// per-belief graph completion + the budgeted degradation ladder.
 fn compute_assess(
     shared: &Shared,
     instance: &Instance,
     db_key: u64,
+    check: u64,
     budget: &Budget,
 ) -> Result<CachedResult, AssessFailure> {
     if let Err(e) = budget.check() {
@@ -605,6 +620,7 @@ fn compute_assess(
     let scaffold = shared
         .scaffolds
         .get(db_key)
+        .filter(|s| s.is_for(&instance.supports, instance.m))
         .unwrap_or_else(|| Arc::new(FrequencyScaffold::new(&instance.supports, instance.m)));
     let graph = scaffold.graph_for(&instance.intervals);
     let (provenance, probs) =
@@ -614,6 +630,7 @@ fn compute_assess(
     if provenance.trips.is_empty() && !provenance.degraded {
         Ok(CachedResult {
             db: db_key,
+            check,
             body: Arc::from(body),
         })
     } else {
@@ -813,6 +830,23 @@ fn result_fingerprint(db_key: u64, instance: &Instance) -> u64 {
     h
 }
 
+/// A second hash of what the answer depends on — `m`, the supports
+/// and the intervals — built on SplitMix64 rather than FNV-1a, so a
+/// collision of [`result_fingerprint`] does not make it collide too.
+fn result_check(instance: &Instance) -> u64 {
+    let mut h = splitmix64(instance.m);
+    let words = instance.supports.iter().copied().chain(
+        instance
+            .intervals
+            .iter()
+            .flat_map(|&(l, r)| [l.to_bits(), r.to_bits()]),
+    );
+    for word in std::iter::once(instance.supports.len() as u64).chain(words) {
+        h = splitmix64(h ^ word);
+    }
+    h
+}
+
 /// The `/stats` document.
 fn stats_json(shared: &Shared) -> String {
     let s = &shared.stats;
@@ -894,5 +928,56 @@ mod tests {
         // Hanging up ends the peek (EOF) and the sweep.
         idle_client.shutdown(Shutdown::Both).unwrap();
         sweeper.join().unwrap();
+    }
+
+    /// Entries planted under a request's keys — another instance's
+    /// body under its result key, a scaffold of other supports under
+    /// its database key — stand for 64-bit key collisions. The request
+    /// must still get its own answer, computed outside the cache.
+    #[test]
+    fn a_colliding_cache_entry_is_not_served() {
+        let text = "andi-oracle instance v1\nlabel: collide\nregime: alpha-compliant\n\
+                    m: 10\nsupports: 5 4 5 5 3 5\n\
+                    intervals: 0,1 0.4,0.5 0.5,0.5 0.4,0.6 0.1,0.4 0.5,0.5\n";
+        let assess = |server: &ServerHandle| {
+            crate::client::Client::connect(server.addr())
+                .unwrap()
+                .request("POST", "/assess", text.as_bytes())
+                .unwrap()
+        };
+        let clean = start(ServeConfig::default()).unwrap();
+        let want = assess(&clean);
+        clean.shutdown();
+        assert_eq!(want.status, 200);
+
+        let planted = start(ServeConfig::default()).unwrap();
+        let instance = Instance::from_text(text).unwrap();
+        let db_key = summary_fingerprint(&instance.supports, instance.m);
+        let wrong = CachedResult {
+            db: db_key,
+            check: result_check(&instance) ^ 1,
+            body: Arc::from("{\"n\":1}"),
+        };
+        let result_key = result_fingerprint(db_key, &instance);
+        let other = Arc::new(FrequencyScaffold::new(&[1, 2, 3, 4, 5, 6], 10));
+        let shared = &planted.shared;
+        assert!(shared
+            .results
+            .get_or_compute(result_key, || Ok::<_, ()>(wrong))
+            .is_ok());
+        assert!(shared
+            .scaffolds
+            .get_or_compute(db_key, || Ok::<_, ()>(other))
+            .is_ok());
+        for _ in 0..2 {
+            let got = assess(&planted);
+            assert_eq!(got.status, 200);
+            assert_eq!(got.body, want.body);
+            assert_eq!(
+                crate::http::response_header(&got, "x-andi-cache"),
+                Some("uncached")
+            );
+        }
+        planted.shutdown();
     }
 }

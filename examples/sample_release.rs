@@ -9,8 +9,9 @@
 //! 2. how much compliancy (attack power against the full data) a
 //!    belief function built from that sample achieves.
 //!
-//! Also shows the exact-when-affordable estimator: small releases
-//! get convex-exact numbers rather than heuristics.
+//! Also shows the exact-when-affordable estimator: beliefs whose
+//! connected components are small get exact numbers rather than
+//! heuristics.
 //!
 //! ```text
 //! cargo run --release --example sample_release
@@ -56,7 +57,8 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // Exactness bonus: for this dense analog the convex DP gives the
+    // Exactness bonus: this dense analog's δ_med belief splits into
+    // small connected components, so Ryser per component gives the
     // *exact* expected cracks of a full release, no simulation
     // needed.
     let supports = db.supports();
@@ -65,7 +67,7 @@ fn main() {
     let delta = groups.median_gap().expect("multiple groups");
     let belief = BeliefFunction::widened(&db.frequencies(), delta).expect("valid");
     let graph = belief.build_graph(&supports, m);
-    match best_expected_cracks(&graph, 3_000_000) {
+    match best_expected_cracks(&graph) {
         Ok(e) => println!(
             "full release, exact expected cracks = {:.3} via {:?}",
             e.value, e.method

@@ -81,8 +81,8 @@ fn usage() -> String {
 
 exact kernels run one connected component at a time, at any domain
 size: assess's exact rung takes components of up to {cap} items and
-oe --exact's Ryser leg up to {ryser}; larger components answer from the
-sampler / O-estimate instead
+oe --exact up to {ryser}; larger components answer from the sampler
+(assess) or the propagated O-estimate (oe --exact) instead
 
 exit codes: 0 success, 1 error, 3 budgeted assessment answered by a
 degraded rung (see the provenance lines)",
@@ -412,7 +412,7 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
         propagated.oestimate() / db.n_items() as f64
     );
     if flag(args, "--exact") {
-        match andi::best_expected_cracks(&graph, 3_000_000) {
+        match andi::best_expected_cracks(&graph) {
             Ok(e) => println!(
                 "best estimate             : {:.3} via {:?}",
                 e.value, e.method

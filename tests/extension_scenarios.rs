@@ -10,6 +10,7 @@ use andi::{
     assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, Budget, EstimateMethod,
     FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
 };
+use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,7 +97,7 @@ fn powerset_pruning_feeds_exact_estimation() {
 
     // Item-level exact expectation.
     let item_graph = item_belief.build_graph(&db.supports(), 10);
-    let item_exact = best_expected_cracks(&item_graph, 1_000_000).unwrap();
+    let item_exact = best_expected_cracks(&item_graph).unwrap();
     assert!(item_exact.method.is_exact());
     assert!((item_exact.value - 3.0).abs() < 1e-9);
 
@@ -225,25 +226,31 @@ fn powerset_pruning_is_sound_by_enumeration() {
     }
 }
 
-/// The exact estimator's provenance is reported truthfully: forcing
-/// the fallback chain produces the expected methods.
+/// The exact estimator's provenance is reported truthfully: a small
+/// belief answers on Ryser per component, equal to the dense kernel
+/// on the whole graph, and one component above `RYSER_LIMIT` leaves
+/// the answer to the O-estimate.
 #[test]
 fn estimator_provenance_chain() {
     let db = bigmart();
     let belief = BeliefFunction::widened(&db.frequencies(), 0.1).unwrap();
     let graph = belief.build_graph(&db.supports(), 10);
 
-    let fast = best_expected_cracks(&graph, 1_000_000).unwrap();
-    assert!(matches!(fast.method, EstimateMethod::ConvexExact { .. }));
-
-    let ryser = best_expected_cracks(&graph, 0).unwrap();
-    assert_eq!(ryser.method, EstimateMethod::RyserExact);
+    let exact = best_expected_cracks(&graph).unwrap();
+    assert_eq!(exact.method, EstimateMethod::RyserExact);
+    let dense = andi::graph::expected_cracks(&graph.to_dense()).unwrap();
     assert!(
-        (fast.value - ryser.value).abs() < 1e-9,
-        "both exact paths agree: {} vs {}",
-        fast.value,
-        ryser.value
+        (exact.value - dense).abs() < 1e-9,
+        "both exact paths agree: {} vs {dense}",
+        exact.value
     );
+
+    let n = andi::core::estimate::RYSER_LIMIT + 1;
+    let wide = BeliefFunction::from_intervals(vec![(0.0, 1.0); n])
+        .unwrap()
+        .build_graph(&vec![5; n], 10);
+    let oe = best_expected_cracks(&wide).unwrap();
+    assert_eq!(oe.method, EstimateMethod::OEstimate);
 }
 
 /// Forty items with distinct supports, each believed within one
@@ -258,10 +265,9 @@ fn forty_narrow_items() -> (Vec<u64>, Vec<(f64, f64)>) {
     (supports, intervals)
 }
 
-/// Above 18 items, Ryser still answers when the convex DP declines:
-/// it runs one connected component at a time, so a state budget of 0
-/// on forty items in small components is `RyserExact`, equal to the
-/// convex value.
+/// Above 18 items, Ryser still answers: it runs one connected
+/// component at a time, so forty items in small components are
+/// `RyserExact`, equal to the oracle's independent convex DP.
 #[test]
 fn ryser_answers_above_eighteen_items_in_small_components() {
     let (supports, intervals) = forty_narrow_items();
@@ -270,14 +276,13 @@ fn ryser_answers_above_eighteen_items_in_small_components() {
         .build_graph(&supports, 100);
     assert!(graph.components().is_some_and(|c| c.largest() <= 18));
 
-    let ryser = best_expected_cracks(&graph, 0).unwrap();
+    let ryser = best_expected_cracks(&graph).unwrap();
     assert_eq!(ryser.method, EstimateMethod::RyserExact);
-    let convex = best_expected_cracks(&graph, 1_000_000).unwrap();
-    assert!(matches!(convex.method, EstimateMethod::ConvexExact { .. }));
+    let convex = convex_exact(&graph, DEFAULT_STATE_BUDGET).unwrap();
     assert!(
-        (convex.value - ryser.value).abs() < 1e-9,
+        (convex.expected_cracks() - ryser.value).abs() < 1e-9,
         "{} vs {}",
-        convex.value,
+        convex.expected_cracks(),
         ryser.value
     );
 }
@@ -292,11 +297,8 @@ fn an_unmatchable_item_is_an_empty_space_at_every_size() {
     let graph = BeliefFunction::from_intervals(intervals)
         .unwrap()
         .build_graph(&supports, 100);
-    for state_budget in [0, 1_000_000] {
-        assert_eq!(
-            best_expected_cracks(&graph, state_budget).unwrap_err(),
-            andi::core::Error::EmptyMappingSpace,
-            "state budget {state_budget}"
-        );
-    }
+    assert_eq!(
+        best_expected_cracks(&graph).unwrap_err(),
+        andi::core::Error::EmptyMappingSpace
+    );
 }
