@@ -94,7 +94,6 @@ fn bench_permanent(c: &mut Criterion) {
 
 fn bench_per_component(c: &mut Criterion) {
     use andi_bench::Workload;
-    use andi_core::estimate::RYSER_LIMIT;
     use andi_data::synth::Analog;
     use andi_graph::{crack_probabilities_per_component, Budget};
 
@@ -110,13 +109,8 @@ fn bench_per_component(c: &mut Criterion) {
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| {
-                crack_probabilities_per_component(
-                    black_box(&graph),
-                    RYSER_LIMIT,
-                    1,
-                    &Budget::unlimited(),
-                )
-                .expect("components fit the cap")
+                crack_probabilities_per_component(black_box(&graph), 1, &Budget::unlimited())
+                    .expect("the walks price under the cap")
             })
         });
     }

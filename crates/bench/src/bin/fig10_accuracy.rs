@@ -16,7 +16,7 @@ use std::time::Instant;
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
-use andi_core::{best_expected_cracks, OutdegreeProfile};
+use andi_core::{best_expected_cracks, OutdegreeProfile, Rung};
 use andi_data::synth::Analog;
 
 fn main() {
@@ -57,10 +57,10 @@ fn main() {
         // Exact expectation via Ryser per connected component where
         // the components are small enough (our addition beyond the
         // paper: dense datasets get ground truth without sampling).
-        let exact = best_expected_cracks(&graph)
-            .ok()
-            .filter(|e| e.method.is_exact())
-            .map_or_else(|| "—".into(), |e| format!("{:.2}", e.value));
+        let exact = match best_expected_cracks(&graph) {
+            Ok((Rung::Exact, value)) => format!("{value:.2}"),
+            _ => "—".into(),
+        };
 
         let sim_config = SimulationConfig {
             sampler: sampler_config(quick, w.n_items()),

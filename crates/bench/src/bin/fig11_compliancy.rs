@@ -17,7 +17,6 @@
 //! ```
 
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
-use andi_core::estimate::RYSER_LIMIT;
 use andi_core::recipe::{compliancy_curve, compliancy_curve_decoy};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
@@ -42,10 +41,9 @@ fn main() {
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         let threads = available_threads();
         // Exact marginals, one connected component at a time, when
-        // every component is small enough; otherwise the propagated
+        // the walks price under the cap; otherwise the propagated
         // O-estimate.
-        let exact =
-            crack_probabilities_per_component(&graph, RYSER_LIMIT, threads, &Budget::unlimited());
+        let exact = crack_probabilities_per_component(&graph, threads, &Budget::unlimited());
         let (probs, estimator) = match exact {
             Ok(p) => (p, "exact"),
             Err(_) => (

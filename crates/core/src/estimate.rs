@@ -1,65 +1,32 @@
 //! Best-effort crack-expectation estimation.
 //!
-//! The library has two estimators with different domains of
-//! applicability:
+//! [`best_expected_cracks`] is the degradation ladder of
+//! [`crate::recipe::ladder_crack_probabilities`] on an unlimited
+//! budget, without its sampler:
 //!
-//! 1. **Ryser exact** ([`andi_graph::exact`]) — one connected
-//!    component at a time, `O(2^c)` in the component size `c`; exact.
-//! 2. **O-estimate** ([`mod@crate::oestimate`]) — always fast; a close
+//! 1. **exact-permanent** ([`andi_graph::exact`]) — Ryser one
+//!    connected component at a time, priced before any walk; exact.
+//! 2. **o-estimate** ([`mod@crate::oestimate`]) — always fast; a close
 //!    under-estimate (the paper's Δ analysis).
 //!
-//! [`best_expected_cracks`] tries them in that order and reports
-//! which one answered, so callers (and reports) know whether a
-//! number is exact or heuristic. Every call builds what it needs from
-//! the graph it is given; a caller that reuses an O-estimate keeps the
-//! [`OutdegreeProfile`] itself.
+//! It reports the [`Rung`] that answered, so callers (and reports)
+//! know whether a number is exact or heuristic.
 
-use andi_graph::exact::{crack_probabilities_per_component, ExactError};
 use andi_graph::par::{self, Budget};
 use andi_graph::GroupedBigraph;
 
-use crate::error::{Error, Result};
-use crate::oestimate::OutdegreeProfile;
-
-/// Which estimator produced the value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EstimateMethod {
-    /// Exact, via Ryser permanents, one connected component at a
-    /// time.
-    RyserExact,
-    /// The O-estimate heuristic (with Figure 7 propagation).
-    OEstimate,
-}
-
-impl EstimateMethod {
-    /// Whether the value is exact rather than heuristic.
-    pub fn is_exact(self) -> bool {
-        !matches!(self, EstimateMethod::OEstimate)
-    }
-}
-
-/// An expected-crack value plus its provenance.
-#[derive(Clone, Copy, Debug)]
-pub struct CrackEstimate {
-    /// Expected number of cracks.
-    pub value: f64,
-    /// Which estimator produced it.
-    pub method: EstimateMethod,
-}
-
-/// Component-size ceiling for the Ryser leg: a component of `c`
-/// items costs `c + 1` walks of up to `2^c` subsets, so this keeps a
-/// call on an unlimited budget to milliseconds whatever the domain
-/// size.
-pub const RYSER_LIMIT: usize = 18;
+use crate::error::Result;
+use crate::recipe::{exact_rung, oe_probabilities, seed_matching};
+use crate::report::Rung;
 
 /// Computes the expected number of cracks of a grouped mapping
-/// space, exactly when affordable.
+/// space, exactly when affordable, and the [`Rung`] that answered.
 ///
-/// Ryser runs one connected component at a time
-/// ([`crack_probabilities_per_component`]) at any domain size. A
-/// component above [`RYSER_LIMIT`] items, or a permanent that
-/// overflows, leaves the answer to the propagated O-estimate, once
+/// The exact rung runs Ryser one connected component at a time
+/// ([`andi_graph::crack_probabilities_per_component`]) at any domain
+/// size. Walks that price above
+/// [`andi_graph::exact::EXACT_PRICE_CAP`] subset steps, or a worker
+/// panic in one, leave the answer to the propagated O-estimate, once
 /// the deadline greedy — a maximum matching on interval graphs — has
 /// found a perfect matching.
 ///
@@ -71,50 +38,38 @@ pub const RYSER_LIMIT: usize = 18;
 /// permanent inside a component, or the deadline greedy matches fewer
 /// than every item.
 ///
+/// [`Error::EmptyMappingSpace`]: crate::Error::EmptyMappingSpace
+///
 /// # Examples
 ///
 /// ```
-/// use andi_core::{best_expected_cracks, BeliefFunction};
+/// use andi_core::{best_expected_cracks, BeliefFunction, Rung};
 ///
 /// let supports = [5u64, 4, 5, 5, 3, 5];
 /// let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / 10.0).collect();
 /// let belief = BeliefFunction::point_valued(&freqs).unwrap();
 /// let graph = belief.build_graph(&supports, 10);
-/// let estimate = best_expected_cracks(&graph).unwrap();
-/// assert!(estimate.method.is_exact());
-/// assert!((estimate.value - 3.0).abs() < 1e-9); // Lemma 3, exactly
+/// let (rung, value) = best_expected_cracks(&graph).unwrap();
+/// assert_eq!(rung, Rung::Exact);
+/// assert!((value - 3.0).abs() < 1e-9); // Lemma 3, exactly
 /// ```
-pub fn best_expected_cracks(graph: &GroupedBigraph) -> Result<CrackEstimate> {
-    // 1. Ryser exact per connected component of at most RYSER_LIMIT
-    // items: the item-order sum of the exact crack probabilities.
+pub fn best_expected_cracks(graph: &GroupedBigraph) -> Result<(Rung, f64)> {
     let threads = par::available_threads();
-    match crack_probabilities_per_component(graph, RYSER_LIMIT, threads, &Budget::unlimited()) {
-        Ok(probs) => {
-            return Ok(CrackEstimate {
-                value: probs.iter().fold(0.0, |e, &p| e + p),
-                method: EstimateMethod::RyserExact,
-            })
+    let (rung, probs) = match exact_rung(graph, threads, &Budget::unlimited(), &mut Vec::new())? {
+        Some(p) => (Rung::Exact, p),
+        None => {
+            seed_matching(graph)?;
+            (Rung::OEstimate, oe_probabilities(graph)?)
         }
-        Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
-        Err(ExactError::ComponentTooLarge { .. }) | Err(ExactError::Overflow) => {}
-        Err(ExactError::Interrupted(e)) => return Err(e.into()),
-    }
-
-    // 2. O-estimate with propagation, on a space with a perfect
-    // matching.
-    if !graph.greedy_matching().is_perfect() {
-        return Err(Error::EmptyMappingSpace);
-    }
-    Ok(CrackEstimate {
-        value: OutdegreeProfile::propagated(graph)?.oestimate(),
-        method: EstimateMethod::OEstimate,
-    })
+    };
+    Ok((rung, probs.iter().fold(0.0, |e, &p| e + p)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::belief::BeliefFunction;
+    use crate::error::Error;
 
     const BIGMART_SUPPORTS: [u64; 6] = [5, 4, 5, 5, 3, 5];
 
@@ -126,10 +81,9 @@ mod tests {
     fn point_valued_is_exact() {
         let b = BeliefFunction::point_valued(&freqs()).unwrap();
         let g = b.build_graph(&BIGMART_SUPPORTS, 10);
-        let e = best_expected_cracks(&g).unwrap();
-        assert_eq!(e.method, EstimateMethod::RyserExact);
-        assert!(e.method.is_exact());
-        assert!((e.value - 3.0).abs() < 1e-9);
+        let (rung, value) = best_expected_cracks(&g).unwrap();
+        assert_eq!(rung, Rung::Exact);
+        assert!((value - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -146,9 +100,9 @@ mod tests {
         ])
         .unwrap();
         let g = h.build_graph(&BIGMART_SUPPORTS, 10);
-        let e = best_expected_cracks(&g).unwrap();
-        assert!(e.method.is_exact());
-        assert!((e.value - 1.8125).abs() < 1e-9, "got {}", e.value);
+        let (rung, value) = best_expected_cracks(&g).unwrap();
+        assert_eq!(rung, Rung::Exact);
+        assert!((value - 1.8125).abs() < 1e-9, "got {value}");
     }
 
     #[test]
@@ -176,8 +130,8 @@ mod tests {
     fn large_noncompliant_domains_use_oe() {
         // 30 items, each believed within one support step of its own
         // but item 0, believed at the top frequency (non-compliant,
-        // yet matchable): one 30-item component. It is above
-        // RYSER_LIMIT, so the O-estimate answers without a walk.
+        // yet matchable): one 30-item component. Its walks price
+        // above the cap, so the O-estimate answers without a walk.
         let supports: Vec<u64> = (1..=30).collect();
         let mut intervals: Vec<(f64, f64)> = supports
             .iter()
@@ -191,8 +145,8 @@ mod tests {
         let g = b.build_graph(&supports, 30);
         assert_eq!(g.components().unwrap().largest(), 30);
         let start = std::time::Instant::now();
-        let e = best_expected_cracks(&g).unwrap();
-        assert_eq!(e.method, EstimateMethod::OEstimate);
+        let (rung, _) = best_expected_cracks(&g).unwrap();
+        assert_eq!(rung, Rung::OEstimate);
         // One Ryser walk of this component alone takes seconds.
         assert!(start.elapsed().as_secs() < 2, "took {:?}", start.elapsed());
     }
@@ -203,17 +157,17 @@ mod tests {
         let supports = vec![5u64; 40];
         let b = BeliefFunction::from_intervals(vec![(0.0, 1.0); 40]).unwrap();
         let g = b.build_graph(&supports, 10);
-        let e = best_expected_cracks(&g).unwrap();
-        assert_eq!(e.method, EstimateMethod::OEstimate);
-        assert!(!e.method.is_exact());
+        let (rung, _) = best_expected_cracks(&g).unwrap();
+        assert_eq!(rung, Rung::OEstimate);
     }
 
     #[test]
     fn an_empty_space_above_the_cap_is_reported() {
         // Three items believe only the support-1 group, which holds
         // two anonymized items; 17 more believe anything. That is one
-        // 20-item component above RYSER_LIMIT with no degree-1 item
-        // for propagation to force, and no perfect matching.
+        // 20-item component that prices above the cap, with no
+        // degree-1 item for propagation to force, and no perfect
+        // matching.
         let supports: Vec<u64> = (0..20).map(|i| if i < 2 { 1 } else { 2 }).collect();
         let intervals: Vec<(f64, f64)> = (0..20)
             .map(|i| if i < 3 { (0.1, 0.1) } else { (0.0, 1.0) })

@@ -79,7 +79,7 @@ pub use anonymize::AnonymizationMapping;
 pub use belief::BeliefFunction;
 pub use chain::ChainSpec;
 pub use error::{Error, Result};
-pub use estimate::{best_expected_cracks, CrackEstimate, EstimateMethod};
+pub use estimate::best_expected_cracks;
 pub use incremental::{apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit};
 
 pub use formulas::{

@@ -24,7 +24,7 @@ use andi_graph::exact::ExactError;
 use andi_graph::par;
 use andi_graph::par::{Budget, ExecError};
 use andi_graph::sampler::SamplerConfig;
-use andi_graph::{GroupedBigraph, Matching, SamplerError, MAX_PERMANENT_N};
+use andi_graph::{GroupedBigraph, Matching, SamplerError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -255,18 +255,18 @@ impl BudgetedAssessment {
 ///
 /// 1. **exact-permanent** — Ryser crack probabilities, one connected
 ///    component at a time
-///    ([`andi_graph::crack_probabilities_per_component`]): a
-///    component of `c` items walks `2^c` subsets whatever the domain
-///    size, and the rung declines, before any walk, when a component
-///    has more than [`andi_graph::MAX_PERMANENT_N`] items;
+///    ([`andi_graph::crack_probabilities_per_component`]): the
+///    components' walks are priced in subset steps whatever the domain
+///    size, and the rung declines, before any walk, when they price
+///    above [`andi_graph::exact::EXACT_PRICE_CAP`];
 /// 2. **matching-sampler** — the swap-walk's empirical crack
 ///    frequencies under `config.sampler_schedule`;
 /// 3. **o-estimate** — the closed-form estimate; probe-free and
 ///    unconditional, so the ladder always lands.
 ///
 /// A rung descends on a deadline trip, an isolated worker panic, or
-/// (for the exact rung) permanent overflow or a component above the
-/// cap; the returned
+/// (for the exact rung) permanent overflow or a priced decline; the
+/// returned
 /// [`Provenance`] records the answering rung and every trip. The α
 /// mask runs after the ladder keep polling the cancel token (the
 /// deadline no longer applies — a degraded answer is still an
@@ -275,9 +275,9 @@ impl BudgetedAssessment {
 /// # Errors
 ///
 /// Parameter validation as in [`assess_risk`];
-/// [`Error::EmptyMappingSpace`] when the exact rung proves there is
-/// no consistent matching (its component split does so at any domain
-/// size); [`Error::Cancelled`] as soon as the
+/// [`Error::EmptyMappingSpace`] when there is no consistent matching
+/// (as [`ladder_crack_probabilities`] finds it); [`Error::Cancelled`]
+/// as soon as the
 /// [`andi_graph::CancelToken`] fires — cancellation aborts the whole
 /// run rather than degrading it.
 pub fn assess_risk_budgeted(
@@ -400,16 +400,18 @@ fn figure8<T>(
 /// reachable. The conformance oracle, the `andi assess --belief` CLI
 /// path and `andi-serve` drive it this way.
 ///
-/// The exact rung answers whenever every connected component of the
-/// graph has at most [`andi_graph::MAX_PERMANENT_N`] items, whatever
-/// the domain size: each component runs Ryser on its own, and an item
-/// is cracked with probability `perm(C minus x) / perm(C)` inside its
-/// component `C`. Up to that many items in all, its answer is
+/// The exact rung answers whenever its walks price at most
+/// [`andi_graph::exact::EXACT_PRICE_CAP`] subset steps, whatever the
+/// domain size: each connected component `C` runs Ryser on its own,
+/// and an item is cracked with probability `perm(C minus x) / perm(C)`
+/// inside it. One component of 18 items with every crack edge prices
+/// exactly at the cap, so no graph of at most 18 items prices above
+/// it; where the price passes on a graph of at most
+/// [`andi_graph::MAX_PERMANENT_N`] items, the answer is
 /// [`andi_graph::crack_probabilities`] of the dense graph, bit for
-/// bit. A component of `c` items costs `c + 1` walks of up to `2^c`
-/// subsets, so one of 25–32 items outlasts a short deadline: the
-/// exact rung trips, the sticky deadline trips the sampler at its
-/// first poll, and the O-estimate floor answers. The sampler rung
+/// bit. A costlier graph declines before any walk, and the sampler
+/// answers unless the deadline trips it too. The price is a constant,
+/// so the rung choice depends only on the graph. The sampler rung
 /// starts from the identity when every item has its crack edge, and
 /// otherwise from [`GroupedBigraph::greedy_matching`], and the floor
 /// propagates over the frequency groups, so no rung builds a dense
@@ -417,12 +419,13 @@ fn figure8<T>(
 ///
 /// # Errors
 ///
-/// [`Error::EmptyMappingSpace`] when the exact rung proves there is
-/// no consistent matching: the component split proves it at any size
-/// (an item without candidates, a frequency group no interval covers,
-/// or a component whose sides differ), and a zero permanent does
-/// inside a component. [`Error::Cancelled`] when the budget's cancel
-/// token fires.
+/// [`Error::EmptyMappingSpace`] when no consistent matching exists,
+/// at any size and whichever rung would answer: the exact rung's
+/// component split proves it (an item without candidates, a frequency
+/// group no interval covers, or a component whose sides differ), or a
+/// zero permanent does inside a component, or, once the exact rung
+/// declines or trips, the sampler's seed matching is not perfect.
+/// [`Error::Cancelled`] when the budget's cancel token fires.
 pub fn ladder_crack_probabilities(
     graph: &GroupedBigraph,
     config: &RecipeConfig,
@@ -456,34 +459,15 @@ fn ladder_probabilities(
     trips: &mut Vec<(Rung, Error)>,
 ) -> Result<(Rung, Vec<f64>)> {
     // Rung 1: exact crack probabilities, Ryser per connected
-    // component.
-    match andi_graph::crack_probabilities_per_component(graph, MAX_PERMANENT_N, threads, budget) {
-        Ok(p) => return Ok((Rung::Exact, p)),
-        Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
-        Err(ExactError::Interrupted(ExecError::Cancelled)) => return Err(Error::Cancelled),
-        Err(e @ ExactError::ComponentTooLarge { .. }) => {
-            trips.push((Rung::Exact, Error::InvalidParameter(e.to_string())))
-        }
-        Err(ExactError::Overflow) => trips.push((
-            Rung::Exact,
-            Error::Overflow("permanent overflowed i128".into()),
-        )),
-        Err(ExactError::Interrupted(e)) => trips.push((Rung::Exact, e.into())),
+    // component, priced before any walk.
+    if let Some(p) = exact_rung(graph, threads, budget, trips)? {
+        return Ok((Rung::Exact, p));
     }
 
     // Rung 2: the swap-walk sampler's empirical crack frequencies.
-    // Seed with the identity when it is consistent (every item can be
-    // its own crack), otherwise with the deadline greedy's maximum
-    // matching.
-    let n = graph.n();
-    let seed_matching = if (0..n).all(|i| graph.has_edge(i, i)) {
-        Matching::identity(n)
-    } else {
-        graph.greedy_matching()
-    };
     match andi_graph::sample_crack_probabilities_budgeted(
         graph,
-        &seed_matching,
+        &seed_matching(graph)?,
         &config.sampler_schedule,
         config.seed,
         threads,
@@ -497,6 +481,45 @@ fn ladder_probabilities(
 
     // Rung 3: the O-estimate floor — probe-free and unconditional.
     Ok((Rung::OEstimate, oe_probabilities(graph)?))
+}
+
+/// Rung 1 of the ladder
+/// ([`andi_graph::crack_probabilities_per_component`]): `None` once
+/// its trip (a priced decline, an overflow, a deadline or a worker
+/// panic) is recorded in `trips`. An empty mapping space and a fired
+/// cancel token are errors.
+pub(crate) fn exact_rung(
+    graph: &GroupedBigraph,
+    threads: usize,
+    budget: &Budget,
+    trips: &mut Vec<(Rung, Error)>,
+) -> Result<Option<Vec<f64>>> {
+    let trip = match andi_graph::crack_probabilities_per_component(graph, threads, budget) {
+        Ok(p) => return Ok(Some(p)),
+        Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
+        Err(ExactError::Interrupted(ExecError::Cancelled)) => return Err(Error::Cancelled),
+        Err(e @ ExactError::TooCostly { .. }) => Error::InvalidParameter(e.to_string()),
+        Err(ExactError::Overflow) => Error::Overflow("permanent overflowed i128".into()),
+        Err(ExactError::Interrupted(e)) => e.into(),
+    };
+    trips.push((Rung::Exact, trip));
+    Ok(None)
+}
+
+/// The sampler's seed matching: the identity when every item can be
+/// its own crack, otherwise the deadline greedy's, a maximum matching
+/// on interval graphs. So when the seed is not perfect, no consistent
+/// matching exists: [`Error::EmptyMappingSpace`].
+pub(crate) fn seed_matching(graph: &GroupedBigraph) -> Result<Matching> {
+    let n = graph.n();
+    let seed = if (0..n).all(|i| graph.has_edge(i, i)) {
+        Matching::identity(n)
+    } else {
+        graph.greedy_matching()
+    };
+    seed.is_perfect()
+        .then_some(seed)
+        .ok_or(Error::EmptyMappingSpace)
 }
 
 /// One point of the Figure 11 compliancy curve.
@@ -604,7 +627,7 @@ pub fn compliancy_curve_decoy(
 /// Crack probabilities via the O-estimate path: the outdegree profile
 /// of `graph` after Figure 7 propagation. Built once per assessment;
 /// the α search reuses the returned vector.
-fn oe_probabilities(graph: &GroupedBigraph) -> Result<Vec<f64>> {
+pub(crate) fn oe_probabilities(graph: &GroupedBigraph) -> Result<Vec<f64>> {
     Ok(OutdegreeProfile::propagated(graph)?.probabilities())
 }
 

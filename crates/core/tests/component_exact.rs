@@ -8,14 +8,28 @@
 //!   its independent exact estimator.
 //! - On random interval instances of at most 32 items, the ladder's
 //!   `Result` is the dense Ryser kernel's on the whole graph, bit for
-//!   bit, at 1, 4 and `ANDI_THREADS` workers.
+//!   bit, at 1, 4 and `ANDI_THREADS` workers, wherever the walks price
+//!   under the cap; the rest decline on price to the sampler.
+//! - The price: one 18-item component with 18 crack edges is exactly
+//!   the cap and answers exactly, two of them decline, and components
+//!   of 33 and 70 items decline before any walk. Every interval graph
+//!   of at most 18 items prices under the cap.
 //! - A crack edge that crosses components gives `p = 0`, and a
 //!   33-item component trips the exact rung so the sampler answers.
+//! - A graph with no perfect matching is an empty mapping space
+//!   whichever rung the ladder would answer on.
+
+use std::time::{Duration, Instant};
 
 use andi_core::{ladder_crack_probabilities, BeliefFunction, Error, RecipeConfig, Rung};
 use andi_data::{Analog, FrequencyGroups};
+use andi_graph::exact::EXACT_PRICE_CAP;
 use andi_graph::par::{available_threads, Budget};
-use andi_graph::{crack_probabilities_budgeted, ExactError, GroupedBigraph, MAX_PERMANENT_N};
+use andi_graph::{
+    crack_probabilities_budgeted, crack_probabilities_per_component, ExactError, GroupedBigraph,
+    MAX_PERMANENT_N,
+};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,10 +104,13 @@ fn random_instance(rng: &mut StdRng) -> GroupedBigraph {
     GroupedBigraph::new(&supports, 50, &intervals)
 }
 
+/// Where the walks price under the cap, the ladder's exact rung is the
+/// dense kernel's `Result` bit for bit; a costlier graph declines on
+/// price, before any walk, and the sampler answers it.
 #[test]
 fn small_domains_equal_the_dense_kernel_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xC0AA);
-    let (mut answered, mut empty) = (0, 0);
+    let (mut answered, mut empty, mut declined) = (0, 0, 0);
     for case in 0..300 {
         let graph = random_instance(&mut rng);
         let dense = graph.to_dense();
@@ -101,6 +118,14 @@ fn small_domains_equal_the_dense_kernel_bit_for_bit() {
             let want = crack_probabilities_budgeted(&dense, threads, &Budget::unlimited());
             let got = ladder(&graph, threads);
             match want {
+                Ok(_) if matches!(got, Ok((Rung::Sampler, _))) => {
+                    let priced = crack_probabilities_per_component(&graph, 1, &Budget::unlimited());
+                    assert!(
+                        graph.n() > 18 && matches!(priced, Err(ExactError::TooCostly { .. })),
+                        "case {case}, t={threads}: {priced:?}"
+                    );
+                    declined += 1;
+                }
                 Ok(p) => {
                     let bits: Vec<u64> = p.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(got, Ok((Rung::Exact, bits)), "case {case}, t={threads}");
@@ -115,9 +140,132 @@ fn small_domains_equal_the_dense_kernel_bit_for_bit() {
         }
     }
     assert!(
-        answered > 100 && empty > 100,
-        "{answered} answered, {empty} empty"
+        answered > 100 && empty > 100 && declined > 0,
+        "{answered} answered, {empty} empty, {declined} declined"
     );
+}
+
+/// One frequency group of `n` items over `m = 10`, believed anywhere:
+/// one complete `n`-item component with every crack edge.
+fn one_group(n: usize) -> GroupedBigraph {
+    GroupedBigraph::new(&vec![5; n], 10, &vec![(0.0, 1.0); n])
+}
+
+#[test]
+fn an_eighteen_item_component_prices_at_the_cap_and_two_decline() {
+    // The permanent walks 2^17 half-space subsets and each of the 18
+    // minors 2^16: exactly the cap, which the rung still pays.
+    let graph = one_group(18);
+    let (rung, bits) = ladder(&graph, 1).expect("a complete component");
+    assert_eq!(rung, Rung::Exact);
+    assert_eq!(ladder(&graph, 4), Ok((rung, bits)));
+
+    // Two such components, each believed at its own frequency, price
+    // at twice the cap: the sum is what is priced.
+    let supports: Vec<u64> = (0..36).map(|i| if i < 18 { 5 } else { 7 }).collect();
+    let intervals: Vec<(f64, f64)> = supports
+        .iter()
+        .map(|&s| (s as f64 / 10.0, s as f64 / 10.0))
+        .collect();
+    let graph = GroupedBigraph::new(&supports, 10, &intervals);
+    assert_eq!(graph.components().map(|c| c.largest()), Some(18));
+    let declined = Err(ExactError::TooCostly {
+        price: 2 * EXACT_PRICE_CAP,
+        cap: EXACT_PRICE_CAP,
+    });
+    for threads in [1, 4] {
+        let out = crack_probabilities_per_component(&graph, threads, &Budget::unlimited());
+        assert_eq!(out, declined, "t={threads}");
+    }
+    let (provenance, _) =
+        ladder_crack_probabilities(&graph, &RecipeConfig::default(), 1, &Budget::unlimited())
+            .expect("the sampler answers");
+    assert_eq!(provenance.rung, Rung::Sampler);
+    let trip = provenance.trips[0].1.to_string();
+    assert!(
+        trip.contains("2621440") && trip.contains("1310720"),
+        "{trip}"
+    );
+}
+
+#[test]
+fn components_above_the_walk_ceiling_decline_before_any_walk() {
+    for n in [MAX_PERMANENT_N + 1, 70] {
+        let start = Instant::now();
+        let out = crack_probabilities_per_component(&one_group(n), 1, &Budget::unlimited());
+        assert_eq!(
+            out,
+            Err(ExactError::TooCostly {
+                price: u64::MAX,
+                cap: EXACT_PRICE_CAP
+            }),
+            "n = {n}"
+        );
+        assert!(
+            start.elapsed().as_secs() < 2,
+            "n = {n}: {:?}",
+            start.elapsed()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// No interval graph of at most 18 items prices above the cap, so
+    /// the exact rung answers every one of them that has a perfect
+    /// matching.
+    #[test]
+    fn graphs_of_at_most_eighteen_items_price_under_the_cap(
+        items in prop::collection::vec((1u64..=20, 0u64..=20, 0u64..=20), 1..=18),
+    ) {
+        let supports: Vec<u64> = items.iter().map(|&(s, _, _)| s).collect();
+        let intervals: Vec<(f64, f64)> = items
+            .iter()
+            .map(|&(_, a, b)| (a.min(b) as f64 / 20.0, a.max(b) as f64 / 20.0))
+            .collect();
+        let graph = GroupedBigraph::new(&supports, 20, &intervals);
+        let out = crack_probabilities_per_component(&graph, 1, &Budget::unlimited());
+        prop_assert!(
+            matches!(out, Ok(_) | Err(ExactError::EmptyMappingSpace)),
+            "{out:?}"
+        );
+    }
+}
+
+/// Three items believe only the support-1 group, which holds two
+/// anonymized items, and the rest believe anything: one `n`-item
+/// component with no perfect matching.
+fn three_claim_two(n: usize) -> GroupedBigraph {
+    let supports: Vec<u64> = (0..n).map(|i| if i < 2 { 1 } else { 2 }).collect();
+    let intervals: Vec<(f64, f64)> = (0..n)
+        .map(|i| if i < 3 { (0.1, 0.1) } else { (0.0, 1.0) })
+        .collect();
+    GroupedBigraph::new(&supports, 10, &intervals)
+}
+
+/// The 20-item graph prices above the cap, and so does the 40-item
+/// one, which is above the 32-item walk ceiling too. Neither has a
+/// perfect matching, so the ladder says so, on an unlimited budget
+/// and on an expired one alike, rather than letting the sampler or
+/// the floor answer.
+#[test]
+fn an_empty_space_is_reported_at_every_size() {
+    for n in [20, 40] {
+        let graph = three_claim_two(n);
+        assert_eq!(graph.components().map(|c| c.largest()), Some(n));
+        for threads in [1, 4] {
+            for budget in [Budget::unlimited(), Budget::with_deadline(Duration::ZERO)] {
+                let out =
+                    ladder_crack_probabilities(&graph, &RecipeConfig::default(), threads, &budget);
+                assert_eq!(
+                    out.map(|(p, _)| p.rung),
+                    Err(Error::EmptyMappingSpace),
+                    "n = {n}, t={threads}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -144,18 +292,21 @@ fn crossing_crack_edges_and_oversized_components() {
     assert_eq!(provenance.trips.len(), 1);
     let (rung, error) = &provenance.trips[0];
     assert_eq!(*rung, Rung::Exact);
-    assert!(error.to_string().contains("33 items"), "{error}");
+    let message = error.to_string();
+    assert!(
+        message.contains("subset steps") && message.contains("1310720"),
+        "{message}"
+    );
     assert_eq!(probs.len(), n);
 }
 
-/// Above 32 items, a component of 20–32 items runs on the exact rung
-/// as it does in a smaller domain: its `c + 1` walks of `2^c` subsets
-/// outlast a short deadline, the trip is sticky, so the sampler trips
-/// at its first poll and the O-estimate floor answers. This is the
-/// answer a graph of at most 32 items with the same component has
-/// always had.
+/// Above 32 items, a 26-item component is priced as it is in a
+/// smaller domain: its `c + 1` walks of up to `2^c` subsets price far
+/// above the cap, so the exact rung declines before any walk, and the
+/// sampler answers inside a one-second deadline that those walks, a
+/// minute or more of work, would have burnt.
 #[test]
-fn a_mid_size_component_under_a_short_deadline_lands_on_the_floor() {
+fn a_mid_size_component_under_a_short_deadline_is_sampled() {
     // A chain of 26 supports, each believed within three support
     // steps, is one 26-item component; 14 point beliefs on distinct
     // supports are one-item components.
@@ -172,17 +323,23 @@ fn a_mid_size_component_under_a_short_deadline_lands_on_the_floor() {
     let graph = GroupedBigraph::new(&supports, 100, &intervals);
     assert!(graph.n() > MAX_PERMANENT_N);
     assert_eq!(graph.components().map(|c| c.largest()), Some(26));
+    let Err(declined) = crack_probabilities_per_component(&graph, 1, &Budget::unlimited()) else {
+        panic!("a 26-item component prices above the cap");
+    };
+    assert!(
+        matches!(declined, ExactError::TooCostly { .. }),
+        "{declined}"
+    );
 
     for threads in [1, 4] {
-        let budget = Budget::with_deadline(std::time::Duration::from_millis(50));
+        let budget = Budget::with_deadline(Duration::from_secs(1));
         let (provenance, probs) =
             ladder_crack_probabilities(&graph, &RecipeConfig::default(), threads, &budget)
-                .expect("the floor answers");
-        assert_eq!(provenance.rung, Rung::OEstimate, "t={threads}");
-        let tripped = Error::BudgetExceeded { budget_ms: 50 };
+                .expect("the sampler answers");
+        assert_eq!(provenance.rung, Rung::Sampler, "t={threads}");
         assert_eq!(
             provenance.trips,
-            [(Rung::Exact, tripped.clone()), (Rung::Sampler, tripped)],
+            [(Rung::Exact, Error::InvalidParameter(declined.to_string()))],
             "t={threads}"
         );
         assert_eq!(probs.len(), graph.n());

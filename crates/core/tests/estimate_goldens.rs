@@ -2,15 +2,16 @@
 //!
 //! Each case builds the recipe's step-5 graph (every item believed
 //! within `δ_med` of its true frequency) and pins the value by
-//! `to_bits` together with the estimator that answered. CHESS,
+//! `to_bits` together with the [`Rung`] that answered. CHESS,
 //! MUSHROOM and CONNECT split into connected components of at most
-//! 10 items and answer on Ryser per component; PUMSB, ACCIDENTS and
-//! RETAIL have components far above `RYSER_LIMIT` and fall through to
-//! the propagated O-estimate.
+//! 10 items and answer on the exact rung, Ryser per component; PUMSB,
+//! ACCIDENTS and RETAIL have components far above the 32-item walk
+//! ceiling, price above the exact cap and fall through to the
+//! propagated O-estimate.
 
 use std::time::{Duration, Instant};
 
-use andi_core::{best_expected_cracks, BeliefFunction, EstimateMethod};
+use andi_core::{best_expected_cracks, BeliefFunction, Rung};
 use andi_data::{Analog, FrequencyGroups};
 use andi_graph::GroupedBigraph;
 
@@ -27,61 +28,43 @@ fn delta_med_graph(analog: Analog) -> GroupedBigraph {
 }
 
 /// Checks the pinned answer and returns how long the call took.
-fn check(analog: Analog, bits: u64, method: EstimateMethod) -> Duration {
+fn check(analog: Analog, bits: u64, rung: Rung) -> Duration {
     let graph = delta_med_graph(analog);
     let start = Instant::now();
-    let got = best_expected_cracks(&graph).expect("a compliant belief");
+    let (got_rung, value) = best_expected_cracks(&graph).expect("a compliant belief");
     let elapsed = start.elapsed();
     assert!(
-        (got.value.to_bits(), got.method) == (bits, method),
-        "{}: got {} ({:#018x}) from {:?}",
+        (value.to_bits(), got_rung) == (bits, rung),
+        "{}: got {value} ({:#018x}) from {got_rung}",
         analog.name(),
-        got.value,
-        got.value.to_bits(),
-        got.method
+        value.to_bits(),
     );
     elapsed
 }
 
 #[test]
 fn chess_answers_on_ryser_per_component() {
-    check(
-        Analog::Chess,
-        0x4044b55555555555,
-        EstimateMethod::RyserExact,
-    );
+    check(Analog::Chess, 0x4044b55555555555, Rung::Exact);
 }
 
 #[test]
 fn mushroom_answers_on_ryser_per_component() {
-    check(
-        Analog::Mushroom,
-        0x404a4d74394120f4,
-        EstimateMethod::RyserExact,
-    );
+    check(Analog::Mushroom, 0x404a4d74394120f4, Rung::Exact);
 }
 
 #[test]
 fn connect_answers_on_ryser_per_component() {
-    check(
-        Analog::Connect,
-        0x4051129100a4402a,
-        EstimateMethod::RyserExact,
-    );
+    check(Analog::Connect, 0x4051129100a4402a, Rung::Exact);
 }
 
 #[test]
 fn pumsb_falls_through_to_the_oestimate() {
-    check(Analog::Pumsb, 0x4076e6201815bd39, EstimateMethod::OEstimate);
+    check(Analog::Pumsb, 0x4076e6201815bd39, Rung::OEstimate);
 }
 
 #[test]
 fn accidents_falls_through_to_the_oestimate() {
-    check(
-        Analog::Accidents,
-        0x4066377508c60984,
-        EstimateMethod::OEstimate,
-    );
+    check(Analog::Accidents, 0x4066377508c60984, Rung::OEstimate);
 }
 
 /// RETAIL's largest component holds about 16 000 items, so the
@@ -97,10 +80,6 @@ fn retail_falls_through_to_the_oestimate_promptly() {
     } else {
         Duration::from_millis(60)
     };
-    let elapsed = check(
-        Analog::Retail,
-        0x40747d93b100a5a4,
-        EstimateMethod::OEstimate,
-    );
+    let elapsed = check(Analog::Retail, 0x40747d93b100a5a4, Rung::OEstimate);
     assert!(elapsed <= bound, "took {elapsed:?}, bound {bound:?}");
 }

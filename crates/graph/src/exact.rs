@@ -25,7 +25,12 @@ use crate::dense::DenseBigraph;
 use crate::grouped::GroupedBigraph;
 use crate::par;
 use crate::par::{Budget, ExecError};
-use crate::permanent::{try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
+use crate::permanent::{try_permanent_of_rows_budgeted, walk_subsets, MAX_PERMANENT_N};
+
+/// The most subset steps one [`crack_probabilities_per_component`]
+/// call may walk: one 18-item component with 18 crack edges (about
+/// 12 ms on one worker, `BENCH_permanent.json`'s `n18_dense` row).
+pub const EXACT_PRICE_CAP: u64 = (1 << 17) + 18 * (1 << 16);
 
 /// Structured failure of an exact computation: every condition the
 /// panicking wrappers either panic on or fold into `None` gets its
@@ -39,13 +44,13 @@ pub enum ExactError {
     /// The Ryser accumulator would overflow `i128` (dense graphs
     /// near [`MAX_PERMANENT_N`]).
     Overflow,
-    /// A connected component has more items than the caller's cap
-    /// (at most [`MAX_PERMANENT_N`]), so no walk was tried.
-    ComponentTooLarge {
-        /// Items per side of the largest component.
-        items: usize,
-        /// The component-size cap it exceeds.
-        cap: usize,
+    /// The component walks would take more than [`EXACT_PRICE_CAP`]
+    /// subset steps, so none was tried.
+    TooCostly {
+        /// Subset steps of all the walks, summed (saturating).
+        price: u64,
+        /// The cap it exceeds.
+        cap: u64,
     },
     /// A budgeted run was interrupted: deadline, cancellation, or an
     /// isolated worker panic.
@@ -64,9 +69,9 @@ impl std::fmt::Display for ExactError {
                     "permanent overflowed i128; domain too dense for exact Ryser"
                 )
             }
-            ExactError::ComponentTooLarge { items, cap } => write!(
+            ExactError::TooCostly { price, cap } => write!(
                 f,
-                "a connected component of {items} items exceeds the exact-permanent cap {cap}"
+                "the component walks price at {price} subset steps, above the exact cap {cap}"
             ),
             ExactError::Interrupted(e) => write!(f, "exact computation interrupted: {e}"),
         }
@@ -161,45 +166,41 @@ pub fn crack_probabilities_budgeted(
 
 /// Exact crack probabilities of a grouped graph at any size, one
 /// connected component at a time: the split is
-/// [`GroupedBigraph::components`], and each component of at most
-/// `cap` items (`cap` is clamped to [`MAX_PERMANENT_N`]) runs the
-/// ratio walks of [`crack_probabilities_budgeted`] on its own rows.
-/// A component of `c` items costs `c + 1` walks of up to `2^c`
-/// subsets whatever the domain size, so `cap` is what bounds the
-/// cost of a call. An item whose
-/// anonymized and original sides fall in different components has no
-/// crack edge, so its probability is 0. No dense graph of the whole
-/// domain is built.
+/// [`GroupedBigraph::components`], and each component runs the ratio
+/// walks of [`crack_probabilities_budgeted`] on its own rows. All the
+/// walks are priced before the first runs. An item whose anonymized
+/// and original sides fall in different components has no crack edge,
+/// so its probability is 0. No dense graph of the whole domain is
+/// built.
 ///
 /// The components run in the order of their lowest anonymized item,
 /// each with its rows and columns in item order. So on a graph of at
 /// most [`MAX_PERMANENT_N`] items the walks are those of
 /// [`crack_probabilities_budgeted`] on [`GroupedBigraph::to_dense`],
-/// in the same order, and the `Result` is the same, bit for bit.
+/// in the same order, and where the price passes the `Result` is the
+/// same, bit for bit.
 ///
 /// # Errors
 ///
 /// The budget is checked once before the split, as in
 /// [`crack_probabilities_budgeted`]. Then the split either proves the
-/// mapping space empty ([`ExactError::EmptyMappingSpace`]) or, when a
-/// component has more than `cap` items, declines with
-/// [`ExactError::ComponentTooLarge`] before any walk runs. Every other
+/// mapping space empty ([`ExactError::EmptyMappingSpace`]) or, when
+/// the walks price above [`EXACT_PRICE_CAP`] subset steps, declines
+/// with [`ExactError::TooCostly`] before any walk runs. Every other
 /// error is a component walk's.
 pub fn crack_probabilities_per_component(
     graph: &GroupedBigraph,
-    cap: usize,
     threads: usize,
     budget: &Budget,
 ) -> Result<Vec<f64>, ExactError> {
     budget.check().map_err(ExactError::Interrupted)?;
     let components = graph.components().ok_or(ExactError::EmptyMappingSpace)?;
-    let cap = cap.min(MAX_PERMANENT_N);
-    let items = components.largest();
-    if items > cap {
-        return Err(ExactError::ComponentTooLarge { items, cap });
-    }
     let mut order: Vec<(&[usize], &[usize])> = components.iter().collect();
     order.sort_unstable_by_key(|&(left, _)| left.first().copied());
+    let (price, cap) = (walks_price(graph, &order), EXACT_PRICE_CAP);
+    if price > cap {
+        return Err(ExactError::TooCostly { price, cap });
+    }
     let mut probs = vec![0.0; graph.n()];
     for (left, right) in order {
         let sub: Vec<u64> = left
@@ -224,6 +225,22 @@ pub fn crack_probabilities_per_component(
         component_probabilities(&sub, &cracks, threads, budget, &mut probs)?;
     }
     Ok(probs)
+}
+
+/// Subset steps of every component's walks, summed (saturating): a
+/// permanent, then one minor per crack edge; a 0-item minor walks
+/// nothing, and a component too large to walk prices at `u64::MAX`.
+fn walks_price(graph: &GroupedBigraph, components: &[(&[usize], &[usize])]) -> u64 {
+    let steps = |n: usize| if n == 0 { 0 } else { walk_subsets(n) };
+    components.iter().fold(0, |price: u64, &(left, right)| {
+        let c = left.len();
+        if c > MAX_PERMANENT_N {
+            return u64::MAX;
+        }
+        let is_crack = |x: usize| graph.has_edge(x, x) && right.binary_search(&x).is_ok();
+        let cracks = left.iter().filter(|&&x| is_crack(x)).count() as u64;
+        price.saturating_add(steps(c) + cracks * steps(c - 1))
+    })
 }
 
 /// A crack edge inside one component: its local row and column, and

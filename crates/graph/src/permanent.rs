@@ -141,7 +141,7 @@ pub fn permanent(g: &DenseBigraph) -> u128 {
 /// (all `2^(n-1)` subsets of the first `n-1` columns, empty set
 /// included), the checked lane the classic `2^n - 1` non-empty Ryser
 /// subsets.
-fn walk_subsets(n: usize) -> u64 {
+pub(crate) fn walk_subsets(n: usize) -> u64 {
     if n <= SAFE_UNCHECKED_N {
         1u64 << (n - 1)
     } else {

@@ -10,11 +10,11 @@
 use std::time::{Duration, Instant};
 
 use andi_graph::dense::DenseBigraph;
-use andi_graph::exact::{crack_probabilities_per_component, ExactError};
+use andi_graph::exact::{crack_probabilities_per_component, ExactError, EXACT_PRICE_CAP};
 use andi_graph::par::{map_indexed, try_map_indexed, Budget, CancelToken, ExecError};
 use andi_graph::permanent::try_permanent_of_rows_budgeted;
 use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
-use andi_graph::{GroupedBigraph, Matching, MAX_PERMANENT_N};
+use andi_graph::{GroupedBigraph, Matching};
 use proptest::prelude::*;
 
 /// Generous allowance for "one chunk of work plus scheduling noise"
@@ -152,7 +152,7 @@ fn budgeted_sampler_returns_within_budget_plus_one_batch() {
 
 /// A chain of 26 supports over `m = 100`, each believed within three
 /// support steps: one 26-item connected component, whose `c + 1`
-/// walks of `2^26` subsets far outlast a short deadline.
+/// walks of `2^26` subsets price far above the exact cap.
 fn one_26_item_component() -> GroupedBigraph {
     let supports: Vec<u64> = (1..=26).collect();
     let intervals: Vec<(f64, f64)> = supports
@@ -164,26 +164,48 @@ fn one_26_item_component() -> GroupedBigraph {
     graph
 }
 
+/// One frequency group of 18 items believed anywhere: one complete
+/// 18-item component, whose walks price exactly at the cap and take
+/// about 12 ms on one worker in a release build.
+fn one_18_item_complete_component() -> GroupedBigraph {
+    GroupedBigraph::new(&[5; 18], 10, &[(0.0, 1.0); 18])
+}
+
 #[test]
 fn component_walk_returns_within_budget_plus_one_chunk() {
-    let graph = one_26_item_component();
+    let graph = one_18_item_complete_component();
     for threads in [1usize, 4] {
-        let budget = Budget::with_deadline(Duration::from_millis(25));
+        let budget = Budget::with_deadline(Duration::from_millis(1));
         let start = Instant::now();
-        let out = crack_probabilities_per_component(&graph, MAX_PERMANENT_N, threads, &budget);
+        let out = crack_probabilities_per_component(&graph, threads, &budget);
         let elapsed = start.elapsed();
         assert_eq!(
             out,
             Err(ExactError::Interrupted(ExecError::BudgetExceeded {
-                budget_ms: 25
+                budget_ms: 1
             })),
             "threads={threads}"
         );
         assert!(
-            elapsed <= Duration::from_millis(25) + SLACK,
+            elapsed <= Duration::from_millis(1) + SLACK,
             "threads={threads}: took {elapsed:?}"
         );
     }
+
+    // A 26-item component declines on its price before any walk.
+    let start = Instant::now();
+    let out = crack_probabilities_per_component(&one_26_item_component(), 1, &Budget::unlimited());
+    assert!(
+        matches!(
+            out,
+            Err(ExactError::TooCostly {
+                cap: EXACT_PRICE_CAP,
+                ..
+            })
+        ),
+        "{out:?}"
+    );
+    assert!(start.elapsed() <= SLACK, "took {:?}", start.elapsed());
 }
 
 #[test]
@@ -194,7 +216,7 @@ fn component_walk_stops_on_a_pre_cancelled_token() {
     let budget = Budget::unlimited().with_token(token);
     for threads in [1usize, 4] {
         let start = Instant::now();
-        let out = crack_probabilities_per_component(&graph, MAX_PERMANENT_N, threads, &budget);
+        let out = crack_probabilities_per_component(&graph, threads, &budget);
         let elapsed = start.elapsed();
         assert_eq!(
             out,

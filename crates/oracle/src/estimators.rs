@@ -7,7 +7,7 @@
 //! | convex DP              | DP key `<= 64` bits and `<= max_states` states, feasible | exact |
 //! | closed forms (L1–L6)   | ignorant / point / chain    | exact      |
 //! | Ryser permanent        | `n <= cap`, feasible        | exact      |
-//! | budgeted ladder (exact rung) | every component `<= cap`, feasible | exact |
+//! | budgeted ladder (exact rung) | every component `<= cap`, priced under the kernel's cap, feasible | exact |
 //! | swap-walk sampler      | feasible, whole domain      | stochastic |
 //! | O-estimate plain/prop  | everywhere feasible         | lower bound|
 //!
@@ -21,7 +21,7 @@
 use andi_core::{ChainSpec, OutdegreeProfile};
 use andi_data::FrequencyGroups;
 use andi_graph::sampler::SamplerConfig;
-use andi_graph::{Budget, Matching, MAX_PERMANENT_N};
+use andi_graph::{Budget, ExactError, Matching, MAX_PERMANENT_N};
 
 use crate::convex::{convex_exact, ConvexError, DEFAULT_STATE_BUDGET};
 use crate::error::OracleError;
@@ -209,8 +209,11 @@ pub fn crack_probabilities_of(inst: &Instance) -> Result<Vec<f64>, OracleError> 
 /// one connected component at a time
 /// ([`andi_graph::crack_probabilities_per_component`]). It applies
 /// wherever every component has at most `cap` items, so it also
-/// answers domains above the cap. With an unlimited budget and
-/// `n <= cap` it must be *bit-identical* to [`Permanent`].
+/// answers domains above the cap, and the kernel's priced decline
+/// ([`ExactError::TooCostly`]) is
+/// [`OracleError::NotApplicable`]. With an unlimited budget and
+/// `n <= cap` it must be *bit-identical* to [`Permanent`] wherever
+/// the price passes.
 pub struct LadderExact {
     /// Worker threads for the budgeted permanents.
     pub threads: usize,
@@ -224,11 +227,10 @@ impl Estimator for LadderExact {
     }
 
     fn applies_to(&self, inst: &Instance) -> bool {
-        let cap = self.cap.min(MAX_PERMANENT_N);
         inst.validate().is_ok()
             && inst.graph().is_ok_and(|g| {
                 g.components()
-                    .map_or(inst.n() <= cap, |c| c.largest() <= cap)
+                    .map_or(inst.n() <= self.cap, |c| c.largest() <= self.cap)
             })
     }
 
@@ -236,14 +238,14 @@ impl Estimator for LadderExact {
         let graph = inst.graph()?;
         let budget = Budget::unlimited();
         let threads = self.threads.max(1);
-        let probs =
-            andi_graph::crack_probabilities_per_component(&graph, self.cap, threads, &budget)
-                .map_err(|e| match e {
-                    andi_graph::ExactError::EmptyMappingSpace => {
-                        OracleError::Core(andi_core::Error::EmptyMappingSpace)
-                    }
-                    other => OracleError::Invalid(format!("budgeted permanent failed: {other}")),
-                })?;
+        let probs = andi_graph::crack_probabilities_per_component(&graph, threads, &budget)
+            .map_err(|e| match e {
+                ExactError::EmptyMappingSpace => {
+                    OracleError::Core(andi_core::Error::EmptyMappingSpace)
+                }
+                ExactError::TooCostly { .. } => OracleError::NotApplicable("ladder-exact"),
+                other => OracleError::Invalid(format!("budgeted permanent failed: {other}")),
+            })?;
         Ok(exact_sum(&probs, inst))
     }
 }

@@ -31,13 +31,9 @@ fn convex_dp_equals_per_component_marginals_on_the_analogs() {
                 .unwrap_or_else(|e| panic!("{name}: the DP declined: {e}"));
             assert!(convex.window >= 2, "{name}: W = {}", convex.window);
             for threads in [1, 4, available_threads()] {
-                let exact = crack_probabilities_per_component(
-                    &graph,
-                    MAX_PERMANENT_N,
-                    threads,
-                    &Budget::unlimited(),
-                )
-                .unwrap_or_else(|e| panic!("{name}: the component walk failed: {e}"));
+                let exact =
+                    crack_probabilities_per_component(&graph, threads, &Budget::unlimited())
+                        .unwrap_or_else(|e| panic!("{name}: the component walk failed: {e}"));
                 for (x, (&p, &q)) in exact.iter().zip(&convex.probabilities).enumerate() {
                     assert!(
                         (p - q).abs() <= 1e-12 * q.abs(),

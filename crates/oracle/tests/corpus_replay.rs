@@ -52,7 +52,9 @@ fn corpus_replay_is_deterministic() {
 fn corpus_files_are_canonical() {
     // Each committed file is the canonical serialization of the
     // instance it parses to, under the file name the corpus derives
-    // from its label — so regenerating the corpus is a no-op.
+    // from its label. This checks each file against itself only: it
+    // does not check that today's generator would write the same
+    // instances.
     let entries = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
     for (path, inst) in &entries {
         let text = std::fs::read_to_string(path).unwrap();

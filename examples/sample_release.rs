@@ -68,10 +68,9 @@ fn main() {
     let belief = BeliefFunction::widened(&db.frequencies(), delta).expect("valid");
     let graph = belief.build_graph(&supports, m);
     match best_expected_cracks(&graph) {
-        Ok(e) => println!(
-            "full release, exact expected cracks = {:.3} via {:?}",
-            e.value, e.method
-        ),
+        Ok((rung, value)) => {
+            println!("full release, exact expected cracks = {value:.3} via {rung}")
+        }
         Err(e) => println!("exact estimate unavailable: {e}"),
     }
 

@@ -61,10 +61,10 @@ fn main() -> ExitCode {
 /// able to tell a degraded figure from an exact one.
 const EXIT_DEGRADED: u8 = 3;
 
-/// Renders the usage text; built at call time so the component caps
-/// in the help track [`andi::graph::MAX_PERMANENT_N`] and
-/// [`andi::core::estimate::RYSER_LIMIT`] instead of drifting when a
-/// ceiling moves.
+/// Renders the usage text; built at call time so the exact rungs'
+/// price cap in the help tracks
+/// [`andi::graph::exact::EXACT_PRICE_CAP`] instead of drifting when
+/// it moves.
 fn usage() -> String {
     format!(
         "usage:
@@ -80,14 +80,14 @@ fn usage() -> String {
   andi demo
 
 exact kernels run one connected component at a time, at any domain
-size: assess's exact rung takes components of up to {cap} items and
-oe --exact up to {ryser}; larger components answer from the sampler
-(assess) or the propagated O-estimate (oe --exact) instead
+size: assess's exact rung and oe --exact answer when the components'
+Ryser walks price at most {cap} subset steps (one 18-item component);
+costlier graphs answer from the sampler (assess) or the propagated
+O-estimate (oe --exact) instead
 
 exit codes: 0 success, 1 error, 3 budgeted assessment answered by a
 degraded rung (see the provenance lines)",
-        cap = andi::graph::MAX_PERMANENT_N,
-        ryser = andi::core::estimate::RYSER_LIMIT
+        cap = andi::graph::exact::EXACT_PRICE_CAP
     )
 }
 
@@ -413,10 +413,7 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
     );
     if flag(args, "--exact") {
         match andi::best_expected_cracks(&graph) {
-            Ok(e) => println!(
-                "best estimate             : {:.3} via {:?}",
-                e.value, e.method
-            ),
+            Ok((rung, value)) => println!("best estimate             : {value:.3} via {rung}"),
             Err(e) => println!("best estimate             : unavailable ({e})"),
         }
     }

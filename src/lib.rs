@@ -52,9 +52,8 @@ pub use andi_core::{
     assess_risk_budgeted, best_expected_cracks, compliancy_curve, identify_sets, oestimate,
     oestimate_for, sample_release_curve, sampled_belief, similarity_by_sampling,
     simulate_expected_cracks, AnonymizationMapping, BeliefFunction, BudgetedAssessment, ChainSpec,
-    CrackEstimate, EstimateMethod, GapPolicy, InterestSpec, ItemsetBelief, OutdegreeProfile,
-    PowersetBelief, Provenance, RecipeConfig, RiskAssessment, RiskDecision, Rung, SimilarityConfig,
-    SimulationConfig,
+    GapPolicy, InterestSpec, ItemsetBelief, OutdegreeProfile, PowersetBelief, Provenance,
+    RecipeConfig, RiskAssessment, RiskDecision, Rung, SimilarityConfig, SimulationConfig,
 };
 pub use andi_data::{bigmart, Analog, Database, FrequencyGroups, ItemId, Transaction};
 pub use andi_graph::{Budget, CancelToken};

@@ -148,7 +148,7 @@ fn oe_with_exact_estimator() {
     let text = stdout(&out);
     assert!(text.contains("O-estimate (plain)"));
     assert!(text.contains("best estimate"));
-    assert!(text.contains("RyserExact"), "got:\n{text}");
+    assert!(text.contains("via exact-permanent"), "got:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

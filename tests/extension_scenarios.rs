@@ -7,8 +7,8 @@ use andi::core::powerset::{ItemsetBelief, PowersetBelief};
 use andi::core::sanitize::{round_supports, utility_loss};
 use andi::mining::{closed_itemsets, maximal_itemsets, Algorithm};
 use andi::{
-    assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, Budget, EstimateMethod,
-    FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
+    assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, Budget, FrequencyGroups,
+    OutdegreeProfile, RecipeConfig, Rung,
 };
 use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 use rand::rngs::StdRng;
@@ -97,9 +97,9 @@ fn powerset_pruning_feeds_exact_estimation() {
 
     // Item-level exact expectation.
     let item_graph = item_belief.build_graph(&db.supports(), 10);
-    let item_exact = best_expected_cracks(&item_graph).unwrap();
-    assert!(item_exact.method.is_exact());
-    assert!((item_exact.value - 3.0).abs() < 1e-9);
+    let (rung, item_exact) = best_expected_cracks(&item_graph).unwrap();
+    assert_eq!(rung, Rung::Exact);
+    assert!((item_exact - 3.0).abs() < 1e-9);
 
     // Pair-level pruning raises the exact expectation.
     let pair_support = db.itemset_support(&[andi::ItemId(0), andi::ItemId(1)]);
@@ -110,7 +110,7 @@ fn powerset_pruning_feeds_exact_estimation() {
     let risk = assess_powerset_risk(&db, &belief).unwrap();
     let pruned_exact = andi::graph::expected_cracks(&risk.graph).unwrap();
     assert!(
-        pruned_exact > item_exact.value + 0.5,
+        pruned_exact > item_exact + 0.5,
         "pair knowledge must raise the exact expectation: {pruned_exact}"
     );
 }
@@ -228,29 +228,28 @@ fn powerset_pruning_is_sound_by_enumeration() {
 
 /// The exact estimator's provenance is reported truthfully: a small
 /// belief answers on Ryser per component, equal to the dense kernel
-/// on the whole graph, and one component above `RYSER_LIMIT` leaves
-/// the answer to the O-estimate.
+/// on the whole graph, and one 19-item component, whose walks price
+/// above the exact cap, leaves the answer to the O-estimate.
 #[test]
 fn estimator_provenance_chain() {
     let db = bigmart();
     let belief = BeliefFunction::widened(&db.frequencies(), 0.1).unwrap();
     let graph = belief.build_graph(&db.supports(), 10);
 
-    let exact = best_expected_cracks(&graph).unwrap();
-    assert_eq!(exact.method, EstimateMethod::RyserExact);
+    let (rung, exact) = best_expected_cracks(&graph).unwrap();
+    assert_eq!(rung, Rung::Exact);
     let dense = andi::graph::expected_cracks(&graph.to_dense()).unwrap();
     assert!(
-        (exact.value - dense).abs() < 1e-9,
-        "both exact paths agree: {} vs {dense}",
-        exact.value
+        (exact - dense).abs() < 1e-9,
+        "both exact paths agree: {exact} vs {dense}"
     );
 
-    let n = andi::core::estimate::RYSER_LIMIT + 1;
+    let n = 19;
     let wide = BeliefFunction::from_intervals(vec![(0.0, 1.0); n])
         .unwrap()
         .build_graph(&vec![5; n], 10);
-    let oe = best_expected_cracks(&wide).unwrap();
-    assert_eq!(oe.method, EstimateMethod::OEstimate);
+    let (rung, _) = best_expected_cracks(&wide).unwrap();
+    assert_eq!(rung, Rung::OEstimate);
 }
 
 /// Forty items with distinct supports, each believed within one
@@ -267,7 +266,8 @@ fn forty_narrow_items() -> (Vec<u64>, Vec<(f64, f64)>) {
 
 /// Above 18 items, Ryser still answers: it runs one connected
 /// component at a time, so forty items in small components are
-/// `RyserExact`, equal to the oracle's independent convex DP.
+/// answered on the exact rung, equal to the oracle's independent
+/// convex DP.
 #[test]
 fn ryser_answers_above_eighteen_items_in_small_components() {
     let (supports, intervals) = forty_narrow_items();
@@ -276,14 +276,13 @@ fn ryser_answers_above_eighteen_items_in_small_components() {
         .build_graph(&supports, 100);
     assert!(graph.components().is_some_and(|c| c.largest() <= 18));
 
-    let ryser = best_expected_cracks(&graph).unwrap();
-    assert_eq!(ryser.method, EstimateMethod::RyserExact);
+    let (rung, ryser) = best_expected_cracks(&graph).unwrap();
+    assert_eq!(rung, Rung::Exact);
     let convex = convex_exact(&graph, DEFAULT_STATE_BUDGET).unwrap();
     assert!(
-        (convex.expected_cracks() - ryser.value).abs() < 1e-9,
-        "{} vs {}",
-        convex.expected_cracks(),
-        ryser.value
+        (convex.expected_cracks() - ryser).abs() < 1e-9,
+        "{} vs {ryser}",
+        convex.expected_cracks()
     );
 }
 
