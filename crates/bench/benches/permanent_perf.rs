@@ -55,17 +55,6 @@ fn bench_permanent(c: &mut Criterion) {
     }
     group.finish();
 
-    // The overflow-checked lane above `SAFE_UNCHECKED_N = 22`: these
-    // rows pin down where the raised `MAX_PERMANENT_N` ceiling sits
-    // in wall-clock terms.
-    let mut group = c.benchmark_group("permanent_ryser_checked");
-    group.sample_size(10);
-    for n in [24usize, 28] {
-        let g = random_graph(n, 0.5, n as u64);
-        group.bench_function(format!("n{n}"), |b| b.iter(|| permanent(black_box(&g))));
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("exact_expected_cracks");
     group.sample_size(10);
     for n in [8usize, 12] {
@@ -99,7 +88,7 @@ fn bench_per_component(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("exact_per_component");
     group.sample_size(10);
-    // Dense benchmark-scale interval graphs far above the 32-item
+    // Dense benchmark-scale interval graphs far above the 22-item
     // permanent cap: at δ_med they split into connected components
     // of at most 10 items, so `best_expected_cracks` answers them
     // exactly, one component at a time, on one worker here.

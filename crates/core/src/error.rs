@@ -26,8 +26,6 @@ pub enum Error {
     BudgetExceeded { budget_ms: u64 },
     /// A [`crate::parallel::CancelToken`] fired mid-run.
     Cancelled,
-    /// An exact computation overflowed its accumulator.
-    Overflow(String),
 }
 
 impl fmt::Display for Error {
@@ -62,7 +60,6 @@ impl fmt::Display for Error {
                 write!(f, "wall-clock budget of {budget_ms} ms exceeded")
             }
             Error::Cancelled => write!(f, "computation cancelled"),
-            Error::Overflow(msg) => write!(f, "arithmetic overflow: {msg}"),
         }
     }
 }
@@ -119,7 +116,6 @@ mod tests {
             .to_string()
             .contains("250 ms"));
         assert!(Error::Cancelled.to_string().contains("cancelled"));
-        assert!(Error::Overflow("i128".into()).to_string().contains("i128"));
     }
 
     #[test]

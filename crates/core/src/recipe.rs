@@ -265,8 +265,7 @@ impl BudgetedAssessment {
 ///    unconditional, so the ladder always lands.
 ///
 /// A rung descends on a deadline trip, an isolated worker panic, or
-/// (for the exact rung) permanent overflow or a priced decline; the
-/// returned
+/// (for the exact rung) a priced decline; the returned
 /// [`Provenance`] records the answering rung and every trip. The α
 /// mask runs after the ladder keep polling the cancel token (the
 /// deadline no longer applies — a degraded answer is still an
@@ -485,8 +484,8 @@ fn ladder_probabilities(
 
 /// Rung 1 of the ladder
 /// ([`andi_graph::crack_probabilities_per_component`]): `None` once
-/// its trip (a priced decline, an overflow, a deadline or a worker
-/// panic) is recorded in `trips`. An empty mapping space and a fired
+/// its trip (a priced decline, a deadline or a worker panic) is
+/// recorded in `trips`. An empty mapping space and a fired
 /// cancel token are errors.
 pub(crate) fn exact_rung(
     graph: &GroupedBigraph,
@@ -499,7 +498,6 @@ pub(crate) fn exact_rung(
         Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
         Err(ExactError::Interrupted(ExecError::Cancelled)) => return Err(Error::Cancelled),
         Err(e @ ExactError::TooCostly { .. }) => Error::InvalidParameter(e.to_string()),
-        Err(ExactError::Overflow) => Error::Overflow("permanent overflowed i128".into()),
         Err(ExactError::Interrupted(e)) => e.into(),
     };
     trips.push((Rung::Exact, trip));

@@ -6,18 +6,21 @@
 //!   trip, bit-identically at 1, 4 and `ANDI_THREADS` workers.
 //!   `andi-oracle`'s analog test checks the same marginals against
 //!   its independent exact estimator.
-//! - On random interval instances of at most 32 items, the ladder's
+//! - On random interval instances of at most `MAX_PERMANENT_N = 22`
+//!   items, the ladder's
 //!   `Result` is the dense Ryser kernel's on the whole graph, bit for
 //!   bit, at 1, 4 and `ANDI_THREADS` workers, wherever the walks price
 //!   under the cap; the rest decline on price to the sampler.
 //! - The price: one 18-item component with 18 crack edges is exactly
 //!   the cap and answers exactly, two of them decline, and components
-//!   of 33 and 70 items decline before any walk. Every interval graph
-//!   of at most 18 items prices under the cap.
+//!   of 23, 33 and 70 items decline before any walk. Every interval
+//!   graph of at most 18 items prices under the cap.
 //! - A crack edge that crosses components gives `p = 0`, and a
-//!   33-item component trips the exact rung so the sampler answers.
+//!   23-item component trips the exact rung so the sampler answers.
 //! - A graph with no perfect matching is an empty mapping space
 //!   whichever rung the ladder would answer on.
+//! - Degenerate inputs (one item, one frequency group) keep Lemma 1 on
+//!   every rung that answers them.
 
 use std::time::{Duration, Instant};
 
@@ -76,14 +79,15 @@ fn analog_beliefs_answer_on_the_exact_rung() {
     }
 }
 
-/// A seeded interval instance of at most 32 items over 40 supports
-/// of `m = 50` with narrow beliefs: all truthful, or each wrong with
-/// probability 1/16, or all truthful but one that holds no
-/// frequency.
+/// A seeded interval instance of at most [`MAX_PERMANENT_N`] items
+/// over 40 supports of `m = 50` with narrow beliefs: all truthful, or
+/// each wrong with probability 1/16, or all truthful but one that
+/// holds no frequency; or, from 19 items on, with every belief
+/// `[0, 1]`: one complete component, whose walks price above the cap.
 fn random_instance(rng: &mut StdRng) -> GroupedBigraph {
-    let n = rng.gen_range(1..=32);
+    let n = rng.gen_range(1..=MAX_PERMANENT_N);
     let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=40)).collect();
-    let kind = rng.gen_range(0..3);
+    let kind = rng.gen_range(0..4);
     let blank = rng.gen_range(0..n);
     let intervals: Vec<(f64, f64)> = supports
         .iter()
@@ -93,6 +97,7 @@ fn random_instance(rng: &mut StdRng) -> GroupedBigraph {
             let centre = match kind {
                 1 if rng.gen_range(0..16) == 0 => rng.gen_range(1..=40u64),
                 2 if x == blank => 45,
+                3 if n > 18 => return (0.0, 1.0),
                 _ => s,
             };
             (
@@ -106,7 +111,9 @@ fn random_instance(rng: &mut StdRng) -> GroupedBigraph {
 
 /// Where the walks price under the cap, the ladder's exact rung is the
 /// dense kernel's `Result` bit for bit; a costlier graph declines on
-/// price, before any walk, and the sampler answers it.
+/// price, before any walk, and the sampler answers it (the dense
+/// kernel is not run there: its walks of up to 22 items would take
+/// most of the test's time).
 #[test]
 fn small_domains_equal_the_dense_kernel_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xC0AA);
@@ -115,17 +122,17 @@ fn small_domains_equal_the_dense_kernel_bit_for_bit() {
         let graph = random_instance(&mut rng);
         let dense = graph.to_dense();
         for threads in [1, 4, available_threads()] {
-            let want = crack_probabilities_budgeted(&dense, threads, &Budget::unlimited());
             let got = ladder(&graph, threads);
-            match want {
-                Ok(_) if matches!(got, Ok((Rung::Sampler, _))) => {
-                    let priced = crack_probabilities_per_component(&graph, 1, &Budget::unlimited());
-                    assert!(
-                        graph.n() > 18 && matches!(priced, Err(ExactError::TooCostly { .. })),
-                        "case {case}, t={threads}: {priced:?}"
-                    );
-                    declined += 1;
-                }
+            if matches!(got, Ok((Rung::Sampler, _))) {
+                let priced = crack_probabilities_per_component(&graph, 1, &Budget::unlimited());
+                assert!(
+                    graph.n() > 18 && matches!(priced, Err(ExactError::TooCostly { .. })),
+                    "case {case}, t={threads}: {priced:?}"
+                );
+                declined += 1;
+                continue;
+            }
+            match crack_probabilities_budgeted(&dense, threads, &Budget::unlimited()) {
                 Ok(p) => {
                     let bits: Vec<u64> = p.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(got, Ok((Rung::Exact, bits)), "case {case}, t={threads}");
@@ -190,7 +197,8 @@ fn an_eighteen_item_component_prices_at_the_cap_and_two_decline() {
 
 #[test]
 fn components_above_the_walk_ceiling_decline_before_any_walk() {
-    for n in [MAX_PERMANENT_N + 1, 70] {
+    assert_eq!(MAX_PERMANENT_N + 1, 23);
+    for n in [MAX_PERMANENT_N + 1, 33, 70] {
         let start = Instant::now();
         let out = crack_probabilities_per_component(&one_group(n), 1, &Budget::unlimited());
         assert_eq!(
@@ -245,7 +253,7 @@ fn three_claim_two(n: usize) -> GroupedBigraph {
 }
 
 /// The 20-item graph prices above the cap, and so does the 40-item
-/// one, which is above the 32-item walk ceiling too. Neither has a
+/// one, which is above the 22-item walk ceiling too. Neither has a
 /// perfect matching, so the ladder says so, on an unlimited budget
 /// and on an expired one alike, rather than letting the sampler or
 /// the floor answer.
@@ -282,7 +290,7 @@ fn crossing_crack_edges_and_oversized_components() {
     let probs: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
     assert_eq!(probs, [0.0, 0.0, 0.5, 0.5]);
 
-    // One frequency group of 33 items is one 33-item component.
+    // One frequency group of 23 items is one 23-item component.
     let n = MAX_PERMANENT_N + 1;
     let graph = GroupedBigraph::new(&vec![5; n], 10, &vec![(0.0, 1.0); n]);
     let (provenance, probs) =
@@ -300,8 +308,8 @@ fn crossing_crack_edges_and_oversized_components() {
     assert_eq!(probs.len(), n);
 }
 
-/// Above 32 items, a 26-item component is priced as it is in a
-/// smaller domain: its `c + 1` walks of up to `2^c` subsets price far
+/// In a 40-item domain, a 26-item component is priced like any
+/// other: its `c + 1` walks of up to `2^(c-1)` subsets price far
 /// above the cap, so the exact rung declines before any walk, and the
 /// sampler answers inside a one-second deadline that those walks, a
 /// minute or more of work, would have burnt.
@@ -343,5 +351,72 @@ fn a_mid_size_component_under_a_short_deadline_is_sampled() {
             "t={threads}"
         );
         assert_eq!(probs.len(), graph.n());
+    }
+}
+
+/// `n` items of support 1 over `m = 1`, each believed at its true
+/// frequency 1: one frequency group, so a complete graph, where
+/// Lemma 1 puts the expected crack count at exactly 1.
+fn one_transaction(n: usize) -> GroupedBigraph {
+    GroupedBigraph::new(&vec![1; n], 1, &vec![(1.0, 1.0); n])
+}
+
+/// Degenerate inputs through every rung: one item, and one frequency
+/// group at 6 items (the exact rung answers) and at 40 (a priced
+/// decline hands it to the sampler), then all three under an expired
+/// budget, where the floor answers. Lemma 1 is the reference: the
+/// probabilities sum to 1 within 1e-12 on the exact rung and the
+/// floor, and within six standard errors on the sampler, whose crack
+/// count (the fixed points of a uniform permutation) has variance 1.
+/// A belief that covers no observed frequency is an empty mapping
+/// space on every budget.
+#[test]
+fn degenerate_inputs_keep_lemma_1_on_every_rung() {
+    let config = RecipeConfig::default();
+    let sampler_se = 1.0 / (config.sampler_schedule.n_samples as f64).sqrt();
+    for (n, rung) in [(1, Rung::Exact), (6, Rung::Exact), (40, Rung::Sampler)] {
+        let graph = one_transaction(n);
+        assert_eq!(graph.components().map(|c| c.largest()), Some(n));
+        for threads in [1, 4] {
+            for (budget, rung, tolerance) in [
+                (Budget::unlimited(), rung, 1e-12),
+                (
+                    Budget::with_deadline(Duration::ZERO),
+                    Rung::OEstimate,
+                    1e-12,
+                ),
+            ] {
+                let tolerance = if rung == Rung::Sampler {
+                    6.0 * sampler_se
+                } else {
+                    tolerance
+                };
+                let (provenance, probs) =
+                    ladder_crack_probabilities(&graph, &config, threads, &budget)
+                        .expect("a complete graph has perfect matchings");
+                assert_eq!(provenance.rung, rung, "n = {n}, t={threads}");
+                assert_eq!(probs.len(), n);
+                let total: f64 = probs.iter().sum();
+                assert!(
+                    (total - 1.0).abs() <= tolerance,
+                    "n = {n}, t={threads}, {rung:?}: Σp = {total}"
+                );
+            }
+        }
+
+        // Item 0 believes a frequency no item has.
+        let mut intervals = vec![(1.0, 1.0); n];
+        intervals[0] = (0.0, 0.5);
+        let graph = GroupedBigraph::new(&vec![1; n], 1, &intervals);
+        for threads in [1, 4] {
+            for budget in [Budget::unlimited(), Budget::with_deadline(Duration::ZERO)] {
+                let out = ladder_crack_probabilities(&graph, &config, threads, &budget);
+                assert_eq!(
+                    out.map(|(p, _)| p.rung),
+                    Err(Error::EmptyMappingSpace),
+                    "n = {n}, t={threads}"
+                );
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! `to_bits` together with the [`Rung`] that answered. CHESS,
 //! MUSHROOM and CONNECT split into connected components of at most
 //! 10 items and answer on the exact rung, Ryser per component; PUMSB,
-//! ACCIDENTS and RETAIL have components far above the 32-item walk
+//! ACCIDENTS and RETAIL have components far above the 22-item walk
 //! ceiling, price above the exact cap and fall through to the
 //! propagated O-estimate.
 

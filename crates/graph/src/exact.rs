@@ -41,9 +41,6 @@ pub enum ExactError {
     /// The graph has no perfect matching: the mapping space is empty
     /// and crack probabilities are undefined.
     EmptyMappingSpace,
-    /// The Ryser accumulator would overflow `i128` (dense graphs
-    /// near [`MAX_PERMANENT_N`]).
-    Overflow,
     /// The component walks would take more than [`EXACT_PRICE_CAP`]
     /// subset steps, so none was tried.
     TooCostly {
@@ -62,12 +59,6 @@ impl std::fmt::Display for ExactError {
         match self {
             ExactError::EmptyMappingSpace => {
                 write!(f, "graph has no perfect matching; mapping space is empty")
-            }
-            ExactError::Overflow => {
-                write!(
-                    f,
-                    "permanent overflowed i128; domain too dense for exact Ryser"
-                )
             }
             ExactError::TooCostly { price, cap } => write!(
                 f,
@@ -279,9 +270,10 @@ fn component_probabilities(
     Ok(())
 }
 
-/// Splits the graph with row masks `rows` (`rows.len() <= 32`) into
-/// its connected components, in the order of their lowest row: each
-/// is a pair of (row, column) bitmasks. A component whose sides
+/// Splits the graph with row masks `rows`
+/// (`rows.len() <= MAX_PERMANENT_N`) into its connected components,
+/// in the order of their lowest row: each is a pair of (row, column)
+/// bitmasks. A component whose sides
 /// differ in size has no perfect matching, so it is
 /// [`ExactError::EmptyMappingSpace`]. That covers an empty row and,
 /// since the components partition the rows, an uncovered column.
@@ -332,7 +324,7 @@ fn gather(row: u64, cols: u64) -> u64 {
         .fold(0, |acc, (k, j)| acc | ((row >> j) & 1) << k)
 }
 
-/// Maps the budgeted permanent's three-way outcome onto
+/// The budgeted permanent with its interruption as an
 /// [`ExactError`].
 pub(crate) fn budgeted_permanent(
     rows: &[u64],
@@ -340,11 +332,7 @@ pub(crate) fn budgeted_permanent(
     threads: usize,
     budget: &Budget,
 ) -> Result<u128, ExactError> {
-    match try_permanent_of_rows_budgeted(rows, n, threads, budget) {
-        Err(e) => Err(ExactError::Interrupted(e)),
-        Ok(None) => Err(ExactError::Overflow),
-        Ok(Some(v)) => Ok(v),
-    }
+    try_permanent_of_rows_budgeted(rows, n, threads, budget).map_err(ExactError::Interrupted)
 }
 
 /// [`crack_probabilities_budgeted`] with an unlimited budget on the
@@ -353,9 +341,7 @@ pub(crate) fn budgeted_permanent(
 ///
 /// # Panics
 ///
-/// Panics if `g.n() > MAX_PERMANENT_N`, on accumulator overflow
-/// (dense graphs near the cap; [`crack_probabilities_budgeted`]
-/// reports it as [`ExactError::Overflow`]) and on an injected fault.
+/// Panics if `g.n() > MAX_PERMANENT_N` and on an injected fault.
 pub fn crack_probabilities(g: &DenseBigraph) -> Option<Vec<f64>> {
     or_empty(crack_probabilities_budgeted(
         g,
@@ -377,13 +363,12 @@ fn or_empty<T>(result: Result<T, ExactError>) -> Option<T> {
 
 /// The single panic site of the convenience wrappers ([`permanent`],
 /// [`crack_probabilities`], [`expected_cracks`]). They run on an
-/// unlimited budget, so only accumulator overflow or a fault injected
-/// into a chunk task lands here; budgeted callers see the same
-/// conditions as [`ExactError`].
+/// unlimited budget, so only a fault injected into a chunk task lands
+/// here; budgeted callers see it as [`ExactError::Interrupted`].
 ///
 /// [`permanent`]: crate::permanent::permanent
 pub(crate) fn exact_failure(e: ExactError) -> ! {
-    // andi::allow(panic-reachability) — documented panicking wrappers; overflow-safe callers use the budgeted cores
+    // andi::allow(panic-reachability) — documented panicking wrappers; fault-tolerant callers use the budgeted cores
     panic!("{e}")
 }
 
@@ -519,10 +504,10 @@ fn crack_probabilities_reference(g: &DenseBigraph) -> Result<Vec<f64>, ExactErro
     if uncovered || found.iter().any(|(r, c)| r.len() != c.len()) {
         return Err(ExactError::EmptyMappingSpace);
     }
-    let perm = |rows: &[usize], cols: &[usize]| -> Result<u128, ExactError> {
+    let perm = |rows: &[usize], cols: &[usize]| -> u128 {
         let k = rows.len();
         if k == 0 {
-            return Ok(1);
+            return 1;
         }
         let sub: Vec<u64> = rows
             .iter()
@@ -532,19 +517,18 @@ fn crack_probabilities_reference(g: &DenseBigraph) -> Result<Vec<f64>, ExactErro
             })
             .collect();
         let total = crate::permanent::ryser_range_reference(&sub, k, 1, 1u64 << k);
-        let total = total.ok_or(ExactError::Overflow)?;
-        Ok(u128::try_from(total).expect("a permanent is non-negative"))
+        u128::try_from(total).expect("a permanent is non-negative")
     };
     let mut probs = vec![0.0; n];
     for (rows, cols) in &found {
-        let total = perm(rows, cols)?;
+        let total = perm(rows, cols);
         if total == 0 {
             return Err(ExactError::EmptyMappingSpace);
         }
         for &x in rows.iter().filter(|&&x| g.has_edge(x, x)) {
             let minor_rows: Vec<usize> = rows.iter().copied().filter(|&i| i != x).collect();
             let minor_cols: Vec<usize> = cols.iter().copied().filter(|&y| y != x).collect();
-            probs[x] = perm(&minor_rows, &minor_cols)? as f64 / total as f64;
+            probs[x] = perm(&minor_rows, &minor_cols) as f64 / total as f64;
         }
     }
     Ok(probs)
@@ -673,24 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_overflow_is_a_structured_error_not_a_panic() {
-        // The satellite regression: the dense n=27 case that overflows
-        // Ryser's i128 partial sums must surface as
-        // `ExactError::Overflow` from the audited caller path (the
-        // `expected_cracks` wrapper panics on it instead).
-        let mut g = DenseBigraph::new(27);
-        for i in 0..27 {
-            for j in 0..27 {
-                g.add_edge(i, j);
-            }
-        }
-        assert_eq!(
-            crack_probabilities_budgeted(&g, par::available_threads(), &Budget::unlimited()),
-            Err(ExactError::Overflow)
-        );
-    }
-
-    #[test]
     fn budgeted_probabilities_match_legacy() {
         let mut g = DenseBigraph::new(6);
         for &i in &[0usize, 2, 3, 5] {
@@ -749,21 +715,36 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_blocks_past_the_whole_graph_walk() {
-        // K14 ⊕ K14 (n = 28) took a 2^28-subset checked-lane walk per
-        // permanent; K16 ⊕ K16 (n = 32) overflowed its i128
-        // accumulator. Factored, each block is a 14- or 16-item walk,
-        // and every item is cracked with probability 1/b.
-        for b in [14usize, 16] {
-            let g = two_complete_blocks(b);
-            for threads in [1usize, 4] {
-                let probs = crack_probabilities_budgeted(&g, threads, &Budget::unlimited())
-                    .expect("both blocks have perfect matchings");
-                assert_eq!(probs.len(), 2 * b);
-                for &p in &probs {
-                    assert_eq!(p.to_bits(), probs[0].to_bits());
-                    assert!((p - 1.0 / b as f64).abs() < 1e-15, "b={b}: p={p}");
-                }
+    fn disconnected_blocks_factor_at_and_above_the_cap() {
+        // K11 ⊕ K11 fills the dense kernel's domain bound (n = 22, a
+        // 2^21-subset walk on the whole graph); K14 ⊕ K14 and K16 ⊕ K16
+        // (n = 28, 32) are above it, so they take the grouped path: two
+        // frequency groups, each item believed at its own. Factored,
+        // each block is a b-item walk, and every item is cracked with
+        // probability 1/b.
+        let check = |b: usize, probs: Vec<f64>| {
+            assert_eq!(probs.len(), 2 * b);
+            for &p in &probs {
+                assert_eq!(p.to_bits(), probs[0].to_bits());
+                assert!((p - 1.0 / b as f64).abs() < 1e-15, "b={b}: p={p}");
+            }
+        };
+        for threads in [1usize, 4] {
+            for b in [10usize, 11] {
+                let g = two_complete_blocks(b);
+                let probs = crack_probabilities_budgeted(&g, threads, &Budget::unlimited());
+                check(b, probs.expect("both blocks have perfect matchings"));
+            }
+            for b in [14usize, 16] {
+                let supports: Vec<u64> = (0..2 * b).map(|i| if i < b { 5 } else { 7 }).collect();
+                let intervals: Vec<(f64, f64)> = supports
+                    .iter()
+                    .map(|&s| (s as f64 / 10.0, s as f64 / 10.0))
+                    .collect();
+                let graph = GroupedBigraph::new(&supports, 10, &intervals);
+                let probs =
+                    crack_probabilities_per_component(&graph, threads, &Budget::unlimited());
+                check(b, probs.expect("both blocks have perfect matchings"));
             }
         }
     }

@@ -35,8 +35,8 @@
 //!
 //! | kernel | budgeted core | wrappers |
 //! |--------|---------------|----------|
-//! | permanent | [`try_permanent_of_rows_budgeted`] | [`permanent()`] |
-//! | exact crack probabilities | [`crack_probabilities_budgeted`] (dense, `n <= 32`); [`crack_probabilities_per_component`] (grouped, any `n`, walks priced up to [`exact::EXACT_PRICE_CAP`]) | [`crack_probabilities`], [`expected_cracks`] |
+//! | permanent | [`try_permanent_of_rows_budgeted`] (one proven unchecked lane, `n <=` [`MAX_PERMANENT_N`] `= 22`) | [`permanent()`] |
+//! | exact crack probabilities | [`crack_probabilities_budgeted`] (dense, `n <= 22`); [`crack_probabilities_per_component`] (grouped, any `n`, walks priced up to [`exact::EXACT_PRICE_CAP`]) | [`crack_probabilities`], [`expected_cracks`] |
 //! | sampler | [`sample_cracks_budgeted`] (counts and per-item hits) | — ([`sample_crack_probabilities_budgeted`] is its hits / samples, same budget) |
 //! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
 

@@ -330,12 +330,12 @@ fn assume_soundness_flags_and_near_miss() {
     );
 }
 
-/// Satellite regression: widening the fast-lane dispatch ceiling
-/// without re-deriving the width proof must be caught by the prover.
-/// At `SAFE_UNCHECKED_N = 24`, the walk bound 2^23 * 24^24 exceeds
+/// Regression: widening the kernel's dispatch ceiling without
+/// re-deriving the width proof must be caught by the prover. At
+/// `MAX_PERMANENT_N = 24`, the walk bound 2^23 * 24^24 exceeds
 /// `i128::MAX`, so no total-accumulator contract can exist — the best
-/// available assume (i128::MAX itself) leaves the `total += …`
-/// accumulation unprovable.
+/// available assume (i128::MAX itself) leaves both `total += …`
+/// accumulations unprovable: the block walk's and the chunk fold's.
 #[test]
 fn injected_dispatch_widening_is_flagged() {
     let path = workspace_root().join("crates/graph/src/permanent.rs");
@@ -351,10 +351,7 @@ fn injected_dispatch_widening_is_flagged() {
     let mut bugged = src.clone();
     for (from, to) in [
         // The injected bug: widen the fast-lane ceiling to 24.
-        (
-            "SAFE_UNCHECKED_N: usize = 22",
-            "SAFE_UNCHECKED_N: usize = 24",
-        ),
+        ("MAX_PERMANENT_N: usize = 22", "MAX_PERMANENT_N: usize = 24"),
         // Re-derive every small contract for N = 24 (24, 24^2, 24^3)…
         ("in [1, 22]", "in [1, 24]"),
         ("in [-22, 22]", "in [-24, 24]"),
@@ -381,19 +378,26 @@ fn injected_dispatch_widening_is_flagged() {
         .collect();
     assert_eq!(
         width.len(),
-        1,
-        "exactly the widened accumulation must flag, got {findings:?}"
+        2,
+        "exactly the two widened accumulations must flag, got {findings:?}"
     );
-    assert!(
-        width[0].message.contains("unproven `+`"),
-        "the finding must name the offending op: {}",
-        width[0].message
-    );
-    assert!(
-        width[0].message.contains("does not fit `i128`"),
-        "the finding must show the overflowed type: {}",
-        width[0].message
-    );
+    let lines: Vec<&str> = bugged.lines().collect();
+    for f in &width {
+        assert!(
+            lines[f.line as usize - 1].contains("total +="),
+            "the finding must sit on a `total +=` accumulation: {f:?}"
+        );
+        assert!(
+            f.message.contains("unproven `+`"),
+            "the finding must name the offending op: {}",
+            f.message
+        );
+        assert!(
+            f.message.contains("does not fit `i128`"),
+            "the finding must show the overflowed type: {}",
+            f.message
+        );
+    }
     assert!(
         findings.iter().all(|f| f.rule == "unchecked-width"),
         "the re-derived contracts must not trip other rules: {findings:?}"

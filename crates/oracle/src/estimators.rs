@@ -146,11 +146,12 @@ impl Estimator for ClosedForm {
     }
 }
 
-/// Exact crack probabilities from Ryser permanents, summed over the
-/// whole domain or the instance's mask.
+/// Exact crack probabilities from Ryser permanents on the dense graph
+/// of the whole domain, summed over the domain or the instance's mask.
+/// It applies up to the kernel's [`MAX_PERMANENT_N`] = 22 items.
 pub struct Permanent {
-    /// Domain-size ceiling; permanents cost `O(n 2^n)` so sweeps cap
-    /// well below [`MAX_PERMANENT_N`].
+    /// Domain-size ceiling, clamped to [`MAX_PERMANENT_N`]; each walk
+    /// costs `O(n 2^(n-1))`, so sweeps cap well below it.
     pub cap: usize,
 }
 

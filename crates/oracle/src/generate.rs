@@ -4,7 +4,6 @@
 //! counts.
 
 use andi_core::{BeliefFunction, ChainSpec};
-use andi_graph::MAX_PERMANENT_N;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -286,10 +285,16 @@ fn near_degenerate(rng: &mut StdRng, index: u64, label: String) -> Instance {
     }
 }
 
-/// Large mixed-shape domains up to `MAX_PERMANENT_N`; only the cheap
+/// Largest domain of the adversarial regime. It is the regime's own
+/// bound, not the exact kernel's: the sweeps and the committed corpus
+/// draw `n` from `10..=32`.
+const ADVERSARIAL_MAX_N: usize = 32;
+
+/// Large mixed-shape domains up to [`ADVERSARIAL_MAX_N`] items, above
+/// the exact kernel's [`andi_graph::MAX_PERMANENT_N`]; only the cheap
 /// relations apply at these sizes.
 fn adversarial(rng: &mut StdRng, label: String) -> Instance {
-    let n = rng.gen_range(10..=MAX_PERMANENT_N);
+    let n = rng.gen_range(10..=ADVERSARIAL_MAX_N);
     let m = rng.gen_range(50..=400);
     let supports = random_supports(rng, n, m);
     let intervals: Vec<(f64, f64)> = supports

@@ -30,8 +30,9 @@ pub enum Regime {
     /// Near-degenerate structure: empty mapping spaces, duplicate
     /// frequencies, all-tied groups.
     NearDegenerate,
-    /// Larger domains up to `MAX_PERMANENT_N` with mixed interval
-    /// shapes; only the cheap relations apply.
+    /// Larger domains of 10 to 32 items with mixed interval shapes,
+    /// mostly above the exact kernel's `MAX_PERMANENT_N = 22`; only the
+    /// cheap relations apply.
     Adversarial,
 }
 

@@ -270,9 +270,6 @@ pub fn error_to_json(e: &Error) -> String {
             format!("{{\"kind\":\"budget-exceeded\",\"budget_ms\":{budget_ms}}}")
         }
         Error::Cancelled => "{\"kind\":\"cancelled\"}".to_string(),
-        Error::Overflow(msg) => {
-            format!("{{\"kind\":\"overflow\",\"message\":{}}}", json_string(msg))
-        }
     }
 }
 
@@ -315,7 +312,6 @@ pub fn error_from_json(v: &Json) -> Result<Error, OracleError> {
             budget_ms: num_field(v, "budget_ms")?,
         }),
         "cancelled" => Ok(Error::Cancelled),
-        "overflow" => Ok(Error::Overflow(str_field(v, "message")?)),
         other => Err(OracleError::Parse(format!("unknown error kind {other:?}"))),
     }
 }
@@ -420,7 +416,6 @@ mod tests {
             },
             Error::BudgetExceeded { budget_ms: 250 },
             Error::Cancelled,
-            Error::Overflow("u128".into()),
         ]
     }
 

@@ -5,7 +5,7 @@
 //! depend on the thread count.
 
 use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
-use andi_oracle::{check_instance, corpus, CheckConfig};
+use andi_oracle::{check_instance, corpus, generate, CheckConfig, Regime};
 
 #[test]
 fn committed_corpus_replays_clean() {
@@ -52,10 +52,12 @@ fn corpus_replay_is_deterministic() {
 fn corpus_files_are_canonical() {
     // Each committed file is the canonical serialization of the
     // instance it parses to, under the file name the corpus derives
-    // from its label. This checks each file against itself only: it
-    // does not check that today's generator would write the same
-    // instances.
+    // from its label. A generated file, labelled
+    // `gen <regime> seed=<s> index=<i>`, must also be exactly what
+    // today's generator returns for that triple, so a generator change
+    // that moves a committed instance fails here.
     let entries = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
+    let (mut generated, mut drifted) = (0, Vec::new());
     for (path, inst) in &entries {
         let text = std::fs::read_to_string(path).unwrap();
         assert_eq!(text, inst.to_text(), "{} is not canonical", path.display());
@@ -67,7 +69,28 @@ fn corpus_files_are_canonical() {
             path.display(),
             inst.label
         );
+        if let Some((regime, seed, index)) = generated_triple(&inst.label) {
+            if text != generate(seed, index, regime).to_text() {
+                drifted.push(name.to_string());
+            }
+            generated += 1;
+        }
     }
+    assert!(generated >= 18, "only {generated} generated files");
+    assert!(
+        drifted.is_empty(),
+        "not what the generator writes for their labels: {drifted:?}"
+    );
+}
+
+/// The `(regime, seed, index)` of a `gen <regime> seed=<s> index=<i>`
+/// label; `None` for a hand-written case.
+fn generated_triple(label: &str) -> Option<(Regime, u64, u64)> {
+    let mut words = label.strip_prefix("gen ")?.split(' ');
+    let regime = Regime::parse(words.next()?).expect("a generated label names its regime");
+    let seed = words.next()?.strip_prefix("seed=")?.parse().ok()?;
+    let index = words.next()?.strip_prefix("index=")?.parse().ok()?;
+    Some((regime, seed, index))
 }
 
 #[test]

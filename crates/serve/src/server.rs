@@ -673,7 +673,7 @@ fn core_error_response(e: &Error) -> Response {
         Error::EmptyMappingSpace => 422,
         Error::Cancelled => 503,
         Error::BudgetExceeded { .. } => 504,
-        Error::WorkerPanic { .. } | Error::Overflow(_) => 500,
+        Error::WorkerPanic { .. } => 500,
         _ => 400,
     };
     Response::json(status, error_to_json(e))

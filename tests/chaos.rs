@@ -284,15 +284,15 @@ fn faulted_permanent_panic_names_the_probe_point() {
     }
 }
 
-/// Identity on items 0..4, `K3` on 4..7 and `K17` on 7..24: the exact
+/// Identity on items 0..2, `K3` on 2..5 and `K17` on 5..22: the exact
 /// core walks each connected component on its own, the singletons
 /// and `K3` in one chunk each, `K17` in sixteen.
-fn disconnected24() -> DenseBigraph {
-    let mut g = DenseBigraph::new(24);
-    for i in 0..4 {
+fn disconnected22() -> DenseBigraph {
+    let mut g = DenseBigraph::new(22);
+    for i in 0..2 {
         g.add_edge(i, i);
     }
-    for (lo, hi) in [(4, 7), (7, 24)] {
+    for (lo, hi) in [(2, 5), (5, 22)] {
         for i in lo..hi {
             for j in lo..hi {
                 g.add_edge(i, j);
@@ -306,7 +306,7 @@ fn disconnected24() -> DenseBigraph {
 fn faulted_components_panic_at_the_first_chunk() {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = FaultSchedule::parse("7:1.0").unwrap().install();
-    let err = crack_probabilities_budgeted(&disconnected24(), 4, &Budget::unlimited())
+    let err = crack_probabilities_budgeted(&disconnected22(), 4, &Budget::unlimited())
         .expect_err("every chunk fires");
     match err {
         ExactError::Interrupted(ExecError::WorkerPanic { task, payload }) => {
@@ -329,7 +329,7 @@ fn faulted_components_are_thread_count_invariant() {
         "seed 21 no longer fires on a K17 chunk; pick another seed"
     );
     let _guard = schedule.install();
-    let g = disconnected24();
+    let g = disconnected22();
     let baseline = crack_probabilities_budgeted(&g, 1, &Budget::unlimited());
     assert!(
         matches!(

@@ -300,9 +300,9 @@ fn assess_belief_degrades_to_sampler_above_the_permanent_cap() {
     let inst = wide_ignorant_instance(&dir);
     let json = dir.join("prov.json");
 
-    // The complete 31-item component overflows the Ryser accumulator,
-    // so the ladder answers on the sampler rung: degraded exit code,
-    // one recorded trip.
+    // The complete 31-item component prices above the exact cap, so
+    // the ladder answers on the sampler rung: degraded exit code, one
+    // recorded trip.
     let out = andi(&[
         "assess",
         file.to_str().unwrap(),

@@ -87,7 +87,7 @@ proptest! {
         let rows: Vec<u64> = rows.iter().map(|&r| r | extra_density).collect();
         let b = Budget::unlimited();
         let serial = try_permanent_of_rows_budgeted(&rows, n, 1, &b);
-        prop_assert!(matches!(serial, Ok(Some(_))), "n=16 never overflows");
+        prop_assert!(serial.is_ok(), "an unlimited budget never trips");
         for threads in 2..=8 {
             prop_assert_eq!(
                 try_permanent_of_rows_budgeted(&rows, n, threads, &b),
@@ -158,14 +158,13 @@ fn sampler_shard_determinism_concrete_case() {
     }
 }
 
-/// Sizes on each side of the `SAFE_UNCHECKED_N = 22` accumulator-lane
-/// boundary (2^21 half-space and 2^23 - 1 plain-Ryser subsets, i.e.
-/// 512 and 2048 fixed chunk tasks), so both the half-space fast lane
-/// and the overflow-checked lane prove thread-count invariance on
-/// real chunk seams.
+/// The two largest sizes the kernel takes, up to
+/// `MAX_PERMANENT_N = 22` (2^20 and 2^21 half-space subsets, i.e. 256
+/// and 512 fixed chunk tasks), so the walk proves thread-count
+/// invariance on real chunk seams where its totals are largest.
 #[test]
-fn permanent_lane_boundary_is_identical_across_threads() {
-    for n in [22usize, 23] {
+fn permanent_chunk_seams_are_identical_across_threads() {
+    for n in [21usize, 22] {
         // Deterministic mixed-density rows: diagonal plus a splitmix-
         // style scramble, masked to n columns.
         let rows: Vec<u64> = (0..n)
@@ -178,8 +177,8 @@ fn permanent_lane_boundary_is_identical_across_threads() {
         let budget = Budget::unlimited();
         let serial = try_permanent_of_rows_budgeted(&rows, n, 1, &budget);
         assert!(
-            matches!(serial, Ok(Some(_))),
-            "n={n} instance should not overflow"
+            matches!(serial, Ok(v) if v > 0),
+            "n={n} instance has a perfect matching"
         );
         for threads in 2..=8 {
             assert_eq!(
