@@ -17,7 +17,7 @@ fn bench_plain_oe(c: &mut Criterion) {
     group.sample_size(20);
     for analog in Analog::ALL {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| {
                 // Full Figure 5 pipeline from the support profile:
@@ -35,7 +35,7 @@ fn bench_propagated_oe(c: &mut Criterion) {
     group.sample_size(10);
     for analog in Analog::ALL {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| {
@@ -53,7 +53,7 @@ fn bench_graph_construction(c: &mut Criterion) {
     group.sample_size(20);
     for analog in [Analog::Connect, Analog::Retail] {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| belief.build_graph(black_box(&w.supports), w.n_transactions))
         });

@@ -94,7 +94,7 @@ fn bench_per_component(c: &mut Criterion) {
     // exactly, one component at a time, on one worker here.
     for analog in [Analog::Chess, Analog::Mushroom, Analog::Connect] {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         group.bench_function(w.name.clone(), |b| {
             b.iter(|| {

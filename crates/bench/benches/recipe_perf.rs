@@ -36,7 +36,7 @@ fn bench_graph_build(c: &mut Criterion) {
     group.sample_size(10);
     for analog in [Analog::Chess, Analog::Connect, Analog::Pumsb] {
         let w = Workload::load(analog);
-        let intervals = w.delta_med_belief().intervals().to_vec();
+        let intervals = w.delta_med_belief().1.intervals().to_vec();
         group.bench_function(format!("scaffold_new/{}", w.name), |b| {
             b.iter(|| FrequencyScaffold::new(black_box(&w.supports), w.n_transactions))
         });

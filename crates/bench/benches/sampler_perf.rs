@@ -32,7 +32,7 @@ fn bench_sampler(c: &mut Criterion) {
 
     for analog in [Analog::Chess, Analog::Connect, Analog::Pumsb] {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         let seed = Matching::identity(w.n_items());
         // One batch on one worker: every call times the same 50 000

@@ -37,7 +37,7 @@ fn main() {
     for analog in datasets {
         let w = Workload::load(analog);
         let n = w.n_items();
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
 
         let mut table = TextTable::new([

@@ -41,7 +41,7 @@ fn main() {
 
     for analog in Analog::FIGURE_10 {
         let w = Workload::load(analog);
-        let belief = w.delta_med_belief();
+        let (_, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
 
         let t0 = Instant::now();

@@ -37,7 +37,7 @@ fn main() {
     for analog in Analog::FIGURE_10 {
         let w = Workload::load(analog);
         let n = w.n_items();
-        let belief = w.delta_med_belief();
+        let (delta_med, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         let threads = available_threads();
         // Exact marginals, one connected component at a time, when
@@ -58,7 +58,7 @@ fn main() {
         // width still absorb anonymized items and compete with the
         // compliant claimants, bending the curve super-linear (as the
         // paper's Figure 11 shows and the simulation confirms).
-        let width = 2.0 * w.delta_med();
+        let width = 2.0 * delta_med;
         let decoy = compliancy_curve_decoy(&graph, width, &alphas, n_runs(quick), 0xF1611, threads);
 
         let mut table = TextTable::new(if with_sim {
@@ -113,7 +113,7 @@ fn main() {
 fn simulate_alpha(w: &Workload, alpha: f64, quick: bool) -> f64 {
     let n = w.n_items();
     let freqs = w.frequencies();
-    let belief = w.delta_med_belief();
+    let (_, belief) = w.delta_med_belief();
     let mut rng = StdRng::seed_from_u64(0x51711 ^ (alpha * 1000.0) as u64);
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);

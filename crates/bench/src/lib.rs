@@ -70,15 +70,10 @@ impl Workload {
         FrequencyGroups::from_supports(&self.supports, self.n_transactions)
     }
 
-    /// The recipe's `δ_med`: the median frequency-group gap.
-    pub fn delta_med(&self) -> f64 {
-        self.groups().median_gap().unwrap_or(0.0)
-    }
-
-    /// The compliant interval belief function of recipe step 5:
-    /// `[f_x - δ_med, f_x + δ_med]`.
-    pub fn delta_med_belief(&self) -> BeliefFunction {
-        BeliefFunction::widened(&self.frequencies(), self.delta_med())
+    /// The recipe's `δ_med` and the compliant interval belief
+    /// function of its step 5: `[f_x - δ_med, f_x + δ_med]`.
+    pub fn delta_med_belief(&self) -> (f64, BeliefFunction) {
+        BeliefFunction::delta_med_compliant(&self.groups())
             .expect("frequencies derived from counts are valid")
     }
 }
@@ -134,8 +129,8 @@ mod tests {
         assert_eq!(w.name, "CHESS");
         assert_eq!(w.n_items(), 75);
         assert_eq!(w.n_transactions, 3_196);
-        assert!(w.delta_med() > 0.0);
-        let b = w.delta_med_belief();
+        let (delta_med, b) = w.delta_med_belief();
+        assert!(delta_med > 0.0);
         assert!((b.alpha(&w.frequencies()) - 1.0).abs() < 1e-12);
     }
 

@@ -12,6 +12,7 @@
 //!   item's true frequency, and **α-compliant** when a fraction `α`
 //!   of items are compliant.
 
+use andi_data::FrequencyGroups;
 use andi_graph::GroupedBigraph;
 use rand::Rng;
 
@@ -97,6 +98,38 @@ impl BeliefFunction {
             }
         }
         Self::from_intervals(intervals)
+    }
+
+    /// Steps 3–5 of Figure 8 on a grouped support profile: `δ_med`,
+    /// the median gap between successive frequency groups (0 when a
+    /// single group leaves no gap), and the compliant belief
+    /// [`BeliefFunction::widened_profile`] by it.
+    ///
+    /// # Errors
+    ///
+    /// As [`BeliefFunction::widened`]: a support above the profile's
+    /// transaction count is an invalid interval.
+    pub fn delta_med_compliant(groups: &FrequencyGroups) -> Result<(f64, Self)> {
+        let delta = groups.median_gap().unwrap_or(0.0);
+        Ok((delta, Self::widened_profile(groups, delta)?))
+    }
+
+    /// The compliant belief `[s_x/m - δ, s_x/m + δ]` of every item of a
+    /// grouped support profile ([`FrequencyGroups::from_supports`]),
+    /// in item order, for a caller-chosen `δ`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BeliefFunction::widened`].
+    pub fn widened_profile(groups: &FrequencyGroups, delta: f64) -> Result<Self> {
+        let mut freqs = vec![0.0; groups.n_items()];
+        for (i, group) in groups.groups.iter().enumerate() {
+            let f = groups.frequency(i);
+            for x in &group.items {
+                freqs[x.index()] = f;
+            }
+        }
+        Self::widened(&freqs, delta)
     }
 
     /// Builds from explicit intervals.
@@ -349,6 +382,50 @@ mod tests {
         assert_eq!(r, 1.0);
         // Widened beliefs are compliant by construction.
         assert!((b.alpha(&[0.05, 0.5, 0.98]) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn delta_med_is_zero_on_one_group() {
+        let groups = FrequencyGroups::from_supports(&[4, 4, 4], 10);
+        let (delta, b) = BeliefFunction::delta_med_compliant(&groups).unwrap();
+        assert_eq!(delta, 0.0);
+        assert!(b.is_point_valued());
+        assert_eq!(b.intervals(), [(0.4, 0.4); 3]);
+    }
+
+    #[test]
+    fn delta_med_is_the_median_gap_widening_of_the_analogs() {
+        use andi_data::Analog;
+        for analog in [
+            Analog::Chess,
+            Analog::Mushroom,
+            Analog::Connect,
+            Analog::Pumsb,
+        ] {
+            let (supports, m) = (analog.supports(), analog.spec().n_transactions);
+            let groups = FrequencyGroups::from_supports(&supports, m);
+            let delta = groups.median_gap().expect("many groups");
+            let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m as f64).collect();
+            let expected = BeliefFunction::widened(&freqs, delta).unwrap();
+            let (got_delta, got) = BeliefFunction::delta_med_compliant(&groups).unwrap();
+            assert_eq!(got_delta.to_bits(), delta.to_bits(), "{analog:?}");
+            let bits = |b: &BeliefFunction| -> Vec<(u64, u64)> {
+                b.intervals()
+                    .iter()
+                    .map(|&(l, r)| (l.to_bits(), r.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&expected), "{analog:?}");
+        }
+    }
+
+    #[test]
+    fn a_profile_support_above_m_is_an_invalid_interval() {
+        let groups = FrequencyGroups::from_supports(&[3, 12, 5], 10);
+        assert!(matches!(
+            BeliefFunction::widened_profile(&groups, 0.1),
+            Err(Error::InvalidInterval { item: 1, .. })
+        ));
     }
 
     #[test]

@@ -15,6 +15,9 @@ pub enum Error {
     InvalidParameter(String),
     /// The mapping space admits no consistent matching to analyze.
     EmptyMappingSpace,
+    /// The exact rung's component walks would take more than `cap`
+    /// subset steps, so it declined before any walk.
+    TooCostly { price: u64, cap: u64 },
     /// The underlying matching sampler failed.
     Sampler(String),
     /// A database-layer failure (construction, relabeling).
@@ -51,6 +54,10 @@ impl fmt::Display for Error {
             Error::EmptyMappingSpace => {
                 write!(f, "the space of consistent crack mappings is empty")
             }
+            Error::TooCostly { price, cap } => write!(
+                f,
+                "the component walks price at {price} subset steps, above the exact cap {cap}"
+            ),
             Error::Sampler(msg) => write!(f, "sampler failure: {msg}"),
             Error::Data(msg) => write!(f, "data error: {msg}"),
             Error::WorkerPanic { task, payload } => {
@@ -105,6 +112,10 @@ mod tests {
         assert!(Error::InvalidParameter("tau".into())
             .to_string()
             .contains("tau"));
+        assert_eq!(
+            Error::TooCostly { price: 9, cap: 4 }.to_string(),
+            "the component walks price at 9 subset steps, above the exact cap 4"
+        );
         assert!(Error::Sampler("x".into()).to_string().contains("x"));
         assert!(Error::Data("y".into()).to_string().contains("y"));
         let e = Error::WorkerPanic {

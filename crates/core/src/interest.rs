@@ -203,12 +203,10 @@ pub fn assess_interest_risk(
     let ignorant = formulas::ignorant_expected_cracks_of_subset(n, n_interest)?;
     let point_valued = formulas::point_valued_expected_cracks_of_subset(&groups, &mask)?;
 
-    let delta = config
-        .delta
-        .unwrap_or_else(|| groups.median_gap().unwrap_or(0.0));
-    let m = n_transactions as f64;
-    let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m).collect();
-    let belief = BeliefFunction::widened(&freqs, delta)?;
+    let belief = match config.delta {
+        Some(delta) => BeliefFunction::widened_profile(&groups, delta)?,
+        None => BeliefFunction::delta_med_compliant(&groups)?.1,
+    };
     let graph = belief.build_graph(supports, n_transactions);
     let profile = OutdegreeProfile::propagated(&graph)?;
     let interval_oe = profile.oestimate_masked(&mask)?;

@@ -336,10 +336,7 @@ fn figure8<T>(
     let g = groups.n_groups() as f64;
 
     // Steps 3-5: δ_med-widened compliant interval belief function.
-    let delta_med = groups.median_gap().unwrap_or(0.0);
-    let m = n_transactions as f64;
-    let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / m).collect();
-    let belief = BeliefFunction::widened(&freqs, delta_med)?;
+    let (delta_med, belief) = BeliefFunction::delta_med_compliant(&groups)?;
     let graph = belief.build_graph(supports, n_transactions);
 
     // Step 6: per-item crack probabilities.
@@ -411,8 +408,7 @@ fn figure8<T>(
 /// bit. A costlier graph declines before any walk, and the sampler
 /// answers unless the deadline trips it too. The price is a constant,
 /// so the rung choice depends only on the graph. The sampler rung
-/// starts from the identity when every item has its crack edge, and
-/// otherwise from [`GroupedBigraph::greedy_matching`], and the floor
+/// starts from [`GroupedBigraph::walk_seed`], and the floor
 /// propagates over the frequency groups, so no rung builds a dense
 /// graph of the whole domain.
 ///
@@ -497,24 +493,18 @@ pub(crate) fn exact_rung(
         Ok(p) => return Ok(Some(p)),
         Err(ExactError::EmptyMappingSpace) => return Err(Error::EmptyMappingSpace),
         Err(ExactError::Interrupted(ExecError::Cancelled)) => return Err(Error::Cancelled),
-        Err(e @ ExactError::TooCostly { .. }) => Error::InvalidParameter(e.to_string()),
+        Err(ExactError::TooCostly { price, cap }) => Error::TooCostly { price, cap },
         Err(ExactError::Interrupted(e)) => e.into(),
     };
     trips.push((Rung::Exact, trip));
     Ok(None)
 }
 
-/// The sampler's seed matching: the identity when every item can be
-/// its own crack, otherwise the deadline greedy's, a maximum matching
-/// on interval graphs. So when the seed is not perfect, no consistent
-/// matching exists: [`Error::EmptyMappingSpace`].
+/// The sampler's seed matching, [`GroupedBigraph::walk_seed`], which
+/// is a maximum matching. So when the seed is not perfect, no
+/// consistent matching exists: [`Error::EmptyMappingSpace`].
 pub(crate) fn seed_matching(graph: &GroupedBigraph) -> Result<Matching> {
-    let n = graph.n();
-    let seed = if (0..n).all(|i| graph.has_edge(i, i)) {
-        Matching::identity(n)
-    } else {
-        graph.greedy_matching()
-    };
+    let seed = graph.walk_seed();
     seed.is_perfect()
         .then_some(seed)
         .ok_or(Error::EmptyMappingSpace)
@@ -956,6 +946,25 @@ mod tests {
                 base.assessment.full_compliance_oe.to_bits(),
                 "t={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn a_partial_walk_seed_is_an_empty_mapping_space() {
+        // Item 0 believes no observed frequency: the walk seed is
+        // partial. With the exact rung out of time, the sampler's seed
+        // check is what reports the empty space.
+        let belief =
+            BeliefFunction::from_intervals(vec![(0.9, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
+        let graph = belief.build_graph(&[5, 4, 3], 10);
+        assert!(!graph.walk_seed().is_perfect());
+        for budget in [
+            Budget::unlimited(),
+            Budget::with_deadline(std::time::Duration::ZERO),
+        ] {
+            let err = ladder_crack_probabilities(&graph, &RecipeConfig::default(), 1, &budget)
+                .unwrap_err();
+            assert_eq!(err, Error::EmptyMappingSpace);
         }
     }
 

@@ -30,6 +30,22 @@ pub enum GapPolicy {
     Mean,
 }
 
+impl GapPolicy {
+    /// The half-width `δ'` this policy reads off a sampled profile's
+    /// groups, and the belief that profile widens by it. A single
+    /// frequency group has no gaps, so either policy falls back to a
+    /// point belief (width 0).
+    fn belief(self, groups: &FrequencyGroups) -> Result<(f64, BeliefFunction)> {
+        match self {
+            GapPolicy::Median => BeliefFunction::delta_med_compliant(groups),
+            GapPolicy::Mean => {
+                let delta = groups.gap_stats().map_or(0.0, |s| s.mean);
+                Ok((delta, BeliefFunction::widened_profile(groups, delta)?))
+            }
+        }
+    }
+}
+
 /// Configuration for the sampling sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct SimilarityConfig {
@@ -94,17 +110,9 @@ pub fn sampled_belief(
         )));
     }
     let sample = sample_fraction(db, fraction, rng);
-    let sampled_freqs = sample.frequencies();
-    let groups = FrequencyGroups::of_database(&sample);
-    let stats = groups.gap_stats();
-    let delta = match (config.gap_policy, stats) {
-        (GapPolicy::Median, Some(s)) => s.median,
-        (GapPolicy::Mean, Some(s)) => s.mean,
-        // A single frequency group has no gaps; fall back to a point
-        // belief (width 0).
-        (_, None) => 0.0,
-    };
-    let belief = BeliefFunction::widened(&sampled_freqs, delta)?;
+    let (delta, belief) = config
+        .gap_policy
+        .belief(&FrequencyGroups::of_database(&sample))?;
     let alpha = belief.alpha(&db.frequencies());
     Ok(SampledBelief {
         belief,
@@ -238,13 +246,9 @@ pub fn sample_release_curve(
             let sample = sample_fraction(db, fraction, &mut rng);
             let supports = sample.supports();
             let m = sample.n_transactions() as u64;
-            let groups = FrequencyGroups::from_supports(&supports, m);
-            let delta = match config.gap_policy {
-                GapPolicy::Median => groups.median_gap().unwrap_or(0.0),
-                GapPolicy::Mean => groups.gap_stats().map(|g| g.mean).unwrap_or(0.0),
-            };
-            let freqs: Vec<f64> = supports.iter().map(|&c| c as f64 / m as f64).collect();
-            let belief = BeliefFunction::widened(&freqs, delta)?;
+            let (_, belief) = config
+                .gap_policy
+                .belief(&FrequencyGroups::from_supports(&supports, m))?;
             let graph = belief.build_graph(&supports, m);
             let oe = crate::oestimate::OutdegreeProfile::plain(&graph).oestimate();
             oes.push(oe);

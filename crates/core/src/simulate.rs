@@ -153,10 +153,11 @@ impl SimulationResult {
 /// Simulates the expected number of cracks for a grouped mapping
 /// space.
 ///
-/// The seed matching is the identity (every item cracked, the paper's
-/// starting point) when it is consistent; otherwise the greedy
-/// interval matching — which may be partial when the belief function
-/// is non-compliant enough that some items are unmatchable.
+/// The seed matching is [`GroupedBigraph::walk_seed`]: the identity
+/// (every item cracked, the paper's starting point) when it is
+/// consistent; otherwise the greedy interval matching — which may be
+/// partial when the belief function is non-compliant enough that some
+/// items are unmatchable.
 ///
 /// # Errors
 ///
@@ -192,17 +193,10 @@ pub fn simulate_expected_cracks(
     if config.n_runs == 0 {
         return Err(Error::InvalidParameter("need at least one run".into()));
     }
-    let n = graph.n();
-    let identity_ok = (0..n).all(|x| graph.crack_edge_exists(x));
-    let base_seed = if identity_ok {
-        Matching::identity(n)
-    } else {
-        let m = graph.greedy_matching();
-        if m.size() == 0 {
-            return Err(Error::EmptyMappingSpace);
-        }
-        m
-    };
+    let base_seed = graph.walk_seed();
+    if base_seed.size() == 0 && graph.n() > 0 {
+        return Err(Error::EmptyMappingSpace);
+    }
     let decracked = decrack(graph, &base_seed);
 
     // `max(1)` leaves a zero `samples_per_seed` to the sampler's own
@@ -357,6 +351,17 @@ mod tests {
         assert!(sim.matched >= 5, "matched {}", sim.matched);
         // Item 0 can never be cracked; total cracks bounded by 5.
         assert!(sim.mean() <= 5.0);
+    }
+
+    #[test]
+    fn a_partial_seed_still_runs() {
+        // Item 0 believes no observed frequency, so the greedy seed
+        // matches the other two items only.
+        let b = BeliefFunction::from_intervals(vec![(0.9, 1.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
+        let graph = b.build_graph(&[5, 4, 3], 10);
+        assert_eq!(graph.walk_seed().size(), 2);
+        let sim = simulate_expected_cracks(&graph, &SimulationConfig::quick()).unwrap();
+        assert_eq!(sim.matched, 2);
     }
 
     #[test]

@@ -300,6 +300,14 @@ fn crossing_crack_edges_and_oversized_components() {
     assert_eq!(provenance.trips.len(), 1);
     let (rung, error) = &provenance.trips[0];
     assert_eq!(*rung, Rung::Exact);
+    // A priced decline is its own error kind, not an invalid request.
+    assert_eq!(
+        *error,
+        Error::TooCostly {
+            price: u64::MAX,
+            cap: EXACT_PRICE_CAP
+        }
+    );
     let message = error.to_string();
     assert!(
         message.contains("subset steps") && message.contains("1310720"),
@@ -331,13 +339,10 @@ fn a_mid_size_component_under_a_short_deadline_is_sampled() {
     let graph = GroupedBigraph::new(&supports, 100, &intervals);
     assert!(graph.n() > MAX_PERMANENT_N);
     assert_eq!(graph.components().map(|c| c.largest()), Some(26));
-    let Err(declined) = crack_probabilities_per_component(&graph, 1, &Budget::unlimited()) else {
-        panic!("a 26-item component prices above the cap");
+    let declined = crack_probabilities_per_component(&graph, 1, &Budget::unlimited());
+    let Err(ExactError::TooCostly { price, cap }) = declined else {
+        panic!("a 26-item component prices above the cap: {declined:?}");
     };
-    assert!(
-        matches!(declined, ExactError::TooCostly { .. }),
-        "{declined}"
-    );
 
     for threads in [1, 4] {
         let budget = Budget::with_deadline(Duration::from_secs(1));
@@ -347,7 +352,7 @@ fn a_mid_size_component_under_a_short_deadline_is_sampled() {
         assert_eq!(provenance.rung, Rung::Sampler, "t={threads}");
         assert_eq!(
             provenance.trips,
-            [(Rung::Exact, Error::InvalidParameter(declined.to_string()))],
+            [(Rung::Exact, Error::TooCostly { price, cap })],
             "t={threads}"
         );
         assert_eq!(probs.len(), graph.n());

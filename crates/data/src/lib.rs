@@ -12,7 +12,7 @@
 //! * [`sample`] — transaction sampling for Similarity-by-Sampling
 //!   (Figure 13);
 //! * [`synth`] — calibrated analogs of the six paper benchmarks plus
-//!   general-purpose Zipf and Quest-style generators.
+//!   a Quest-style correlated basket generator.
 //!
 //! ```
 //! use andi_data::{bigmart, stats::FrequencyGroups};

@@ -9,7 +9,6 @@
 pub mod materialize;
 pub mod profile;
 pub mod quest;
-pub mod zipf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

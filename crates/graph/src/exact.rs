@@ -17,9 +17,13 @@
 //! forbid crack edges outside `S`, count matchings), as ground truth
 //! for the sampler's tail.
 //!
-//! [`crack_probabilities_budgeted`] is the one budgeted core; the
-//! other entry points run it with [`Budget::unlimited`] on the
-//! ambient worker count.
+//! Two budgeted entry points split a graph into its connected
+//! components, each its own way: [`crack_probabilities_budgeted`] a
+//! dense graph of at most [`MAX_PERMANENT_N`] items, and
+//! [`crack_probabilities_per_component`] a grouped graph of any size,
+//! priced first. Both hand their components to one ratio-walk driver.
+//! The other entry points run the dense one with
+//! [`Budget::unlimited`] on the ambient worker count.
 
 use crate::dense::DenseBigraph;
 use crate::grouped::GroupedBigraph;
@@ -136,33 +140,22 @@ pub fn crack_probabilities_budgeted(
     assert!(n <= MAX_PERMANENT_N);
     budget.check().map_err(ExactError::Interrupted)?;
     let rows: Vec<u64> = (0..n).map(|i| g.row_words(i)[0]).collect();
-    let mut probs = vec![0.0; n];
-    for (left, right) in components(&rows)? {
-        let sub: Vec<u64> = bits(left).map(|i| gather(rows[i], right)).collect();
-        // A crack edge puts row x and column x in one component; its
-        // local row and column are x's ranks on the two sides.
-        let below = |mask: u64, x: usize| (mask & ((1u64 << x) - 1)).count_ones() as usize;
-        let cracks: Vec<Crack> = bits(left)
-            .filter(|&x| g.has_edge(x, x))
-            .map(|x| Crack {
-                row: below(left, x),
-                col: below(right, x),
-                item: x,
-            })
-            .collect();
-        component_probabilities(&sub, &cracks, threads, budget, &mut probs)?;
-    }
-    Ok(probs)
+    let split: Vec<(Vec<usize>, Vec<usize>)> = components(&rows)?
+        .into_iter()
+        .map(|(left, right)| (bits(left).collect(), bits(right).collect()))
+        .collect();
+    let split = split.iter().map(|(left, right)| (&left[..], &right[..]));
+    ratio_walks(n, split, |i, y| g.has_edge(i, y), u64::MAX, threads, budget)
 }
 
 /// Exact crack probabilities of a grouped graph at any size, one
 /// connected component at a time: the split is
-/// [`GroupedBigraph::components`], and each component runs the ratio
-/// walks of [`crack_probabilities_budgeted`] on its own rows. All the
-/// walks are priced before the first runs. An item whose anonymized
-/// and original sides fall in different components has no crack edge,
-/// so its probability is 0. No dense graph of the whole domain is
-/// built.
+/// [`GroupedBigraph::components`], and the components run the ratio
+/// walks of [`crack_probabilities_budgeted`], through the same
+/// driver. All the walks are priced before the first runs. An item
+/// whose anonymized and original sides fall in different components
+/// has no crack edge, so its probability is 0. No dense graph of the
+/// whole domain is built.
 ///
 /// The components run in the order of their lowest anonymized item,
 /// each with its rows and columns in item order. So on a graph of at
@@ -188,32 +181,57 @@ pub fn crack_probabilities_per_component(
     let components = graph.components().ok_or(ExactError::EmptyMappingSpace)?;
     let mut order: Vec<(&[usize], &[usize])> = components.iter().collect();
     order.sort_unstable_by_key(|&(left, _)| left.first().copied());
-    let (price, cap) = (walks_price(graph, &order), EXACT_PRICE_CAP);
+    let has_edge = |i, y| graph.has_edge(i, y);
+    ratio_walks(graph.n(), order, has_edge, EXACT_PRICE_CAP, threads, budget)
+}
+
+/// The ratio walks behind both exact entry points, over `n` items
+/// split into `components`: each is its (anonymized, original) items,
+/// ascending, in walk order. Every component's crack edges are found
+/// first, and the walks are priced from them; above `cap` subset
+/// steps none runs. (The dense entry point passes `u64::MAX`: its
+/// [`MAX_PERMANENT_N`] bound already limits its walks.) Then each
+/// component's rows over its own columns go to
+/// [`component_probabilities`].
+fn ratio_walks<'a>(
+    n: usize,
+    components: impl IntoIterator<Item = (&'a [usize], &'a [usize])>,
+    has_edge: impl Fn(usize, usize) -> bool,
+    cap: u64,
+    threads: usize,
+    budget: &Budget,
+) -> Result<Vec<f64>, ExactError> {
+    let walks: Vec<(&[usize], &[usize], Vec<Crack>)> = components
+        .into_iter()
+        .map(|(left, right)| {
+            // A crack edge puts item x on both sides of one component;
+            // its local row and column are x's ranks on the two sides.
+            let cracks = left
+                .iter()
+                .enumerate()
+                .filter(|&(_, &x)| has_edge(x, x))
+                .filter_map(|(row, &x)| {
+                    let col = right.binary_search(&x).ok()?;
+                    Some(Crack { row, col, item: x })
+                })
+                .collect();
+            (left, right, cracks)
+        })
+        .collect();
+    let price = walks_price(&walks);
     if price > cap {
         return Err(ExactError::TooCostly { price, cap });
     }
-    let mut probs = vec![0.0; graph.n()];
-    for (left, right) in order {
-        let sub: Vec<u64> = left
+    let mut probs = vec![0.0; n];
+    for (left, right, cracks) in &walks {
+        let rows: Vec<u64> = left
             .iter()
             .map(|&i| {
-                let cols = right
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &y)| graph.has_edge(i, y));
+                let cols = right.iter().enumerate().filter(|&(_, &y)| has_edge(i, y));
                 cols.fold(0u64, |acc, (j, _)| acc | 1u64 << j)
             })
             .collect();
-        let cracks: Vec<Crack> = left
-            .iter()
-            .enumerate()
-            .filter(|&(_, &x)| graph.has_edge(x, x))
-            .filter_map(|(row, &x)| {
-                let col = right.binary_search(&x).ok()?;
-                Some(Crack { row, col, item: x })
-            })
-            .collect();
-        component_probabilities(&sub, &cracks, threads, budget, &mut probs)?;
+        component_probabilities(&rows, cracks, threads, budget, &mut probs)?;
     }
     Ok(probs)
 }
@@ -221,16 +239,14 @@ pub fn crack_probabilities_per_component(
 /// Subset steps of every component's walks, summed (saturating): a
 /// permanent, then one minor per crack edge; a 0-item minor walks
 /// nothing, and a component too large to walk prices at `u64::MAX`.
-fn walks_price(graph: &GroupedBigraph, components: &[(&[usize], &[usize])]) -> u64 {
+fn walks_price(walks: &[(&[usize], &[usize], Vec<Crack>)]) -> u64 {
     let steps = |n: usize| if n == 0 { 0 } else { walk_subsets(n) };
-    components.iter().fold(0, |price: u64, &(left, right)| {
+    walks.iter().fold(0, |price: u64, (left, _, cracks)| {
         let c = left.len();
         if c > MAX_PERMANENT_N {
             return u64::MAX;
         }
-        let is_crack = |x: usize| graph.has_edge(x, x) && right.binary_search(&x).is_ok();
-        let cracks = left.iter().filter(|&&x| is_crack(x)).count() as u64;
-        price.saturating_add(steps(c) + cracks * steps(c - 1))
+        price.saturating_add(steps(c) + cracks.len() as u64 * steps(c - 1))
     })
 }
 
@@ -243,7 +259,7 @@ struct Crack {
 }
 
 /// The ratio walks of one connected component with square rows `sub`
-/// (its columns gathered into the low bits): the component's
+/// (bit `j` of a row is the component's `j`-th column): the component's
 /// permanent, then one minor per crack edge, in order, each written
 /// to `probs[item]` as `minor / perm`.
 fn component_probabilities(
@@ -314,14 +330,6 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
-}
-
-/// Packs the bits of `row` at the positions set in `cols` into the
-/// low bits, keeping their order (a software `pext`).
-fn gather(row: u64, cols: u64) -> u64 {
-    bits(cols)
-        .enumerate()
-        .fold(0, |acc, (k, j)| acc | ((row >> j) & 1) << k)
 }
 
 /// The budgeted permanent with its interruption as an
@@ -878,7 +886,6 @@ mod tests {
             Err(ExactError::EmptyMappingSpace)
         );
         assert_eq!(components(&[]), Ok(vec![]));
-        assert_eq!(gather(0b1010_0110, 0b1100_0101), 0b1010);
     }
 
     #[test]

@@ -430,6 +430,18 @@ impl GroupedBigraph {
         })
     }
 
+    /// The matching a swap walk (§7.1) starts from: the identity when
+    /// every crack edge exists, otherwise [`Self::greedy_matching`],
+    /// which is maximum but may be partial.
+    pub fn walk_seed(&self) -> Matching {
+        let n = self.n();
+        if (0..n).all(|x| self.crack_edge_exists(x)) {
+            Matching::identity(n)
+        } else {
+            self.greedy_matching()
+        }
+    }
+
     /// Maximum consistent matching via the deadline greedy: original
     /// items are processed by increasing range upper end and matched
     /// to the lowest-frequency anonymized item still available in
@@ -702,6 +714,29 @@ mod tests {
         let m = g.greedy_matching();
         assert_eq!(m.size(), 2);
         assert!(m.right_partner[0].is_none());
+    }
+
+    #[test]
+    fn walk_seed_is_the_identity_only_when_every_crack_edge_exists() {
+        // h is compliant on every item.
+        let g = GroupedBigraph::new(&bigmart_supports(), 10, &belief_h());
+        assert_eq!(g.walk_seed(), Matching::identity(6));
+
+        // Items 0 and 1 swap point beliefs: neither has its crack
+        // edge, yet a perfect matching exists.
+        let g = GroupedBigraph::new(&[1, 2, 3], 10, &[(0.2, 0.2), (0.1, 0.1), (0.3, 0.3)]);
+        let seed = g.walk_seed();
+        assert_eq!(seed, g.greedy_matching());
+        assert!(seed.is_perfect());
+        assert_eq!(seed.n_cracks(), 1);
+
+        // Item 0's interval misses every observed frequency: no
+        // perfect matching, so the seed is the greedy's partial one.
+        let g = GroupedBigraph::new(&[5, 4, 3], 10, &[(0.9, 1.0), (0.0, 1.0), (0.0, 1.0)]);
+        let seed = g.walk_seed();
+        assert_eq!(seed, g.greedy_matching());
+        assert_eq!(seed.size(), 2);
+        assert!(!seed.is_perfect());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! | kernel | budgeted core | wrappers |
 //! |--------|---------------|----------|
 //! | permanent | [`try_permanent_of_rows_budgeted`] (one proven unchecked lane, `n <=` [`MAX_PERMANENT_N`] `= 22`) | [`permanent()`] |
-//! | exact crack probabilities | [`crack_probabilities_budgeted`] (dense, `n <= 22`); [`crack_probabilities_per_component`] (grouped, any `n`, walks priced up to [`exact::EXACT_PRICE_CAP`]) | [`crack_probabilities`], [`expected_cracks`] |
+//! | exact crack probabilities | one private ratio-walk driver behind two component splits: [`crack_probabilities_budgeted`] (dense, `n <= 22`) and [`crack_probabilities_per_component`] (grouped, any `n`, walks priced up to [`exact::EXACT_PRICE_CAP`]) | [`crack_probabilities`], [`expected_cracks`] |
 //! | sampler | [`sample_cracks_budgeted`] (counts and per-item hits) | — ([`sample_crack_probabilities_budgeted`] is its hits / samples, same budget) |
 //! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
 
@@ -62,7 +62,7 @@ pub use exact::{
 };
 pub use faults::{FaultMode, FaultSchedule, FAULTS_ENV};
 pub use grouped::{BeliefGroup, Components, FrequencyScaffold, GroupedBigraph, Matching};
-pub use matching::{has_perfect_matching, hopcroft_karp};
+pub use matching::hopcroft_karp;
 pub use par::{try_map_indexed, Budget, CancelToken, ExecError};
 pub use permanent::{permanent, try_permanent_of_rows_budgeted, MAX_PERMANENT_N};
 pub use propagate::{propagate, propagate_grouped, Propagation};

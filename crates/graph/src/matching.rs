@@ -1,9 +1,11 @@
 //! Maximum bipartite matching (Hopcroft–Karp) on dense bigraphs.
 //!
-//! Used to (a) decide whether the mapping space admits a perfect
-//! matching at all — the paper notes it may not (end of Section 2.3)
-//! — and (b) seed the matching sampler when the identity matching is
-//! inconsistent (α-compliant belief functions).
+//! Decides whether the mapping space admits a perfect matching at
+//! all — the paper notes it may not (end of Section 2.3) — apart from
+//! the grouped deadline greedy ([`GroupedBigraph::walk_seed`]), as the
+//! conformance oracle's independent feasibility check.
+//!
+//! [`GroupedBigraph::walk_seed`]: crate::GroupedBigraph::walk_seed
 
 use crate::dense::DenseBigraph;
 use crate::grouped::Matching;
@@ -101,11 +103,6 @@ fn augment(
     false
 }
 
-/// Whether `g` admits a perfect matching.
-pub fn has_perfect_matching(g: &DenseBigraph) -> bool {
-    hopcroft_karp(g).is_perfect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +123,7 @@ mod tests {
         // Both 0' and 1' can only map to right 1 (the paper's
         // end-of-Section-2.3 example).
         let g = DenseBigraph::from_edges(2, &[(0, 1), (1, 1)]);
-        assert!(!has_perfect_matching(&g));
+        assert!(!hopcroft_karp(&g).is_perfect());
         let m = hopcroft_karp(&g);
         assert_eq!(m.size(), 1);
     }
@@ -174,6 +171,6 @@ mod tests {
     #[test]
     fn large_word_boundary_graph() {
         let g = DenseBigraph::complete(130);
-        assert!(has_perfect_matching(&g));
+        assert!(hopcroft_karp(&g).is_perfect());
     }
 }

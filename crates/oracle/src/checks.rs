@@ -39,11 +39,12 @@ pub struct CheckConfig {
     pub run_sampler: bool,
     /// Sampler schedule for the stochastic checks.
     pub sampler_config: SamplerConfig,
-    /// CLT multiplier: the sampler may drift `z * std_err +
-    /// SAMPLER_FLOOR` from the exact value before the oracle calls
-    /// it a violation (see DESIGN.md for the derivation).
-    pub z: f64,
 }
+
+/// CLT multiplier: the sampler may drift `SAMPLER_Z * std_err +
+/// SAMPLER_FLOOR` from the exact value before the oracle calls it a
+/// violation (see DESIGN.md for the derivation).
+pub const SAMPLER_Z: f64 = 6.0;
 
 /// Additive slack under the CLT band absorbing residual swap-walk
 /// autocorrelation (the standard error assumes independent samples).
@@ -56,7 +57,6 @@ impl Default for CheckConfig {
             exact_cap: 11,
             run_sampler: false,
             sampler_config: SamplerConfig::quick(),
-            z: 6.0,
         }
     }
 }
@@ -95,13 +95,7 @@ impl CheckReport {
 /// Compares two estimates according to their confidences. Returns
 /// the violation detail when the relation fails, `None` when it
 /// holds or no relation connects the two confidences.
-fn compare_values(
-    a_name: &str,
-    a: &Estimate,
-    b_name: &str,
-    b: &Estimate,
-    z: f64,
-) -> Option<String> {
+fn compare_values(a_name: &str, a: &Estimate, b_name: &str, b: &Estimate) -> Option<String> {
     use Confidence::*;
     match (a.confidence, b.confidence) {
         (Exact, Exact) => ((a.value - b.value).abs() > EXACT_EPS).then(|| {
@@ -111,16 +105,16 @@ fn compare_values(
             )
         }),
         (Stochastic { std_err, .. }, Exact) => {
-            let tol = z * std_err + SAMPLER_FLOOR;
+            let tol = SAMPLER_Z * std_err + SAMPLER_FLOOR;
             ((a.value - b.value).abs() > tol).then(|| {
                 format!(
                     "{a_name} = {} drifts from {b_name} = {} beyond {tol} \
-                     (z = {z}, s.e. = {std_err})",
+                     (z = {SAMPLER_Z}, s.e. = {std_err})",
                     a.value, b.value
                 )
             })
         }
-        (Exact, Stochastic { .. }) => compare_values(b_name, b, a_name, a, z),
+        (Exact, Stochastic { .. }) => compare_values(b_name, b, a_name, a),
         // No generic relation orders a LowerBound estimate against
         // the others (see the module docs); the structural O-estimate
         // relations live in `check_oe_relations`.
@@ -152,13 +146,12 @@ pub fn compare(
     a: &dyn Estimator,
     b: &dyn Estimator,
     inst: &Instance,
-    z: f64,
 ) -> Result<Option<Violation>, OracleError> {
     let (Some(ea), Some(eb)) = (answer(a, inst)?, answer(b, inst)?) else {
         return Ok(None);
     };
     Ok(
-        compare_values(a.name(), &ea, b.name(), &eb, z).map(|detail| Violation {
+        compare_values(a.name(), &ea, b.name(), &eb).map(|detail| Violation {
             check: format!("{}-vs-{}", a.name(), b.name()),
             detail,
         }),
@@ -194,7 +187,7 @@ pub fn check_instance(inst: &Instance, cfg: &CheckConfig) -> Result<CheckReport,
     for (i, (a_name, a)) in answers.iter().enumerate() {
         for (b_name, b) in &answers[i + 1..] {
             let check = format!("{a_name}-vs-{b_name}");
-            if let Some(detail) = compare_values(a_name, a, b_name, b, cfg.z) {
+            if let Some(detail) = compare_values(a_name, a, b_name, b) {
                 report.violations.push(Violation {
                     check: check.clone(),
                     detail,
@@ -232,7 +225,7 @@ fn check_sampler(
     };
     let perm = crate::estimators::Permanent { cap: cfg.exact_cap };
     report.checks_run.push("swap-sampler-vs-permanent".into());
-    if let Some(v) = compare(&sampler, &perm, inst, cfg.z)? {
+    if let Some(v) = compare(&sampler, &perm, inst)? {
         report.violations.push(v);
     }
 
@@ -612,7 +605,7 @@ mod tests {
 
     #[test]
     fn compare_catches_a_wrong_exact_estimator() {
-        let v = compare(&OffByOne, &Permanent::default(), &bigmart_h(), 6.0)
+        let v = compare(&OffByOne, &Permanent::default(), &bigmart_h())
             .unwrap()
             .expect("off-by-one must be detected");
         assert_eq!(v.check, "off-by-one-vs-permanent");
@@ -623,7 +616,7 @@ mod tests {
     fn a_declining_estimator_is_no_violation() {
         let declines = ConvexDp { max_states: 0 };
         assert_eq!(
-            compare(&declines, &Permanent::default(), &bigmart_h(), 6.0),
+            compare(&declines, &Permanent::default(), &bigmart_h()),
             Ok(None)
         );
         let report = check_instance(&bigmart_h(), &CheckConfig::default()).unwrap();

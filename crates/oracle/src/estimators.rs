@@ -21,7 +21,7 @@
 use andi_core::{ChainSpec, OutdegreeProfile};
 use andi_data::FrequencyGroups;
 use andi_graph::sampler::SamplerConfig;
-use andi_graph::{Budget, ExactError, Matching, MAX_PERMANENT_N};
+use andi_graph::{Budget, ExactError, MAX_PERMANENT_N};
 
 use crate::convex::{convex_exact, ConvexError, DEFAULT_STATE_BUDGET};
 use crate::error::OracleError;
@@ -329,13 +329,8 @@ impl Estimator for SwapSampler {
 
     fn estimate(&self, inst: &Instance) -> Result<Estimate, OracleError> {
         let graph = inst.graph()?;
-        let n = graph.n();
-        let seed = if (0..n).all(|i| graph.has_edge(i, i)) {
-            Matching::identity(n)
-        } else {
-            graph.greedy_matching()
-        };
-        if seed.size() < n {
+        let seed = graph.walk_seed();
+        if !seed.is_perfect() {
             return Err(OracleError::Core(andi_core::Error::EmptyMappingSpace));
         }
         let samples = andi_graph::sample_cracks_budgeted(
@@ -433,6 +428,24 @@ mod tests {
             ],
             mask: None,
         }
+    }
+
+    #[test]
+    fn swap_sampler_reports_a_partial_walk_seed_as_an_empty_space() {
+        // Item 0 believes no observed frequency.
+        let inst = Instance {
+            label: "unit:partial-seed".into(),
+            supports: vec![5, 4, 3],
+            intervals: vec![(0.9, 1.0), (0.0, 1.0), (0.0, 1.0)],
+            mask: None,
+            ..bigmart_point()
+        };
+        let sampler = SwapSampler::sweep(1);
+        assert!(sampler.applies_to(&inst));
+        assert!(matches!(
+            sampler.estimate(&inst),
+            Err(OracleError::Core(andi_core::Error::EmptyMappingSpace))
+        ));
     }
 
     #[test]

@@ -256,6 +256,9 @@ pub fn error_to_json(e: &Error) -> String {
             json_string(msg)
         ),
         Error::EmptyMappingSpace => "{\"kind\":\"empty-mapping-space\"}".to_string(),
+        Error::TooCostly { price, cap } => {
+            format!("{{\"kind\":\"too-costly\",\"price\":{price},\"cap\":{cap}}}")
+        }
         Error::Sampler(msg) => {
             format!("{{\"kind\":\"sampler\",\"message\":{}}}", json_string(msg))
         }
@@ -302,6 +305,10 @@ pub fn error_from_json(v: &Json) -> Result<Error, OracleError> {
         }),
         "invalid-parameter" => Ok(Error::InvalidParameter(str_field(v, "message")?)),
         "empty-mapping-space" => Ok(Error::EmptyMappingSpace),
+        "too-costly" => Ok(Error::TooCostly {
+            price: num_field(v, "price")?,
+            cap: num_field(v, "cap")?,
+        }),
         "sampler" => Ok(Error::Sampler(str_field(v, "message")?)),
         "data" => Ok(Error::Data(str_field(v, "message")?)),
         "worker-panic" => Ok(Error::WorkerPanic {
@@ -408,6 +415,10 @@ mod tests {
             },
             Error::InvalidParameter("n > MAX_PERMANENT_N".into()),
             Error::EmptyMappingSpace,
+            Error::TooCostly {
+                price: u64::MAX,
+                cap: 1_310_720,
+            },
             Error::Sampler("cold chain".into()),
             Error::Data("bad \"fimi\" line".into()),
             Error::WorkerPanic {

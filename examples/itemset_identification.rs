@@ -56,13 +56,8 @@ fn main() {
     let analog = Analog::Mushroom;
     let spec = analog.spec();
     let analog_supports = analog.supports();
-    let groups = analog.frequency_groups();
-    let delta = groups.median_gap().expect("multiple groups exist");
-    let freqs: Vec<f64> = analog_supports
-        .iter()
-        .map(|&s| s as f64 / spec.n_transactions as f64)
-        .collect();
-    let b = BeliefFunction::widened(&freqs, delta).expect("frequencies are valid");
+    let (delta, b) = BeliefFunction::delta_med_compliant(&analog.frequency_groups())
+        .expect("frequencies are valid");
     let g = b.build_graph(&analog_supports, spec.n_transactions);
     let id = identify_sets(&g);
 

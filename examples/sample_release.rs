@@ -64,8 +64,7 @@ fn main() {
     let supports = db.supports();
     let m = db.n_transactions() as u64;
     let groups = FrequencyGroups::from_supports(&supports, m);
-    let delta = groups.median_gap().expect("multiple groups");
-    let belief = BeliefFunction::widened(&db.frequencies(), delta).expect("valid");
+    let (_, belief) = BeliefFunction::delta_med_compliant(&groups).expect("valid");
     let graph = belief.build_graph(&supports, m);
     match best_expected_cracks(&graph) {
         Ok((rung, value)) => {

@@ -77,8 +77,7 @@ fn main() {
         let sdb = &sanitized.database;
         let supports = sdb.supports();
         let groups = FrequencyGroups::from_supports(&supports, m);
-        let delta = groups.median_gap().unwrap_or(0.0);
-        let belief = BeliefFunction::widened(&sdb.frequencies(), delta).expect("valid frequencies");
+        let (_, belief) = BeliefFunction::delta_med_compliant(&groups).expect("valid frequencies");
         let graph = belief.build_graph(&supports, m);
         let oe = OutdegreeProfile::propagated(&graph)
             .expect("compliant space")

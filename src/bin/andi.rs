@@ -310,8 +310,7 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
     let supports = db.supports();
     let m = db.n_transactions() as u64;
     let groups = andi::FrequencyGroups::from_supports(&supports, m);
-    let delta = groups.median_gap().unwrap_or(0.0);
-    let belief = BeliefFunction::widened(&db.frequencies(), delta).map_err(|e| e.to_string())?;
+    let (_, belief) = BeliefFunction::delta_med_compliant(&groups).map_err(|e| e.to_string())?;
     let graph = belief.build_graph(&supports, m);
     let profile = OutdegreeProfile::propagated(&graph).map_err(|e| e.to_string())?;
     let plan = andi::core::advisor::suppression_plan(&profile, tau).map_err(|e| e.to_string())?;
@@ -395,11 +394,14 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
     let supports = db.supports();
     let m = db.n_transactions() as u64;
     let groups = andi::FrequencyGroups::from_supports(&supports, m);
-    let delta: f64 = match option(args, "--delta") {
-        Some(d) => parse(&d, "--delta")?,
-        None => groups.median_gap().unwrap_or(0.0),
-    };
-    let belief = BeliefFunction::widened(&db.frequencies(), delta).map_err(|e| e.to_string())?;
+    let (delta, belief) = match option(args, "--delta") {
+        Some(d) => {
+            let delta: f64 = parse(&d, "--delta")?;
+            BeliefFunction::widened_profile(&groups, delta).map(|b| (delta, b))
+        }
+        None => BeliefFunction::delta_med_compliant(&groups),
+    }
+    .map_err(|e| e.to_string())?;
     let graph = belief.build_graph(&supports, m);
     let plain = OutdegreeProfile::plain(&graph);
     let propagated = OutdegreeProfile::propagated(&graph).map_err(|e| e.to_string())?;

@@ -142,7 +142,8 @@ pub fn evaluate_portfolio(
                     (round_supports(db, *bucket, &mut rng)?.database, None)
                 }
                 ReleaseCandidate::Suppressed { tolerance } => {
-                    let belief = delta_med_belief(db)?;
+                    let (_, belief) =
+                        BeliefFunction::delta_med_compliant(&FrequencyGroups::of_database(db))?;
                     let profile = OutdegreeProfile::plain(
                         &belief.build_graph(&db.supports(), db.n_transactions() as u64),
                     );
@@ -160,7 +161,7 @@ pub fn evaluate_portfolio(
             let supports = released.supports();
             let m = released.n_transactions() as u64;
             let groups = FrequencyGroups::from_supports(&supports, m);
-            let belief = delta_med_belief(&released)?;
+            let (_, belief) = BeliefFunction::delta_med_compliant(&groups)?;
             let profile = OutdegreeProfile::plain(&belief.build_graph(&supports, m));
             let oe = profile.oestimate();
 
@@ -195,13 +196,6 @@ pub fn evaluate_portfolio(
             })
         })
         .collect()
-}
-
-/// The recipe's δ_med-widened compliant belief for a database.
-fn delta_med_belief(db: &Database) -> Result<BeliefFunction> {
-    let groups = FrequencyGroups::of_database(db);
-    let delta = groups.median_gap().unwrap_or(0.0);
-    BeliefFunction::widened(&db.frequencies(), delta)
 }
 
 /// F1 of `got` against `truth`, on itemset identity (supports are
