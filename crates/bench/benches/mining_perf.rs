@@ -1,18 +1,17 @@
-//! P-time: frequent-set miner comparison on correlated baskets.
+//! P-time: the FP-Growth miner on correlated baskets.
 //!
 //! Not a paper table — this exercises the mining substrate the
-//! examples use, comparing Apriori, FP-Growth and Eclat at two
-//! support thresholds.
+//! examples use, at two support thresholds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use andi_data::synth::quest::{generate, QuestConfig};
-use andi_mining::Algorithm;
+use andi_mining::fpgrowth;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_miners(c: &mut Criterion) {
+fn bench_fpgrowth(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1234);
     let db = generate(
         &QuestConfig {
@@ -31,14 +30,12 @@ fn bench_miners(c: &mut Criterion) {
         let min_support = db.n_transactions() as u64 * min_support_pct / 100;
         let mut group = c.benchmark_group(format!("mining_minsup_{min_support_pct}pct"));
         group.sample_size(10);
-        for algo in Algorithm::ALL {
-            group.bench_function(algo.to_string(), |b| {
-                b.iter(|| algo.mine(black_box(&db), min_support))
-            });
-        }
+        group.bench_function("fp-growth", |b| {
+            b.iter(|| fpgrowth(black_box(&db), min_support))
+        });
         group.finish();
     }
 }
 
-criterion_group!(benches, bench_miners);
+criterion_group!(benches, bench_fpgrowth);
 criterion_main!(benches);

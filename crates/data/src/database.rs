@@ -180,20 +180,6 @@ impl Database {
         })
     }
 
-    /// The vertical representation: `tidlists()[x]` is the sorted
-    /// list of transaction indices containing item `x`. One database
-    /// pass; the layout Eclat-style miners and co-occurrence
-    /// analyses consume.
-    pub fn tidlists(&self) -> Vec<Vec<u32>> {
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.n_items];
-        for (tid, t) in self.transactions.iter().enumerate() {
-            for x in t {
-                lists[x.index()].push(tid as u32);
-            }
-        }
-        lists
-    }
-
     /// Builds a database from raw `u32` item lists; convenience for
     /// tests and examples.
     ///
@@ -320,22 +306,5 @@ mod tests {
     fn avg_transaction_len() {
         let db = Database::from_raw(3, &[&[0], &[0, 1, 2]]).unwrap();
         assert!((db.avg_transaction_len() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tidlists_are_the_vertical_view() {
-        let db = bigmart();
-        let lists = db.tidlists();
-        assert_eq!(lists.len(), 6);
-        // item 0 occupies t0..t4 by construction.
-        assert_eq!(lists[0], vec![0, 1, 2, 3, 4]);
-        assert_eq!(lists[4], vec![7, 8, 9]);
-        // Lengths reproduce the support profile.
-        let via_lists: Vec<u64> = lists.iter().map(|l| l.len() as u64).collect();
-        assert_eq!(via_lists, db.supports());
-        // Lists are sorted.
-        for l in &lists {
-            assert!(l.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 }

@@ -21,11 +21,11 @@ use crate::itemset::{Itemset, MiningResult};
 ///
 /// ```
 /// use andi_data::Database;
-/// use andi_mining::{apriori, closed_itemsets, maximal_itemsets};
+/// use andi_mining::{fpgrowth, closed_itemsets, maximal_itemsets};
 ///
 /// // Items 0 and 1 always co-occur: {0} is absorbed by {0,1}.
 /// let db = Database::from_raw(3, &[&[0, 1], &[0, 1, 2], &[0, 1]]).unwrap();
-/// let all = apriori(&db, 1);
+/// let all = fpgrowth(&db, 1);
 /// let closed = closed_itemsets(&all);
 /// let maximal = maximal_itemsets(&all);
 /// assert!(maximal.len() <= closed.len());
@@ -69,7 +69,7 @@ pub fn maximal_itemsets(result: &MiningResult) -> MiningResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::apriori;
+    use crate::fpgrowth::fpgrowth;
     use andi_data::{bigmart, Database, ItemId};
 
     fn set(ids: &[u32]) -> Itemset {
@@ -81,7 +81,7 @@ mod tests {
         // In a database where 0 and 1 always co-occur, {0} is not
         // closed (same support as {0,1}).
         let db = Database::from_raw(3, &[&[0, 1], &[0, 1, 2], &[0, 1]]).unwrap();
-        let all = apriori(&db, 1);
+        let all = fpgrowth(&db, 1);
         let closed = closed_itemsets(&all);
         assert!(closed.support(&set(&[0])).is_none(), "{{0}} is absorbed");
         assert!(closed.support(&set(&[0, 1])).is_some());
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn maximal_sets_keep_only_the_border() {
         let db = Database::from_raw(3, &[&[0, 1], &[0, 1, 2], &[0, 1]]).unwrap();
-        let all = apriori(&db, 1);
+        let all = fpgrowth(&db, 1);
         let maximal = maximal_itemsets(&all);
         assert_eq!(maximal.len(), 1);
         assert!(maximal.support(&set(&[0, 1, 2])).is_some());
@@ -103,7 +103,7 @@ mod tests {
     fn maximal_subset_of_closed_subset_of_all() {
         let db = bigmart();
         for min_support in [1u64, 2, 3, 4] {
-            let all = apriori(&db, min_support);
+            let all = fpgrowth(&db, min_support);
             let closed = closed_itemsets(&all);
             let maximal = maximal_itemsets(&all);
             assert!(maximal.len() <= closed.len());
@@ -124,7 +124,7 @@ mod tests {
         // Every frequent itemset's support is recoverable as the
         // maximum support of a closed superset.
         let db = bigmart();
-        let all = apriori(&db, 2);
+        let all = fpgrowth(&db, 2);
         let closed = closed_itemsets(&all);
         for (s, c) in all.iter() {
             let recovered = closed
@@ -141,7 +141,7 @@ mod tests {
     fn distinct_supports_mean_everything_is_closed() {
         // A chain where every set has a distinct support.
         let db = Database::from_raw(2, &[&[0], &[0, 1], &[0]]).unwrap();
-        let all = apriori(&db, 1);
+        let all = fpgrowth(&db, 1);
         let closed = closed_itemsets(&all);
         // {0}: 3, {1}: 1, {0,1}: 1 -> {1} absorbed by {0,1}; others
         // closed.

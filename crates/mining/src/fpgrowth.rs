@@ -12,8 +12,7 @@ use andi_data::{Database, ItemId};
 use crate::itemset::{Itemset, MiningResult};
 
 /// Mines all itemsets with support count `>= min_support` using
-/// FP-Growth. Produces exactly the same result as
-/// [`crate::apriori::apriori`].
+/// FP-Growth.
 ///
 /// # Panics
 ///
@@ -171,25 +170,77 @@ fn mine_tree(tree: &FpTree, suffix: &[usize], min_support: u64, out: &mut Vec<(I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::apriori;
     use andi_data::bigmart;
+    use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> Itemset {
         Itemset::new(ids.iter().map(|&i| ItemId(i)))
     }
 
+    /// The reference result: the support of every non-empty subset of
+    /// the domain, counted transaction by transaction.
+    fn brute_force(db: &Database, min_support: u64) -> MiningResult {
+        let n = db.n_items() as u32;
+        let all = (1u32..1 << n).filter_map(|mask| {
+            let s = Itemset::new((0..n).filter(|&x| mask & (1 << x) != 0).map(ItemId));
+            let count = db.itemset_support(s.items());
+            (count >= min_support).then_some((s, count))
+        });
+        MiningResult::new(all, min_support)
+    }
+
+    /// A database over `n` items from non-empty item bitmasks.
+    fn from_masks(n: usize, masks: &[u32]) -> Database {
+        let rows: Vec<Vec<u32>> = masks
+            .iter()
+            .map(|&mask| (0..n as u32).filter(|&x| mask & (1 << x) != 0).collect())
+            .collect();
+        let raw: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+        Database::from_raw(n, &raw).expect("masks are non-empty and in range")
+    }
+
     #[test]
-    fn matches_apriori_on_bigmart() {
-        for min_support in [1u64, 2, 3, 4, 5, 6] {
-            let a = apriori(&bigmart(), min_support);
-            let f = fpgrowth(&bigmart(), min_support);
-            assert_eq!(a, f, "divergence at min_support {min_support}");
+    fn matches_brute_force_on_bigmart() {
+        let db = bigmart();
+        for min_support in 1u64..=11 {
+            assert_eq!(
+                fpgrowth(&db, min_support),
+                brute_force(&db, min_support),
+                "min_support {min_support}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random databases of at most 8 items and 24
+        /// transactions, FP-Growth finds exactly the itemsets (and
+        /// supports) of brute-force counting at every threshold from
+        /// 1 (every co-occurring set) to m + 1 (nothing).
+        #[test]
+        fn equals_brute_force_on_random_databases(
+            (n, masks) in (1usize..=8).prop_flat_map(|n| {
+                (Just(n), prop::collection::vec(1u32..1 << n, 1..=24))
+            })
+        ) {
+            let db = from_masks(n, &masks);
+            for min_support in 1..=masks.len() as u64 + 1 {
+                prop_assert_eq!(
+                    fpgrowth(&db, min_support),
+                    brute_force(&db, min_support),
+                    "min_support {}", min_support
+                );
+            }
         }
     }
 
     #[test]
-    fn finds_known_pairs() {
+    fn finds_known_sets_on_bigmart() {
         let r = fpgrowth(&bigmart(), 4);
+        // Supports 5,4,5,5,3,5: five singletons at min_support 4.
+        assert_eq!(r.iter().filter(|(s, _)| s.len() == 1).count(), 5);
+        assert_eq!(r.support(&set(&[0])), Some(5));
         assert_eq!(r.support(&set(&[3, 5])), Some(4));
         assert_eq!(r.support(&set(&[0, 1])), Some(4));
         assert_eq!(r.support(&set(&[4])), None);
@@ -201,6 +252,16 @@ mod tests {
         let r = fpgrowth(&db, 1);
         assert_eq!(r.len(), 7, "all non-empty subsets of a 3-set");
         assert_eq!(r.support(&set(&[0, 2, 3])), Some(1));
+    }
+
+    #[test]
+    fn deep_itemsets() {
+        let db =
+            Database::from_raw(5, &[&[0, 1, 2, 3, 4], &[0, 1, 2, 3, 4], &[0, 1, 2, 3]]).unwrap();
+        let r = fpgrowth(&db, 2);
+        // All non-empty subsets of {0..4} have support >= 2: 31.
+        assert_eq!(r.len(), 31);
+        assert_eq!(r.support(&set(&[0, 1, 2, 3, 4])), Some(2));
     }
 
     #[test]

@@ -34,13 +34,6 @@ impl Itemset {
         }
     }
 
-    /// A singleton itemset.
-    pub fn singleton(item: ItemId) -> Self {
-        Itemset {
-            items: vec![item].into_boxed_slice(),
-        }
-    }
-
     /// The items in increasing order.
     #[inline]
     pub fn items(&self) -> &[ItemId] {
@@ -78,22 +71,6 @@ impl Itemset {
     /// The union of two itemsets.
     pub fn union(&self, other: &Itemset) -> Itemset {
         Itemset::new(self.items.iter().chain(other.items.iter()).copied())
-    }
-
-    /// Extends the itemset by one item strictly greater than its
-    /// maximum (the prefix-growth step); `None` if `item` is not
-    /// greater.
-    pub fn extend_with(&self, item: ItemId) -> Option<Itemset> {
-        match self.items.last() {
-            Some(&last) if item <= last => None,
-            _ => {
-                let mut v = self.items.to_vec();
-                v.push(item);
-                Some(Itemset {
-                    items: v.into_boxed_slice(),
-                })
-            }
-        }
     }
 
     /// Applies a per-item relabeling; used to map mined patterns
@@ -155,11 +132,6 @@ impl MiningResult {
         self.patterns.iter().map(|(s, &c)| (s, c))
     }
 
-    /// All frequent itemsets of a given size.
-    pub fn of_len(&self, len: usize) -> Vec<&Itemset> {
-        self.patterns.keys().filter(|s| s.len() == len).collect()
-    }
-
     /// Relabels every pattern (supports unchanged) — the "map the
     /// mined patterns back through the anonymization" step.
     pub fn relabel(&self, relabel: &[u32]) -> MiningResult {
@@ -200,12 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn union_and_extend() {
+    fn union_merges() {
         assert_eq!(set(&[1, 2]).union(&set(&[2, 5])), set(&[1, 2, 5]));
-        assert_eq!(set(&[1, 2]).extend_with(ItemId(4)), Some(set(&[1, 2, 4])));
-        assert_eq!(set(&[1, 4]).extend_with(ItemId(3)), None);
-        assert_eq!(set(&[1, 4]).extend_with(ItemId(4)), None);
-        assert_eq!(set(&[]).extend_with(ItemId(0)), Some(set(&[0])));
     }
 
     #[test]
@@ -228,8 +196,8 @@ mod tests {
         assert!(!r.is_empty());
         assert_eq!(r.support(&set(&[0, 1])), Some(3));
         assert_eq!(r.support(&set(&[2])), None);
-        assert_eq!(r.of_len(1).len(), 2);
-        assert_eq!(r.of_len(2).len(), 1);
+        let sizes: Vec<usize> = r.iter().map(|(s, _)| s.len()).collect();
+        assert_eq!(sizes, [1, 2, 1], "canonical (sorted itemset) order");
     }
 
     #[test]

@@ -4,93 +4,27 @@
 //! (anonymized) baskets, and one of anonymization's selling points is
 //! that it "does not perturb data characteristics": mining the
 //! anonymized database and mapping patterns back yields *exactly* the
-//! original patterns. This crate supplies three independent miners —
-//! [`apriori()`], [`fpgrowth()`] and [`eclat()`] — which the examples use
-//! to demonstrate that invariance and the test suite uses to
-//! cross-validate one another.
+//! original patterns. Anonymization is a relabelling, so one correct
+//! miner shows that invariance: this crate supplies [`fpgrowth()`],
+//! tested against brute-force support counting, plus association
+//! rules and the closed/maximal condensations of its results.
 //!
 //! ```
-//! use andi_data::bigmart;
-//! use andi_mining::{apriori, fpgrowth, eclat};
+//! use andi_data::{bigmart, ItemId};
+//! use andi_mining::{fpgrowth, Itemset};
 //!
-//! let db = bigmart();
-//! let a = apriori(&db, 4);
-//! assert_eq!(a, fpgrowth(&db, 4));
-//! assert_eq!(a, eclat(&db, 4));
+//! let frequent = fpgrowth(&bigmart(), 4);
+//! assert_eq!(frequent.support(&Itemset::new([ItemId(0), ItemId(1)])), Some(4));
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod apriori;
 pub mod condense;
-pub mod eclat;
 pub mod fpgrowth;
 pub mod itemset;
 pub mod rules;
 
-pub use apriori::apriori;
 pub use condense::{closed_itemsets, maximal_itemsets};
-pub use eclat::eclat;
 pub use fpgrowth::fpgrowth;
 pub use itemset::{Itemset, MiningResult};
 pub use rules::{generate_rules, Rule};
-
-use andi_data::Database;
-
-/// The available mining algorithms, for callers that select one at
-/// runtime (benches, CLI-style examples).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Level-wise candidate generation.
-    Apriori,
-    /// Pattern growth over an FP-tree.
-    FpGrowth,
-    /// Vertical tid-list intersection.
-    Eclat,
-}
-
-impl Algorithm {
-    /// All algorithms.
-    pub const ALL: [Algorithm; 3] = [Algorithm::Apriori, Algorithm::FpGrowth, Algorithm::Eclat];
-
-    /// Runs the selected miner.
-    pub fn mine(self, db: &Database, min_support: u64) -> MiningResult {
-        match self {
-            Algorithm::Apriori => apriori(db, min_support),
-            Algorithm::FpGrowth => fpgrowth(db, min_support),
-            Algorithm::Eclat => eclat(db, min_support),
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Algorithm::Apriori => f.write_str("apriori"),
-            Algorithm::FpGrowth => f.write_str("fp-growth"),
-            Algorithm::Eclat => f.write_str("eclat"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use andi_data::bigmart;
-
-    #[test]
-    fn algorithm_dispatch_agrees() {
-        let db = bigmart();
-        let results: Vec<MiningResult> = Algorithm::ALL.iter().map(|a| a.mine(&db, 3)).collect();
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-        assert!(!results[0].is_empty());
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(Algorithm::Apriori.to_string(), "apriori");
-        assert_eq!(Algorithm::FpGrowth.to_string(), "fp-growth");
-        assert_eq!(Algorithm::Eclat.to_string(), "eclat");
-    }
-}

@@ -50,10 +50,10 @@ impl std::fmt::Display for Rule {
 ///
 /// ```
 /// use andi_data::bigmart;
-/// use andi_mining::{apriori, generate_rules};
+/// use andi_mining::{fpgrowth, generate_rules};
 ///
 /// let db = bigmart();
-/// let frequent = apriori(&db, 4);
+/// let frequent = fpgrowth(&db, 4);
 /// let rules = generate_rules(&frequent, db.n_transactions() as u64, 0.9);
 /// assert!(!rules.is_empty());
 /// assert!(rules.iter().all(|r| r.confidence >= 0.9));
@@ -118,7 +118,7 @@ pub fn generate_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::apriori;
+    use crate::fpgrowth::fpgrowth;
     use andi_data::bigmart;
 
     fn set(ids: &[u32]) -> Itemset {
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn generates_bigmart_rules() {
         let db = bigmart();
-        let result = apriori(&db, 4);
+        let result = fpgrowth(&db, 4);
         let rules = generate_rules(&result, db.n_transactions() as u64, 0.8);
         // {0,1} has support 4, item 1 support 4 -> rule 1 => 0 has
         // confidence 1.0.
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn confidence_threshold_filters() {
         let db = bigmart();
-        let result = apriori(&db, 4);
+        let result = fpgrowth(&db, 4);
         let all = generate_rules(&result, 10, 0.0);
         let strict = generate_rules(&result, 10, 0.9);
         assert!(strict.len() < all.len());
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn rules_are_sorted_by_confidence() {
         let db = bigmart();
-        let result = apriori(&db, 2);
+        let result = fpgrowth(&db, 2);
         let rules = generate_rules(&result, 10, 0.5);
         for w in rules.windows(2) {
             assert!(w[0].confidence >= w[1].confidence - 1e-12);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn antecedent_and_consequent_partition_the_itemset() {
         let db = bigmart();
-        let result = apriori(&db, 2);
+        let result = fpgrowth(&db, 2);
         for r in generate_rules(&result, 10, 0.0) {
             let union = r.antecedent.union(&r.consequent);
             assert!(result.support(&union).is_some());
@@ -181,15 +181,15 @@ mod tests {
     #[test]
     fn no_rules_from_singletons_only() {
         let db = bigmart();
-        let result = apriori(&db, 6); // nothing co-occurs 6 times
-        assert!(result.of_len(2).is_empty());
+        let result = fpgrowth(&db, 6); // nothing co-occurs 6 times
+        assert!(result.iter().all(|(s, _)| s.len() == 1));
         assert!(generate_rules(&result, 10, 0.0).is_empty());
     }
 
     #[test]
     fn display_is_readable() {
         let db = bigmart();
-        let result = apriori(&db, 4);
+        let result = fpgrowth(&db, 4);
         let rules = generate_rules(&result, 10, 0.9);
         let text = rules[0].to_string();
         assert!(text.contains("=>"), "{text}");

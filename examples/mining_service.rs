@@ -12,8 +12,7 @@
 //! cargo run --example mining_service
 //! ```
 
-use andi::mining::Algorithm;
-use andi::{assess_risk, AnonymizationMapping, RecipeConfig};
+use andi::{assess_risk, fpgrowth, AnonymizationMapping, RecipeConfig};
 use andi_data::synth::quest::{generate, QuestConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,7 +47,7 @@ fn main() {
     // Step 2: the provider mines the anonymized data.
     // --------------------------------------------------------------
     let min_support = (db.n_transactions() / 20) as u64; // 5%
-    let provider_result = Algorithm::FpGrowth.mine(&shipped, min_support);
+    let provider_result = fpgrowth(&shipped, min_support);
     println!(
         "provider mined {} frequent itemsets at min support {min_support}",
         provider_result.len()
@@ -60,7 +59,7 @@ fn main() {
     // identical result.
     // --------------------------------------------------------------
     let mapped_back = provider_result.relabel(mapping.backward());
-    let direct = Algorithm::Apriori.mine(&db, min_support);
+    let direct = fpgrowth(&db, min_support);
     assert_eq!(
         mapped_back, direct,
         "anonymization must not perturb mining results"

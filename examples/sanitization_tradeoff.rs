@@ -16,8 +16,7 @@
 
 use andi::core::report::TextTable;
 use andi::core::sanitize::{round_supports, utility_loss};
-use andi::mining::Algorithm;
-use andi::{BeliefFunction, FrequencyGroups, MiningResult, OutdegreeProfile};
+use andi::{fpgrowth, BeliefFunction, FrequencyGroups, MiningResult, OutdegreeProfile};
 use andi_data::synth::quest::{generate, QuestConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +55,7 @@ fn main() {
     );
     let m = db.n_transactions() as u64;
     let min_support = m / 20; // 5%
-    let truth = Algorithm::FpGrowth.mine(&db, min_support);
+    let truth = fpgrowth(&db, min_support);
     println!(
         "workload: {} items, {m} transactions; truth = {} frequent sets at 5%\n",
         db.n_items(),
@@ -82,7 +81,7 @@ fn main() {
         let oe = OutdegreeProfile::propagated(&graph)
             .expect("compliant space")
             .oestimate();
-        let mined = Algorithm::FpGrowth.mine(sdb, min_support);
+        let mined = fpgrowth(sdb, min_support);
         let loss = utility_loss(&db, &sanitized).expect("same domain");
         table.add_row([
             bucket.to_string(),

@@ -22,10 +22,14 @@
 //!                                            Similarity-by-Sampling (Figure 13)
 //! andi anonymize <in.dat> <out.dat> [--seed S] [--mapping map.txt]
 //!                                            release an anonymized copy
-//! andi mine <file.dat> --min-support N [--algo apriori|fpgrowth|eclat] [--rules C]
-//!                                            frequent sets (and rules)
+//! andi mine <file.dat> --min-support N [--rules C]
+//!                                            FP-Growth frequent sets (and rules)
 //! andi demo                                  the paper's BigMart walkthrough
 //! ```
+//!
+//! Options may come before or after the files; every option but
+//! `--exact` takes the next token as its value, and an option the
+//! command does not read is an error.
 
 use std::process::ExitCode;
 
@@ -35,7 +39,7 @@ use andi::core::similarity::{GapPolicy, SimilarityConfig};
 use andi::data::fimi;
 use andi::data::DatasetSummary;
 use andi::graph::Budget;
-use andi::mining::{generate_rules, Algorithm};
+use andi::mining::generate_rules;
 use andi::{
     assess_risk, similarity_by_sampling, AnonymizationMapping, BeliefFunction, Database,
     OutdegreeProfile, RecipeConfig, RiskAssessment, RiskDecision,
@@ -76,7 +80,7 @@ fn usage() -> String {
   andi oe <file.dat> [--delta D] [--exact]
   andi similarity <file.dat> [--fractions 0.1,0.25,0.5]
   andi anonymize <in.dat> <out.dat> [--seed S] [--mapping map.txt]
-  andi mine <file.dat> --min-support N [--algo apriori|fpgrowth|eclat] [--rules C]
+  andi mine <file.dat> --min-support N [--rules C]
   andi demo
 
 exact kernels run one connected component at a time, at any domain
@@ -105,7 +109,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "similarity" => cmd_similarity(rest).map(|()| ExitCode::SUCCESS),
         "anonymize" => cmd_anonymize(rest).map(|()| ExitCode::SUCCESS),
         "mine" => cmd_mine(rest).map(|()| ExitCode::SUCCESS),
-        "demo" => cmd_demo().map(|()| ExitCode::SUCCESS),
+        "demo" => cmd_demo(rest).map(|()| ExitCode::SUCCESS),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
@@ -114,26 +118,55 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Reads the positional argument at `idx`, failing with a decent
-/// message.
-fn positional<'a>(args: &'a [String], idx: usize, name: &str) -> Result<&'a str, String> {
-    args.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(idx)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing <{name}> argument"))
+/// A command's arguments: its files in order, and its
+/// `--option value` pairs (`--exact`, the one switch, has no value).
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
 }
 
-/// Reads `--flag value` style options.
-fn option(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+impl<'a> Args<'a> {
+    /// Splits `args`, taking the token after each option as its value
+    /// and rejecting any `--name` outside `known`.
+    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            options: Vec::new(),
+        };
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                parsed.positionals.push(token);
+            } else if !known.contains(&token) {
+                return Err(format!("unknown option {token:?}"));
+            } else if token == "--exact" {
+                parsed.options.push((token, ""));
+            } else {
+                let value = tokens
+                    .next()
+                    .ok_or_else(|| format!("{token} needs a value"))?;
+                parsed.options.push((token, value));
+            }
+        }
+        Ok(parsed)
+    }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+    /// The positional argument at `idx`, failing with a decent
+    /// message.
+    fn positional(&self, idx: usize, name: &str) -> Result<&'a str, String> {
+        self.positionals
+            .get(idx)
+            .copied()
+            .ok_or_else(|| format!("missing <{name}> argument"))
+    }
+
+    /// The value of the first `name` option, if given.
+    fn option(&self, name: &str) -> Option<&'a str> {
+        self.options
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
 }
 
 fn parse<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String> {
@@ -153,15 +186,20 @@ fn load(path: &str) -> Result<Database, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
+    let args = &Args::parse(args, &[])?;
+    let db = load(args.positional(0, "file.dat")?)?;
     println!("{}", DatasetSummary::of(&db));
     Ok(())
 }
 
 fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
-    let tau: f64 = match option(args, "--tau") {
-        Some(t) => parse(&t, "--tau")?,
+    let args = &Args::parse(
+        args,
+        &["--tau", "--budget-ms", "--belief", "--provenance-json"],
+    )?;
+    let db = load(args.positional(0, "file.dat")?)?;
+    let tau: f64 = match args.option("--tau") {
+        Some(t) => parse(t, "--tau")?,
         None => 0.1,
     };
     let config = RecipeConfig {
@@ -171,12 +209,12 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     let supports = db.supports();
     let m = db.n_transactions() as u64;
 
-    if let Some(inst_path) = option(args, "--belief") {
-        return assess_with_belief(args, &supports, m, &config, &inst_path);
+    if let Some(inst_path) = args.option("--belief") {
+        return assess_with_belief(args, &supports, m, &config, inst_path);
     }
 
-    if let Some(ms) = option(args, "--budget-ms") {
-        let ms: u64 = parse(&ms, "--budget-ms")?;
+    if let Some(ms) = args.option("--budget-ms") {
+        let ms: u64 = parse(ms, "--budget-ms")?;
         let budget = Budget::with_deadline(std::time::Duration::from_millis(ms));
         let threads = andi::graph::par::available_threads();
         let result = assess_risk_budgeted(&supports, m, &config, &budget, threads)
@@ -198,13 +236,10 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
 
 /// Writes the provenance record as JSON when `--provenance-json` was
 /// given (the format round-trips through `andi_oracle::serial`).
-fn write_provenance_json(
-    args: &[String],
-    provenance: &andi::core::Provenance,
-) -> Result<(), String> {
-    if let Some(path) = option(args, "--provenance-json") {
+fn write_provenance_json(args: &Args, provenance: &andi::core::Provenance) -> Result<(), String> {
+    if let Some(path) = args.option("--provenance-json") {
         let json = andi_oracle::provenance_to_json(provenance);
-        std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote provenance JSON to {path}");
     }
     Ok(())
@@ -217,7 +252,7 @@ fn write_provenance_json(
 /// [`EmptyMappingSpace`](andi::core::Error::EmptyMappingSpace) abort
 /// reachable from the command line.
 fn assess_with_belief(
-    args: &[String],
+    args: &Args,
     supports: &[u64],
     m: u64,
     config: &RecipeConfig,
@@ -235,9 +270,9 @@ fn assess_with_belief(
     let belief =
         BeliefFunction::from_intervals(inst.intervals.clone()).map_err(|e| e.to_string())?;
     let graph = belief.build_graph(supports, m);
-    let budget = match option(args, "--budget-ms") {
+    let budget = match args.option("--budget-ms") {
         Some(ms) => {
-            let ms: u64 = parse(&ms, "--budget-ms")?;
+            let ms: u64 = parse(ms, "--budget-ms")?;
             Budget::with_deadline(std::time::Duration::from_millis(ms))
         }
         None => Budget::unlimited(),
@@ -302,9 +337,10 @@ fn print_assessment(verdict: &RiskAssessment, tau: f64) {
 }
 
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
-    let tau: f64 = match option(args, "--tau") {
-        Some(t) => parse(&t, "--tau")?,
+    let args = &Args::parse(args, &["--tau"])?;
+    let db = load(args.positional(0, "file.dat")?)?;
+    let tau: f64 = match args.option("--tau") {
+        Some(t) => parse(t, "--tau")?,
         None => 0.1,
     };
     let supports = db.supports();
@@ -336,13 +372,14 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
 
 fn cmd_portfolio(args: &[String]) -> Result<(), String> {
     use andi::{evaluate_portfolio, PortfolioConfig, ReleaseCandidate};
-    let db = load(positional(args, 0, "file.dat")?)?;
-    let min_support: u64 = match option(args, "--min-support") {
-        Some(s) => parse(&s, "--min-support")?,
+    let args = &Args::parse(args, &["--min-support", "--tau"])?;
+    let db = load(args.positional(0, "file.dat")?)?;
+    let min_support: u64 = match args.option("--min-support") {
+        Some(s) => parse(s, "--min-support")?,
         None => ((db.n_transactions() / 20).max(2)) as u64,
     };
-    let tau: f64 = match option(args, "--tau") {
-        Some(t) => parse(&t, "--tau")?,
+    let tau: f64 = match args.option("--tau") {
+        Some(t) => parse(t, "--tau")?,
         None => 0.1,
     };
     let candidates = vec![
@@ -390,13 +427,14 @@ fn cmd_portfolio(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_oe(args: &[String]) -> Result<(), String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
+    let args = &Args::parse(args, &["--delta", "--exact"])?;
+    let db = load(args.positional(0, "file.dat")?)?;
     let supports = db.supports();
     let m = db.n_transactions() as u64;
     let groups = andi::FrequencyGroups::from_supports(&supports, m);
-    let (delta, belief) = match option(args, "--delta") {
+    let (delta, belief) = match args.option("--delta") {
         Some(d) => {
-            let delta: f64 = parse(&d, "--delta")?;
+            let delta: f64 = parse(d, "--delta")?;
             BeliefFunction::widened_profile(&groups, delta).map(|b| (delta, b))
         }
         None => BeliefFunction::delta_med_compliant(&groups),
@@ -413,7 +451,7 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
         "expected crack fraction   : {:.4}",
         propagated.oestimate() / db.n_items() as f64
     );
-    if flag(args, "--exact") {
+    if args.option("--exact").is_some() {
         match andi::best_expected_cracks(&graph) {
             Ok((rung, value)) => println!("best estimate             : {value:.3} via {rung}"),
             Err(e) => println!("best estimate             : unavailable ({e})"),
@@ -423,8 +461,9 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_similarity(args: &[String]) -> Result<(), String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
-    let fractions: Vec<f64> = match option(args, "--fractions") {
+    let args = &Args::parse(args, &["--fractions"])?;
+    let db = load(args.positional(0, "file.dat")?)?;
+    let fractions: Vec<f64> = match args.option("--fractions") {
         Some(list) => list
             .split(',')
             .map(|t| parse::<f64>(t.trim(), "--fractions entry"))
@@ -455,45 +494,42 @@ fn cmd_similarity(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_anonymize(args: &[String]) -> Result<(), String> {
-    let input = positional(args, 0, "in.dat")?;
-    let output = positional(args, 1, "out.dat")?.to_string();
+    let args = &Args::parse(args, &["--seed", "--mapping"])?;
+    let input = args.positional(0, "in.dat")?;
+    let output = args.positional(1, "out.dat")?;
     let db = load(input)?;
-    let seed: u64 = match option(args, "--seed") {
-        Some(s) => parse(&s, "--seed")?,
+    let seed: u64 = match args.option("--seed") {
+        Some(s) => parse(s, "--seed")?,
         None => 0xA_2005,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mapping = AnonymizationMapping::random(db.n_items(), &mut rng);
     let released = mapping.anonymize_database(&db).map_err(|e| e.to_string())?;
-    let out = std::fs::File::create(&output).map_err(|e| format!("cannot create {output}: {e}"))?;
+    let out = std::fs::File::create(output).map_err(|e| format!("cannot create {output}: {e}"))?;
     fimi::write_fimi(&released, out)?;
     println!("wrote anonymized database to {output}");
-    if let Some(map_path) = option(args, "--mapping") {
+    if let Some(map_path) = args.option("--mapping") {
         let mut text = String::from("# original_dense_id anonymized_id\n");
         for (x, &xp) in mapping.forward().iter().enumerate() {
             text.push_str(&format!("{x} {xp}\n"));
         }
-        std::fs::write(&map_path, text).map_err(|e| format!("cannot write {map_path}: {e}"))?;
+        std::fs::write(map_path, text).map_err(|e| format!("cannot write {map_path}: {e}"))?;
         println!("wrote secret mapping to {map_path} — keep it private!");
     }
     Ok(())
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
-    let db = load(positional(args, 0, "file.dat")?)?;
+    let args = &Args::parse(args, &["--min-support", "--rules"])?;
+    let db = load(args.positional(0, "file.dat")?)?;
     let min_support: u64 = parse(
-        &option(args, "--min-support").ok_or("--min-support is required")?,
+        args.option("--min-support")
+            .ok_or("--min-support is required")?,
         "--min-support",
     )?;
-    let algo = match option(args, "--algo").as_deref() {
-        None | Some("fpgrowth") => Algorithm::FpGrowth,
-        Some("apriori") => Algorithm::Apriori,
-        Some("eclat") => Algorithm::Eclat,
-        Some(other) => return Err(format!("unknown algorithm {other:?}")),
-    };
-    let result = algo.mine(&db, min_support);
+    let result = andi::fpgrowth(&db, min_support);
     println!(
-        "{} frequent itemsets at min support {min_support} ({algo})",
+        "{} frequent itemsets at min support {min_support} (fp-growth)",
         result.len()
     );
     for (s, c) in result.iter().take(25) {
@@ -502,8 +538,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     if result.len() > 25 {
         println!("  ... {} more", result.len() - 25);
     }
-    if let Some(conf) = option(args, "--rules") {
-        let min_conf: f64 = parse(&conf, "--rules")?;
+    if let Some(conf) = args.option("--rules") {
+        let min_conf: f64 = parse(conf, "--rules")?;
         let rules = generate_rules(&result, db.n_transactions() as u64, min_conf);
         println!("\n{} rules at confidence >= {min_conf}", rules.len());
         for r in rules.iter().take(25) {
@@ -513,7 +549,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo() -> Result<(), String> {
+fn cmd_demo(args: &[String]) -> Result<(), String> {
+    Args::parse(args, &[])?;
     let db = andi::bigmart();
     println!("The paper's BigMart example: 6 items, 10 transactions.\n");
     println!("{}\n", DatasetSummary::of(&db));

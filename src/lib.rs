@@ -10,8 +10,8 @@
 //! * [`graph`] (`andi-graph`) — the bipartite crack-mapping
 //!   machinery: bitset/interval graphs, matchings, permanents,
 //!   propagation, and the MCMC matching sampler;
-//! * [`mining`] (`andi-mining`) — Apriori / FP-Growth / Eclat
-//!   frequent-set miners;
+//! * [`mining`] (`andi-mining`) — the FP-Growth frequent-set miner,
+//!   association rules and closed/maximal condensation;
 //! * [`core`] (`andi-core`) — belief functions, crack-expectation
 //!   formulas, O-estimates, the Assess-Risk recipe,
 //!   Similarity-by-Sampling and the Section 8 extensions.
@@ -57,5 +57,5 @@ pub use andi_core::{
 };
 pub use andi_data::{bigmart, Analog, Database, FrequencyGroups, ItemId, Transaction};
 pub use andi_graph::{Budget, CancelToken};
-pub use andi_mining::{apriori, eclat, fpgrowth, Itemset, MiningResult};
+pub use andi_mining::{fpgrowth, Itemset, MiningResult};
 pub use portfolio::{evaluate_portfolio, CandidateReport, PortfolioConfig, ReleaseCandidate};

@@ -212,6 +212,64 @@ fn mine_requires_min_support() {
 }
 
 #[test]
+fn options_may_come_before_the_files() {
+    let dir = temp_dir("order");
+    let file = bigmart_file(&dir);
+    let file = file.to_str().unwrap();
+    let after = andi(&["mine", file, "--min-support", "2", "--rules", "0.9"]);
+    let before = andi(&["mine", "--min-support", "2", "--rules", "0.9", file]);
+    assert!(before.status.success(), "stderr: {}", stderr(&before));
+    assert_eq!(stdout(&before), stdout(&after));
+
+    let out_file = dir.join("anon.dat");
+    let out = andi(&[
+        "anonymize",
+        "--seed",
+        "5",
+        file,
+        "--mapping",
+        dir.join("map.txt").to_str().unwrap(),
+        out_file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(
+        out_file.exists(),
+        "the second positional is the output file"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_option_the_command_does_not_read_is_an_error() {
+    let dir = temp_dir("unknown-option");
+    let file = bigmart_file(&dir);
+    let out = andi(&[
+        "mine",
+        file.to_str().unwrap(),
+        "--min-support",
+        "2",
+        "--algo",
+        "eclat",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown option \"--algo\""),
+        "{}",
+        stderr(&out)
+    );
+
+    let out = andi(&["oe", file.to_str().unwrap(), "--tau"]);
+    assert!(!out.status.success(), "oe reads no --tau");
+    let out = andi(&["advise", file.to_str().unwrap(), "--tau"]);
+    assert!(
+        stderr(&out).contains("--tau needs a value"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn similarity_prints_curve() {
     let dir = temp_dir("sim");
     let file = bigmart_file(&dir);

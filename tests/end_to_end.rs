@@ -3,9 +3,8 @@
 
 use andi::graph::sampler::SamplerConfig;
 use andi::graph::{hopcroft_karp, sample_cracks_budgeted, Budget};
-use andi::mining::Algorithm;
 use andi::{
-    assess_risk, sampled_belief, AnonymizationMapping, BeliefFunction, OutdegreeProfile,
+    assess_risk, fpgrowth, sampled_belief, AnonymizationMapping, BeliefFunction, OutdegreeProfile,
     RecipeConfig, SimilarityConfig,
 };
 use andi_data::synth::quest::{generate, QuestConfig};
@@ -64,7 +63,7 @@ fn real_attack_on_bigmart_with_exact_knowledge() {
 }
 
 /// The full mining-as-a-service loop: anonymized mining results map
-/// back exactly, for all three miners.
+/// back exactly.
 #[test]
 fn mining_roundtrip_through_anonymization() {
     let mut rng = StdRng::seed_from_u64(777);
@@ -83,16 +82,10 @@ fn mining_roundtrip_through_anonymization() {
     let mapping = AnonymizationMapping::random(db.n_items(), &mut rng);
     let released = mapping.anonymize_database(&db).unwrap();
     let min_support = 25;
-    let direct = Algorithm::FpGrowth.mine(&db, min_support);
+    let direct = fpgrowth(&db, min_support);
     assert!(!direct.is_empty(), "workload should have frequent sets");
-    for algo in Algorithm::ALL {
-        let anon_result = algo.mine(&released, min_support);
-        assert_eq!(
-            anon_result.relabel(mapping.backward()),
-            direct,
-            "{algo} roundtrip"
-        );
-    }
+    let anon_result = fpgrowth(&released, min_support);
+    assert_eq!(anon_result.relabel(mapping.backward()), direct);
 }
 
 /// The recipe and an actual simulated hacker agree on BigMart: the

@@ -5,10 +5,10 @@
 use andi::core::advisor::suppression_plan;
 use andi::core::powerset::{ItemsetBelief, PowersetBelief};
 use andi::core::sanitize::{round_supports, utility_loss};
-use andi::mining::{closed_itemsets, maximal_itemsets, Algorithm};
+use andi::mining::{closed_itemsets, maximal_itemsets};
 use andi::{
-    assess_powerset_risk, best_expected_cracks, bigmart, BeliefFunction, Budget, FrequencyGroups,
-    OutdegreeProfile, RecipeConfig, Rung,
+    assess_powerset_risk, best_expected_cracks, bigmart, fpgrowth, BeliefFunction, Budget,
+    FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
 };
 use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 use rand::rngs::StdRng;
@@ -83,8 +83,8 @@ fn sanitization_tradeoff_end_to_end() {
     // Utility side: frequencies drifted, mining results differ.
     let loss = utility_loss(&db, &sanitized).unwrap();
     assert!(loss.mean_frequency_error > 0.0);
-    let before = Algorithm::FpGrowth.mine(&db, 4);
-    let after = Algorithm::FpGrowth.mine(&sanitized.database, 4);
+    let before = fpgrowth(&db, 4);
+    let after = fpgrowth(&sanitized.database, 4);
     assert_ne!(before, after, "perturbation must show up in mining");
 }
 
@@ -124,12 +124,13 @@ fn condensed_mining_roundtrips_through_anonymization() {
     let mapping = andi::AnonymizationMapping::random(db.n_items(), &mut rng);
     let released = mapping.anonymize_database(&db).unwrap();
 
-    let truth_closed = closed_itemsets(&Algorithm::Eclat.mine(&db, 3));
-    let anon_closed = closed_itemsets(&Algorithm::Eclat.mine(&released, 3));
+    let (truth, anon) = (fpgrowth(&db, 3), fpgrowth(&released, 3));
+    let truth_closed = closed_itemsets(&truth);
+    let anon_closed = closed_itemsets(&anon);
     assert_eq!(anon_closed.relabel(mapping.backward()), truth_closed);
 
-    let truth_maximal = maximal_itemsets(&Algorithm::Apriori.mine(&db, 3));
-    let anon_maximal = maximal_itemsets(&Algorithm::Apriori.mine(&released, 3));
+    let truth_maximal = maximal_itemsets(&truth);
+    let anon_maximal = maximal_itemsets(&anon);
     assert_eq!(anon_maximal.relabel(mapping.backward()), truth_maximal);
 }
 
