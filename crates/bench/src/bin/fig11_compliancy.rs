@@ -1,9 +1,11 @@
 //! F-fig11: varying the degree of compliancy (Figure 11).
 //!
 //! For each Figure 10 dataset: sweep α over 0.0..=1.0, print the
-//! mask-averaged O-estimate as a fraction of the domain (the
-//! figure's y-axis), mark the owner's tolerance τ = 0.1, and report
-//! α_max. The paper's qualitative claims to reproduce:
+//! masked O-estimate (its closed-form mean over compliant subsets) as
+//! a fraction of the domain (the figure's y-axis), mark the owner's
+//! tolerance τ = 0.1, and report α_max. Without `--sim` the output is
+//! a pure function of the analog, at any `ANDI_THREADS`. The paper's
+//! qualitative claims to reproduce:
 //!
 //! * RETAIL sits below τ even at α = 1 (clear disclose);
 //! * PUMSB and ACCIDENTS cross τ at a comfortable α (≈ 0.65–0.7);
@@ -39,11 +41,11 @@ fn main() {
         let n = w.n_items();
         let (delta_med, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
-        let threads = available_threads();
         // Exact marginals, one connected component at a time, when
         // the walks price under the cap; otherwise the propagated
         // O-estimate.
-        let exact = crack_probabilities_per_component(&graph, threads, &Budget::unlimited());
+        let exact =
+            crack_probabilities_per_component(&graph, available_threads(), &Budget::unlimited());
         let (probs, estimator) = match exact {
             Ok(p) => (p, "exact"),
             Err(_) => (
@@ -53,13 +55,13 @@ fn main() {
                 "O-estimate",
             ),
         };
-        let curve = compliancy_curve(&probs, &alphas, n_runs(quick), 0xF1611, threads);
+        let curve = compliancy_curve(&probs, &alphas);
         // Decoy-corrected variant: wrong intervals of the same mean
         // width still absorb anonymized items and compete with the
         // compliant claimants, bending the curve super-linear (as the
         // paper's Figure 11 shows and the simulation confirms).
         let width = 2.0 * delta_med;
-        let decoy = compliancy_curve_decoy(&graph, width, &alphas, n_runs(quick), 0xF1611, threads);
+        let decoy = compliancy_curve_decoy(&graph, width, &alphas);
 
         let mut table = TextTable::new(if with_sim {
             vec!["alpha", "OE", "OE/n", "decoy/n", "sim/n", "<= tau?"]
@@ -89,8 +91,6 @@ fn main() {
             w.n_transactions,
             &RecipeConfig {
                 tolerance: tau,
-                n_mask_runs: n_runs(quick),
-                seed: 0xF1611,
                 ..RecipeConfig::default()
             },
         )

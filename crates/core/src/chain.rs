@@ -131,12 +131,6 @@ impl ChainSpec {
         &self.n
     }
 
-    /// The shared split `(u, v)`: `u[i]` items of `S_i` truly belong
-    /// to group `i`, `v[i]` to group `i+1`.
-    pub fn shared_split(&self) -> (&[usize], &[usize]) {
-        (&self.u, &self.v)
-    }
-
     /// Lemma 6 (Lemma 5 when `k = 2`): the exact expected number of
     /// cracks.
     ///
@@ -301,14 +295,6 @@ mod tests {
             (oe - 197.0 / 120.0).abs() < 1e-12,
             "expected 197/120 = 1.64166..., got {oe}"
         );
-    }
-
-    #[test]
-    fn shared_split_of_paper_example() {
-        let c = paper_example();
-        let (u, v) = c.shared_split();
-        assert_eq!(u, &[2]);
-        assert_eq!(v, &[1]);
     }
 
     #[test]

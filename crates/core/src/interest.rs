@@ -128,9 +128,10 @@ pub struct InterestRisk {
     /// O-estimate of interesting cracks for the `δ`-widened
     /// compliant interval belief.
     pub interval_oe: f64,
-    /// Largest compliancy fraction keeping the *interesting* crack
-    /// estimate within `tolerance · n₁`, averaged over nested random
-    /// masks (None if even full compliance fits).
+    /// Largest compliancy fraction on the `k/100` grid keeping the
+    /// *interesting* crack estimate within `tolerance · n₁`, read off
+    /// the closed-form [`compliancy_curve`] (None if even full
+    /// compliance fits).
     pub alpha_max: Option<f64>,
 }
 
@@ -142,10 +143,6 @@ pub struct InterestConfig {
     /// Interval half-width; `None` = use the median frequency-group
     /// gap (`δ_med`).
     pub delta: Option<f64>,
-    /// Averaging runs for the α curve.
-    pub n_mask_runs: usize,
-    /// RNG seed for mask permutations.
-    pub seed: u64,
 }
 
 impl Default for InterestConfig {
@@ -153,8 +150,6 @@ impl Default for InterestConfig {
         InterestConfig {
             tolerance: 0.1,
             delta: None,
-            n_mask_runs: 5,
-            seed: 0x1A7E,
         }
     }
 }
@@ -211,25 +206,16 @@ pub fn assess_interest_risk(
     let profile = OutdegreeProfile::propagated(&graph)?;
     let interval_oe = profile.oestimate_masked(&mask)?;
 
-    // α search against the interest budget. The compliancy curve
-    // machinery works on crack probabilities; zero out uninteresting
-    // items by building a restricted profile view via masking within
-    // the curve: reuse compliancy_curve on a masked pseudo-profile.
+    // α search against the interest budget, on the compliancy curve
+    // of the profile restricted to interesting items (uninteresting
+    // crack probabilities do not count toward the budget).
     let budget = config.tolerance * n_interest as f64;
     let alpha_max = if interval_oe <= budget {
         None
     } else {
-        // Restrict the profile to interesting items (uninteresting
-        // crack probabilities do not count toward the budget).
         let restricted = profile.restrict(&mask)?;
         let alphas: Vec<f64> = (0..=100).map(|k| k as f64 / 100.0).collect();
-        let curve = compliancy_curve(
-            &restricted.probabilities(),
-            &alphas,
-            config.n_mask_runs,
-            config.seed,
-            andi_graph::par::available_threads(),
-        );
+        let curve = compliancy_curve(&restricted.probabilities(), &alphas);
         let best = curve
             .iter()
             .rev()

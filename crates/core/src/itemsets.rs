@@ -60,12 +60,6 @@ pub struct SetIdentification {
 }
 
 impl SetIdentification {
-    /// Blocks that leak information: proper subsets of the domain.
-    pub fn leaking_blocks(&self) -> impl Iterator<Item = &IdentifiedBlock> {
-        let n_total: usize = self.blocks.iter().map(|b| b.len()).sum();
-        self.blocks.iter().filter(move |b| b.len() < n_total)
-    }
-
     /// Number of items identified outright (singleton blocks).
     pub fn certain_cracks(&self) -> usize {
         self.blocks
@@ -200,8 +194,6 @@ mod tests {
         assert_eq!(id.block_sizes(), vec![2, 2]);
         assert_eq!(id.certain_cracks(), 0);
         assert!(id.unmatchable.is_empty());
-        // Both blocks are proper subsets: set-level leaks.
-        assert_eq!(id.leaking_blocks().count(), 2);
     }
 
     #[test]
@@ -211,7 +203,6 @@ mod tests {
         let id = identify_sets(&graph);
         assert_eq!(id.blocks.len(), 1);
         assert_eq!(id.blocks[0].len(), 5);
-        assert_eq!(id.leaking_blocks().count(), 0, "nothing leaks");
     }
 
     #[test]

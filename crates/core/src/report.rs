@@ -116,11 +116,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as GitHub-flavored Markdown (first column
     /// left-aligned, the rest right-aligned).
     pub fn render_markdown(&self) -> String {
@@ -204,12 +199,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with `digits` decimal places (helper for the
-/// bench binaries).
-pub fn fnum(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +216,6 @@ mod tests {
         // Numbers right-aligned: widths equal across rows.
         assert_eq!(lines[2].len(), lines[3].len());
         assert!(lines[3].contains("16470"));
-        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]
@@ -235,12 +223,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = TextTable::new(["a", "b"]);
         t.add_row(["only one"]);
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(fnum(0.5, 4), "0.5000");
     }
 
     #[test]

@@ -25,8 +25,9 @@ fn small_db() -> impl Strategy<Value = Vec<std::collections::BTreeSet<u32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// With the linear masked-OE curve, `α_max ≈ min(1, τ·n / OE)`.
-    /// The mask averaging introduces only small deviations.
+    /// The masked-OE curve is linear, `c·OE/n` at `c` compliant
+    /// items, so `α_max = c*/n` exactly for `c* = ⌊τ·n²/OE⌋` (capped
+    /// at `n`).
     #[test]
     fn alpha_max_tracks_the_linear_formula(
         supports in profile(),
@@ -35,19 +36,21 @@ proptest! {
         let tau = tau_pct as f64 / 100.0;
         let config = RecipeConfig {
             tolerance: tau,
-            n_mask_runs: 8,
             ..RecipeConfig::default()
         };
         let n = supports.len() as f64;
         let verdict = assess_risk(&supports, 200, &config).unwrap();
         if let Some(alpha) = verdict.alpha_max() {
-            let predicted = (tau * n / verdict.full_compliance_oe).min(1.0);
-            // The search runs on integer item counts, so quantization
-            // contributes up to ~1/n on top of mask-average noise.
-            let tolerance = 0.2 + 1.5 / n;
+            let oe = verdict.full_compliance_oe;
+            let bound = (tau * n * n / oe).min(n);
+            let c = (alpha * n).round();
+            // Where the bound lands on an integer k, rounding may put
+            // k either side of the budget.
+            let k = bound.round();
+            let on_boundary = (bound - k).abs() < 1e-9;
             prop_assert!(
-                (alpha - predicted).abs() < tolerance,
-                "alpha_max {alpha} vs linear prediction {predicted} (n = {n})"
+                c == bound.floor() || (on_boundary && (c == k || c == k - 1.0)),
+                "alpha_max {alpha} vs c*/n = {}/{n}", bound.floor()
             );
         } else {
             // Disclosure: one of the two early exits fired.
@@ -206,11 +209,9 @@ proptest! {
     fn budgeted_recipe_on_the_oe_floor_reproduces_the_plain_recipe(
         supports in prop::collection::vec(1u64..60, 2..=12),
         seed in 0u64..1000,
-        n_mask_runs in 1usize..7,
     ) {
         let config = |tolerance: f64| RecipeConfig {
             tolerance,
-            n_mask_runs,
             seed,
             ..RecipeConfig::default()
         };

@@ -1,12 +1,11 @@
 //! Transaction sampling (the `D_p ⊂ D` of Figure 13).
 //!
 //! The Similarity-by-Sampling procedure draws samples of the original
-//! database to simulate an attacker holding "similar" data. We
-//! provide both an exact-size sample without replacement (what a p%
-//! sample of the transaction list means operationally) and a
-//! Bernoulli per-transaction sample; the paper's procedure is
-//! agnostic, and exact-size sampling gives better-behaved small
-//! samples.
+//! database to simulate an attacker holding "similar" data. The
+//! sample is exact-size and without replacement (what a p% sample of
+//! the transaction list means operationally); the paper's procedure
+//! is agnostic, and exact-size sampling gives better-behaved small
+//! samples than a Bernoulli per-transaction draw.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -49,33 +48,6 @@ pub fn sample_count<R: Rng + ?Sized>(db: &Database, k: usize, rng: &mut R) -> Da
     // The transactions come from a validated Database and k >= 1
     // keeps at least one, so the trusted constructor applies.
     Database::from_trusted(db.n_items(), transactions)
-}
-
-/// Bernoulli sample: keeps each transaction independently with
-/// probability `p`. Guarantees a non-empty result by retrying the
-/// pass until at least one transaction survives.
-///
-/// # Panics
-///
-/// Panics if `p` is not within `(0, 1]`.
-pub fn sample_bernoulli<R: Rng + ?Sized>(db: &Database, p: f64, rng: &mut R) -> Database {
-    assert!(
-        p > 0.0 && p <= 1.0,
-        "probability must be in (0, 1], got {p}"
-    );
-    loop {
-        let transactions: Vec<_> = db
-            .transactions()
-            .iter()
-            .filter(|_| rng.gen_bool(p))
-            .cloned()
-            .collect();
-        if !transactions.is_empty() {
-            // The guard ensures non-emptiness and the transactions
-            // come from a validated Database.
-            return Database::from_trusted(db.n_items(), transactions);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,16 +104,6 @@ mod tests {
             let in_sample = s.transactions().iter().filter(|u| u == &t).count();
             let in_db = db.transactions().iter().filter(|u| u == &t).count();
             assert!(in_sample <= in_db);
-        }
-    }
-
-    #[test]
-    fn bernoulli_never_returns_empty() {
-        let db = bigmart();
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..20 {
-            let s = sample_bernoulli(&db, 0.05, &mut rng);
-            assert!(s.n_transactions() >= 1);
         }
     }
 

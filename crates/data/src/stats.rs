@@ -119,34 +119,6 @@ impl FrequencyGroups {
     pub fn median_gap(&self) -> Option<f64> {
         self.gap_stats().map(|s| s.median)
     }
-
-    /// Looks up the group index whose support equals `support`, if
-    /// any (binary search over the sorted groups).
-    pub fn group_of_support(&self, support: u64) -> Option<usize> {
-        self.groups
-            .binary_search_by_key(&support, |g| g.support)
-            .ok()
-    }
-
-    /// The smallest group size — the frequency analog of a
-    /// k-anonymity level: against a point-valued-compliant hacker,
-    /// every item is hidden among at least this many candidates.
-    /// `None` when there are no groups.
-    pub fn min_group_size(&self) -> Option<usize> {
-        self.groups.iter().map(|g| g.items.len()).min()
-    }
-
-    /// Histogram of group sizes: `hist[k]` counts groups of exactly
-    /// `k` items (index 0 unused). The "camouflage profile" of the
-    /// release.
-    pub fn group_size_histogram(&self) -> Vec<usize> {
-        let max = self.groups.iter().map(|g| g.items.len()).max().unwrap_or(0);
-        let mut hist = vec![0usize; max + 1];
-        for g in &self.groups {
-            hist[g.items.len()] += 1;
-        }
-        hist
-    }
 }
 
 /// Mean/median/min/max statistics over the frequency gaps — the last
@@ -251,27 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn group_of_support_lookup() {
-        let fg = FrequencyGroups::from_supports(&[7, 3, 7, 3, 1], 10);
-        assert_eq!(fg.group_of_support(1), Some(0));
-        assert_eq!(fg.group_of_support(3), Some(1));
-        assert_eq!(fg.group_of_support(7), Some(2));
-        assert_eq!(fg.group_of_support(2), None);
-    }
-
-    #[test]
     fn gap_stats_empty_is_none() {
         assert!(GapStats::from_gaps(&[]).is_none());
-    }
-
-    #[test]
-    fn camouflage_metrics() {
-        let fg = FrequencyGroups::of_database(&bigmart());
-        // Two singletons and one 4-group: the k-anonymity analog is 1.
-        assert_eq!(fg.min_group_size(), Some(1));
-        let hist = fg.group_size_histogram();
-        assert_eq!(hist[1], 2);
-        assert_eq!(hist[4], 1);
-        assert_eq!(hist.iter().sum::<usize>() - hist[0], 3);
     }
 }

@@ -10,7 +10,7 @@
 //! Transactions must be non-empty; a transaction left empty by the
 //! random placement receives one uniformly chosen item, whose support
 //! grows by one (a vanishing perturbation for realistic profiles, and
-//! reported by [`MaterializedDatabase::support_adjustments`]).
+//! counted by [`MaterializedDatabase::filled_transactions`]).
 
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
@@ -27,14 +27,6 @@ pub struct MaterializedDatabase {
     pub database: Database,
     /// Number of transactions that required a filler item.
     pub filled_transactions: usize,
-}
-
-impl MaterializedDatabase {
-    /// How many item supports differ (by +1 each) from the requested
-    /// profile. Equals `filled_transactions`.
-    pub fn support_adjustments(&self) -> usize {
-        self.filled_transactions
-    }
 }
 
 /// Materializes a database with the given per-item supports over
@@ -120,7 +112,6 @@ mod tests {
         // Each fill bumps exactly one item by one.
         let drift: u64 = got.iter().sum::<u64>() - 2;
         assert_eq!(drift, md.filled_transactions as u64);
-        assert_eq!(md.support_adjustments(), md.filled_transactions);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic, seeded fault injection.
 //!
-//! The budgeted execution paths (`permanent`, `sampler`, the recipe)
-//! carry named *probe points* — [`probe`] calls that are free when no
+//! The budgeted execution paths (`permanent`, `sampler`) carry named
+//! *probe points* — [`probe`] calls that are free when no
 //! schedule is active and that inject a panic or a short delay when
 //! one is. Whether a given probe fires is a **pure function** of
 //! `(schedule, point name, task index)` — no clocks, no thread ids,
@@ -283,13 +283,13 @@ mod tests {
             rate_ppm: 1_000_000,
             mode: FaultMode::Panic,
         };
-        assert!((0..64).all(|i| s.fires("recipe.run", i) == Some(FaultAction::Panic)));
+        assert!((0..64).all(|i| s.fires("permanent.chunk", i) == Some(FaultAction::Panic)));
         let half = FaultSchedule {
             rate_ppm: 300_000,
             ..s
         };
         let a: Vec<bool> = (0..64)
-            .map(|i| half.fires("recipe.run", i).is_some())
+            .map(|i| half.fires("permanent.chunk", i).is_some())
             .collect();
         let b: Vec<bool> = (0..64)
             .map(|i| half.fires("sampler.batch", i).is_some())

@@ -1,10 +1,10 @@
 //! Deterministic parallel execution layer.
 //!
 //! Every estimator in this workspace that fans out over independent
-//! subproblems — recipe mask runs, Ryser subset chunks, sampler
-//! batches — goes through one worker pool, [`try_map_indexed`]: the
-//! calling thread plus `threads − 1` scoped helpers (over the
-//! vendored `crossbeam::thread::scope`) run the same self-scheduling
+//! subproblems — Ryser subset chunks, sampler batches — goes through
+//! one worker pool, [`try_map_indexed`]: the calling thread plus
+//! `threads − 1` scoped helpers (over the vendored
+//! `crossbeam::thread::scope`) run the same self-scheduling
 //! loop over a shared task counter (work-stealing-style dynamic load
 //! balancing: whoever is idle claims the next unclaimed index, so
 //! uneven task costs never leave a core idle). At `threads <= 1` the
@@ -34,8 +34,8 @@
 //! optional [`CancelToken`]; [`Budget::check`] is the single poll
 //! primitive every hot loop in the workspace calls (Gray-code strides
 //! in `permanent`, swap strides and epoch boundaries in `sampler`,
-//! per mask run in the recipe, and between tasks here). A trip
-//! surfaces as a structured [`ExecError`] instead of a hang.
+//! and between tasks here). A trip surfaces as a structured
+//! [`ExecError`] instead of a hang.
 //!
 //! Each task runs under `catch_unwind`, the pool drains cleanly, and
 //! a panicking task becomes [`ExecError::WorkerPanic`] carrying the
@@ -165,20 +165,6 @@ impl Budget {
     pub fn with_token(mut self, token: CancelToken) -> Self {
         self.token = Some(token);
         self
-    }
-
-    /// The same budget with the deadline dropped but the token kept:
-    /// the recipe runs its cheap polynomial tail under this, so a
-    /// degraded answer is still produced after the deadline killed
-    /// the expensive estimator rungs, while cancellation keeps
-    /// working everywhere.
-    pub fn cancel_only(&self) -> Budget {
-        Budget {
-            start: self.start,
-            deadline: None,
-            limit_ms: None,
-            token: self.token.clone(),
-        }
     }
 
     /// The configured wall-clock limit in milliseconds, if any.

@@ -139,30 +139,30 @@ fn mine_tree(tree: &FpTree, suffix: &[usize], min_support: u64, out: &mut Vec<(I
             count,
         ));
 
-        // Conditional tree on r's prefix paths.
-        let mut cond = FpTree::new(tree.header.len());
-        for &node in &tree.header[r] {
-            let path = tree.prefix_of(node);
-            if !path.is_empty() {
-                cond.insert(&path, tree.nodes[node].count);
+        // Conditional tree on r's prefix paths, keeping only the ranks
+        // frequent among those paths.
+        let paths: Vec<(Vec<usize>, u64)> = tree.header[r]
+            .iter()
+            .map(|&node| (tree.prefix_of(node), tree.nodes[node].count))
+            .collect();
+        let mut cond_count = vec![0u64; tree.header.len()];
+        for (path, count) in &paths {
+            for &pr in path {
+                cond_count[pr] += count;
             }
         }
-        // Prune infrequent ranks inside the conditional tree by
-        // rebuilding with only frequent ranks (simple and correct).
-        let keep: Vec<bool> = cond.rank_count.iter().map(|&c| c >= min_support).collect();
-        if keep.iter().any(|&k| k) {
-            let mut pruned = FpTree::new(tree.header.len());
-            for &node in &tree.header[r] {
-                let path: Vec<usize> = tree
-                    .prefix_of(node)
+        if cond_count.iter().any(|&c| c >= min_support) {
+            let mut cond = FpTree::new(tree.header.len());
+            for (path, count) in paths {
+                let path: Vec<usize> = path
                     .into_iter()
-                    .filter(|&pr| keep[pr])
+                    .filter(|&pr| cond_count[pr] >= min_support)
                     .collect();
                 if !path.is_empty() {
-                    pruned.insert(&path, tree.nodes[node].count);
+                    cond.insert(&path, count);
                 }
             }
-            mine_tree(&pruned, &pattern, min_support, out);
+            mine_tree(&cond, &pattern, min_support, out);
         }
     }
 }

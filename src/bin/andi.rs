@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Options may come before or after the files; every option but
-//! `--exact` takes the next token as its value, and an option the
-//! command does not read is an error.
+//! `--exact` takes the next token as its value, and an option or a
+//! file the command does not read is an error.
 
 use std::process::ExitCode;
 
@@ -127,8 +127,9 @@ struct Args<'a> {
 
 impl<'a> Args<'a> {
     /// Splits `args`, taking the token after each option as its value
-    /// and rejecting any `--name` outside `known`.
-    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+    /// and rejecting any `--name` outside `known` and any positional
+    /// past the first `n_files`.
+    fn parse(args: &'a [String], n_files: usize, known: &[&str]) -> Result<Self, String> {
         let mut parsed = Args {
             positionals: Vec::new(),
             options: Vec::new(),
@@ -147,6 +148,9 @@ impl<'a> Args<'a> {
                     .ok_or_else(|| format!("{token} needs a value"))?;
                 parsed.options.push((token, value));
             }
+        }
+        if let Some(extra) = parsed.positionals.get(n_files) {
+            return Err(format!("unexpected argument {extra:?}"));
         }
         Ok(parsed)
     }
@@ -186,7 +190,7 @@ fn load(path: &str) -> Result<Database, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &[])?;
+    let args = &Args::parse(args, 1, &[])?;
     let db = load(args.positional(0, "file.dat")?)?;
     println!("{}", DatasetSummary::of(&db));
     Ok(())
@@ -195,6 +199,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     let args = &Args::parse(
         args,
+        1,
         &["--tau", "--budget-ms", "--belief", "--provenance-json"],
     )?;
     let db = load(args.positional(0, "file.dat")?)?;
@@ -337,7 +342,7 @@ fn print_assessment(verdict: &RiskAssessment, tau: f64) {
 }
 
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &["--tau"])?;
+    let args = &Args::parse(args, 1, &["--tau"])?;
     let db = load(args.positional(0, "file.dat")?)?;
     let tau: f64 = match args.option("--tau") {
         Some(t) => parse(t, "--tau")?,
@@ -372,7 +377,7 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
 
 fn cmd_portfolio(args: &[String]) -> Result<(), String> {
     use andi::{evaluate_portfolio, PortfolioConfig, ReleaseCandidate};
-    let args = &Args::parse(args, &["--min-support", "--tau"])?;
+    let args = &Args::parse(args, 1, &["--min-support", "--tau"])?;
     let db = load(args.positional(0, "file.dat")?)?;
     let min_support: u64 = match args.option("--min-support") {
         Some(s) => parse(s, "--min-support")?,
@@ -427,7 +432,7 @@ fn cmd_portfolio(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_oe(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &["--delta", "--exact"])?;
+    let args = &Args::parse(args, 1, &["--delta", "--exact"])?;
     let db = load(args.positional(0, "file.dat")?)?;
     let supports = db.supports();
     let m = db.n_transactions() as u64;
@@ -461,7 +466,7 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_similarity(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &["--fractions"])?;
+    let args = &Args::parse(args, 1, &["--fractions"])?;
     let db = load(args.positional(0, "file.dat")?)?;
     let fractions: Vec<f64> = match args.option("--fractions") {
         Some(list) => list
@@ -494,7 +499,7 @@ fn cmd_similarity(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_anonymize(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &["--seed", "--mapping"])?;
+    let args = &Args::parse(args, 2, &["--seed", "--mapping"])?;
     let input = args.positional(0, "in.dat")?;
     let output = args.positional(1, "out.dat")?;
     let db = load(input)?;
@@ -520,7 +525,7 @@ fn cmd_anonymize(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
-    let args = &Args::parse(args, &["--min-support", "--rules"])?;
+    let args = &Args::parse(args, 1, &["--min-support", "--rules"])?;
     let db = load(args.positional(0, "file.dat")?)?;
     let min_support: u64 = parse(
         args.option("--min-support")
@@ -550,7 +555,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
-    Args::parse(args, &[])?;
+    Args::parse(args, 0, &[])?;
     let db = andi::bigmart();
     println!("The paper's BigMart example: 6 items, 10 transactions.\n");
     println!("{}\n", DatasetSummary::of(&db));

@@ -270,6 +270,28 @@ fn an_option_the_command_does_not_read_is_an_error() {
 }
 
 #[test]
+fn a_file_the_command_does_not_read_is_an_error() {
+    let dir = temp_dir("extra-file");
+    let file = bigmart_file(&dir);
+    let file = file.to_str().unwrap();
+    for args in [
+        vec!["stats", file, "/nonexistent/extra.dat"],
+        vec!["assess", file, "--tau", "0.6", "/nonexistent/extra.dat"],
+        vec!["anonymize", file, "out.dat", "/nonexistent/extra.dat"],
+        vec!["demo", "/nonexistent/extra.dat"],
+    ] {
+        let out = andi(&args);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(
+            stderr(&out).contains("unexpected argument \"/nonexistent/extra.dat\""),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn similarity_prints_curve() {
     let dir = temp_dir("sim");
     let file = bigmart_file(&dir);

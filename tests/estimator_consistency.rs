@@ -7,8 +7,9 @@
 //! so these properties exercise exactly the objects the conformance
 //! sweeps and the committed corpus replay.
 
+use andi::core::compliancy_curve_decoy;
 use andi::graph::{expected_cracks, sample_cracks_budgeted, Budget, Matching};
-use andi::{BeliefFunction, ChainSpec, OutdegreeProfile};
+use andi::{compliancy_curve, BeliefFunction, ChainSpec, OutdegreeProfile};
 use andi_oracle::estimators::{crack_probabilities_of, ClosedForm, OEstimate, Permanent};
 use andi_oracle::{Estimator, Instance, Regime};
 use proptest::prelude::*;
@@ -163,6 +164,36 @@ proptest! {
         prop_assert!(ClosedForm.applies_to(&inst));
         let closed = ClosedForm.estimate(&inst).unwrap().value;
         prop_assert!((closed - exact).abs() < 1e-9);
+    }
+
+    /// The decoy-corrected curve is the plain O-estimate curve
+    /// wherever it models no decoy: at every α when the assumed
+    /// interval width is 0, and at α = 1 whatever the width. (On a
+    /// compliant belief every crack edge exists, so the decoy curve's
+    /// crack-edge filter drops no term.)
+    #[test]
+    fn decoy_curve_without_decoys_is_the_plain_curve(
+        supports in small_profile(),
+        delta in 0.0f64..0.3,
+        width in 0.0f64..1.0,
+    ) {
+        let freqs: Vec<f64> = supports.iter().map(|&s| s as f64 / 100.0).collect();
+        let graph = BeliefFunction::widened(&freqs, delta)
+            .unwrap()
+            .build_graph(&supports, 100);
+        let probs = OutdegreeProfile::plain(&graph).probabilities();
+        let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
+        let plain = compliancy_curve(&probs, &alphas);
+        let no_width = compliancy_curve_decoy(&graph, 0.0, &alphas);
+        for (p, d) in plain.iter().zip(&no_width) {
+            prop_assert!(
+                (p.oestimate - d.oestimate).abs() <= 1e-12 * (1.0 + p.oestimate),
+                "alpha={}: plain {} vs decoy {}", p.alpha, p.oestimate, d.oestimate
+            );
+        }
+        let full = compliancy_curve_decoy(&graph, width, &[1.0]);
+        let last = plain.last().unwrap().oestimate;
+        prop_assert!((full[0].oestimate - last).abs() <= 1e-12 * (1.0 + last));
     }
 
     /// The grouped and dense graphs always agree on outdegrees, and

@@ -1,14 +1,12 @@
 //! The parallel layer's determinism contract, property-tested end to
-//! end: every threaded hot path — recipe curves, the budgeted Ryser
-//! permanent, the budgeted sharded sampler — must return
+//! end: every threaded hot path — the budgeted recipe, the budgeted
+//! Ryser permanent, the budgeted sharded sampler — must return
 //! **bit-identical** results at every thread count from 1 to 8 under
 //! an unlimited budget, across random graphs, beliefs, seeds and
 //! schedules. (`andi_core::parallel` documents the contract; these
 //! tests are its teeth.)
 
-use andi_core::{
-    compliancy_curve, compliancy_curve_decoy, compliant_count, BeliefFunction, OutdegreeProfile,
-};
+use andi_core::{assess_risk_budgeted, compliant_count, BeliefFunction, RecipeConfig};
 use andi_graph::permanent::try_permanent_of_rows_budgeted;
 use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
 use andi_graph::{Budget, GroupedBigraph, Matching};
@@ -29,48 +27,32 @@ fn grouped_graph() -> impl Strategy<Value = GroupedBigraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The compliancy curve (per-run mask fan-out) is bit-identical
-    /// at every thread count.
+    /// The budgeted recipe — whose exact rung walks Ryser on the
+    /// worker pool — returns the same transcript, answering rung and
+    /// trips at every thread count, whatever the tolerance.
     #[test]
-    fn recipe_curve_is_bit_identical_across_threads(
-        g in grouped_graph(),
-        n_runs in 1usize..9,
-        seed in 0u64..1000,
+    fn budgeted_recipe_is_identical_across_threads(
+        supports in prop::collection::vec(1u64..60, 2..=10),
+        tau_pct in 1u32..=100,
     ) {
-        let probs = OutdegreeProfile::plain(&g).probabilities();
-        let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
-        let serial = compliancy_curve(&probs, &alphas, n_runs, seed, 1);
-        for threads in 2..=8 {
-            let par = compliancy_curve(&probs, &alphas, n_runs, seed, threads);
-            for (a, b) in serial.iter().zip(&par) {
-                prop_assert_eq!(
-                    a.oestimate.to_bits(), b.oestimate.to_bits(),
-                    "threads={}, alpha={}", threads, a.alpha
-                );
+        let config = RecipeConfig {
+            tolerance: f64::from(tau_pct) / 100.0,
+            ..RecipeConfig::default()
+        };
+        // `{:?}` prints every f64 so that it reads back to the same
+        // bits; `spent_ms` is wall-clock and left out.
+        let run = |threads: usize| {
+            match assess_risk_budgeted(&supports, 60, &config, &Budget::unlimited(), threads) {
+                Ok(b) => format!(
+                    "{:?} rung={:?} trips={:?}",
+                    b.assessment, b.provenance.rung, b.provenance.trips
+                ),
+                Err(e) => format!("err {e:?}"),
             }
-        }
-    }
-
-    /// The decoy curve (per-α fan-out) is bit-identical at every
-    /// thread count.
-    #[test]
-    fn decoy_curve_is_bit_identical_across_threads(
-        g in grouped_graph(),
-        n_runs in 1usize..7,
-        seed in 0u64..1000,
-        width_pct in 0u32..40,
-    ) {
-        let width = width_pct as f64 / 100.0;
-        let alphas: Vec<f64> = (0..=8).map(|k| k as f64 / 8.0).collect();
-        let serial = compliancy_curve_decoy(&g, width, &alphas, n_runs, seed, 1);
+        };
+        let serial = run(1);
         for threads in 2..=8 {
-            let par = compliancy_curve_decoy(&g, width, &alphas, n_runs, seed, threads);
-            for (a, b) in serial.iter().zip(&par) {
-                prop_assert_eq!(
-                    a.oestimate.to_bits(), b.oestimate.to_bits(),
-                    "threads={}, alpha={}", threads, a.alpha
-                );
-            }
+            prop_assert_eq!(run(threads), serial.clone(), "threads={}", threads);
         }
     }
 
