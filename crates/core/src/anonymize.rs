@@ -32,7 +32,7 @@ use crate::error::{Error, Result};
 /// let xp = mapping.anonymize(x);
 /// assert_eq!(db.supports()[x.index()], released.supports()[xp.index()]);
 /// // ...and the inverse recovers the original exactly.
-/// let back = mapping.deanonymize_database(&released).unwrap();
+/// let back = released.relabel(mapping.backward()).unwrap();
 /// assert_eq!(back.supports(), db.supports());
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,22 +96,13 @@ impl AnonymizationMapping {
         AnonItemId(self.forward[x.index()])
     }
 
-    /// The original id behind anonymized item `xp` (the secret the
-    /// hacker is after).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xp` is out of range.
-    pub fn deanonymize(&self, xp: AnonItemId) -> ItemId {
-        ItemId(self.backward[xp.index()])
-    }
-
     /// The raw forward permutation.
     pub fn forward(&self) -> &[u32] {
         &self.forward
     }
 
-    /// The raw backward permutation.
+    /// The raw backward permutation: `backward()[x']` is the original
+    /// id behind anonymized item `x'` (the secret the hacker is after).
     pub fn backward(&self) -> &[u32] {
         &self.backward
     }
@@ -131,37 +122,6 @@ impl AnonymizationMapping {
         }
         db.relabel(&self.forward).map_err(Error::Data)
     }
-
-    /// Inverts an anonymized database back to original ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DomainMismatch`] if sizes disagree.
-    pub fn deanonymize_database(&self, db: &Database) -> Result<Database> {
-        if db.n_items() != self.n_items() {
-            return Err(Error::DomainMismatch {
-                expected: self.n_items(),
-                got: db.n_items(),
-            });
-        }
-        db.relabel(&self.backward).map_err(Error::Data)
-    }
-
-    /// How many items a hacker's crack mapping identifies correctly:
-    /// `crack_map[x'] = claimed original id`, compared against the
-    /// true inverse. This is the paper's definition of "cracks".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crack_map` has the wrong length.
-    pub fn count_cracks(&self, crack_map: &[u32]) -> usize {
-        assert_eq!(crack_map.len(), self.n_items(), "crack map size mismatch");
-        crack_map
-            .iter()
-            .zip(self.backward.iter())
-            .filter(|(claimed, truth)| claimed == truth)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +135,7 @@ mod tests {
     fn identity_roundtrip() {
         let m = AnonymizationMapping::identity(4);
         assert_eq!(m.anonymize(ItemId(2)), AnonItemId(2));
-        assert_eq!(m.deanonymize(AnonItemId(3)), ItemId(3));
+        assert_eq!(m.backward()[3], 3);
         assert_eq!(m.n_items(), 4);
     }
 
@@ -183,8 +143,8 @@ mod tests {
     fn explicit_permutation() {
         let m = AnonymizationMapping::from_permutation(vec![2, 0, 1]).unwrap();
         assert_eq!(m.anonymize(ItemId(0)), AnonItemId(2));
-        assert_eq!(m.deanonymize(AnonItemId(2)), ItemId(0));
-        assert_eq!(m.deanonymize(AnonItemId(0)), ItemId(1));
+        assert_eq!(m.backward()[2], 0);
+        assert_eq!(m.backward()[0], 1);
     }
 
     #[test]
@@ -198,7 +158,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let m = AnonymizationMapping::random(100, &mut rng);
         for x in 0..100u32 {
-            assert_eq!(m.deanonymize(m.anonymize(ItemId(x))), ItemId(x));
+            assert_eq!(m.backward()[m.anonymize(ItemId(x)).index()], x);
         }
     }
 
@@ -226,12 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn deanonymize_database_is_inverse() {
+    fn backward_relabel_is_inverse() {
         let db = bigmart();
         let mut rng = StdRng::seed_from_u64(73);
         let m = AnonymizationMapping::random(db.n_items(), &mut rng);
         let anon = m.anonymize_database(&db).unwrap();
-        let back = m.deanonymize_database(&anon).unwrap();
+        let back = anon.relabel(m.backward()).unwrap();
         assert_eq!(back.supports(), db.supports());
         for (a, b) in back.transactions().iter().zip(db.transactions()) {
             assert_eq!(a.items(), b.items());
@@ -249,14 +209,5 @@ mod tests {
                 got: 6
             })
         ));
-    }
-
-    #[test]
-    fn count_cracks_compares_against_truth() {
-        let m = AnonymizationMapping::from_permutation(vec![1, 2, 0]).unwrap();
-        // backward = [2, 0, 1]: x'=0 is item 2, x'=1 is item 0, ...
-        assert_eq!(m.count_cracks(&[2, 0, 1]), 3);
-        assert_eq!(m.count_cracks(&[2, 1, 0]), 1);
-        assert_eq!(m.count_cracks(&[0, 1, 2]), 0);
     }
 }

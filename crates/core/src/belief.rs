@@ -33,8 +33,8 @@ use crate::error::{Error, Result};
 /// let ballpark = BeliefFunction::widened(&truth, 0.05).unwrap();
 ///
 /// assert!(ignorant.is_ignorant());
-/// assert!(exact.is_point_valued());
-/// assert!(ballpark.is_interval());
+/// assert_eq!(exact.interval(1), (0.4, 0.4));
+/// assert!(ballpark.interval(1).0 < ballpark.interval(1).1);
 /// // All three contain the truth: fully compliant.
 /// assert_eq!(ballpark.alpha(&truth), 1.0);
 /// // Refinement (Definition 7): tighter knowledge refines looser.
@@ -177,17 +177,6 @@ impl BeliefFunction {
         self.intervals.iter().all(|&(l, r)| l == 0.0 && r == 1.0)
     }
 
-    /// Whether every interval is a single point.
-    pub fn is_point_valued(&self) -> bool {
-        self.intervals.iter().all(|&(l, r)| l == r)
-    }
-
-    /// Whether at least one interval is a true range (`l < r`) — the
-    /// paper's definition of an *interval* belief function.
-    pub fn is_interval(&self) -> bool {
-        self.intervals.iter().any(|&(l, r)| l < r)
-    }
-
     /// Whether `β` is compliant on item `x` given its true frequency.
     #[inline]
     pub fn compliant_on(&self, x: usize, true_freq: f64) -> bool {
@@ -310,6 +299,17 @@ mod tests {
 
     const BIGMART_FREQS: [f64; 6] = [0.5, 0.4, 0.5, 0.5, 0.3, 0.5];
 
+    /// Whether every interval is a single point.
+    fn is_point_valued(b: &BeliefFunction) -> bool {
+        b.intervals().iter().all(|&(l, r)| l == r)
+    }
+
+    /// Whether at least one interval is a true range (`l < r`) — the
+    /// paper's definition of an *interval* belief function.
+    fn is_interval(b: &BeliefFunction) -> bool {
+        b.intervals().iter().any(|&(l, r)| l < r)
+    }
+
     /// The belief function `h` of Figure 2 (0-based item ids).
     fn belief_h() -> BeliefFunction {
         BeliefFunction::from_intervals(vec![
@@ -340,19 +340,19 @@ mod tests {
     #[test]
     fn classification_of_figure_2_functions() {
         let f = BeliefFunction::point_valued(&BIGMART_FREQS).unwrap();
-        assert!(f.is_point_valued());
-        assert!(!f.is_interval());
+        assert!(is_point_valued(&f));
+        assert!(!is_interval(&f));
         assert!(!f.is_ignorant());
 
         let g = BeliefFunction::ignorant(6);
         assert!(g.is_ignorant());
-        assert!(g.is_interval());
-        assert!(!g.is_point_valued());
+        assert!(is_interval(&g));
+        assert!(!is_point_valued(&g));
 
         let h = belief_h();
-        assert!(h.is_interval());
+        assert!(is_interval(&h));
         assert!(!h.is_ignorant());
-        assert!(!h.is_point_valued());
+        assert!(!is_point_valued(&h));
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
         let groups = FrequencyGroups::from_supports(&[4, 4, 4], 10);
         let (delta, b) = BeliefFunction::delta_med_compliant(&groups).unwrap();
         assert_eq!(delta, 0.0);
-        assert!(b.is_point_valued());
+        assert!(is_point_valued(&b));
         assert_eq!(b.intervals(), [(0.4, 0.4); 3]);
     }
 

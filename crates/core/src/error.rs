@@ -27,7 +27,7 @@ pub enum Error {
     WorkerPanic { task: usize, payload: String },
     /// The wall-clock budget of a budgeted run was exceeded.
     BudgetExceeded { budget_ms: u64 },
-    /// A [`crate::parallel::CancelToken`] fired mid-run.
+    /// A [`andi_graph::par::CancelToken`] fired mid-run.
     Cancelled,
 }
 

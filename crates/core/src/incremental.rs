@@ -34,8 +34,8 @@ pub enum Edit {
 
 /// An ordered batch of [`Edit`]s, applied left to right.
 ///
-/// Batches form a monoid under [`DeltaBatch::concat`]: applying
-/// `a.concat(b)` is equivalent to applying `a` then `b`, and the
+/// Batches form a monoid under concatenation of their `edits`:
+/// applying `a ++ b` is equivalent to applying `a` then `b`, and the
 /// empty batch is the identity — the algebra the property suite
 /// checks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -63,13 +63,6 @@ impl DeltaBatch {
     /// Number of edits in the batch.
     pub fn len(&self) -> usize {
         self.edits.len()
-    }
-
-    /// Concatenation: the batch that applies `self`'s edits, then
-    /// `other`'s.
-    pub fn concat(mut self, other: DeltaBatch) -> DeltaBatch {
-        self.edits.extend(other.edits);
-        self
     }
 }
 

@@ -41,20 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-/// The deterministic work-stealing execution layer (re-exported from
-/// [`andi_graph::par`]): the one worker pool
-/// [`parallel::try_map_indexed`] with its bit-identity contract (and
-/// its unlimited-budget wrapper [`parallel::map_indexed`]),
-/// [`parallel::chunk_ranges`], the `ANDI_THREADS` resolution in
-/// [`parallel::available_threads`], and the budget layer
-/// ([`parallel::Budget`], [`parallel::CancelToken`]) behind
-/// [`assess_risk_budgeted`].
-/// The recipe, permanent and sampler hot paths all fan out through
-/// it.
-pub mod parallel {
-    pub use andi_graph::par::*;
-}
-
 pub mod advisor;
 pub mod anonymize;
 pub mod belief;

@@ -304,10 +304,10 @@ mod tests {
         assert!(!g.has_edge(1, 0));
         assert!(!g.has_edge(2, 0));
         // Mary's column: only record 1 is aged 30-35.
-        assert_eq!(g.right_degree(1), 1);
+        assert_eq!(g.right_degrees()[1], 1);
         assert!(g.has_edge(1, 1));
         // Bob's column: no constraints, everyone qualifies.
-        assert_eq!(g.right_degree(2), 4);
+        assert_eq!(g.right_degrees()[2], 4);
     }
 
     #[test]
@@ -381,7 +381,7 @@ mod tests {
             },
         );
         let g = build_graph(&relation(), &k).unwrap();
-        assert_eq!(g.right_degree(1), 1);
+        assert_eq!(g.right_degrees()[1], 1);
         // A broader node keeps more candidates.
         let mut k = Knowledge::ignorant(4);
         k.add(
@@ -392,7 +392,7 @@ mod tests {
             },
         );
         let g = build_graph(&relation(), &k).unwrap();
-        assert_eq!(g.right_degree(1), 4);
+        assert_eq!(g.right_degrees()[1], 4);
     }
 
     #[test]
@@ -407,7 +407,7 @@ mod tests {
             },
         );
         let g = build_graph(&relation(), &k).unwrap();
-        assert_eq!(g.right_degree(0), 3);
+        assert_eq!(g.right_degrees()[0], 3);
         assert!(!g.has_edge(1, 0));
         // NotEquals on a numeric attribute is vacuous.
         let mut k = Knowledge::ignorant(4);
@@ -419,7 +419,7 @@ mod tests {
             },
         );
         let g = build_graph(&relation(), &k).unwrap();
-        assert_eq!(g.right_degree(0), 4);
+        assert_eq!(g.right_degrees()[0], 4);
     }
 
     #[test]

@@ -396,13 +396,13 @@ mod tests {
     #[test]
     fn single_group_sample_degrades_to_point_width() {
         // A database where every item has the same support: no gaps.
-        let db = Database::from_raw(3, &[&[0, 1, 2], &[0, 1, 2]]).unwrap();
+        let mut builder = andi_data::DatabaseBuilder::new(3);
+        builder.add([0, 1, 2]).unwrap().add([0, 1, 2]).unwrap();
+        let db = builder.build().unwrap();
         let config = SimilarityConfig::default();
         let mut rng = StdRng::seed_from_u64(3);
         let sb = sampled_belief(&db, 1.0, &config, &mut rng).unwrap();
         assert_eq!(sb.delta, 0.0);
         assert!((sb.alpha - 1.0).abs() < 1e-12);
     }
-
-    use andi_data::Database;
 }

@@ -105,7 +105,8 @@ proptest! {
 
         let (mid_s, mid_m) = apply_edits_to_summary(&supports, m, &a).unwrap();
         let seq = apply_edits_to_summary(&mid_s, mid_m, &b).unwrap();
-        let whole = apply_edits_to_summary(&supports, m, &a.clone().concat(b)).unwrap();
+        let ab = DeltaBatch::new(a.edits.iter().cloned().chain(b.edits).collect());
+        let whole = apply_edits_to_summary(&supports, m, &ab).unwrap();
 
         assert_same_summary(&seq, &whole, "a;b vs a++b");
         // The generator tracked the same running summary edit by edit.

@@ -2,12 +2,12 @@
 
 use std::time::Duration;
 
-use andi_core::parallel::Budget;
 use andi_core::{
     assess_risk, assess_risk_budgeted, round_supports, suppression_plan, BeliefFunction, ChainSpec,
     OutdegreeProfile, RecipeConfig, RiskAssessment, RiskDecision, Rung,
 };
 use andi_data::{DatabaseBuilder, FrequencyGroups};
+use andi_graph::par::Budget;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

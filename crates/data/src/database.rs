@@ -179,23 +179,6 @@ impl Database {
             transactions,
         })
     }
-
-    /// Builds a database from raw `u32` item lists; convenience for
-    /// tests and examples.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Database::new`] errors and rejects empty
-    /// transactions.
-    pub fn from_raw(n_items: usize, raw: &[&[u32]]) -> Result<Self, String> {
-        let mut txs = Vec::with_capacity(raw.len());
-        for (i, r) in raw.iter().enumerate() {
-            let t = Transaction::new(r.iter().map(|&x| ItemId(x)))
-                .ok_or_else(|| format!("transaction {i} is empty"))?;
-            txs.push(t);
-        }
-        Database::new(n_items, txs)
-    }
 }
 
 /// The BigMart example database of Figure 1, used throughout the
@@ -260,7 +243,8 @@ mod tests {
 
     #[test]
     fn rejects_out_of_domain_items() {
-        let err = Database::from_raw(2, &[&[0, 5]]).unwrap_err();
+        let tx = Transaction::new([ItemId(0), ItemId(5)]).unwrap();
+        let err = Database::new(2, vec![tx]).unwrap_err();
         assert!(err.contains("outside domain"), "got: {err}");
     }
 
@@ -304,7 +288,9 @@ mod tests {
 
     #[test]
     fn avg_transaction_len() {
-        let db = Database::from_raw(3, &[&[0], &[0, 1, 2]]).unwrap();
+        let mut builder = crate::DatabaseBuilder::new(3);
+        builder.add([0]).unwrap().add([0, 1, 2]).unwrap();
+        let db = builder.build().unwrap();
         assert!((db.avg_transaction_len() - 2.0).abs() < 1e-12);
     }
 }

@@ -26,13 +26,6 @@ pub struct FimiDataset {
     pub raw_ids: Vec<u64>,
 }
 
-impl FimiDataset {
-    /// The raw file id of a dense item.
-    pub fn raw_id(&self, item: ItemId) -> u64 {
-        self.raw_ids[item.index()]
-    }
-}
-
 /// Parses FIMI-format text from any reader.
 ///
 /// Blank lines are skipped; duplicate items within a line are
@@ -158,7 +151,6 @@ mod tests {
         assert_eq!(ds.database.n_items(), 3);
         assert_eq!(ds.database.n_transactions(), 3);
         assert_eq!(ds.raw_ids, vec![1, 2, 3]);
-        assert_eq!(ds.raw_id(ItemId(0)), 1);
         // Supports: raw 1 -> 2, raw 2 -> 2, raw 3 -> 3.
         assert_eq!(ds.database.supports(), vec![2, 2, 3]);
     }

@@ -85,11 +85,6 @@ pub fn domain(n: usize) -> impl ExactSizeIterator<Item = ItemId> {
     (0..n as u32).map(ItemId)
 }
 
-/// An iterator over the dense anonymized domain `0..n`.
-pub fn anon_domain(n: usize) -> impl ExactSizeIterator<Item = AnonItemId> {
-    (0..n as u32).map(AnonItemId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +110,6 @@ mod tests {
         let d: Vec<ItemId> = domain(4).collect();
         assert_eq!(d, vec![ItemId(0), ItemId(1), ItemId(2), ItemId(3)]);
         assert_eq!(domain(100).len(), 100);
-        assert_eq!(anon_domain(3).count(), 3);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod transaction;
 
 pub use builder::{project, DatabaseBuilder};
 pub use database::{bigmart, Database};
-pub use item::{anon_domain, domain, AnonItemId, ItemId};
+pub use item::{domain, AnonItemId, ItemId};
 pub use stats::{FrequencyGroups, GapStats};
 pub use summary::DatasetSummary;
 pub use synth::Analog;

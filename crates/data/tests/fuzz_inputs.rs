@@ -4,7 +4,7 @@
 use andi_data::fimi::{read_fimi, write_fimi};
 use andi_data::sample::sample_count;
 use andi_data::stats::FrequencyGroups;
-use andi_data::{Database, DatabaseBuilder, ItemId};
+use andi_data::DatabaseBuilder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,7 +48,7 @@ proptest! {
         prop_assert_eq!(parsed.database.n_transactions(), db.n_transactions());
         for (orig, back) in db.transactions().iter().zip(parsed.database.transactions()) {
             let recovered: Vec<u64> =
-                back.iter().map(|x| parsed.raw_id(x)).collect();
+                back.iter().map(|x| parsed.raw_ids[x.index()]).collect();
             let original: Vec<u64> =
                 orig.iter().map(|x| x.0 as u64).collect();
             prop_assert_eq!(recovered, original);
@@ -141,7 +141,7 @@ fn fimi_large_ids() {
     let text = "18446744073709551615 7\n7\n";
     let ds = read_fimi(text.as_bytes()).unwrap();
     assert_eq!(ds.database.n_items(), 2);
-    assert_eq!(ds.raw_id(ItemId(1)), u64::MAX);
+    assert_eq!(ds.raw_ids[1], u64::MAX);
 }
 
 /// Ids beyond u64 produce a clean error.
@@ -154,7 +154,15 @@ fn fimi_overflowing_ids_error() {
 /// A database with one item in every transaction has a single group.
 #[test]
 fn degenerate_uniform_database() {
-    let db = Database::from_raw(1, &[&[0], &[0], &[0]]).unwrap();
+    let mut builder = DatabaseBuilder::new(1);
+    builder
+        .add([0])
+        .unwrap()
+        .add([0])
+        .unwrap()
+        .add([0])
+        .unwrap();
+    let db = builder.build().unwrap();
     let fg = FrequencyGroups::of_database(&db);
     assert_eq!(fg.n_groups(), 1);
     assert!(fg.median_gap().is_none());

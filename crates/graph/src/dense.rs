@@ -23,8 +23,7 @@
 /// g.add_edge(0, 1);
 /// g.add_edge(1, 1);
 /// assert!(g.has_edge(0, 1));
-/// assert_eq!(g.right_degree(1), 2); // the paper's O_x for item 1
-/// assert_eq!(g.n_edges(), 2);
+/// assert_eq!(g.right_degrees(), [0, 2, 0]); // the paper's O_x per item
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct DenseBigraph {
@@ -129,17 +128,9 @@ impl DenseBigraph {
         self.row(left).iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Degree of a right node: the paper's `O_x`, the number of
-    /// anonymized items that can map to original item `x`.
-    pub fn right_degree(&self, right: usize) -> usize {
-        let word = right / 64;
-        let bit = 1u64 << (right % 64);
-        (0..self.n)
-            .filter(|&i| self.rows[i * self.words_per_row + word] & bit != 0)
-            .count()
-    }
-
-    /// All right degrees in one pass (column popcounts).
+    /// All right degrees in one pass (column popcounts): the paper's
+    /// `O_x`, the number of anonymized items that can map to original
+    /// item `x`.
     pub fn right_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.n];
         for i in 0..self.n {
@@ -153,11 +144,6 @@ impl DenseBigraph {
             }
         }
         deg
-    }
-
-    /// Total edge count.
-    pub fn n_edges(&self) -> usize {
-        self.rows.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates the right neighbors of a left node.
@@ -206,9 +192,24 @@ impl Iterator for BitIter {
 }
 
 /// Helpers of the bitset propagation walk, kept with it as the
-/// reference of the unit walk's differential tests.
+/// reference of the unit walk's differential tests, and plain degree
+/// and edge counts for the unit tests.
 #[cfg(test)]
 impl DenseBigraph {
+    /// Degree of a right node, by a column scan.
+    pub(crate) fn right_degree(&self, right: usize) -> usize {
+        let word = right / 64;
+        let bit = 1u64 << (right % 64);
+        (0..self.n)
+            .filter(|&i| self.rows[i * self.words_per_row + word] & bit != 0)
+            .count()
+    }
+
+    /// Total edge count.
+    pub(crate) fn n_edges(&self) -> usize {
+        self.rows.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// All left degrees.
     pub(crate) fn left_degrees(&self) -> Vec<usize> {
         (0..self.n).map(|i| self.left_degree(i)).collect()

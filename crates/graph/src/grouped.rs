@@ -319,11 +319,6 @@ impl GroupedBigraph {
         self.has_edge(x, x)
     }
 
-    /// Total number of edges.
-    pub fn n_edges(&self) -> usize {
-        (0..self.n()).map(|x| self.outdegree(x)).sum()
-    }
-
     /// Materializes the dense bitset form (for permanents,
     /// propagation and exactness tests). Quadratic; intended for
     /// modest domains.
@@ -573,9 +568,12 @@ impl Matching {
     pub fn is_perfect(&self) -> bool {
         self.left_partner.iter().all(|p| p.is_some())
     }
+}
 
+#[cfg(test)]
+impl Matching {
     /// Number of cracks: matched pairs `(i, i)`.
-    pub fn n_cracks(&self) -> usize {
+    pub(crate) fn n_cracks(&self) -> usize {
         self.left_partner
             .iter()
             .enumerate()
@@ -691,7 +689,6 @@ mod tests {
         }
         let od = d.right_degrees();
         assert_eq!(od, g.outdegrees());
-        assert_eq!(d.n_edges(), g.n_edges());
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! * [`sampler`] — the Section 7.1 swap-walk MCMC over consistent
 //!   matchings.
 //! * [`par`] — the deterministic work-stealing worker pool the
-//!   permanent, sampler and (via `andi-core`) recipe hot paths fan
-//!   out on, plus the [`par::Budget`]/[`par::CancelToken`] layer that
+//!   permanent and sampler hot paths fan out on, plus the [`par::Budget`]/[`par::CancelToken`] layer that
 //!   makes every budgeted entry point deadline-bounded, cancellable,
 //!   and panic-isolated.
 //! * [`faults`] — the deterministic seeded fault-injection harness
@@ -38,7 +37,7 @@
 //! | permanent | [`try_permanent_of_rows_budgeted`] (one proven unchecked lane, `n <=` [`MAX_PERMANENT_N`] `= 22`) | [`permanent()`] |
 //! | exact crack probabilities | one private ratio-walk driver behind two component splits: [`crack_probabilities_budgeted`] (dense, `n <= 22`) and [`crack_probabilities_per_component`] (grouped, any `n`, walks priced up to [`exact::EXACT_PRICE_CAP`]) | [`crack_probabilities`], [`expected_cracks`] |
 //! | sampler | [`sample_cracks_budgeted`] (counts and per-item hits) | — ([`sample_crack_probabilities_budgeted`] is its hits / samples, same budget) |
-//! | fan-out | [`try_map_indexed`] | [`par::map_indexed`] |
+//! | fan-out | [`try_map_indexed`] | — |
 
 #![forbid(unsafe_code)]
 

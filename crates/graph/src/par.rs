@@ -9,12 +9,12 @@
 //! balancing: whoever is idle claims the next unclaimed index, so
 //! uneven task costs never leave a core idle). At `threads <= 1` the
 //! caller runs that loop alone and nothing is spawned.
-//! [`map_indexed`] is the same pool on an unlimited budget.
 //!
 //! # Determinism contract
 //!
-//! `map_indexed(threads, n, f)` returns exactly
-//! `(0..n).map(f).collect()` — same values, same order — for *every*
+//! On an unlimited budget, `try_map_indexed(threads, n, &budget, f)`
+//! returns exactly `Ok((0..n).map(f).collect())` — same values, same
+//! order — for *every*
 //! `threads` value, provided `f(i)` depends only on `i`. Callers
 //! then reduce the returned vector in index order, so floating-point
 //! accumulation order is fixed and results are bit-identical at any
@@ -43,8 +43,7 @@
 //! hit first — so the reported error is bit-identical at every thread
 //! count whenever the set of panicking tasks depends only on the task
 //! index (the [`crate::faults`] injection discipline guarantees
-//! exactly that). [`map_indexed`] re-raises that error as a panic
-//! carrying the task's payload text.
+//! exactly that).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -352,26 +351,10 @@ where
     Ok(tagged.into_iter().map(|(_, v)| v).collect())
 }
 
-/// [`try_map_indexed`] on an unlimited budget: maps `f` over
-/// `0..n_tasks` and returns the results in index order. A task panic
-/// is re-raised on the calling thread with that task's payload text.
-pub fn map_indexed<T, F>(threads: usize, n_tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_map_indexed(threads, n_tasks, &Budget::unlimited(), f) {
-        Ok(out) => out,
-        // andi::allow(panic-reachability) — re-raises a task's own panic; an unlimited budget never trips
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Spawns a named, long-lived service thread.
 ///
-/// Estimator fan-out must go through [`try_map_indexed`] (or its
-/// [`map_indexed`] wrapper) — that is what makes results thread-count
-/// invariant. Long-running *service* threads (a server's accept
+/// Estimator fan-out must go through [`try_map_indexed`] — that is
+/// what makes results thread-count invariant. Long-running *service* threads (a server's accept
 /// loop, its request workers, a connection watcher) are a different
 /// animal: they never touch result values, they only move requests
 /// around, and they live until their subsystem shuts down. This is
@@ -432,26 +415,31 @@ pub fn chunk_ranges(total: u64, max_chunks: usize) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
 
+    /// The pool on an unlimited budget, which never trips.
+    fn map_unlimited<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        try_map_indexed(threads, n, &Budget::unlimited(), f).unwrap()
+    }
+
     #[test]
-    fn map_indexed_matches_serial_at_every_thread_count() {
+    fn pool_matches_serial_at_every_thread_count() {
         let serial: Vec<u64> = (0..37).map(|i| (i as u64) * 3 + 1).collect();
         for threads in 1..=8 {
-            let par = map_indexed(threads, 37, |i| (i as u64) * 3 + 1);
+            let par = map_unlimited(threads, 37, |i| (i as u64) * 3 + 1);
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
 
     #[test]
-    fn map_indexed_handles_empty_and_single() {
-        assert_eq!(map_indexed(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(map_indexed(4, 1, |i| i + 10), vec![10]);
+    fn pool_handles_empty_and_single() {
+        assert_eq!(map_unlimited(4, 0, |i| i), Vec::<usize>::new());
+        assert_eq!(map_unlimited(4, 1, |i| i + 10), vec![10]);
     }
 
     #[test]
-    fn map_indexed_balances_uneven_tasks() {
+    fn pool_balances_uneven_tasks() {
         // Tasks with wildly different costs still produce ordered
         // results.
-        let out = map_indexed(4, 16, |i| {
+        let out = map_unlimited(4, 16, |i| {
             let spins = if i % 4 == 0 { 200_000 } else { 10 };
             let mut acc = i as u64;
             for k in 0..spins {

@@ -1,5 +1,5 @@
 //! The budget layer's contract, end to end: `try_map_indexed` is
-//! bit-identical to `map_indexed` at every thread count, panics are
+//! bit-identical to a serial map at every thread count, panics are
 //! isolated into structured errors with a deterministic task index,
 //! deadlines bound wall-clock time to budget + one chunk, and a
 //! cancel token fired from another thread stops the permanent and the
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use andi_graph::dense::DenseBigraph;
 use andi_graph::exact::{crack_probabilities_per_component, ExactError, EXACT_PRICE_CAP};
-use andi_graph::par::{map_indexed, try_map_indexed, Budget, CancelToken, ExecError};
+use andi_graph::par::{try_map_indexed, Budget, CancelToken, ExecError};
 use andi_graph::permanent::try_permanent_of_rows_budgeted;
 use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
 use andi_graph::{GroupedBigraph, Matching};
@@ -27,9 +27,9 @@ fn complete_rows(n: usize) -> Vec<u64> {
 }
 
 #[test]
-fn try_map_indexed_matches_map_indexed_across_threads() {
+fn try_map_indexed_matches_a_serial_map_across_threads() {
     for n_tasks in [0usize, 1, 2, 7, 64, 257] {
-        let expected = map_indexed(1, n_tasks, |i| i * i + 3);
+        let expected: Vec<usize> = (0..n_tasks).map(|i| i * i + 3).collect();
         for threads in 1..=8 {
             let got = try_map_indexed(threads, n_tasks, &Budget::unlimited(), |i| i * i + 3)
                 .expect("no budget, no panics");
@@ -60,34 +60,8 @@ fn panicking_task_reports_the_first_panicking_index() {
 }
 
 #[test]
-fn map_indexed_reraises_the_task_panic_with_its_payload() {
-    for threads in [1usize, 2, 4] {
-        let caught = std::panic::catch_unwind(|| {
-            map_indexed(threads, 16, |i| {
-                if i == 5 {
-                    panic!("boom at {i}");
-                }
-                i
-            })
-        })
-        .expect_err("task 5 panics");
-        let message = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            message.contains("boom at 5"),
-            "threads={threads}: re-raised panic lost its payload: {message:?}"
-        );
-    }
-}
-
-#[test]
 fn one_thread_runs_every_task_on_the_calling_thread() {
     let caller = std::thread::current().id();
-    let ran_on = map_indexed(1, 9, |_| std::thread::current().id());
-    assert_eq!(ran_on, vec![caller; 9]);
     let ran_on =
         try_map_indexed(1, 9, &Budget::unlimited(), |_| std::thread::current().id()).unwrap();
     assert_eq!(ran_on, vec![caller; 9]);
@@ -314,7 +288,7 @@ fn pre_cancelled_token_short_circuits_everything() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `try_map_indexed` with an unlimited budget is `map_indexed`
+    /// `try_map_indexed` with an unlimited budget is a serial map
     /// for arbitrary task counts and thread counts.
     #[test]
     fn try_map_is_map(n_tasks in 0usize..100, threads in 1usize..9, salt in 0u64..1000) {

@@ -6,11 +6,37 @@ use andi_graph::dense::DenseBigraph;
 use andi_graph::grouped::GroupedBigraph;
 use andi_graph::matching::hopcroft_karp;
 use andi_graph::par::{available_threads, Budget};
-use andi_graph::permanent::{permanent, permanent_naive};
+use andi_graph::permanent::permanent;
 use andi_graph::propagate::propagate;
 use andi_graph::sampler::{sample_cracks_budgeted, SamplerConfig};
 use andi_graph::Matching;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Brute-force permanent by recursive expansion; exponential, the
+/// reference Ryser is cross-checked against.
+fn permanent_naive(g: &DenseBigraph) -> u128 {
+    let n = g.n();
+    assert!(n <= 12, "naive permanent only for tiny graphs");
+    let rows: Vec<u64> = (0..n)
+        .map(|i| g.row_words(i).first().copied().unwrap_or(0))
+        .collect();
+    fn rec(rows: &[u64], i: usize, used: u64) -> u128 {
+        if i == rows.len() {
+            return 1;
+        }
+        let mut total = 0;
+        let mut avail = rows[i] & !used;
+        while avail != 0 {
+            let j = avail.trailing_zeros() as u64;
+            avail &= avail - 1;
+            total += rec(rows, i + 1, used | (1 << j));
+        }
+        total
+    }
+    rec(&rows, 0, 0)
+}
 
 /// Strategy: a random bipartite graph given as an adjacency bit
 /// matrix over `n <= 7` nodes per side.
@@ -292,4 +318,25 @@ fn sampler_start_independence() {
         .unwrap()
         .mean();
     assert!((a - b).abs() < 0.1, "start dependence: {a} vs {b}");
+}
+
+#[test]
+fn ryser_matches_naive_on_random_graphs() {
+    let mut rng = StdRng::seed_from_u64(41);
+    for trial in 0..30 {
+        let n = rng.gen_range(1..=7);
+        let mut g = DenseBigraph::new(n);
+        for i in 0..n {
+            for j in 0..n {
+                if rng.gen_bool(0.55) {
+                    g.add_edge(i, j);
+                }
+            }
+        }
+        assert_eq!(
+            permanent(&g),
+            permanent_naive(&g),
+            "trial {trial}, n={n}, graph={g:?}"
+        );
+    }
 }

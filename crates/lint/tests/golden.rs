@@ -462,7 +462,7 @@ fn shuffled_file_order_yields_identical_json() {
 #[test]
 fn pragma_count_only_decreases() {
     let count = andi_lint::count_pragmas(&workspace_root()).expect("tree walk succeeds");
-    const CEILING: usize = 7;
+    const CEILING: usize = 6;
     assert!(
         count <= CEILING,
         "active andi::allow pragmas grew to {count} (ceiling {CEILING}); \

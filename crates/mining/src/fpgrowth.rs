@@ -170,7 +170,7 @@ fn mine_tree(tree: &FpTree, suffix: &[usize], min_support: u64, out: &mut Vec<(I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use andi_data::bigmart;
+    use andi_data::{bigmart, DatabaseBuilder};
     use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> Itemset {
@@ -191,12 +191,13 @@ mod tests {
 
     /// A database over `n` items from non-empty item bitmasks.
     fn from_masks(n: usize, masks: &[u32]) -> Database {
-        let rows: Vec<Vec<u32>> = masks
-            .iter()
-            .map(|&mask| (0..n as u32).filter(|&x| mask & (1 << x) != 0).collect())
-            .collect();
-        let raw: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
-        Database::from_raw(n, &raw).expect("masks are non-empty and in range")
+        let mut builder = DatabaseBuilder::new(n);
+        for &mask in masks {
+            builder
+                .add((0..n as u32).filter(|&x| mask & (1 << x) != 0))
+                .expect("masks are in range");
+        }
+        builder.build().expect("masks are non-empty")
     }
 
     #[test]
@@ -248,7 +249,7 @@ mod tests {
 
     #[test]
     fn single_transaction_database() {
-        let db = Database::from_raw(4, &[&[0, 2, 3]]).unwrap();
+        let db = from_masks(4, &[0b1101]);
         let r = fpgrowth(&db, 1);
         assert_eq!(r.len(), 7, "all non-empty subsets of a 3-set");
         assert_eq!(r.support(&set(&[0, 2, 3])), Some(1));
@@ -256,8 +257,7 @@ mod tests {
 
     #[test]
     fn deep_itemsets() {
-        let db =
-            Database::from_raw(5, &[&[0, 1, 2, 3, 4], &[0, 1, 2, 3, 4], &[0, 1, 2, 3]]).unwrap();
+        let db = from_masks(5, &[0b11111, 0b11111, 0b01111]);
         let r = fpgrowth(&db, 2);
         // All non-empty subsets of {0..4} have support >= 2: 31.
         assert_eq!(r.len(), 31);

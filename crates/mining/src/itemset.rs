@@ -52,22 +52,6 @@ impl Itemset {
         self.items.is_empty()
     }
 
-    /// Whether `self ⊆ other` (linear merge; both sorted).
-    pub fn is_subset_of(&self, other: &Itemset) -> bool {
-        let mut o = other.items.iter();
-        'outer: for want in self.items.iter() {
-            for have in o.by_ref() {
-                match have.cmp(want) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
-
     /// The union of two itemsets.
     pub fn union(&self, other: &Itemset) -> Itemset {
         Itemset::new(self.items.iter().chain(other.items.iter()).copied())
@@ -161,14 +145,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert!(set(&[]).is_empty());
-    }
-
-    #[test]
-    fn subset_checks() {
-        assert!(set(&[1, 3]).is_subset_of(&set(&[1, 2, 3])));
-        assert!(set(&[]).is_subset_of(&set(&[1])));
-        assert!(!set(&[1, 4]).is_subset_of(&set(&[1, 2, 3])));
-        assert!(!set(&[0]).is_subset_of(&set(&[1, 2])));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! original patterns. Anonymization is a relabelling, so one correct
 //! miner shows that invariance: this crate supplies [`fpgrowth()`],
 //! tested against brute-force support counting, plus association
-//! rules and the closed/maximal condensations of its results.
+//! rules over its results.
 //!
 //! ```
 //! use andi_data::{bigmart, ItemId};
@@ -19,12 +19,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod condense;
 pub mod fpgrowth;
 pub mod itemset;
 pub mod rules;
 
-pub use condense::{closed_itemsets, maximal_itemsets};
 pub use fpgrowth::fpgrowth;
 pub use itemset::{Itemset, MiningResult};
 pub use rules::{generate_rules, Rule};

@@ -1,11 +1,10 @@
-//! A vendored keep-alive HTTP client for tests, the load harness,
-//! and the README quick-start — the same wire layer the server uses,
-//! pointed the other way.
+//! A vendored keep-alive HTTP client for `andi-benchmark`'s load
+//! driver, the README quick-start and the service tests — the same
+//! wire layer the server uses, pointed the other way.
 //!
 //! Supports one-shot request/response and explicit pipelining
-//! (`send` N times, then `recv` N times), which is what lets the
-//! seeded load harness push ≥10⁵ requests through a handful of
-//! connections.
+//! (`send` N times, then `recv` N times), which is what lets a load
+//! driver push ≥10⁵ requests through a handful of connections.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -80,15 +79,5 @@ impl Client {
         self.send(method, path, body)
             .map_err(|e| WireError::Io(e.kind().to_string()))?;
         self.recv()
-    }
-
-    /// Sends raw bytes on the wire (malformed-input tests).
-    ///
-    /// # Errors
-    ///
-    /// Transport write failures.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
     }
 }

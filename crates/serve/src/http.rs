@@ -231,13 +231,16 @@ fn read_body<R: BufRead>(
 }
 
 /// Parses shared head framing: splits header lines into lowercased
-/// name/value pairs and resolves the body length.
+/// name/value pairs and resolves the body length. A `content-length`
+/// must be ASCII digits only, and repeated ones must agree: RFC 9112
+/// §6.3 treats differing values as unrecoverable framing, since two
+/// parsers could split the stream at different points.
 fn parse_headers(
     lines: &[String],
     limits: &WireLimits,
 ) -> Result<(Vec<(String, String)>, usize), WireError> {
     let mut headers = Vec::with_capacity(lines.len());
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let (name, value) = line
             .split_once(':')
@@ -253,19 +256,28 @@ fn parse_headers(
             ));
         }
         if name == "content-length" {
-            content_length = value
-                .parse::<usize>()
-                .map_err(|_| WireError::Malformed(format!("bad content-length {value:?}")))?;
-            if content_length > limits.max_body_bytes {
+            let bad = || WireError::Malformed(format!("bad content-length {value:?}"));
+            // `usize::from_str` would also take a leading `+`.
+            if !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let length = value.parse::<usize>().map_err(|_| bad())?;
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(WireError::Malformed(
+                    "conflicting content-length values".into(),
+                ));
+            }
+            if length > limits.max_body_bytes {
                 return Err(WireError::BodyTooLarge {
                     limit: limits.max_body_bytes,
-                    got: content_length,
+                    got: length,
                 });
             }
+            content_length = Some(length);
         }
         headers.push((name, value));
     }
-    Ok((headers, content_length))
+    Ok((headers, content_length.unwrap_or(0)))
 }
 
 /// Reads and parses one request from the stream.

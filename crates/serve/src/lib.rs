@@ -28,9 +28,9 @@
 //!   client disconnect and the drain signal.
 //!
 //! Responses are deterministic (provenance `spent_ms` is zeroed in
-//! bodies; real timing rides in the `X-Andi-Spent-Ms` header), so the
-//! seeded load harness ([`load`]) can demand an exact response
-//! multiset across runs and thread counts.
+//! bodies; real timing rides in the `X-Andi-Spent-Ms` header), so a
+//! seeded load run (the `load` integration test) can demand an exact
+//! response multiset across runs and thread counts.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +38,6 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod load;
 pub mod server;
 pub mod stats;
 
@@ -46,6 +45,5 @@ pub use admission::{Admission, Offer};
 pub use cache::{CacheStats, Outcome, ShardedCache};
 pub use client::Client;
 pub use http::{Request, Response, WireError, WireLimits};
-pub use load::{run_load, LoadConfig, LoadReport};
 pub use server::{start, ServeConfig, ServerHandle};
 pub use stats::ServerStats;

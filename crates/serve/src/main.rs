@@ -7,7 +7,10 @@
 //!
 //! Prints `listening on <addr>` once bound, then serves until the
 //! process is killed. Endpoints: `POST /assess` (oracle instance
-//! text in, ladder result JSON out), `GET /stats`, `GET /health`.
+//! text in, ladder result JSON out), `POST /update` (an edit batch
+//! against a database summary in, the old and new summary
+//! fingerprints and the invalidation counts out), `GET /stats`,
+//! `GET /health`.
 
 use andi_graph::par;
 use andi_serve::{start, ServeConfig};

@@ -29,8 +29,8 @@
 //! Responses are deterministic: provenance in the body carries
 //! `spent_ms: 0` (the measured value rides in the `X-Andi-Spent-Ms`
 //! header) and only untripped results enter the cache, so a cache hit
-//! is bit-identical to the cold path and a seeded load run reproduces
-//! its exact response multiset.
+//! is bit-identical to the cold path and a seeded load run (the
+//! `load` integration test) reproduces its exact response multiset.
 
 use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -6,8 +6,10 @@
 //! the suite.
 
 use std::io::{BufReader, Cursor, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
-use andi_serve::http::{read_request, read_response, Request, Response, WireLimits};
+use andi_serve::http::{read_request, read_response, Request, Response, WireError, WireLimits};
 use andi_serve::{start, Client, ServeConfig};
 use proptest::prelude::*;
 
@@ -108,6 +110,17 @@ proptest! {
     }
 }
 
+/// Writes `bytes` on a fresh connection and reads one response under
+/// the client's stall watchdog (200 ms ticks).
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Result<Response, WireError> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    read_response(&mut BufReader::new(stream), &WireLimits::default())
+}
+
 /// One-byte-at-a-time variants of every hostile request against a
 /// live server: each must yield a structured response or a clean
 /// close within the watchdog, and the server must stay healthy.
@@ -137,6 +150,17 @@ fn hostile_requests_get_structured_responses_and_server_survives() {
             "truncated-body",
             b"POST /assess HTTP/1.1\r\ncontent-length: 100\r\n\r\nshort".to_vec(),
         ),
+        // `usize::from_str` takes a leading `+`; the wire must not.
+        (
+            "signed-content-length",
+            b"GET /health HTTP/1.1\r\ncontent-length: +0\r\n\r\n".to_vec(),
+        ),
+        // Differing lengths are a smuggling vector (RFC 9112 §6.3):
+        // keeping either one would frame the stream.
+        (
+            "conflicting-content-length",
+            b"GET /health HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 0\r\n\r\n".to_vec(),
+        ),
         ("oversized-head", {
             let mut head = b"GET / HTTP/1.1\r\n".to_vec();
             for i in 0..2000 {
@@ -148,12 +172,9 @@ fn hostile_requests_get_structured_responses_and_server_survives() {
     ];
 
     for (name, bytes) in cases {
-        let mut client = Client::connect(addr).unwrap();
-        client.send_raw(&bytes).unwrap();
-        // Truncated cases need EOF to resolve; close our write half
-        // by dropping after a short read attempt window. The recv
-        // itself is watchdog-bounded either way.
-        match client.recv() {
+        // Truncated cases need EOF to resolve; the read is
+        // watchdog-bounded either way.
+        match send_raw(addr, &bytes) {
             Ok(resp) => {
                 assert!(
                     (400..=599).contains(&resp.status),
@@ -185,6 +206,35 @@ fn hostile_requests_get_structured_responses_and_server_survives() {
     let health = client.request("GET", "/health", b"").unwrap();
     assert_eq!(health.status, 200);
     handle.shutdown();
+}
+
+/// The client half shares the server's `content-length` rules: digits
+/// only, and repeated headers must agree (RFC 9112 §6.3). Identical
+/// repeats are harmless and pass on either side.
+#[test]
+fn content_length_framing_is_shared_by_requests_and_responses() {
+    let response = |head: &str| {
+        let bytes = format!("HTTP/1.1 200 OK\r\n{head}\r\nabc");
+        read_response(&mut Cursor::new(bytes.into_bytes()), &WireLimits::default())
+    };
+    for head in [
+        "content-length: +3\r\n",
+        "content-length: 3\r\ncontent-length: 2\r\n",
+    ] {
+        assert!(
+            matches!(response(head), Err(WireError::Malformed(_))),
+            "{head:?} must be rejected as malformed"
+        );
+    }
+    let repeated = "content-length: 3\r\ncontent-length: 3\r\n";
+    assert_eq!(response(repeated).unwrap().body, b"abc");
+    let request = format!("POST /assess HTTP/1.1\r\n{repeated}\r\nabc");
+    let req = read_request(
+        &mut Cursor::new(request.into_bytes()),
+        &WireLimits::default(),
+    )
+    .unwrap();
+    assert_eq!(req.body, b"abc");
 }
 
 /// A trickling client cannot pin a worker forever: the stall watchdog

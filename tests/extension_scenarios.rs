@@ -1,11 +1,12 @@
 //! Integration scenarios for the beyond-the-paper extensions:
 //! exact estimation, the advisor, sanitization, powerset beliefs and
-//! condensed mining — each exercised across crate boundaries.
+//! Figure 11's α_max — each exercised across crate boundaries.
 
 use andi::core::advisor::suppression_plan;
 use andi::core::powerset::{ItemsetBelief, PowersetBelief};
+use andi::core::recipe::compliancy_curve;
 use andi::core::sanitize::{round_supports, utility_loss};
-use andi::mining::{closed_itemsets, maximal_itemsets};
+use andi::graph::crack_probabilities_per_component;
 use andi::{
     assess_powerset_risk, best_expected_cracks, bigmart, fpgrowth, BeliefFunction, Budget,
     FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
@@ -115,23 +116,51 @@ fn powerset_pruning_feeds_exact_estimation() {
     );
 }
 
-/// Condensed mining representations survive the anonymization
-/// round-trip exactly like the full results.
+/// Figure 11's α_max, read off `compliancy_curve` as the last
+/// compliant fraction c/n whose masked estimate fits τ·n, is the
+/// recipe's α_max whenever both read the same crack probabilities:
+/// the O-estimate for `assess_risk`, the per-component exact
+/// marginals for the budgeted recipe on an unlimited budget.
 #[test]
-fn condensed_mining_roundtrips_through_anonymization() {
+fn curve_alpha_max_agrees_with_the_recipe_on_shared_probabilities() {
     let db = bigmart();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mapping = andi::AnonymizationMapping::random(db.n_items(), &mut rng);
-    let released = mapping.anonymize_database(&db).unwrap();
+    let supports = db.supports();
+    let m = db.n_transactions() as u64;
+    let n = supports.len();
+    let groups = FrequencyGroups::from_supports(&supports, m);
+    let (_, belief) = BeliefFunction::delta_med_compliant(&groups).unwrap();
+    let graph = belief.build_graph(&supports, m);
+    let oe = OutdegreeProfile::propagated(&graph)
+        .unwrap()
+        .probabilities();
+    let exact = crack_probabilities_per_component(&graph, 1, &Budget::unlimited()).unwrap();
 
-    let (truth, anon) = (fpgrowth(&db, 3), fpgrowth(&released, 3));
-    let truth_closed = closed_itemsets(&truth);
-    let anon_closed = closed_itemsets(&anon);
-    assert_eq!(anon_closed.relabel(mapping.backward()), truth_closed);
+    let curve_alpha_max = |probs: &[f64], tau: f64| {
+        let fractions: Vec<f64> = (0..=n).map(|c| c as f64 / n as f64).collect();
+        let fits = compliancy_curve(probs, &fractions);
+        let c = fits
+            .iter()
+            .rposition(|p| p.oestimate <= tau * n as f64)
+            .unwrap();
+        fits[c].alpha
+    };
 
-    let truth_maximal = maximal_itemsets(&truth);
-    let anon_maximal = maximal_itemsets(&anon);
-    assert_eq!(anon_maximal.relabel(mapping.backward()), truth_maximal);
+    for tau in [0.01, 0.1] {
+        let config = RecipeConfig {
+            tolerance: tau,
+            ..RecipeConfig::default()
+        };
+        let heuristic = andi::assess_risk(&supports, m, &config).unwrap();
+        assert_eq!(heuristic.alpha_max(), Some(curve_alpha_max(&oe, tau)));
+
+        let budgeted =
+            andi::assess_risk_budgeted(&supports, m, &config, &Budget::unlimited(), 1).unwrap();
+        assert_eq!(budgeted.provenance.rung, Rung::Exact);
+        assert_eq!(
+            budgeted.assessment.alpha_max(),
+            Some(curve_alpha_max(&exact, tau))
+        );
+    }
 }
 
 /// Brute-force soundness of the powerset pruning: an edge is pruned

@@ -9,7 +9,7 @@
 
 use andi::core::ItemStatus;
 use andi::graph::permanent;
-use andi::{bigmart, ChainSpec, FrequencyGroups, OutdegreeProfile};
+use andi::{bigmart, BeliefFunction, ChainSpec, FrequencyGroups, OutdegreeProfile};
 use andi_oracle::estimators::{crack_probabilities_of, ClosedForm, OEstimate, Permanent};
 use andi_oracle::{cases, Confidence, Estimator};
 
@@ -189,9 +189,13 @@ fn figure_2_compliance_classification() {
     let f = f.belief().unwrap();
     let g = g.belief().unwrap();
     let h = h.belief().unwrap();
-    assert!(f.is_point_valued() && !f.is_interval());
-    assert!(g.is_ignorant() && g.is_interval());
-    assert!(h.is_interval() && !h.is_ignorant());
+    // Point-valued: every interval a single point. Interval: at least
+    // one true range.
+    let point_valued = |b: &BeliefFunction| b.intervals().iter().all(|&(l, r)| l == r);
+    let interval = |b: &BeliefFunction| b.intervals().iter().any(|&(l, r)| l < r);
+    assert!(point_valued(&f) && !interval(&f));
+    assert!(g.is_ignorant() && interval(&g));
+    assert!(interval(&h) && !h.is_ignorant());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! Ryser permanent, the budgeted sharded sampler — must return
 //! **bit-identical** results at every thread count from 1 to 8 under
 //! an unlimited budget, across random graphs, beliefs, seeds and
-//! schedules. (`andi_core::parallel` documents the contract; these
-//! tests are its teeth.)
+//! schedules. (`andi_graph::par` documents the contract; these tests
+//! are its teeth.)
 
 use andi_core::{assess_risk_budgeted, compliant_count, BeliefFunction, RecipeConfig};
 use andi_graph::permanent::try_permanent_of_rows_budgeted;
