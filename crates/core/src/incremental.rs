@@ -50,11 +50,6 @@ impl DeltaBatch {
         DeltaBatch { edits }
     }
 
-    /// The identity batch.
-    pub fn empty() -> Self {
-        DeltaBatch::default()
-    }
-
     /// True when the batch carries no edits.
     pub fn is_empty(&self) -> bool {
         self.edits.is_empty()

@@ -117,7 +117,7 @@ proptest! {
     #[test]
     fn empty_batch_is_the_identity((supports, m, _seed) in summary()) {
         let _quiet = FaultSchedule::parse("1:0").unwrap().install();
-        let out = apply_edits_to_summary(&supports, m, &DeltaBatch::empty()).unwrap();
+        let out = apply_edits_to_summary(&supports, m, &DeltaBatch::default()).unwrap();
         assert_same_summary(&out, &(supports, m), "empty batch");
     }
 

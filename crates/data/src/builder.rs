@@ -24,7 +24,6 @@ use crate::transaction::Transaction;
 pub struct DatabaseBuilder {
     n_items: usize,
     transactions: Vec<Transaction>,
-    skipped_empty: usize,
 }
 
 impl DatabaseBuilder {
@@ -33,12 +32,11 @@ impl DatabaseBuilder {
         DatabaseBuilder {
             n_items,
             transactions: Vec::new(),
-            skipped_empty: 0,
         }
     }
 
     /// Adds one transaction from raw item ids; duplicates are
-    /// deduplicated, empty inputs counted and skipped.
+    /// deduplicated, empty inputs skipped.
     ///
     /// # Errors
     ///
@@ -48,16 +46,8 @@ impl DatabaseBuilder {
         if let Some(bad) = ids.iter().find(|x| x.index() >= self.n_items) {
             return Err(format!("item {bad} outside domain 0..{}", self.n_items));
         }
-        match Transaction::new(ids) {
-            Some(t) => {
-                self.transactions.push(t);
-                Ok(self)
-            }
-            None => {
-                self.skipped_empty += 1;
-                Ok(self)
-            }
-        }
+        self.transactions.extend(Transaction::new(ids));
+        Ok(self)
     }
 
     /// Number of transactions accumulated so far.
@@ -68,11 +58,6 @@ impl DatabaseBuilder {
     /// Whether nothing has been added.
     pub fn is_empty(&self) -> bool {
         self.transactions.is_empty()
-    }
-
-    /// Empty inputs that were skipped.
-    pub fn skipped_empty(&self) -> usize {
-        self.skipped_empty
     }
 
     /// Finalizes the database.
@@ -139,7 +124,6 @@ mod tests {
         b.add([0, 2]).unwrap().add([1, 1, 3]).unwrap();
         b.add(std::iter::empty::<u32>()).unwrap();
         assert_eq!(b.len(), 2);
-        assert_eq!(b.skipped_empty(), 1);
         assert!(!b.is_empty());
         let db = b.build().unwrap();
         assert_eq!(db.n_transactions(), 2);

@@ -21,10 +21,10 @@
 use std::collections::BTreeSet;
 
 use crate::graph::{
-    call_paren, matching, pattern_idents, split_args, split_let, CallGraph, SourceFile,
+    brace_after, call_paren, matching, pattern_idents, split_args, split_let, CallGraph, SourceFile,
 };
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{for_loop_expr, in_lib_crate, loop_body_open, Finding};
+use crate::rules::{for_loop_expr, in_lib_crate, Finding};
 
 /// Splits a body token range into flat statement segments at `;`,
 /// `{`, and `}` (any depth except inside parens/brackets, so call
@@ -555,7 +555,8 @@ pub fn poll_reachability(files: &[SourceFile], g: &CallGraph) -> Vec<Finding> {
                     .get(k + 1)
                     .is_some_and(|n| n.is_punct('{'))
                     .then_some(k + 1),
-                "while" => loop_body_open(toks, k),
+                // A `while` header is scanned for at most 200 tokens.
+                "while" => brace_after(toks, k + 1, k + 201),
                 "for" => for_loop_expr(toks, k).map(|(_, brace)| brace),
                 _ => None,
             };

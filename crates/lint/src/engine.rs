@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crate::graph::{build, SourceFile};
 use crate::rules::{is_known_rule, run_rules, run_semantic_rules, Finding};
+use crate::taint::TaintStats;
 
 /// Lints a set of `(virtual path, source)` files as one workspace:
 /// per-file token rules, cross-file semantic rules, pragma
@@ -143,12 +144,6 @@ fn lint_loaded(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Lints one file's source under its workspace-relative `path` (a
-/// one-file workspace: cross-file resolution sees nothing else).
-pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_workspace(&[(path.to_string(), source.to_string())])
-}
-
 /// Lints files on disk under explicit virtual paths, as one
 /// workspace.
 pub fn lint_files(pairs: &[(String, PathBuf)]) -> io::Result<Vec<Finding>> {
@@ -157,11 +152,6 @@ pub fn lint_files(pairs: &[(String, PathBuf)]) -> io::Result<Vec<Finding>> {
         inputs.push((virt.clone(), fs::read_to_string(real)?));
     }
     Ok(lint_workspace(&inputs))
-}
-
-/// Lints a file on disk under an explicit virtual path.
-pub fn lint_file(virtual_path: &str, real_path: &Path) -> io::Result<Vec<Finding>> {
-    lint_files(&[(virtual_path.to_string(), real_path.to_path_buf())])
 }
 
 /// The workspace-relative in-scope `.rs` files under `root`: `src/`
@@ -231,28 +221,6 @@ pub fn taint_tree(root: &Path) -> io::Result<crate::taint::TaintReport> {
     Ok(crate::taint::analyze(&files, &build(&files)))
 }
 
-/// Counts the active `andi::declassify` boundaries in the tree at
-/// `root`. The burn-down test pins this as a decreasing ceiling —
-/// the declassification inventory can only shrink without review.
-pub fn count_declassifies(root: &Path) -> io::Result<usize> {
-    Ok(load_tree(root)?
-        .iter()
-        .map(|sf| sf.scan.declassifies.len())
-        .sum())
-}
-
-/// Counts the active suppression pragmas in the tree at `root` —
-/// every `// andi::allow(…)` the lexer collects from walked files
-/// (fixtures, vendored code, and docs that merely mention the
-/// grammar are out of scope by construction). The burn-down test
-/// pins this as a decreasing ceiling.
-pub fn count_pragmas(root: &Path) -> io::Result<usize> {
-    Ok(load_tree(root)?
-        .iter()
-        .map(|sf| sf.scan.pragmas.len())
-        .sum())
-}
-
 /// Recursively collects `.rs` files under `dir` (if it exists).
 fn collect_rs(dir: &Path, out: &mut BTreeSet<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
@@ -289,13 +257,56 @@ pub fn format_human(findings: &[Finding]) -> String {
 /// Renders findings as a JSON array (stable field order; no escapes
 /// beyond the JSON-mandatory set).
 pub fn format_json(findings: &[Finding]) -> String {
+    let mut s = findings_array(findings, "");
+    s.push('\n');
+    s
+}
+
+/// Renders the `andi-lint taint` report as one JSON object: the
+/// findings under `"findings"`, then the flow stats and the declassify
+/// inventory with its sanctioned chains.
+pub fn format_taint_json(findings: &[Finding], stats: &TaintStats) -> String {
+    let mut s = format!(
+        "{{\n  \"findings\": {},\n  \"sensitive_types\": {}, \"sensitive_members\": {}, \
+         \"bearing_types\": {},\n  \"fns_analyzed\": {}, \"raw_returning_fns\": {}, \
+         \"sink_sites\": {},\n  \"declassifies\": [\n",
+        findings_array(findings, "  "),
+        stats.sensitive_types.len(),
+        stats.sensitive_members,
+        stats.bearing_types.len(),
+        stats.fns_analyzed,
+        stats.raw_returning_fns,
+        stats.sink_sites
+    );
+    for (i, d) in stats.declassifies.iter().enumerate() {
+        let flows: Vec<String> = d.flows.iter().map(|f| json_str(f)).collect();
+        s.push_str(&format!(
+            "    {{\"file\": {}, \"line\": {}, \"reason\": {}, \"flows\": [{}]}}{}\n",
+            json_str(&d.file),
+            d.line,
+            json_str(&d.reason),
+            flows.join(", "),
+            if i + 1 == stats.declassifies.len() {
+                ""
+            } else {
+                ","
+            }
+        ));
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// A JSON array of findings, one per line, each line and the closing
+/// bracket indented by `indent`.
+fn findings_array(findings: &[Finding], indent: &str) -> String {
     let mut s = String::from("[");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         s.push_str(&format!(
-            "\n  {{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"message\":{}}}",
+            "\n{indent}  {{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"message\":{}}}",
             json_str(&f.file),
             f.line,
             f.col,
@@ -305,64 +316,9 @@ pub fn format_json(findings: &[Finding]) -> String {
     }
     if !findings.is_empty() {
         s.push('\n');
+        s.push_str(indent);
     }
-    s.push_str("]\n");
-    s
-}
-
-/// Renders findings as a minimal SARIF 2.1.0 log (one run, one
-/// driver). Field order is fixed and findings arrive pre-sorted from
-/// [`lint_workspace`], so the output is byte-stable for a given
-/// finding set regardless of input order. The rule catalogue embeds
-/// only the rules that actually fired, keeping the log small and the
-/// bytes independent of unrelated catalogue growth.
-pub fn format_sarif(findings: &[Finding]) -> String {
-    let mut fired: Vec<&'static str> = findings.iter().map(|f| f.rule).collect();
-    fired.sort_unstable();
-    fired.dedup();
-    let mut s = String::from(
-        "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
-         \"driver\": {\n          \"name\": \"andi-lint\",\n          \"rules\": [",
-    );
-    for (i, name) in fired.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let summary = crate::rules::RULES
-            .iter()
-            .find(|r| r.name == *name)
-            .map(|r| r.summary)
-            .unwrap_or("");
-        s.push_str(&format!(
-            "\n            {{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
-            json_str(name),
-            json_str(summary)
-        ));
-    }
-    if !fired.is_empty() {
-        s.push_str("\n          ");
-    }
-    s.push_str("]\n        }\n      },\n      \"results\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n        {{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\
-             \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            json_str(f.rule),
-            json_str(&f.message),
-            json_str(&f.file),
-            f.line,
-            f.col
-        ));
-    }
-    if !findings.is_empty() {
-        s.push_str("\n      ");
-    }
-    s.push_str("]\n    }\n  ]\n}\n");
+    s.push(']');
     s
 }
 

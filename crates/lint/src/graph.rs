@@ -5,7 +5,8 @@
 //! This module is also the front end every analysis reads: call
 //! sites by caller (`CallGraph::calls_of`), the callee→caller
 //! fixpoint (`CallGraph::mark_callers`), struct-field tables,
-//! delimiter matching (`matching`), call arguments (`split_args`) and
+//! delimiter matching (`matching`), body braces (`brace_after`),
+//! statement ends (`stmt_end`), call arguments (`split_args`) and
 //! `let` splitting (`split_let`). Two facts keep a second, differing
 //! implementation outside this module: the taint layer's unique
 //! callee at a call breaks ties by a `Type::` qualifier where
@@ -621,6 +622,43 @@ pub(crate) fn matching(toks: &[Token], open: usize, hi: usize) -> Option<usize> 
         }
     }
     None
+}
+
+/// Index of the first `{` in `[from, hi)` outside parens and
+/// brackets: the body brace after an `if`/`while`/`for`/`match`
+/// header (closures and index expressions in the header are skipped).
+pub(crate) fn brace_after(toks: &[Token], from: usize, hi: usize) -> Option<usize> {
+    let mut depth = 0i64;
+    for (j, t) in toks.iter().enumerate().take(hi).skip(from) {
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+        } else if depth <= 0 && t.is_punct('{') {
+            return Some(j);
+        }
+    }
+    None
+}
+
+/// End (exclusive) of the statement starting at `from`: the first
+/// `;` outside brackets, or the closing bracket that leaves the
+/// statement's own depth; `hi` when neither comes before `hi`.
+pub(crate) fn stmt_end(toks: &[Token], from: usize, hi: usize) -> usize {
+    let mut depth = 0i64;
+    for (j, t) in toks.iter().enumerate().take(hi).skip(from) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+            if depth < 0 {
+                return j;
+            }
+        } else if depth == 0 && t.is_punct(';') {
+            return j;
+        }
+    }
+    hi
 }
 
 /// A `let` statement split into half-open token ranges.

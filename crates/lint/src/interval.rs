@@ -31,7 +31,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::contracts::{self, Assume, Contract};
-use crate::graph::{self, adjacent, is_assign_eq, matching, CallGraph, SourceFile};
+use crate::graph::{
+    self, adjacent, brace_after, is_assign_eq, matching, stmt_end, CallGraph, SourceFile,
+};
 use crate::lexer::{Token, TokenKind};
 use crate::rules::Finding;
 
@@ -1824,44 +1826,6 @@ fn is_ident_word(w: &str) -> bool {
     let mut cs = w.chars();
     cs.next().is_some_and(|c| c.is_alphabetic() || c == '_')
         && cs.all(|c| c.is_alphanumeric() || c == '_')
-}
-
-/// Index just past the statement: the depth-0 `;`, else `close`.
-fn stmt_end(toks: &[Token], from: usize, close: usize) -> usize {
-    let mut d = 0i64;
-    #[allow(clippy::needless_range_loop)] // depth-tracking token scan
-    for j in from..close.min(toks.len()) {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            d += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            d -= 1;
-            if d < 0 {
-                return j;
-            }
-        } else if d == 0 && t.is_punct(';') {
-            return j;
-        }
-    }
-    close
-}
-
-/// First depth-0 `{` at or after `from` (depth counted over
-/// parens/brackets so closure bodies and index expressions skip).
-fn brace_after(toks: &[Token], from: usize, hi: usize) -> Option<usize> {
-    let mut d = 0i64;
-    #[allow(clippy::needless_range_loop)] // depth-tracking token scan
-    for j in from..hi.min(toks.len()) {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') {
-            d += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            d -= 1;
-        } else if d <= 0 && t.is_punct('{') {
-            return Some(j);
-        }
-    }
-    None
 }
 
 /// Parses an integer literal (`0x…`, `0b…`, `0o…`, `_` separators,

@@ -53,8 +53,8 @@ pub mod taint;
 
 pub use contracts::{Assume, Contract, FileContracts};
 pub use engine::{
-    check_tree, count_declassifies, count_pragmas, format_human, format_json, format_sarif,
-    lint_file, lint_files, lint_source, lint_workspace, prove_tree, taint_tree, tree_files,
+    check_tree, format_human, format_json, format_taint_json, lint_files, lint_workspace,
+    prove_tree, taint_tree, tree_files,
 };
 pub use graph::{build, CallGraph, CallSite, FnNode, PanicSite, SourceFile};
 pub use interval::{prove, Interval, ProofStats, Proved, Ty, TyInfo};

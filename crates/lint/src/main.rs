@@ -1,8 +1,8 @@
 //! CLI for `andi-lint`.
 //!
 //! ```text
-//! andi-lint check [--root DIR] [--format human|json|sarif]
-//! andi-lint check --file PATH --as VIRTUAL [--file … --as …] [--format human|json|sarif]
+//! andi-lint check [--root DIR] [--format human|json]
+//! andi-lint check --file PATH --as VIRTUAL [--file … --as …] [--format human|json]
 //! andi-lint prove [--root DIR]
 //! andi-lint taint [--root DIR] [--format human|json]
 //! andi-lint rules
@@ -18,273 +18,176 @@
 
 #![forbid(unsafe_code)]
 
+use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use andi_lint::{
-    check_tree, format_human, format_json, format_sarif, lint_files, prove_tree, taint_tree, RULES,
+    check_tree, format_human, format_json, format_taint_json, lint_files, prove_tree, taint_tree,
+    Finding, RULES,
 };
 
 const USAGE: &str = "usage: andi-lint check [--root DIR] [--file PATH --as VIRTUAL]... \
-                     [--format human|json|sarif] | andi-lint prove [--root DIR] | \
+                     [--format human|json] | andi-lint prove [--root DIR] | \
                      andi-lint taint [--root DIR] [--format human|json] | andi-lint rules";
+
+/// The flag values of one subcommand.
+struct Opts {
+    root: PathBuf,
+    json: bool,
+    /// `(virtual path, file on disk)` pairs from `--as`/`--file`.
+    files: Vec<(String, PathBuf)>,
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => check(&args[1..]),
-        Some("prove") => prove(&args[1..]),
-        Some("taint") => taint(&args[1..]),
-        Some("rules") => {
+    let cmd = args.first().map_or("", String::as_str);
+    let accepted: &[&str] = match cmd {
+        "check" => &["--root", "--format", "--file", "--as"],
+        "taint" => &["--root", "--format"],
+        "prove" => &["--root"],
+        "rules" => {
             for r in RULES {
                 println!("{:<26} {:<40} {}", r.name, r.scope, r.summary);
             }
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         _ => {
             eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let opts = match parse_flags(&args[1..], accepted) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("{msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let clean = match cmd {
+        "check" => check(&opts),
+        "taint" => taint(&opts),
+        _ => prove(&opts),
+    };
+    match clean {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("andi-lint: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-fn prove(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
+/// Parses `args` for a subcommand that takes the flags in `accepted`,
+/// each with one value; a usage error comes back as its message.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
+    let (mut root, mut json) = (PathBuf::from("."), false);
+    let (mut files, mut virts) = (Vec::new(), Vec::new());
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => {
-                    eprintln!("--root needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+    while let Some(flag) = it.next() {
+        if !accepted.contains(&flag.as_str()) {
+            return Err(format!("unknown argument {flag}"));
+        }
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--root" => root = PathBuf::from(value),
+            "--format" if value == "human" || value == "json" => json = value == "json",
+            "--format" => return Err("--format must be human or json".to_string()),
+            "--file" => files.push(PathBuf::from(value)),
+            _ => virts.push(value.clone()),
         }
     }
-    let proved = match prove_tree(&root) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("andi-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut all = proved.findings.clone();
-    all.extend(proved.hygiene.iter().cloned());
+    if files.len() != virts.len() {
+        return Err("each --file needs a matching --as VIRTUAL to scope the rules".to_string());
+    }
+    let files = virts.into_iter().zip(files).collect();
+    Ok(Opts { root, json, files })
+}
+
+/// `"s"` unless `n` is one.
+fn s(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
+/// A report's findings and hygiene findings, sorted by position and
+/// rule.
+fn merged(findings: &[Finding], hygiene: &[Finding]) -> Vec<Finding> {
+    let mut all = findings.to_vec();
+    all.extend(hygiene.iter().cloned());
     all.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+    all
+}
+
+fn check(opts: &Opts) -> io::Result<bool> {
+    let findings = if opts.files.is_empty() {
+        check_tree(&opts.root)?
+    } else {
+        lint_files(&opts.files)?
+    };
+    if opts.json {
+        print!("{}", format_json(&findings));
+    } else {
+        print!("{}", format_human(&findings));
+    }
+    Ok(findings.is_empty())
+}
+
+fn prove(opts: &Opts) -> io::Result<bool> {
+    let proved = prove_tree(&opts.root)?;
+    let all = merged(&proved.findings, &proved.hygiene);
+    let st = &proved.stats;
     print!("{}", format_human(&all));
     println!(
         "andi-lint prove: {} region{}, {} checked op{}, {} assume{}, {} fn{} analyzed",
-        proved.stats.regions,
-        if proved.stats.regions == 1 { "" } else { "s" },
-        proved.stats.checked_ops,
-        if proved.stats.checked_ops == 1 {
-            ""
-        } else {
-            "s"
-        },
-        proved.stats.assumes,
-        if proved.stats.assumes == 1 { "" } else { "s" },
-        proved.stats.fns_analyzed,
-        if proved.stats.fns_analyzed == 1 {
-            ""
-        } else {
-            "s"
-        },
+        st.regions,
+        s(st.regions),
+        st.checked_ops,
+        s(st.checked_ops),
+        st.assumes,
+        s(st.assumes),
+        st.fns_analyzed,
+        s(st.fns_analyzed),
     );
-    if all.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    Ok(all.is_empty())
 }
 
-fn taint(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = "human".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => {
-                    eprintln!("--root needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match it.next() {
-                Some(v) if v == "human" || v == "json" => format = v.clone(),
-                _ => {
-                    eprintln!("--format must be human or json");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+fn taint(opts: &Opts) -> io::Result<bool> {
+    let report = taint_tree(&opts.root)?;
+    let all = merged(&report.findings, &report.hygiene);
+    let st = &report.stats;
+    if opts.json {
+        print!("{}", format_taint_json(&all, st));
+        return Ok(all.is_empty());
+    }
+    print!("{}", format_human(&all));
+    println!(
+        "andi-lint taint: {} sensitive type{} ({} member{}), {} bearing type{}, \
+         {} fn{} analyzed, {} raw-returning, {} sink site{}",
+        st.sensitive_types.len(),
+        s(st.sensitive_types.len()),
+        st.sensitive_members,
+        s(st.sensitive_members),
+        st.bearing_types.len(),
+        s(st.bearing_types.len()),
+        st.fns_analyzed,
+        s(st.fns_analyzed),
+        st.raw_returning_fns,
+        st.sink_sites,
+        s(st.sink_sites),
+    );
+    let n = st.declassifies.len();
+    let ending = if n == 1 { "y" } else { "ies" };
+    println!("declassify inventory ({n} boundar{ending}):");
+    for d in &st.declassifies {
+        println!("  {}:{} — {}", d.file, d.line, d.reason);
+        for f in &d.flows {
+            println!("    {f}");
         }
     }
-    let report = match taint_tree(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("andi-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut all = report.findings.clone();
-    all.extend(report.hygiene.iter().cloned());
-    all.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    let s = &report.stats;
-    if format == "json" {
-        // Structured flow stats for the CI artifact: findings first,
-        // then the declassify inventory with its sanctioned chains.
-        print!("{}", format_json(&all));
-        println!("{{");
-        println!(
-            "  \"sensitive_types\": {}, \"sensitive_members\": {}, \"bearing_types\": {},",
-            s.sensitive_types.len(),
-            s.sensitive_members,
-            s.bearing_types.len()
-        );
-        println!(
-            "  \"fns_analyzed\": {}, \"raw_returning_fns\": {}, \"sink_sites\": {},",
-            s.fns_analyzed, s.raw_returning_fns, s.sink_sites
-        );
-        println!("  \"declassifies\": [");
-        let esc = |v: &str| v.replace('\\', "\\\\").replace('"', "\\\"");
-        for (i, d) in s.declassifies.iter().enumerate() {
-            let flows: Vec<String> = d.flows.iter().map(|f| format!("\"{}\"", esc(f))).collect();
-            println!(
-                "    {{\"file\": \"{}\", \"line\": {}, \"reason\": \"{}\", \"flows\": [{}]}}{}",
-                esc(&d.file),
-                d.line,
-                esc(&d.reason),
-                flows.join(", "),
-                if i + 1 == s.declassifies.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        println!("  ]");
-        println!("}}");
-    } else {
-        print!("{}", format_human(&all));
-        println!(
-            "andi-lint taint: {} sensitive type{} ({} member{}), {} bearing type{}, \
-             {} fn{} analyzed, {} raw-returning, {} sink site{}",
-            s.sensitive_types.len(),
-            if s.sensitive_types.len() == 1 {
-                ""
-            } else {
-                "s"
-            },
-            s.sensitive_members,
-            if s.sensitive_members == 1 { "" } else { "s" },
-            s.bearing_types.len(),
-            if s.bearing_types.len() == 1 { "" } else { "s" },
-            s.fns_analyzed,
-            if s.fns_analyzed == 1 { "" } else { "s" },
-            s.raw_returning_fns,
-            s.sink_sites,
-            if s.sink_sites == 1 { "" } else { "s" },
-        );
-        println!(
-            "declassify inventory ({} boundar{}):",
-            s.declassifies.len(),
-            if s.declassifies.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            }
-        );
-        for d in &s.declassifies {
-            println!("  {}:{} — {}", d.file, d.line, d.reason);
-            for f in &d.flows {
-                println!("    {f}");
-            }
-        }
-    }
-    if all.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-fn check(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = "human".to_string();
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut virts: Vec<String> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{name} needs a value\n{USAGE}");
-            }
-            v
-        };
-        match arg.as_str() {
-            "--root" => match take("--root") {
-                Some(v) => root = PathBuf::from(v),
-                None => return ExitCode::from(2),
-            },
-            "--format" => match take("--format") {
-                Some(v) if v == "human" || v == "json" || v == "sarif" => format = v,
-                _ => {
-                    eprintln!("--format must be human, json, or sarif");
-                    return ExitCode::from(2);
-                }
-            },
-            "--file" => match take("--file") {
-                Some(v) => files.push(PathBuf::from(v)),
-                None => return ExitCode::from(2),
-            },
-            "--as" => match take("--as") {
-                Some(v) => virts.push(v),
-                None => return ExitCode::from(2),
-            },
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let findings = if files.is_empty() && virts.is_empty() {
-        check_tree(&root)
-    } else if files.len() == virts.len() {
-        let pairs: Vec<(String, PathBuf)> = virts.into_iter().zip(files).collect();
-        lint_files(&pairs)
-    } else {
-        eprintln!("each --file needs a matching --as VIRTUAL to scope the rules\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let findings = match findings {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("andi-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match format.as_str() {
-        "json" => print!("{}", format_json(&findings)),
-        "sarif" => print!("{}", format_sarif(&findings)),
-        _ => print!("{}", format_human(&findings)),
-    }
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    Ok(all.is_empty())
 }

@@ -34,7 +34,7 @@
 //! may panic and may time things.
 
 use crate::dataflow::{float_merge_order, poll_reachability, result_discard, seed_provenance};
-use crate::graph::{panic_reachability, CallGraph, SourceFile};
+use crate::graph::{panic_reachability, stmt_end, CallGraph, SourceFile};
 use crate::lexer::{Token, TokenKind};
 
 /// One reported violation.
@@ -334,22 +334,6 @@ fn thread_spawn(path: &str, tokens: &[Token], is_test: &[bool], out: &mut Vec<Fi
     }
 }
 
-/// For a `while` keyword at `i`, the index of the body `{` (the first
-/// brace outside any parens/brackets in the condition).
-pub(crate) fn loop_body_open(tokens: &[Token], i: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, t) in tokens.iter().enumerate().skip(i + 1).take(200) {
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('{') && depth == 0 {
-            return Some(k);
-        }
-    }
-    None
-}
-
 /// Whether tokens `i+1..=i+3` spell `::<seg>`.
 fn path_follows(tokens: &[Token], i: usize, seg: &str) -> bool {
     tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
@@ -431,7 +415,7 @@ fn nondet_iteration(path: &str, tokens: &[Token], is_test: &[bool], out: &mut Ve
                 && tokens.get(i + 3).is_some_and(|n| n.is_punct('('));
             if is_iter_call && !in_for_expr(tokens, i) {
                 let start = statement_start(tokens, i);
-                let end = statement_end(tokens, i);
+                let end = stmt_end(tokens, i, tokens.len());
                 if !has_order_fix(&tokens[start..end]) {
                     out.push(finding(
                         path,
@@ -544,25 +528,4 @@ fn statement_start(tokens: &[Token], i: usize) -> usize {
         }
     }
     lo
-}
-
-/// End (exclusive) of the statement containing token `i`: the next
-/// `;` or `{` at the same bracket depth, or a closing bracket that
-/// leaves the expression.
-fn statement_end(tokens: &[Token], i: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in tokens.iter().enumerate().skip(i) {
-        match () {
-            _ if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') => depth += 1,
-            _ if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') => {
-                if depth == 0 {
-                    return k;
-                }
-                depth -= 1;
-            }
-            _ if t.is_punct(';') && depth == 0 => return k,
-            _ => {}
-        }
-    }
-    tokens.len()
 }

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use andi_lint::{lint_file, lint_files, lint_source, Finding};
+use andi_lint::{lint_files, lint_workspace, Finding};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -13,7 +13,13 @@ fn fixture_dir() -> PathBuf {
 
 /// Lints a fixture file under a virtual workspace path.
 fn lint_fixture(fixture: &str, virtual_path: &str) -> Vec<Finding> {
-    lint_file(virtual_path, &fixture_dir().join(fixture)).expect("fixture exists")
+    lint_fixtures(&[(fixture, virtual_path)])
+}
+
+/// Lints one source text under a workspace-relative path, as a
+/// one-file workspace.
+fn lint_source(path: &str, source: &str) -> Vec<Finding> {
+    lint_workspace(&[(path.to_string(), source.to_string())])
 }
 
 /// Lints several fixture files together as one virtual workspace —
@@ -32,6 +38,16 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("workspace root exists")
         .to_path_buf()
+}
+
+/// The scans of every file the tree walk lints: the pragmas and
+/// declassify boundaries the burn-down ceilings count.
+fn tree_scans() -> Vec<andi_lint::Scan> {
+    andi_lint::tree_files(&workspace_root())
+        .expect("tree walk succeeds")
+        .iter()
+        .map(|(_, real)| andi_lint::scan(&std::fs::read_to_string(real).expect("source readable")))
+        .collect()
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&str> {
@@ -461,67 +477,13 @@ fn shuffled_file_order_yields_identical_json() {
 /// the PR description.
 #[test]
 fn pragma_count_only_decreases() {
-    let count = andi_lint::count_pragmas(&workspace_root()).expect("tree walk succeeds");
+    let count: usize = tree_scans().iter().map(|s| s.pragmas.len()).sum();
     const CEILING: usize = 6;
     assert!(
         count <= CEILING,
         "active andi::allow pragmas grew to {count} (ceiling {CEILING}); \
          justify each new suppression and lower the ceiling when you retire one"
     );
-}
-
-/// Golden SARIF: the `--format sarif` rendering of a pinned fixture
-/// workspace must stay byte-identical. CI consumers ingest this
-/// format; any drift is a deliberate schema change. Regenerate with
-/// `ANDI_BLESS=1 cargo test -p andi-lint --test golden sarif`.
-#[test]
-fn sarif_output_is_byte_stable() {
-    let findings = lint_fixtures(&[
-        ("unwrap_flag.rs", "crates/core/src/a_unwrap.rs"),
-        ("float_flag.rs", "crates/core/src/c_float.rs"),
-    ]);
-    assert!(!findings.is_empty(), "the golden set must have findings");
-    let sarif = andi_lint::format_sarif(&findings);
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_check.sarif");
-    if std::env::var_os("ANDI_BLESS").is_some() {
-        std::fs::write(&golden_path, &sarif).expect("bless writes the golden");
-    }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden SARIF exists; regenerate with ANDI_BLESS=1");
-    assert_eq!(
-        sarif, golden,
-        "SARIF output drifted from tests/golden_check.sarif; \
-         bless deliberately with ANDI_BLESS=1"
-    );
-}
-
-/// SARIF must be walk-order independent, exactly like the JSON
-/// format: findings are sorted by `(path, line, column, rule)` and
-/// the rules table by rule id.
-#[test]
-fn shuffled_file_order_yields_identical_sarif() {
-    let pairs = [
-        ("unwrap_flag.rs", "crates/core/src/a_unwrap.rs"),
-        ("result_flag.rs", "crates/core/src/b_result.rs"),
-        ("float_flag.rs", "crates/core/src/c_float.rs"),
-        ("xpanic_entry_flag.rs", "crates/graph/src/xpanic_entry.rs"),
-        ("xpanic_leaf.rs", "crates/graph/src/xpanic_leaf.rs"),
-        ("poll_flag.rs", "crates/graph/src/poll_flag.rs"),
-        ("width_flag.rs", "crates/graph/src/width_flag.rs"),
-        ("assume_flag.rs", "crates/graph/src/assume_flag.rs"),
-    ];
-    let forward = andi_lint::format_sarif(&lint_fixtures(&pairs));
-    let mut reversed = pairs;
-    reversed.reverse();
-    let backward = andi_lint::format_sarif(&lint_fixtures(&reversed));
-    let shuffled = [
-        pairs[5], pairs[1], pairs[7], pairs[3], pairs[0], pairs[6], pairs[2], pairs[4],
-    ];
-    let scrambled = andi_lint::format_sarif(&lint_fixtures(&shuffled));
-    assert_eq!(forward, backward, "file order leaked into SARIF");
-    assert_eq!(forward, scrambled, "file order leaked into SARIF");
-    assert!(forward.contains("\"version\": \"2.1.0\""));
-    assert!(forward.contains("json.schemastore.org/sarif-2.1.0.json"));
 }
 
 /// Runs the information-flow pass over fixture files mounted at
@@ -647,7 +609,7 @@ fn injected_leak_is_caught_with_named_chain() {
 /// one needs a written argument in the PR description.
 #[test]
 fn declassify_count_only_decreases() {
-    let count = andi_lint::count_declassifies(&workspace_root()).expect("tree walk succeeds");
+    let count: usize = tree_scans().iter().map(|s| s.declassifies.len()).sum();
     const CEILING: usize = 4;
     assert!(
         count <= CEILING,
@@ -853,6 +815,61 @@ fn binary_exit_codes() {
         "cancel-blind-loop was subsumed by poll-reachability and must \
          no longer be advertised"
     );
+}
+
+/// Every subcommand parses its flags through one parser: a flag the
+/// command does not take, a format it does not render, and a `--file`
+/// without its `--as` all exit 2 and print the usage.
+#[test]
+fn usage_errors_exit_2_and_print_the_usage() {
+    let bin = env!("CARGO_BIN_EXE_andi-lint");
+    for (args, error) in [
+        (&["check", "--format", "sarif"][..], "--format must be"),
+        (&["prove", "--format", "json"], "unknown argument --format"),
+        (&["taint", "--file", "x.rs"], "unknown argument --file"),
+        (&["check", "--frobnicate"], "unknown argument --frobnicate"),
+        (&["check", "--root"], "--root needs a value"),
+        (&["check", "--file", "x.rs"], "needs a matching --as"),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        assert_eq!(out.status.code(), Some(2), "{args:?}\n{stderr}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: andi-lint"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is linted");
+    }
+}
+
+/// `taint --format json` prints one JSON document, and its strings are
+/// escaped like the findings': a declassify reason holding a quote and
+/// a tab comes out as `\"` and `\t`.
+#[test]
+fn taint_json_is_one_document_with_escaped_strings() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("taint_json_escapes");
+    let src_dir = root.join("crates/core/src");
+    std::fs::create_dir_all(&src_dir).expect("temp tree is writable");
+    let fixture = std::fs::read_to_string(fixture_dir().join("sensitive_debug_near_miss.rs"))
+        .expect("fixture exists");
+    let reason = "fixture Debug is exercised only by this crate's own golden tests";
+    assert!(fixture.contains(reason), "fixture drifted");
+    let tricky = fixture.replace(reason, "audited \"Debug\"\trender");
+    std::fs::write(src_dir.join("basket.rs"), tricky).expect("temp tree is writable");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_andi-lint"))
+        .args(["taint", "--format", "json", "--root"])
+        .arg(&root)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "the tree is leak-clean");
+    let json = String::from_utf8(out.stdout).expect("utf-8");
+    assert!(json.starts_with("{\n  \"findings\": [],\n"), "{json}");
+    assert!(json.ends_with("  ]\n}\n"), "one document: {json}");
+    assert!(
+        json.contains("\"reason\": \"audited \\\"Debug\\\"\\trender\""),
+        "{json}"
+    );
+    assert!(!json.contains('\t'), "a raw tab is not JSON: {json}");
+    assert!(json.contains("\"sink_sites\": "), "{json}");
 }
 
 /// Regression for the lexer's UTF-8 column accounting: a multi-byte

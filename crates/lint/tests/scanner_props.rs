@@ -3,8 +3,7 @@
 //! in source order, and slicing the source at a span must reproduce
 //! the token text. Scanning is also a pure function of the input.
 
-use andi_lint::lint_source;
-use andi_lint::scan;
+use andi_lint::{lint_workspace, scan};
 use proptest::prelude::*;
 
 fn assert_spans_round_trip(src: &str) {
@@ -76,8 +75,9 @@ proptest! {
         for (x, y) in a.tokens.iter().zip(&b.tokens) {
             prop_assert_eq!(x, y);
         }
-        let f1 = lint_source("crates/core/src/fuzz.rs", &src);
-        let f2 = lint_source("crates/core/src/fuzz.rs", &src);
+        let input = [("crates/core/src/fuzz.rs".to_string(), src.clone())];
+        let f1 = lint_workspace(&input);
+        let f2 = lint_workspace(&input);
         prop_assert_eq!(f1, f2);
     }
 }

@@ -52,11 +52,6 @@ impl Itemset {
         self.items.is_empty()
     }
 
-    /// The union of two itemsets.
-    pub fn union(&self, other: &Itemset) -> Itemset {
-        Itemset::new(self.items.iter().chain(other.items.iter()).copied())
-    }
-
     /// Applies a per-item relabeling; used to map mined patterns
     /// between the original and anonymized domains.
     pub fn relabel(&self, relabel: &[u32]) -> Itemset {
@@ -127,6 +122,14 @@ impl MiningResult {
                 .collect(),
             min_support: self.min_support,
         }
+    }
+}
+
+/// Set union for the unit tests of this module and of `rules`.
+#[cfg(test)]
+impl Itemset {
+    pub(crate) fn union(&self, other: &Itemset) -> Itemset {
+        Itemset::new(self.items.iter().chain(other.items.iter()).copied())
     }
 }
 
