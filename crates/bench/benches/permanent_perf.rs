@@ -90,7 +90,7 @@ fn bench_per_component(c: &mut Criterion) {
     group.sample_size(10);
     // Dense benchmark-scale interval graphs far above the 22-item
     // permanent cap: at δ_med they split into connected components
-    // of at most 10 items, so `best_expected_cracks` answers them
+    // of at most 10 items, so the exact kernel answers them
     // exactly, one component at a time, on one worker here.
     for analog in [Analog::Chess, Analog::Mushroom, Analog::Connect] {
         let w = Workload::load(analog);

@@ -16,8 +16,10 @@ use std::time::Instant;
 use andi_bench::{n_runs, quick_mode, sampler_config, Workload};
 use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
-use andi_core::{best_expected_cracks, OutdegreeProfile, Rung};
+use andi_core::OutdegreeProfile;
 use andi_data::synth::Analog;
+use andi_graph::par::{available_threads, Budget};
+use andi_graph::{crack_probabilities_per_component, ExactError};
 
 fn main() {
     let quick = quick_mode();
@@ -57,9 +59,14 @@ fn main() {
         // Exact expectation via Ryser per connected component where
         // the components are small enough (our addition beyond the
         // paper: dense datasets get ground truth without sampling).
-        let exact = match best_expected_cracks(&graph) {
-            Ok((Rung::Exact, value)) => format!("{value:.2}"),
-            _ => "—".into(),
+        let exact = match crack_probabilities_per_component(
+            &graph,
+            available_threads(),
+            &Budget::unlimited(),
+        ) {
+            Ok(probs) => format!("{:.2}", probs.iter().sum::<f64>()),
+            Err(ExactError::TooCostly { .. }) => "—".into(),
+            Err(e) => panic!("{}: {e}", w.name),
         };
 
         let sim_config = SimulationConfig {

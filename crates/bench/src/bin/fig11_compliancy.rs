@@ -26,8 +26,8 @@ use andi_core::report::TextTable;
 use andi_core::simulate::{simulate_expected_cracks, SimulationConfig};
 use andi_core::OutdegreeProfile;
 use andi_data::synth::Analog;
-use andi_graph::crack_probabilities_per_component;
 use andi_graph::par::{available_threads, Budget};
+use andi_graph::{crack_probabilities_per_component, ExactError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -44,18 +44,19 @@ fn main() {
         let (delta_med, belief) = w.delta_med_belief();
         let graph = belief.build_graph(&w.supports, w.n_transactions);
         // Exact marginals, one connected component at a time, when
-        // the walks price under the cap; otherwise the propagated
-        // O-estimate.
+        // the walks price under the cap; the propagated O-estimate
+        // when the kernel declines on price.
         let exact =
             crack_probabilities_per_component(&graph, available_threads(), &Budget::unlimited());
         let (probs, estimator) = match exact {
             Ok(p) => (p, "exact"),
-            Err(_) => (
+            Err(ExactError::TooCostly { .. }) => (
                 OutdegreeProfile::propagated(&graph)
                     .expect("compliant space is non-empty")
                     .probabilities(),
                 "O-estimate",
             ),
+            Err(e) => panic!("{}: {e}", w.name),
         };
         let curve = compliancy_curve(&probs, &alphas);
         // Decoy-corrected variant: wrong intervals of the same mean

@@ -46,7 +46,6 @@ pub mod anonymize;
 pub mod belief;
 pub mod chain;
 pub mod error;
-pub mod estimate;
 pub mod formulas;
 pub mod incremental;
 pub mod interest;
@@ -65,7 +64,6 @@ pub use anonymize::AnonymizationMapping;
 pub use belief::BeliefFunction;
 pub use chain::ChainSpec;
 pub use error::{Error, Result};
-pub use estimate::best_expected_cracks;
 pub use incremental::{apply_edits_to_summary, summary_fingerprint, DeltaBatch, Edit};
 
 pub use formulas::{

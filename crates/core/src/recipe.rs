@@ -132,6 +132,8 @@ impl RiskAssessment {
     }
 }
 
+/// The transcript `andi assess` prints: one `label : value` line per
+/// field, without a trailing newline.
 impl std::fmt::Display for RiskAssessment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "domain size n           : {}", self.n_items)?;
@@ -155,20 +157,26 @@ impl std::fmt::Display for RiskAssessment {
         match &self.decision {
             RiskDecision::DiscloseAtPointValued => write!(
                 f,
-                "verdict                 : disclose (safe even against exact frequencies)"
+                "verdict                 : DISCLOSE (safe even against exact frequencies)"
             ),
             RiskDecision::DiscloseAtFullCompliance => write!(
                 f,
-                "verdict                 : disclose (interval knowledge within tolerance)"
+                "verdict                 : DISCLOSE (interval knowledge within tolerance)"
             ),
             RiskDecision::AlphaMax {
                 alpha_max,
                 oestimate_at_alpha,
-            } => write!(
-                f,
-                "verdict                 : judgement call — alpha_max = {alpha_max:.3} \
-                 (OE there {oestimate_at_alpha:.2})"
-            ),
+            } => {
+                writeln!(f, "verdict                 : JUDGEMENT CALL")?;
+                writeln!(f, "alpha_max               : {alpha_max:.3}")?;
+                writeln!(f, "OE at alpha_max         : {oestimate_at_alpha:.2}")?;
+                write!(
+                    f,
+                    "reading                 : a hacker must guess the frequency interval of \
+                     {:.0}% of items correctly to crack more than tolerated",
+                    alpha_max * 100.0
+                )
+            }
         }
     }
 }
@@ -446,7 +454,7 @@ fn ladder_probabilities(
 /// its trip (a priced decline, a deadline or a worker panic) is
 /// recorded in `trips`. An empty mapping space and a fired
 /// cancel token are errors.
-pub(crate) fn exact_rung(
+fn exact_rung(
     graph: &GroupedBigraph,
     threads: usize,
     budget: &Budget,
@@ -466,7 +474,7 @@ pub(crate) fn exact_rung(
 /// The sampler's seed matching, [`GroupedBigraph::walk_seed`], which
 /// is a maximum matching. So when the seed is not perfect, no
 /// consistent matching exists: [`Error::EmptyMappingSpace`].
-pub(crate) fn seed_matching(graph: &GroupedBigraph) -> Result<Matching> {
+fn seed_matching(graph: &GroupedBigraph) -> Result<Matching> {
     let seed = graph.walk_seed();
     seed.is_perfect()
         .then_some(seed)
@@ -555,7 +563,7 @@ pub fn compliancy_curve_decoy(
 /// Crack probabilities via the O-estimate path: the outdegree profile
 /// of `graph` after Figure 7 propagation. Built once per assessment;
 /// the α search reuses the returned vector.
-pub(crate) fn oe_probabilities(graph: &GroupedBigraph) -> Result<Vec<f64>> {
+fn oe_probabilities(graph: &GroupedBigraph) -> Result<Vec<f64>> {
     Ok(OutdegreeProfile::propagated(graph)?.probabilities())
 }
 
@@ -742,10 +750,10 @@ mod tests {
     #[test]
     fn display_covers_all_verdicts() {
         let relaxed = assess_risk(&BIGMART_SUPPORTS, 10, &config(0.6)).unwrap();
-        assert!(relaxed.to_string().contains("disclose"));
+        assert!(relaxed.to_string().contains("DISCLOSE"));
         let strict = assess_risk(&BIGMART_SUPPORTS, 10, &config(0.05)).unwrap();
         let text = strict.to_string();
-        assert!(text.contains("judgement call"), "got: {text}");
+        assert!(text.contains("JUDGEMENT CALL"), "got: {text}");
         assert!(text.contains("alpha_max"));
         assert!(text.contains("delta_med"));
     }

@@ -49,36 +49,23 @@ pub struct Provenance {
     pub spent_ms: u128,
 }
 
-impl Provenance {
-    /// Renders the record as the `provenance:`-prefixed report lines
-    /// the CLI prints under a budgeted assessment.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "provenance: answered by {} ({})\n",
-            self.rung,
-            if self.degraded { "degraded" } else { "exact" }
-        ));
-        for (rung, err) in &self.trips {
-            out.push_str(&format!("provenance: {rung} tripped: {err}\n"));
-        }
-        match self.budget_ms {
-            Some(ms) => out.push_str(&format!(
-                "provenance: budget {} ms, spent {} ms\n",
-                ms, self.spent_ms
-            )),
-            None => out.push_str(&format!(
-                "provenance: no deadline, spent {} ms\n",
-                self.spent_ms
-            )),
-        }
-        out
-    }
-}
-
+/// The `provenance:`-prefixed report lines the CLI prints under a
+/// budgeted assessment, each ending in a newline.
 impl std::fmt::Display for Provenance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
+        writeln!(
+            f,
+            "provenance: answered by {} ({})",
+            self.rung,
+            if self.degraded { "degraded" } else { "exact" }
+        )?;
+        for (rung, err) in &self.trips {
+            writeln!(f, "provenance: {rung} tripped: {err}")?;
+        }
+        match self.budget_ms {
+            Some(ms) => writeln!(f, "provenance: budget {ms} ms, spent {} ms", self.spent_ms),
+            None => writeln!(f, "provenance: no deadline, spent {} ms", self.spent_ms),
+        }
     }
 }
 
@@ -252,7 +239,7 @@ mod tests {
             budget_ms: Some(50),
             spent_ms: 51,
         };
-        let s = p.render();
+        let s = p.to_string();
         assert!(s.contains("answered by o-estimate (degraded)"), "{s}");
         assert!(s.contains("exact-permanent tripped"), "{s}");
         assert!(s.contains("matching-sampler tripped"), "{s}");
@@ -265,10 +252,9 @@ mod tests {
             budget_ms: None,
             spent_ms: 2,
         };
-        assert!(exact
-            .render()
-            .contains("answered by exact-permanent (exact)"));
-        assert!(exact.render().contains("no deadline"));
+        let s = exact.to_string();
+        assert!(s.contains("answered by exact-permanent (exact)"), "{s}");
+        assert!(s.contains("no deadline"), "{s}");
     }
 
     #[test]

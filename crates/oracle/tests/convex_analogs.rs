@@ -1,7 +1,7 @@
 //! The convex DP against Ryser per connected component at benchmark
 //! scale: on the CHESS, MUSHROOM and CONNECT analogs with truthful
 //! intervals widened from `δ_med` to `2·δ_med` (the beliefs
-//! `best_expected_cracks` and the service's analog traffic answer
+//! the ladder's exact rung and the service's analog traffic answer
 //! exactly), the two exact estimators — which share no code — give
 //! every item's crack probability within 1e-12 relative, at 1, 4 and
 //! `ANDI_THREADS` workers.

@@ -9,19 +9,20 @@
 //! 2. how much compliancy (attack power against the full data) a
 //!    belief function built from that sample achieves.
 //!
-//! Also shows the exact-when-affordable estimator: beliefs whose
-//! connected components are small get exact numbers rather than
-//! heuristics.
+//! Also shows the estimator ladder: beliefs whose connected
+//! components are small get exact numbers rather than heuristics, and
+//! the answer names the rung it came from.
 //!
 //! ```text
 //! cargo run --release --example sample_release
 //! ```
 
-use andi::core::estimate::best_expected_cracks;
+use andi::core::ladder_crack_probabilities;
 use andi::core::report::TextTable;
+use andi::graph::par::available_threads;
 use andi::{
-    sample_release_curve, similarity_by_sampling, Analog, BeliefFunction, FrequencyGroups,
-    SimilarityConfig,
+    sample_release_curve, similarity_by_sampling, Analog, BeliefFunction, Budget, FrequencyGroups,
+    RecipeConfig, SimilarityConfig,
 };
 
 fn main() {
@@ -66,12 +67,23 @@ fn main() {
     let groups = FrequencyGroups::from_supports(&supports, m);
     let (_, belief) = BeliefFunction::delta_med_compliant(&groups).expect("valid");
     let graph = belief.build_graph(&supports, m);
-    match best_expected_cracks(&graph) {
-        Ok((rung, value)) => {
-            println!("full release, exact expected cracks = {value:.3} via {rung}")
-        }
-        Err(e) => println!("exact estimate unavailable: {e}"),
-    }
+    let (provenance, probs) = ladder_crack_probabilities(
+        &graph,
+        &RecipeConfig::default(),
+        available_threads(),
+        &Budget::unlimited(),
+    )
+    .expect("a compliant belief has a consistent mapping");
+    let kind = if provenance.degraded {
+        "estimated"
+    } else {
+        "exact"
+    };
+    println!(
+        "full release, {kind} expected cracks = {:.3} via {}",
+        probs.iter().sum::<f64>(),
+        provenance.rung
+    );
 
     println!(
         "\nreading: small releases still leak — the sample's own O-estimate\n\

@@ -36,13 +36,13 @@ use std::process::ExitCode;
 use andi::core::assess_risk_budgeted;
 use andi::core::report::TextTable;
 use andi::core::similarity::{GapPolicy, SimilarityConfig};
-use andi::data::fimi;
+use andi::data::fimi::{self, FimiDataset};
 use andi::data::DatasetSummary;
-use andi::graph::Budget;
+use andi::graph::{Budget, ExactError};
 use andi::mining::generate_rules;
 use andi::{
-    assess_risk, similarity_by_sampling, AnonymizationMapping, BeliefFunction, Database,
-    OutdegreeProfile, RecipeConfig, RiskAssessment, RiskDecision,
+    assess_risk, similarity_by_sampling, AnonymizationMapping, BeliefFunction, Itemset,
+    OutdegreeProfile, RecipeConfig, RiskDecision,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,8 +86,8 @@ fn usage() -> String {
 exact kernels run one connected component at a time, at any domain
 size: assess's exact rung and oe --exact answer when the components'
 Ryser walks price at most {cap} subset steps (one 18-item component);
-costlier graphs answer from the sampler (assess) or the propagated
-O-estimate (oe --exact) instead
+on costlier graphs assess answers from the sampler and oe --exact
+prints the priced decline
 
 exit codes: 0 success, 1 error, 3 budgeted assessment answered by a
 degraded rung (see the provenance lines)",
@@ -178,7 +178,9 @@ fn parse<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String> {
         .map_err(|_| format!("cannot parse {what}: {text:?}"))
 }
 
-fn load(path: &str) -> Result<Database, String> {
+/// Reads a FIMI file: the database over dense ids `0..n`, and
+/// `raw_ids`, the file's id of each, which the reports print.
+fn load(path: &str) -> Result<FimiDataset, String> {
     let ds = fimi::read_fimi_file(path)?;
     eprintln!(
         "loaded {}: {} items, {} transactions",
@@ -186,12 +188,22 @@ fn load(path: &str) -> Result<Database, String> {
         ds.database.n_items(),
         ds.database.n_transactions()
     );
-    Ok(ds.database)
+    Ok(ds)
+}
+
+/// `set` in the file's item ids, as `{10,30}`.
+fn file_ids(set: &Itemset, raw_ids: &[u64]) -> String {
+    let ids: Vec<String> = set
+        .items()
+        .iter()
+        .map(|x| raw_ids[x.index()].to_string())
+        .collect();
+    format!("{{{}}}", ids.join(","))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 1, &[])?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let db = load(args.positional(0, "file.dat")?)?.database;
     println!("{}", DatasetSummary::of(&db));
     Ok(())
 }
@@ -202,7 +214,7 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
         1,
         &["--tau", "--budget-ms", "--belief", "--provenance-json"],
     )?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let db = load(args.positional(0, "file.dat")?)?.database;
     let tau: f64 = match args.option("--tau") {
         Some(t) => parse(t, "--tau")?,
         None => 0.1,
@@ -224,8 +236,8 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
         let threads = andi::graph::par::available_threads();
         let result = assess_risk_budgeted(&supports, m, &config, &budget, threads)
             .map_err(|e| e.to_string())?;
-        print_assessment(&result.assessment, tau);
-        print!("{}", result.provenance.render());
+        println!("{}", result.assessment);
+        print!("{}", result.provenance);
         write_provenance_json(args, &result.provenance)?;
         return Ok(if result.is_degraded() {
             ExitCode::from(EXIT_DEGRADED)
@@ -235,7 +247,7 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let verdict = assess_risk(&supports, m, &config).map_err(|e| e.to_string())?;
-    print_assessment(&verdict, tau);
+    println!("{verdict}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -293,7 +305,7 @@ fn assess_with_belief(
     println!("belief instance         : {}", inst.label);
     println!("domain size n           : {}", supports.len());
     println!("expected cracks         : {expected:.4}");
-    print!("{}", provenance.render());
+    print!("{provenance}");
     write_provenance_json(args, &provenance)?;
     Ok(if provenance.degraded {
         ExitCode::from(EXIT_DEGRADED)
@@ -302,48 +314,12 @@ fn assess_with_belief(
     })
 }
 
-fn print_assessment(verdict: &RiskAssessment, tau: f64) {
-    println!("domain size n           : {}", verdict.n_items);
-    println!("tolerance tau           : {}", verdict.tolerance);
-    println!(
-        "budget tau*n            : {:.2}",
-        tau * verdict.n_items as f64
-    );
-    println!(
-        "point-valued cracks (g) : {:.0}",
-        verdict.point_valued_cracks
-    );
-    println!("delta_med               : {:.6}", verdict.delta_med);
-    println!(
-        "full-compliance OE      : {:.2}",
-        verdict.full_compliance_oe
-    );
-    match &verdict.decision {
-        RiskDecision::DiscloseAtPointValued => {
-            println!("verdict                 : DISCLOSE (safe even against exact frequencies)")
-        }
-        RiskDecision::DiscloseAtFullCompliance => {
-            println!("verdict                 : DISCLOSE (interval knowledge within tolerance)")
-        }
-        RiskDecision::AlphaMax {
-            alpha_max,
-            oestimate_at_alpha,
-        } => {
-            println!("verdict                 : JUDGEMENT CALL");
-            println!("alpha_max               : {alpha_max:.3}");
-            println!("OE at alpha_max         : {oestimate_at_alpha:.2}");
-            println!(
-                "reading                 : a hacker must guess the frequency interval of \
-                 {:.0}% of items correctly to crack more than tolerated",
-                alpha_max * 100.0
-            );
-        }
-    }
-}
-
 fn cmd_advise(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 1, &["--tau"])?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let FimiDataset {
+        database: db,
+        raw_ids,
+    } = load(args.positional(0, "file.dat")?)?;
     let tau: f64 = match args.option("--tau") {
         Some(t) => parse(t, "--tau")?,
         None => 0.1,
@@ -366,8 +342,11 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
         plan.n_suppressed(),
         plan.residual_oestimate
     );
-    for (x, p) in plan.suppress.iter().zip(plan.exposure.iter()).take(20) {
-        println!("  withhold item {x:<6} (crack probability {p:.3})");
+    for (&x, p) in plan.suppress.iter().zip(plan.exposure.iter()).take(20) {
+        println!(
+            "  withhold item {:<6} (crack probability {p:.3})",
+            raw_ids[x]
+        );
     }
     if plan.n_suppressed() > 20 {
         println!("  ... {} more", plan.n_suppressed() - 20);
@@ -378,7 +357,7 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
 fn cmd_portfolio(args: &[String]) -> Result<(), String> {
     use andi::{evaluate_portfolio, PortfolioConfig, ReleaseCandidate};
     let args = &Args::parse(args, 1, &["--min-support", "--tau"])?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let db = load(args.positional(0, "file.dat")?)?.database;
     let min_support: u64 = match args.option("--min-support") {
         Some(s) => parse(s, "--min-support")?,
         None => ((db.n_transactions() / 20).max(2)) as u64,
@@ -433,7 +412,7 @@ fn cmd_portfolio(args: &[String]) -> Result<(), String> {
 
 fn cmd_oe(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 1, &["--delta", "--exact"])?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let db = load(args.positional(0, "file.dat")?)?.database;
     let supports = db.supports();
     let m = db.n_transactions() as u64;
     let groups = andi::FrequencyGroups::from_supports(&supports, m);
@@ -457,9 +436,17 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
         propagated.oestimate() / db.n_items() as f64
     );
     if args.option("--exact").is_some() {
-        match andi::best_expected_cracks(&graph) {
-            Ok((rung, value)) => println!("best estimate             : {value:.3} via {rung}"),
-            Err(e) => println!("best estimate             : unavailable ({e})"),
+        let threads = andi::graph::par::available_threads();
+        match andi::graph::crack_probabilities_per_component(&graph, threads, &Budget::unlimited())
+        {
+            Ok(probs) => println!(
+                "exact expected cracks     : {:.3}",
+                probs.iter().sum::<f64>()
+            ),
+            Err(e @ ExactError::TooCostly { .. }) => {
+                println!("exact expected cracks     : declined: {e}")
+            }
+            Err(e) => return Err(e.to_string()),
         }
     }
     Ok(())
@@ -467,7 +454,7 @@ fn cmd_oe(args: &[String]) -> Result<(), String> {
 
 fn cmd_similarity(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 1, &["--fractions"])?;
-    let db = load(args.positional(0, "file.dat")?)?;
+    let db = load(args.positional(0, "file.dat")?)?.database;
     let fractions: Vec<f64> = match args.option("--fractions") {
         Some(list) => list
             .split(',')
@@ -502,7 +489,7 @@ fn cmd_anonymize(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 2, &["--seed", "--mapping"])?;
     let input = args.positional(0, "in.dat")?;
     let output = args.positional(1, "out.dat")?;
-    let db = load(input)?;
+    let db = load(input)?.database;
     let seed: u64 = match args.option("--seed") {
         Some(s) => parse(s, "--seed")?,
         None => 0xA_2005,
@@ -526,19 +513,25 @@ fn cmd_anonymize(args: &[String]) -> Result<(), String> {
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
     let args = &Args::parse(args, 1, &["--min-support", "--rules"])?;
-    let db = load(args.positional(0, "file.dat")?)?;
     let min_support: u64 = parse(
         args.option("--min-support")
             .ok_or("--min-support is required")?,
         "--min-support",
     )?;
+    if min_support == 0 {
+        return Err("--min-support must be at least 1".into());
+    }
+    let FimiDataset {
+        database: db,
+        raw_ids,
+    } = load(args.positional(0, "file.dat")?)?;
     let result = andi::fpgrowth(&db, min_support);
     println!(
         "{} frequent itemsets at min support {min_support} (fp-growth)",
         result.len()
     );
     for (s, c) in result.iter().take(25) {
-        println!("  {s}  (support {c})");
+        println!("  {}  (support {c})", file_ids(s, &raw_ids));
     }
     if result.len() > 25 {
         println!("  ... {} more", result.len() - 25);
@@ -548,7 +541,14 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         let rules = generate_rules(&result, db.n_transactions() as u64, min_conf);
         println!("\n{} rules at confidence >= {min_conf}", rules.len());
         for r in rules.iter().take(25) {
-            println!("  {r}");
+            println!(
+                "  {} => {} (sup {}, conf {:.2}, lift {:.2})",
+                file_ids(&r.antecedent, &raw_ids),
+                file_ids(&r.consequent, &raw_ids),
+                r.support,
+                r.confidence,
+                r.lift
+            );
         }
     }
     Ok(())

@@ -49,11 +49,11 @@ pub mod guide {
 
 pub use andi_core::{
     assess_interest_risk, assess_powerset_risk, assess_relational_risk, assess_risk,
-    assess_risk_budgeted, best_expected_cracks, compliancy_curve, identify_sets, oestimate,
-    oestimate_for, sample_release_curve, sampled_belief, similarity_by_sampling,
-    simulate_expected_cracks, AnonymizationMapping, BeliefFunction, BudgetedAssessment, ChainSpec,
-    GapPolicy, InterestSpec, ItemsetBelief, OutdegreeProfile, PowersetBelief, Provenance,
-    RecipeConfig, RiskAssessment, RiskDecision, Rung, SimilarityConfig, SimulationConfig,
+    assess_risk_budgeted, compliancy_curve, identify_sets, oestimate, oestimate_for,
+    sample_release_curve, sampled_belief, similarity_by_sampling, simulate_expected_cracks,
+    AnonymizationMapping, BeliefFunction, BudgetedAssessment, ChainSpec, GapPolicy, InterestSpec,
+    ItemsetBelief, OutdegreeProfile, PowersetBelief, Provenance, RecipeConfig, RiskAssessment,
+    RiskDecision, Rung, SimilarityConfig, SimulationConfig,
 };
 pub use andi_data::{bigmart, Analog, Database, FrequencyGroups, ItemId, Transaction};
 pub use andi_graph::{Budget, CancelToken};

@@ -136,12 +136,10 @@ fn zero_budget_with_delay_faults_lands_on_the_oestimate_floor() {
             (Rung::Sampler, Error::BudgetExceeded { budget_ms: 0 }),
         ]
     );
+    let report = b.provenance.to_string();
     assert!(
-        b.provenance
-            .render()
-            .contains("answered by o-estimate (degraded)"),
-        "report must name the answering rung: {}",
-        b.provenance.render()
+        report.contains("answered by o-estimate (degraded)"),
+        "report must name the answering rung: {report}"
     );
     for threads in [2usize, 4] {
         let out = assess(threads, 0.1, &Budget::with_deadline(Duration::ZERO));

@@ -147,8 +147,33 @@ fn oe_with_exact_estimator() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("O-estimate (plain)"));
-    assert!(text.contains("best estimate"));
-    assert!(text.contains("via exact-permanent"), "got:\n{text}");
+    assert!(
+        text.contains("exact expected cracks     : 2.000\n"),
+        "got:\n{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Forty items in every one of five transactions share one support:
+/// one complete 40-item component, above the 22-item walk ceiling, so
+/// the exact kernel prices it at `u64::MAX` and declines before any
+/// walk. `oe --exact` prints that decline and still succeeds.
+#[test]
+fn oe_exact_prints_the_priced_decline() {
+    let dir = temp_dir("oe-decline");
+    let row: Vec<String> = (0..40).map(|i| i.to_string()).collect();
+    let file = dir.join("flat.dat");
+    std::fs::write(&file, format!("{}\n", row.join(" ")).repeat(5)).unwrap();
+    let out = andi(&["oe", file.to_str().unwrap(), "--exact"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("exact expected cracks"))
+        .unwrap_or_else(|| panic!("no exact line in:\n{text}"));
+    assert!(line.contains("declined"), "{line}");
+    assert!(line.contains(&u64::MAX.to_string()), "{line}");
+    assert!(line.contains("1310720"), "{line}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -205,9 +230,51 @@ fn mine_lists_itemsets_and_rules() {
 fn mine_requires_min_support() {
     let dir = temp_dir("mine2");
     let file = bigmart_file(&dir);
-    let out = andi(&["mine", file.to_str().unwrap()]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("--min-support"));
+    let file = file.to_str().unwrap();
+    for args in [vec!["mine", file], vec!["mine", file, "--min-support", "0"]] {
+        let out = andi(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("error:") && err.contains("--min-support"),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A FIMI file whose items are 10, 20, 30 and 40: the reports name
+/// the file's ids, not the dense ids 0..4 they are mined under.
+#[test]
+fn reports_name_the_files_item_ids() {
+    let dir = temp_dir("sparse-ids");
+    let file = dir.join("sparse.dat");
+    std::fs::write(
+        &file,
+        "10 20\n10 30\n10 20 30\n10 30 40\n20 40\n30 40\n10 30\n30\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+
+    let out = andi(&["advise", file, "--tau", "0.1"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let withheld: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("withhold item "))
+        .map(|rest| rest.split_whitespace().next().unwrap())
+        .collect();
+    assert!(!withheld.is_empty(), "{text}");
+    for id in withheld {
+        assert!(["10", "20", "30", "40"].contains(&id), "{text}");
+    }
+
+    let out = andi(&["mine", file, "--min-support", "2", "--rules", "0.8"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("  {10,30}  (support 4)\n"), "{text}");
+    assert!(text.contains("  {10} => {30} (sup 4, conf 0.80"), "{text}");
+    assert!(!text.contains("{0"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

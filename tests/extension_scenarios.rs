@@ -6,10 +6,11 @@ use andi::core::advisor::suppression_plan;
 use andi::core::powerset::{ItemsetBelief, PowersetBelief};
 use andi::core::recipe::compliancy_curve;
 use andi::core::sanitize::{round_supports, utility_loss};
-use andi::graph::crack_probabilities_per_component;
+use andi::core::{ladder_crack_probabilities, Error};
+use andi::graph::{crack_probabilities_per_component, ExactError, GroupedBigraph};
 use andi::{
-    assess_powerset_risk, best_expected_cracks, bigmart, fpgrowth, BeliefFunction, Budget,
-    FrequencyGroups, OutdegreeProfile, RecipeConfig, Rung,
+    assess_powerset_risk, bigmart, fpgrowth, BeliefFunction, Budget, FrequencyGroups,
+    OutdegreeProfile, RecipeConfig, Rung,
 };
 use andi_oracle::convex::{convex_exact, DEFAULT_STATE_BUDGET};
 use rand::rngs::StdRng;
@@ -98,8 +99,7 @@ fn powerset_pruning_feeds_exact_estimation() {
 
     // Item-level exact expectation.
     let item_graph = item_belief.build_graph(&db.supports(), 10);
-    let (rung, item_exact) = best_expected_cracks(&item_graph).unwrap();
-    assert_eq!(rung, Rung::Exact);
+    let item_exact = exact_expected_cracks(&item_graph).unwrap();
     assert!((item_exact - 3.0).abs() < 1e-9);
 
     // Pair-level pruning raises the exact expectation.
@@ -256,18 +256,32 @@ fn powerset_pruning_is_sound_by_enumeration() {
     }
 }
 
-/// The exact estimator's provenance is reported truthfully: a small
-/// belief answers on Ryser per component, equal to the dense kernel
-/// on the whole graph, and one 19-item component, whose walks price
-/// above the exact cap, leaves the answer to the O-estimate.
+/// The exact kernel on an unlimited budget: the sum of its per-item
+/// crack probabilities.
+fn exact_expected_cracks(graph: &GroupedBigraph) -> Result<f64, ExactError> {
+    let probs = crack_probabilities_per_component(graph, 1, &Budget::unlimited())?;
+    Ok(probs.iter().sum())
+}
+
+/// The ladder's provenance is reported truthfully: a small belief
+/// answers on Ryser per component, equal to the dense kernel on the
+/// whole graph, and one 19-item component, whose walks price above
+/// the exact cap, records that decline and leaves the answer to the
+/// sampler.
 #[test]
 fn estimator_provenance_chain() {
     let db = bigmart();
     let belief = BeliefFunction::widened(&db.frequencies(), 0.1).unwrap();
     let graph = belief.build_graph(&db.supports(), 10);
+    let ladder = |graph: &GroupedBigraph| {
+        ladder_crack_probabilities(graph, &RecipeConfig::default(), 1, &Budget::unlimited())
+            .unwrap()
+    };
 
-    let (rung, exact) = best_expected_cracks(&graph).unwrap();
-    assert_eq!(rung, Rung::Exact);
+    let (provenance, probs) = ladder(&graph);
+    assert_eq!(provenance.rung, Rung::Exact);
+    assert!(provenance.trips.is_empty());
+    let exact: f64 = probs.iter().sum();
     let dense = andi::graph::expected_cracks(&graph.to_dense()).unwrap();
     assert!(
         (exact - dense).abs() < 1e-9,
@@ -278,8 +292,16 @@ fn estimator_provenance_chain() {
     let wide = BeliefFunction::from_intervals(vec![(0.0, 1.0); n])
         .unwrap()
         .build_graph(&vec![5; n], 10);
-    let (rung, _) = best_expected_cracks(&wide).unwrap();
-    assert_eq!(rung, Rung::OEstimate);
+    let (provenance, _) = ladder(&wide);
+    assert_eq!(provenance.rung, Rung::Sampler);
+    assert!(
+        matches!(
+            provenance.trips.as_slice(),
+            [(Rung::Exact, Error::TooCostly { .. })]
+        ),
+        "{:?}",
+        provenance.trips
+    );
 }
 
 /// Forty items with distinct supports, each believed within one
@@ -306,8 +328,7 @@ fn ryser_answers_above_eighteen_items_in_small_components() {
         .build_graph(&supports, 100);
     assert!(graph.components().is_some_and(|c| c.largest() <= 18));
 
-    let (rung, ryser) = best_expected_cracks(&graph).unwrap();
-    assert_eq!(rung, Rung::Exact);
+    let ryser = exact_expected_cracks(&graph).unwrap();
     let convex = convex_exact(&graph, DEFAULT_STATE_BUDGET).unwrap();
     assert!(
         (convex.expected_cracks() - ryser).abs() < 1e-9,
@@ -327,7 +348,7 @@ fn an_unmatchable_item_is_an_empty_space_at_every_size() {
         .unwrap()
         .build_graph(&supports, 100);
     assert_eq!(
-        best_expected_cracks(&graph).unwrap_err(),
-        andi::core::Error::EmptyMappingSpace
+        exact_expected_cracks(&graph),
+        Err(ExactError::EmptyMappingSpace)
     );
 }
