@@ -9,6 +9,8 @@
 //! (Lemmas 2/4/10). The generating regime and a free-form label ride
 //! along as provenance.
 
+use std::fmt::{self, Write as _};
+
 use andi_core::BeliefFunction;
 use andi_graph::GroupedBigraph;
 
@@ -187,27 +189,35 @@ impl Instance {
 
     /// Serializes to the committed line-oriented corpus format.
     /// Floats use Rust's shortest round-trip `Display`, so
-    /// `from_text(to_text(x)) == x` bit-exactly.
+    /// `from_text(to_text(x)) == x` bit-exactly. This is also the
+    /// `/assess` request body, so it is written in one pass into one
+    /// buffer, sized from the domain, with no `String` per number.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("label: {}\n", self.label));
-        out.push_str(&format!("regime: {}\n", self.regime));
-        out.push_str(&format!("m: {}\n", self.m));
-        let supports: Vec<String> = self.supports.iter().map(u64::to_string).collect();
-        out.push_str(&format!("supports: {}\n", supports.join(" ")));
-        let intervals: Vec<String> = self
-            .intervals
-            .iter()
-            .map(|&(l, r)| format!("{l},{r}"))
-            .collect();
-        out.push_str(&format!("intervals: {}\n", intervals.join(" ")));
+        let mut out = String::with_capacity(self.text_capacity());
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{HEADER}\nlabel: {}\nregime: {}\nm: {}\nsupports: {}\nintervals: {}\n",
+            self.label,
+            self.regime,
+            self.m,
+            joined(&self.supports, " ", fmt::Display::fmt),
+            joined(&self.intervals, " ", |(l, r), f| write!(f, "{l},{r}")),
+        );
         if let Some(mask) = &self.mask {
-            let bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
-            out.push_str(&format!("mask: {bits}\n"));
+            out.push_str("mask: ");
+            out.extend(mask.iter().map(|&b| if b { '1' } else { '0' }));
+            out.push('\n');
         }
         out
+    }
+
+    /// A buffer size that holds either text form of a typical
+    /// instance: the fixed keys, the label, and per item its support,
+    /// two endpoints, their punctuation and a mask entry.
+    fn text_capacity(&self) -> usize {
+        let digits = self.m.checked_ilog10().map_or(1, |d| d as usize + 1);
+        128 + self.label.len() + self.n() * (digits + 2 * F64_WIDTH + 10)
     }
 
     /// Parses the corpus format.
@@ -289,33 +299,69 @@ impl Instance {
     }
 
     /// Renders the instance as a JSON object (for the CLI's `--format
-    /// json` failure reports).
+    /// json` failure reports), in one buffer like [`Instance::to_text`].
     pub fn to_json(&self) -> String {
-        let supports: Vec<String> = self.supports.iter().map(u64::to_string).collect();
-        let intervals: Vec<String> = self
-            .intervals
-            .iter()
-            .map(|&(l, r)| format!("[{l},{r}]"))
-            .collect();
-        let mask = match &self.mask {
-            None => "null".to_string(),
-            Some(m) => format!(
-                "[{}]",
-                m.iter()
-                    .map(|&b| if b { "true" } else { "false" })
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        };
-        format!(
-            "{{\"label\":{},\"regime\":\"{}\",\"m\":{},\"supports\":[{}],\"intervals\":[{}],\"mask\":{}}}",
+        let mut out = String::with_capacity(self.text_capacity());
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"label\":{},\"regime\":\"{}\",\"m\":{},\"supports\":[{}],\"intervals\":[{}],\"mask\":",
             json_string(&self.label),
             self.regime,
             self.m,
-            supports.join(","),
-            intervals.join(","),
-            mask
-        )
+            joined(&self.supports, ",", fmt::Display::fmt),
+            joined(&self.intervals, ",", |(l, r), f| write!(f, "[{l},{r}]")),
+        );
+        match &self.mask {
+            None => out.push_str("null}"),
+            Some(mask) => {
+                let _ = write!(out, "[{}]}}", joined(mask, ",", fmt::Display::fmt));
+            }
+        }
+        out
+    }
+}
+
+/// A typical width of one shortest round-trip `f64` such as
+/// `0.30000000000000004`: a buffer sized with it rarely grows, and
+/// one that does grows by doubling, not once per number.
+pub const F64_WIDTH: usize = 20;
+
+/// A list that formats straight into its output: each item through
+/// `fmt_item`, `sep` between two, with no `String` per item and no
+/// `join`. Built by [`joined`] for the wire texts' lists of numbers.
+pub struct Joined<'a, T, F> {
+    items: &'a [T],
+    sep: &'a str,
+    fmt_item: F,
+}
+
+/// `items` as one [`Display`](fmt::Display) value for `write!`, each
+/// item formatted by `fmt_item` (`fmt::Display::fmt` for the item's
+/// own `Display`).
+pub fn joined<'a, T, F>(items: &'a [T], sep: &'a str, fmt_item: F) -> Joined<'a, T, F>
+where
+    F: Fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result,
+{
+    Joined {
+        items,
+        sep,
+        fmt_item,
+    }
+}
+
+impl<T, F> fmt::Display for Joined<'_, T, F>
+where
+    F: Fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, item) in self.items.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.sep)?;
+            }
+            (self.fmt_item)(item, f)?;
+        }
+        Ok(())
     }
 }
 
@@ -356,6 +402,7 @@ fn parse_interval(token: &str) -> Result<(f64, f64), OracleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Instance {
         Instance {
@@ -449,5 +496,114 @@ mod tests {
         // Interval 0 contains 0.5, interval 1 contains 0.4,
         // interval 2 contains 0.3: fully compliant.
         assert!((inst.alpha() - 1.0).abs() < 1e-12);
+    }
+
+    /// The `Vec<String>` + `join` serializer the one-buffer writer
+    /// replaced, kept as the byte-identity reference.
+    fn to_text_reference(inst: &Instance) -> String {
+        let mut out = String::new();
+        out.push_str(HEADER);
+        out.push('\n');
+        out.push_str(&format!("label: {}\n", inst.label));
+        out.push_str(&format!("regime: {}\n", inst.regime));
+        out.push_str(&format!("m: {}\n", inst.m));
+        let supports: Vec<String> = inst.supports.iter().map(u64::to_string).collect();
+        out.push_str(&format!("supports: {}\n", supports.join(" ")));
+        let intervals: Vec<String> = inst
+            .intervals
+            .iter()
+            .map(|&(l, r)| format!("{l},{r}"))
+            .collect();
+        out.push_str(&format!("intervals: {}\n", intervals.join(" ")));
+        if let Some(mask) = &inst.mask {
+            let bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            out.push_str(&format!("mask: {bits}\n"));
+        }
+        out
+    }
+
+    /// The JSON twin of [`to_text_reference`].
+    fn to_json_reference(inst: &Instance) -> String {
+        let supports: Vec<String> = inst.supports.iter().map(u64::to_string).collect();
+        let intervals: Vec<String> = inst
+            .intervals
+            .iter()
+            .map(|&(l, r)| format!("[{l},{r}]"))
+            .collect();
+        let mask = match &inst.mask {
+            None => "null".to_string(),
+            Some(m) => format!(
+                "[{}]",
+                m.iter()
+                    .map(|&b| if b { "true" } else { "false" })
+                    .collect::<Vec<_>>()
+                    .join(",")
+            ),
+        };
+        format!(
+            "{{\"label\":{},\"regime\":\"{}\",\"m\":{},\"supports\":[{}],\"intervals\":[{}],\"mask\":{}}}",
+            json_string(&inst.label),
+            inst.regime,
+            inst.m,
+            supports.join(","),
+            intervals.join(","),
+            mask
+        )
+    }
+
+    /// Interval endpoints whose shortest `Display` is awkward: signed
+    /// zero, subnormals, long digit runs (`1e-7`, `1e21`, `f64::MAX`),
+    /// `0.1 + 0.2` and the bounds of `[0, 1]`; then any `f64` bit
+    /// pattern, and any value in `[0, 1)`.
+    fn endpoint() -> impl Strategy<Value = f64> {
+        const AWKWARD: [f64; 9] = [
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            1e-7,
+            0.1 + 0.2,
+            1.0,
+            1e21,
+            f64::MAX,
+        ];
+        (0..AWKWARD.len() + 2, any::<u64>()).prop_map(|(k, bits)| match AWKWARD.get(k) {
+            Some(&x) => x,
+            None if k == AWKWARD.len() => f64::from_bits(bits),
+            None => (bits >> 11) as f64 / (1u64 << 53) as f64,
+        })
+    }
+
+    fn any_instance() -> impl Strategy<Value = Instance> {
+        (0usize..12).prop_flat_map(|n| {
+            (
+                "[a-z\u{e9} \"\\\\\t\n:]{0,8}",
+                (0..Regime::ALL.len()).prop_map(|k| Regime::ALL[k]),
+                any::<u64>(),
+                prop::collection::vec(any::<u64>(), n),
+                prop::collection::vec((endpoint(), endpoint()), n),
+                (any::<bool>(), prop::collection::vec(any::<bool>(), n)),
+            )
+                .prop_map(|(label, regime, m, supports, intervals, (masked, mask))| {
+                    Instance {
+                        label,
+                        regime,
+                        supports,
+                        m,
+                        intervals,
+                        mask: masked.then_some(mask),
+                    }
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writers_equal_the_join_reference(inst in any_instance()) {
+            prop_assert_eq!(inst.to_text(), to_text_reference(&inst));
+            prop_assert_eq!(inst.to_json(), to_json_reference(&inst));
+        }
     }
 }

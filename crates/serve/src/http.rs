@@ -8,7 +8,8 @@
 //! cannot pin a worker — and every failure maps to a structured
 //! status + JSON body via [`WireError`], never a panic.
 
-use std::io::{BufRead, ErrorKind, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use andi_oracle::instance::json_string;
 
@@ -137,28 +138,40 @@ impl Request {
 
 /// Reads one head block (request or status line + headers) up to the
 /// blank line, enforcing the byte cap and the stall-tick cap.
-fn read_head<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Vec<String>, WireError> {
+///
+/// Every line is read straight into one head buffer: a blank line is
+/// cut off again, and a leading one (between pipelined requests, as
+/// RFC 9112 suggests) is skipped. The cap counts the request or
+/// status line and the header lines with their line ends, not the
+/// blank line that ends the head. The head comes back as one string,
+/// with invalid UTF-8 read as U+FFFD; split it with [`head_lines`].
+fn read_head<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<String, WireError> {
     let mut head: Vec<u8> = Vec::new();
     let mut stalls: u32 = 0;
     loop {
-        let mut line: Vec<u8> = Vec::new();
+        let line_start = head.len();
         loop {
-            // read_until can return a timeout mid-line; accumulate
-            // manually so partial progress is kept across ticks.
-            match r.read_until(b'\n', &mut line) {
+            // read_until can return a timeout mid-line; it keeps the
+            // bytes it read, so partial progress survives across ticks.
+            // It stops two bytes past the cap, room for the `\r\n` that
+            // ends a head of exactly the cap: a line with no end in
+            // sight is refused without being buffered whole.
+            let room = u64::try_from(limits.max_head_bytes - head.len())
+                .map_or(u64::MAX, |left| left.saturating_add(2));
+            match r.by_ref().take(room).read_until(b'\n', &mut head) {
                 Ok(0) => {
-                    if head.is_empty() && line.is_empty() {
+                    if head.is_empty() {
                         return Err(WireError::Closed);
                     }
                     return Err(WireError::Malformed("eof inside request head".into()));
                 }
                 Ok(_) => {
-                    if line.last() == Some(&b'\n') {
+                    if head.last() == Some(&b'\n') {
                         break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if head.is_empty() && line.is_empty() {
+                    if head.is_empty() {
                         return Err(WireError::Idle);
                     }
                     stalls += 1;
@@ -168,40 +181,40 @@ fn read_head<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Vec<String>, 
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
-                    if head.is_empty() && line.is_empty() {
+                    if head.is_empty() {
                         return Err(WireError::Closed);
                     }
                     return Err(WireError::Io(e.kind().to_string()));
                 }
             }
-            if head.len() + line.len() > limits.max_head_bytes {
+            if head.len() > limits.max_head_bytes {
                 return Err(WireError::HeadTooLarge {
                     limit: limits.max_head_bytes,
                 });
             }
         }
-        let text = String::from_utf8_lossy(&line);
-        let trimmed = text.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
+        if head[line_start..].iter().all(|&b| b == b'\r' || b == b'\n') {
+            head.truncate(line_start);
             if head.is_empty() {
-                // Tolerate leading blank lines between pipelined
-                // requests, as RFC 9112 suggests.
                 continue;
             }
             break;
         }
-        head.extend_from_slice(&line);
         if head.len() > limits.max_head_bytes {
             return Err(WireError::HeadTooLarge {
                 limit: limits.max_head_bytes,
             });
         }
     }
-    let text = String::from_utf8_lossy(&head).into_owned();
-    Ok(text
-        .lines()
-        .map(|l| l.trim_end_matches('\r').to_string())
-        .collect())
+    Ok(match String::from_utf8(head) {
+        Ok(text) => text,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    })
+}
+
+/// The lines of a head from [`read_head`], without their line ends.
+fn head_lines(head: &str) -> impl Iterator<Item = &str> {
+    head.lines().map(|l| l.trim_end_matches('\r'))
 }
 
 /// Reads exactly `want` body bytes, honoring the stall-tick cap.
@@ -235,11 +248,11 @@ fn read_body<R: BufRead>(
 /// must be ASCII digits only, and repeated ones must agree: RFC 9112
 /// §6.3 treats differing values as unrecoverable framing, since two
 /// parsers could split the stream at different points.
-fn parse_headers(
-    lines: &[String],
+fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
     limits: &WireLimits,
 ) -> Result<(Vec<(String, String)>, usize), WireError> {
-    let mut headers = Vec::with_capacity(lines.len());
+    let mut headers = Vec::new();
     let mut content_length: Option<usize> = None;
     for line in lines {
         let (name, value) = line
@@ -287,9 +300,10 @@ fn parse_headers(
 /// [`WireError::Closed`]/[`WireError::Idle`] when no request started;
 /// otherwise a variant carrying the 4xx/5xx mapping for the reply.
 pub fn read_request<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Request, WireError> {
-    let lines = read_head(r, limits)?;
+    let head = read_head(r, limits)?;
+    let mut lines = head_lines(&head);
     let request_line = lines
-        .first()
+        .next()
         .ok_or_else(|| WireError::Malformed("empty request head".into()))?;
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts
@@ -314,7 +328,7 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Reques
     if !method.chars().all(|c| c.is_ascii_alphabetic()) {
         return Err(WireError::Malformed(format!("bad method token {method:?}")));
     }
-    let (headers, content_length) = parse_headers(&lines[1..], limits)?;
+    let (headers, content_length) = parse_headers(lines, limits)?;
     let body = read_body(r, content_length, limits)?;
     Ok(Request {
         method,
@@ -372,21 +386,29 @@ impl Response {
     }
 
     /// Serializes the response, appending `Connection: close` when
-    /// `close` is set.
+    /// `close` is set. The head is written into one buffer and goes
+    /// out in one write, the body in a second.
     ///
     /// # Errors
     ///
     /// Propagates transport write failures.
     pub fn write_to<W: Write>(&self, w: &mut W, close: bool) -> std::io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\n",
+        let extra: usize = self
+            .headers
+            .iter()
+            .map(|(n, v)| n.len() + v.len() + 4)
+            .sum();
+        let mut head = String::with_capacity(128 + extra);
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            head,
+            "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
             self.status,
-            Response::reason(self.status)
+            Response::reason(self.status),
+            self.body.len()
         );
-        head.push_str("content-type: application/json\r\n");
-        head.push_str(&format!("content-length: {}\r\n", self.body.len()));
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            let _ = write!(head, "{name}: {value}\r\n");
         }
         if close {
             head.push_str("connection: close\r\n");
@@ -406,9 +428,10 @@ impl Response {
 /// As [`read_request`], with [`WireError::Malformed`] for bad status
 /// lines.
 pub fn read_response<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Response, WireError> {
-    let lines = read_head(r, limits)?;
+    let head = read_head(r, limits)?;
+    let mut lines = head_lines(&head);
     let status_line = lines
-        .first()
+        .next()
         .ok_or_else(|| WireError::Malformed("empty response head".into()))?;
     let mut parts = status_line.split_ascii_whitespace();
     let version = parts
@@ -421,7 +444,7 @@ pub fn read_response<R: BufRead>(r: &mut R, limits: &WireLimits) -> Result<Respo
         .next()
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| WireError::Malformed("bad status code".into()))?;
-    let (headers, content_length) = parse_headers(&lines[1..], limits)?;
+    let (headers, content_length) = parse_headers(lines, limits)?;
     let body = read_body(r, content_length, limits)?;
     Ok(Response {
         status,

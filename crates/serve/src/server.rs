@@ -32,6 +32,7 @@
 //! is bit-identical to the cold path and a seeded load run (the
 //! `load` integration test) reproduces its exact response multiset.
 
+use std::fmt::{self, Write as _};
 use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +48,7 @@ use andi_graph::hash::splitmix64;
 use andi_graph::par::{self, Budget, CancelToken, WorkerHandle};
 use andi_graph::{faults, FrequencyScaffold};
 use andi_oracle::editscript::parse_edit;
-use andi_oracle::instance::{json_string, Instance};
+use andi_oracle::instance::{joined, json_string, Instance, F64_WIDTH};
 use andi_oracle::serial::{error_to_json, provenance_to_json};
 
 use crate::admission::{Admission, Offer};
@@ -641,18 +642,23 @@ fn compute_assess(
 /// Renders the deterministic response body: `spent_ms` is zeroed (the
 /// measured value rides in a header) so identical requests always
 /// produce identical bytes.
+///
+/// Written in one pass into one buffer, with no `String` per
+/// probability.
 fn render_assess(provenance: &Provenance, probs: &[f64]) -> String {
     let mut normalized = provenance.clone();
     normalized.spent_ms = 0;
     let expected: f64 = probs.iter().sum();
-    let probs_json: Vec<String> = probs.iter().map(|p| p.to_string()).collect();
-    format!(
-        "{{\"n\":{},\"expected_cracks\":{},\"provenance\":{},\"probs\":[{}]}}",
+    let provenance = provenance_to_json(&normalized);
+    let mut body = String::with_capacity(64 + provenance.len() + (F64_WIDTH + 1) * probs.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        body,
+        "{{\"n\":{},\"expected_cracks\":{expected},\"provenance\":{provenance},\"probs\":[{}]}}",
         probs.len(),
-        expected,
-        provenance_to_json(&normalized),
-        probs_json.join(",")
-    )
+        joined(probs, ",", fmt::Display::fmt)
+    );
+    body
 }
 
 /// 400 for an unparseable or invalid instance. The message comes from

@@ -1,6 +1,7 @@
 //! End-to-end service behavior: routing, assessment, caching
 //! headers, admission shedding, and graceful drain.
 
+use andi_data::{Analog, FrequencyGroups};
 use andi_oracle::instance::{Instance, Regime};
 use andi_oracle::serial::provenance_from_json;
 use andi_serve::http::response_header;
@@ -107,6 +108,65 @@ fn assess_answers_with_ladder_result_and_cache_is_bit_identical() {
         "expected one result-cache hit: {stats_text}"
     );
 
+    handle.shutdown();
+}
+
+/// CHESS under its `δ_med` belief `[f - δ, f + δ]`: the recipe's
+/// step-5 hacker, and the benchmark's unwidened analog request.
+fn chess_delta_med_instance() -> Instance {
+    let analog = Analog::Chess;
+    let supports = analog.supports();
+    let m = analog.spec().n_transactions;
+    let delta = FrequencyGroups::from_supports(&supports, m)
+        .median_gap()
+        .unwrap_or(0.0);
+    let intervals = supports
+        .iter()
+        .map(|&s| {
+            let f = s as f64 / m as f64;
+            ((f - delta).max(0.0), (f + delta).min(1.0))
+        })
+        .collect();
+    Instance {
+        label: "analog chess delta_med".to_string(),
+        regime: Regime::AlphaCompliant,
+        supports,
+        m,
+        intervals,
+        mask: None,
+    }
+}
+
+/// The served `/assess` bytes are pinned, not just their values: the
+/// body is written without an intermediate `String` per number, and
+/// these goldens hold it to the bytes the `Vec<String>` + `join`
+/// renderer produced (recorded before that rewrite). The request
+/// bytes are pinned too, since `Instance::to_text` is written the
+/// same way.
+#[test]
+fn assess_bodies_match_their_goldens() {
+    let handle = start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let cases = [
+        (
+            bigmart_instance(),
+            include_str!("golden/bigmart.request"),
+            include_str!("golden/bigmart.assess.json"),
+        ),
+        (
+            chess_delta_med_instance(),
+            include_str!("golden/chess_delta_med.request"),
+            include_str!("golden/chess_delta_med.assess.json"),
+        ),
+    ];
+    for (instance, request, answer) in cases {
+        let text = instance.to_text();
+        assert_eq!(text, request, "{}: request bytes moved", instance.label);
+        let resp = client.request("POST", "/assess", text.as_bytes()).unwrap();
+        assert_eq!(resp.status, 200, "{}", instance.label);
+        let body = std::str::from_utf8(&resp.body).unwrap();
+        assert_eq!(body, answer, "{}: /assess body bytes moved", instance.label);
+    }
     handle.shutdown();
 }
 

@@ -273,3 +273,126 @@ fn slow_trickle_hits_the_stall_watchdog() {
     );
     handle.shutdown();
 }
+
+/// Records each `write` call, so a test sees how a response is split
+/// across writes as well as its bytes.
+#[derive(Default)]
+struct WriteLog {
+    writes: Vec<Vec<u8>>,
+    flushes: usize,
+}
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+/// `Response::write_to`'s exact bytes: status line, the automatic
+/// headers, the extra headers in order, `connection: close` only when
+/// asked, then the body. The head and the body go out as two writes,
+/// the split that the benchmark's baseline was measured with (ROADMAP
+/// item 1 merges them together with the harness change).
+#[test]
+fn write_to_bytes_match_their_golden() {
+    let resp = Response::json(200, "{\"ok\":true}")
+        .with_header("x-andi-cache", "hit")
+        .with_header("x-andi-spent-ms", "3");
+    let head = "HTTP/1.1 200 OK\r\n\
+                content-type: application/json\r\n\
+                content-length: 11\r\n\
+                x-andi-cache: hit\r\n\
+                x-andi-spent-ms: 3\r\n";
+    for (close, end) in [(false, "\r\n"), (true, "connection: close\r\n\r\n")] {
+        let mut log = WriteLog::default();
+        resp.write_to(&mut log, close).unwrap();
+        let want_head = format!("{head}{end}");
+        assert_eq!(
+            log.writes,
+            [want_head.as_bytes(), b"{\"ok\":true}".as_slice()],
+            "close = {close}"
+        );
+        assert_eq!(log.flushes, 1);
+    }
+}
+
+/// The head reader's edge cases, pinned: invalid UTF-8 in a header
+/// reads as U+FFFD, blank lines before a request line are skipped,
+/// bare-LF line ends parse, and the byte cap counts the request line
+/// and the header lines with their line ends, but not the blank line
+/// that ends the head.
+#[test]
+fn head_reader_edge_cases_are_pinned() {
+    let limits = WireLimits::default();
+    let read = |bytes: &[u8], limits: &WireLimits| read_request(&mut Cursor::new(bytes), limits);
+
+    let req = read(b"GET / HTTP/1.1\r\nx-raw: a\xFFb\r\n\r\n", &limits).unwrap();
+    assert_eq!(req.header("x-raw"), Some("a\u{FFFD}b"));
+
+    let req = read(b"\r\n\r\n\nGET /health HTTP/1.1\r\n\r\n", &limits).unwrap();
+    assert_eq!(
+        (req.method.as_str(), req.target.as_str()),
+        ("GET", "/health")
+    );
+
+    let req = read(
+        b"POST /assess HTTP/1.1\ncontent-length: 3\nx-b:  c \n\nabc",
+        &limits,
+    )
+    .unwrap();
+    assert_eq!(req.header("x-b"), Some("c"));
+    assert_eq!(req.body, b"abc");
+    let resp = read_response(
+        &mut Cursor::new(&b"HTTP/1.1 204 No Content\nx-b: c\n\n"[..]),
+        &limits,
+    )
+    .unwrap();
+    assert_eq!((resp.status, resp.headers.len()), (204, 1));
+
+    // A request line and one padded header line of `len` bytes in
+    // all: exactly the cap is read, one byte more is refused.
+    let small = WireLimits {
+        max_head_bytes: 64,
+        ..WireLimits::default()
+    };
+    let head_of = |len: usize| {
+        let fixed = "GET / HTTP/1.1\r\nx-pad: \r\n".len();
+        format!(
+            "GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "p".repeat(len - fixed)
+        )
+    };
+    assert_eq!(head_of(64).len(), 64 + 2);
+    assert!(read(head_of(64).as_bytes(), &small).is_ok());
+    assert!(matches!(
+        read(head_of(65).as_bytes(), &small),
+        Err(WireError::HeadTooLarge { limit: 64 })
+    ));
+}
+
+/// A head line with no end is refused once it passes the cap, having
+/// read at most two bytes past it, instead of being buffered until
+/// the peer stops sending.
+#[test]
+fn an_endless_head_line_is_refused_at_the_cap() {
+    let limits = WireLimits::default();
+    let mut bytes = b"GET / HTTP/1.1\r\nx-flood: ".to_vec();
+    bytes.resize(1 << 20, b'a');
+    let mut stream = Cursor::new(bytes);
+    assert!(matches!(
+        read_request(&mut stream, &limits),
+        Err(WireError::HeadTooLarge { .. })
+    ));
+    let read = stream.position() as usize;
+    assert!(
+        read <= limits.max_head_bytes + 2,
+        "read {read} bytes against a {} byte cap",
+        limits.max_head_bytes
+    );
+}

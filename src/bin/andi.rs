@@ -521,6 +521,13 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     if min_support == 0 {
         return Err("--min-support must be at least 1".into());
     }
+    let min_conf: Option<f64> = match args.option("--rules") {
+        Some(conf) => Some(parse(conf, "--rules")?),
+        None => None,
+    };
+    if min_conf.is_some_and(|c| !(0.0..=1.0).contains(&c)) {
+        return Err("--rules must be in [0, 1]".into());
+    }
     let FimiDataset {
         database: db,
         raw_ids,
@@ -536,8 +543,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     if result.len() > 25 {
         println!("  ... {} more", result.len() - 25);
     }
-    if let Some(conf) = args.option("--rules") {
-        let min_conf: f64 = parse(conf, "--rules")?;
+    if let Some(min_conf) = min_conf {
         let rules = generate_rules(&result, db.n_transactions() as u64, min_conf);
         println!("\n{} rules at confidence >= {min_conf}", rules.len());
         for r in rules.iter().take(25) {

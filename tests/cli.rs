@@ -243,6 +243,31 @@ fn mine_requires_min_support() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A rule confidence outside [0, 1] (or NaN) is refused before any
+/// mining, with nothing on stdout: it used to reach `generate_rules`'
+/// assertion after the itemsets were printed.
+#[test]
+fn mine_rejects_a_confidence_outside_the_unit_interval() {
+    let dir = temp_dir("mine-rules");
+    let file = bigmart_file(&dir);
+    let file = file.to_str().unwrap();
+    for conf in ["2", "-1", "nan", "1.0000001"] {
+        let out = andi(&["mine", file, "--min-support", "1", "--rules", conf]);
+        assert_eq!(out.status.code(), Some(1), "--rules {conf}");
+        assert!(
+            stderr(&out).contains("error: --rules must be in [0, 1]"),
+            "--rules {conf}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "--rules {conf}: mined anyway");
+    }
+    for conf in ["0", "1"] {
+        let out = andi(&["mine", file, "--min-support", "4", "--rules", conf]);
+        assert!(out.status.success(), "--rules {conf}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A FIMI file whose items are 10, 20, 30 and 40: the reports name
 /// the file's ids, not the dense ids 0..4 they are mined under.
 #[test]
